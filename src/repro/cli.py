@@ -840,10 +840,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pure-gemm", action="store_true",
                    help="baseline policy: im2col+GEMM everywhere")
     p.add_argument("--mode", choices=list(MODES), default="exact",
-                   help="exact: simulate every grid point; fast: one "
-                        "stack-distance profiling pass per VLEN answers "
-                        "the whole L2 axis; validate: run both and "
-                        "report per-point miss-rate deltas")
+                   help="L2 criterion applied to one recording per "
+                        "VLEN — exact: smoothed, bit-identical to "
+                        "per-point simulation; fast: sharp Mattson "
+                        "threshold; validate: run both and report "
+                        "per-point miss-rate deltas")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable results")
     p.add_argument("--workers", type=int, default=1,

@@ -1,11 +1,13 @@
 """The co-design study: vector-length x L2-size sweeps and reporting.
 
-Two backends answer the (VLEN x L2) grid: the exact per-point
-simulation and the stack-distance fast path
-(:mod:`repro.codesign.fastpath`), which collapses the L2 axis into one
-Mattson profiling pass per VLEN.  ``codesign_sweep(mode=...)`` selects
-the backend; :func:`validate_codesign_sweep` runs both and reports
-per-point miss-rate deltas.
+Every (VLEN x L2) grid is answered from one recording per VLEN
+(:func:`repro.nets.inference.record_inference`), evaluated at each L2
+size under one of two L2 criteria: the exact backend's smoothed
+criterion, bit-identical to per-point simulation, or the fast
+backend's sharp Mattson threshold over a stack-distance profile.
+``codesign_sweep(mode=...)`` selects the backend;
+:func:`validate_codesign_sweep` runs both and reports per-point
+miss-rate deltas.
 """
 
 from repro.codesign.executor import (
@@ -13,12 +15,6 @@ from repro.codesign.executor import (
     evaluate_column,
     evaluate_point,
     run_sweep,
-)
-from repro.codesign.fastpath import (
-    MISS_RATE_BOUND,
-    LayerProfile,
-    NetworkProfile,
-    profile_network,
 )
 from repro.codesign.report import (
     PAPER_HEADLINES,
@@ -34,6 +30,7 @@ from repro.codesign.sweep import (
     BACKEND_EXACT,
     BACKEND_FAST,
     BACKENDS,
+    MISS_RATE_BOUND,
     MODES,
     PAPER_L2_MBS,
     PAPER_VLENS,
@@ -57,9 +54,6 @@ __all__ = [
     "run_sweep",
     "evaluate_column",
     "evaluate_point",
-    "profile_network",
-    "NetworkProfile",
-    "LayerProfile",
     "MISS_RATE_BOUND",
     "SweepProgress",
     "SweepResult",

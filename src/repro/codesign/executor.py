@@ -32,20 +32,19 @@ properties a long sweep needs in production:
   each result and are grafted into the parent trace; worker counter
   deltas merge into the process-global registry the same way.
 
-Two backends evaluate the grid (``mode``), and both parallelize over
-VLEN *columns* — the unit of work that amortizes per-VLEN state over
-the whole L2 axis.  The exact backend records each column once
+The unit of work is a VLEN *column*, which amortizes per-VLEN state
+over the whole L2 axis: each column is recorded once
 (:func:`~repro.nets.inference.record_inference`; the phase models
-depend on the configuration only through the vector length) and
-replays the recording per L2 size, bit-identical to a fresh
-:func:`~repro.nets.inference.simulate_inference` call at every point.
-The fast backend (:mod:`repro.codesign.fastpath`) runs one
-stack-distance profiling pass per VLEN and answers the L2 axis
-analytically.  Every checkpoint records which backend produced it.
+depend on the configuration only through the vector length) and the
+recording is evaluated per L2 size under the backend's (``mode``) L2
+criterion — the exact backend's is bit-identical to a fresh
+:func:`~repro.nets.inference.simulate_inference` call at every point,
+the fast backend's is the sharp Mattson threshold.  Every checkpoint
+records which backend produced it.
 
 Results are bit-identical between the serial and parallel paths: each
-point is evaluated by the same pure record/replay (or profiling)
-functions and travels back to the parent either in-process or via
+point is evaluated by the same pure record/replay functions and
+travels back to the parent either in-process or via
 pickle, neither of which perturbs a float.  Checkpointed points
 round-trip through JSON, which Python serializes with shortest-repr
 floats, so restored grids are bit-identical too.  Instrumentation is
@@ -65,8 +64,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.codesign.fastpath import profile_network
-from repro.codesign.sweep import BACKEND_EXACT, BACKEND_FAST, BACKENDS, SweepResult
+from repro.codesign.sweep import BACKEND_EXACT, BACKENDS, SweepResult
 from repro.errors import ConfigError
 from repro.kernels.tuple_mult import SLIDEUP
 from repro.model.layer_model import NetworkResult
@@ -271,7 +269,7 @@ class _SweepTelemetry:
         return run_info
 
 
-def _evaluate_vlen_exact(
+def _evaluate_vlen(
     name: str,
     layers: list[LayerSpec],
     vlen: int,
@@ -279,22 +277,23 @@ def _evaluate_vlen_exact(
     hybrid: bool,
     variant: str,
     base_config: SystemConfig,
+    mode: str,
     collect: bool = False,
     span_attrs: Mapping[str, Any] | None = None,
 ) -> tuple[list[tuple[int, NetworkResult, float]], dict]:
-    """Evaluate one VLEN column of the grid via the exact backend.
+    """Evaluate one VLEN column of the grid under ``mode``'s L2 criterion.
 
     The layer phase models depend on the configuration only through
     the vector length, so one recording pass
     (:func:`~repro.nets.inference.record_inference`) answers the whole
-    L2 axis; each point replays the recording, bit-identical to a
-    fresh ``simulate_inference`` call at that point.  The recording
-    pass's wall time is attributed to the column's first point so
-    per-point seconds still sum to the column's true cost.  With
-    ``collect`` (the pooled path), the column's span subtree and
-    counter delta are captured and returned picklable, so the parent
-    can graft them into its trace and registry; the serial path leaves
-    it False and records into the ambient tracer directly.
+    L2 axis; each point evaluates the recording (under ``exact``,
+    bit-identical to a fresh ``simulate_inference`` call at that
+    point).  The recording pass's wall time is attributed to the
+    column's first point so per-point seconds still sum to the column's
+    true cost.  With ``collect`` (the pooled path), the column's span
+    subtree and counter delta are captured and returned picklable, so
+    the parent can graft them into its trace and registry; the serial
+    path leaves it False and records into the ambient tracer directly.
     """
     def column() -> list[tuple[int, NetworkResult, float]]:
         t0 = time.perf_counter()
@@ -306,55 +305,10 @@ def _evaluate_vlen_exact(
         out: list[tuple[int, NetworkResult, float]] = []
         for i, l2_mb in enumerate(l2_mbs):
             t1 = time.perf_counter()
-            result = recording.evaluate(l2_mb)
+            result = recording.evaluate(l2_mb, mode)
             secs = time.perf_counter() - t1
             if i == 0:
                 secs += record_secs
-            out.append((l2_mb, result, secs))
-        return out
-
-    if not collect:
-        return column(), {}
-    local = Tracer()
-    with COUNTERS.capture() as cap, tracing(local), local.span(
-        "sweep_worker", vlen=vlen, l2_mbs=list(l2_mbs), **dict(span_attrs or {})
-    ):
-        out = column()
-    return out, {"span": local.root.to_dict(), "counters": cap.delta()}
-
-
-def _evaluate_vlen_fast(
-    name: str,
-    layers: list[LayerSpec],
-    vlen: int,
-    l2_mbs: tuple[int, ...],
-    hybrid: bool,
-    variant: str,
-    base_config: SystemConfig,
-    collect: bool = False,
-    span_attrs: Mapping[str, Any] | None = None,
-) -> tuple[list[tuple[int, NetworkResult, float]], dict]:
-    """Evaluate one VLEN column of the grid via the fast backend.
-
-    One stack-distance profiling pass answers every requested L2 size;
-    the pass's wall time is attributed to the column's first point so
-    per-point seconds still sum to the column's true cost.  ``collect``
-    works as in :func:`_evaluate_vlen_exact`, with one span per column.
-    """
-    def column() -> list[tuple[int, NetworkResult, float]]:
-        t0 = time.perf_counter()
-        cfg = base_config.with_(vlen_bits=vlen)
-        profile = profile_network(
-            name, layers, cfg, hybrid=hybrid, variant=variant
-        )
-        profile_secs = time.perf_counter() - t0
-        out: list[tuple[int, NetworkResult, float]] = []
-        for i, l2_mb in enumerate(l2_mbs):
-            t1 = time.perf_counter()
-            result = profile.evaluate(l2_mb)
-            secs = time.perf_counter() - t1
-            if i == 0:
-                secs += profile_secs
             out.append((l2_mb, result, secs))
         return out
 
@@ -384,15 +338,14 @@ def evaluate_column(
     reusable unit of work.
 
     This is the API the sweep pool *and* the serve layer
-    (:mod:`repro.serve`) schedule: one call amortizes the per-VLEN pass
-    (exact recording or fast profiling) over every requested L2 size
-    and returns ``([(l2_mb, result, seconds), ...], extras)``, where
-    ``extras`` carries the picklable span/counter capture when
-    ``collect`` is set (see :func:`_evaluate_vlen_exact`).  Results are
-    bit-identical to a fresh
-    :func:`~repro.nets.inference.simulate_inference` /
-    :func:`~repro.codesign.fastpath.profile_network` evaluation at each
-    point regardless of how the l2 axis was batched.
+    (:mod:`repro.serve`) schedule: one call amortizes the per-VLEN
+    recording over every requested L2 size and returns
+    ``([(l2_mb, result, seconds), ...], extras)``, where ``extras``
+    carries the picklable span/counter capture when ``collect`` is set
+    (see :func:`_evaluate_vlen`).  Results are bit-identical to the same
+    point evaluated alone, however the L2 axis was batched (and, under
+    ``exact``, to a fresh
+    :func:`~repro.nets.inference.simulate_inference`).
     """
     if mode not in BACKENDS:
         raise ConfigError(
@@ -401,12 +354,9 @@ def evaluate_column(
     if not l2_mbs:
         raise ConfigError("evaluate_column needs at least one L2 size")
     base = base_config if base_config is not None else SystemConfig()
-    column_fn = (
-        _evaluate_vlen_fast if mode == BACKEND_FAST else _evaluate_vlen_exact
-    )
-    return column_fn(
+    return _evaluate_vlen(
         name, layers, int(vlen), tuple(int(l) for l in l2_mbs),
-        hybrid, variant, base, collect, span_attrs,
+        hybrid, variant, base, mode, collect, span_attrs,
     )
 
 
@@ -714,20 +664,15 @@ def run_sweep(
         # pool that cannot actually run (fork blocked, workers killed)
         # degrades to the serial path for whatever is still missing —
         # loudly: the degradation is a warning event, a RuntimeWarning,
-        # and a ``degraded`` flag on the result and manifest.  Both
-        # backends' unit of work is one VLEN column: the exact backend
-        # records the column once and replays it per L2 size, the fast
-        # backend's single profiling pass answers the whole L2 axis.
+        # and a ``degraded`` flag on the result and manifest.  The unit
+        # of work is one VLEN column: recorded once, evaluated per L2
+        # size under the backend's criterion.
         if todo:
             telemetry.begin_compute()
         collect = current_tracer() is not None
         columns: dict[int, list[int]] = {}
         for v, l in todo:
             columns.setdefault(v, []).append(l)
-        column_fn = (
-            _evaluate_vlen_fast if mode == BACKEND_FAST
-            else _evaluate_vlen_exact
-        )
         pool, pool_error = _make_pool(workers, len(columns))
         if pool_error is not None:
             telemetry.pool_degraded(pool_error)
@@ -736,8 +681,8 @@ def run_sweep(
                 with pool:
                     futures = {
                         pool.submit(
-                            column_fn, name, layers, v,
-                            tuple(l2s), hybrid, variant, base, collect,
+                            _evaluate_vlen, name, layers, v,
+                            tuple(l2s), hybrid, variant, base, mode, collect,
                         ): v
                         for v, l2s in columns.items()
                     }
@@ -759,8 +704,8 @@ def run_sweep(
         for v, l2s in columns.items():
             missing = tuple(l for l in l2s if (v, l) not in results)
             if missing:
-                column, _ = column_fn(
-                    name, layers, v, missing, hybrid, variant, base
+                column, _ = _evaluate_vlen(
+                    name, layers, v, missing, hybrid, variant, base, mode
                 )
                 for l, result, secs in column:
                     finish(v, l, result, secs)

@@ -101,18 +101,18 @@ def backend_timing_report(
 
     ``exact_seconds``/``fast_seconds`` time the same L2 axis
     (``l2_points`` capacities at one VLEN) through each backend.  Both
-    backends amortize one per-VLEN pass over the axis — the exact
-    backend records the column and replays it per L2 size, the fast
-    backend profiles it once — so the speedup line compares the two
-    amortized columns.
+    backends record the column once and evaluate the recording per L2
+    size, differing only in the L2 criterion, so the speedup line
+    compares the two criteria's amortized columns.
     """
     speedup = exact_seconds / fast_seconds if fast_seconds else float("inf")
     agree = "agrees" if best_agrees else "DISAGREES"
     return "\n".join([
         f"fast-path timing — {name} ({l2_points}-point L2 axis)",
         f"  exact backend   {exact_seconds:8.2f} s  "
-        f"(1 recording + {l2_points} replays)",
-        f"  fast backend    {fast_seconds:8.2f} s  (1 profiling pass)",
+        f"(1 recording + {l2_points} smoothed evaluations)",
+        f"  fast backend    {fast_seconds:8.2f} s  "
+        f"(1 recording + {l2_points} sharp evaluations)",
         f"  L2-axis speedup {speedup:8.2f}x",
         f"  max miss-rate delta {100 * max_miss_rate_delta:.2f}%; "
         f"best point {agree}",

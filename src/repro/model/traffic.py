@@ -203,13 +203,15 @@ def _ordered_sum(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CondensedTraffic:
-    """Array form of a phase list's traffic, replaying
-    :func:`evaluate_hierarchy` bit-identically.
+    """Array form of a phase list's traffic, reproducing
+    :func:`evaluate_hierarchy` bit-identically in two halves.
 
     One row per traffic class, in the exact order the reference loop
-    visits them (phase order, then class order within the phase).  Two
-    properties make the vectorized :meth:`evaluate` produce the same
-    bits as the scalar reference:
+    visits them (phase order, then class order within the phase).
+    :meth:`l1_split` resolves the L1 once; :meth:`smooth_l2` then applies
+    the L2 half of the reference to that split at any capacity.  Two
+    properties make the vectorized halves produce the same bits as the
+    scalar reference:
 
     - The hit-probability power is the one operation whose NumPy SIMD
       code path does *not* round like scalar ``**``; effective
@@ -232,17 +234,19 @@ class CondensedTraffic:
 
     @classmethod
     def from_phases(cls, phases: list[PhaseModel]) -> "CondensedTraffic":
+        # Bulk-extract the class fields: GEMM-heavy layers reach the
+        # hundreds of thousands of classes.
         classes = [t for ph in phases for t in ph.traffic]
         n = len(classes)
-        accesses = np.empty(n, dtype=np.float64)
-        eff = np.empty(n, dtype=np.float64)
-        store_mask = np.zeros(n, dtype=bool)
-        region = np.empty(n, dtype=np.float64)
-        for i, t in enumerate(classes):
-            accesses[i] = t.accesses
-            eff[i] = t.distance * t.dilution
-            store_mask[i] = t.is_store
-            region[i] = t.region
+        accesses = np.fromiter(
+            (t.accesses for t in classes), dtype=np.float64, count=n)
+        eff = np.fromiter(
+            (t.distance * t.dilution for t in classes),
+            dtype=np.float64, count=n)
+        store_mask = np.fromiter(
+            (t.is_store for t in classes), dtype=bool, count=n)
+        region = np.fromiter(
+            (t.region for t in classes), dtype=np.float64, count=n)
         eff_unique, eff_index = np.unique(eff, return_inverse=True)
         for arr in (accesses, eff_unique, eff_index, store_mask, region):
             arr.setflags(write=False)
@@ -255,42 +259,40 @@ class CondensedTraffic:
     def n_classes(self) -> int:
         return int(self.accesses.size)
 
-    def evaluate(
-        self,
-        l1_bytes: int,
-        l2_bytes: int,
-        line_bytes: int = LINE,
-        capacity_factor: float = CAPACITY_FACTOR,
-        sharpness: float = SHARPNESS,
-    ) -> HierarchyStats:
-        """:func:`evaluate_hierarchy` on the condensed classes —
-        bit-identical output, O(unique distances) scalar work."""
-        l1_eff = l1_bytes * capacity_factor
-        l2_eff = l2_bytes * capacity_factor
-        uniq = self.eff_unique.tolist()
-        p1 = np.array(
-            [_hit_probability(d, l1_eff, sharpness) for d in uniq],
+    def _hit_probabilities(self, capacity: float) -> np.ndarray:
+        """Per-class smoothed hit probability at an effective capacity."""
+        return np.array(
+            [_hit_probability(d, capacity, SHARPNESS)
+             for d in self.eff_unique.tolist()],
             dtype=np.float64,
         )[self.eff_index]
-        p2 = np.array(
-            [_hit_probability(d, l2_eff, sharpness) for d in uniq],
-            dtype=np.float64,
-        )[self.eff_index]
+
+    def l1_split(self, l1_bytes: int) -> tuple[np.ndarray, int, int]:
+        """The L1 half of :func:`evaluate_hierarchy` at ``l1_bytes``:
+        ``(to_l2, accesses, misses)`` — the per-class line touches that
+        miss the L1 and go on to the L2, plus the rounded L1 counters
+        (the reference's L2 access count equals its L1 miss count)."""
+        p1 = self._hit_probabilities(l1_bytes * CAPACITY_FACTOR)
         to_l2 = self.accesses * (1.0 - p1)
-        missed = to_l2 * (1.0 - p2)
-        # The reference accumulates l1_miss and l2_acc from the same
-        # addends in the same order, so one sum serves both.
-        l1_miss = _ordered_sum(to_l2)
-        l1 = CacheStats()
-        l2 = CacheStats()
-        l1.accesses = int(round(_ordered_sum(self.accesses)))
-        l1.misses = int(round(l1_miss))
-        l2.accesses = int(round(l1_miss))
-        l2.misses = int(round(_ordered_sum(missed)))
-        l2.writebacks = int(round(
-            _ordered_sum(missed[self.store_mask & (self.region > l2_eff)])
-        ))
-        return HierarchyStats(l1=l1, l2=l2, line_bytes=line_bytes)
+        return (
+            to_l2,
+            int(round(_ordered_sum(self.accesses))),
+            int(round(_ordered_sum(to_l2))),
+        )
+
+    def smooth_l2(
+        self, to_l2: np.ndarray, l2_bytes: int
+    ) -> tuple[float, float]:
+        """Unrounded ``(misses, writebacks)`` of an ``l2_bytes`` L2 fed
+        by ``to_l2`` (from :meth:`l1_split`), under the reference's
+        smoothed criterion — bit-identical to :func:`evaluate_hierarchy`,
+        O(unique distances) scalar work."""
+        l2_eff = l2_bytes * CAPACITY_FACTOR
+        missed = to_l2 * (1.0 - self._hit_probabilities(l2_eff))
+        return (
+            _ordered_sum(missed),
+            _ordered_sum(missed[self.store_mask & (self.region > l2_eff)]),
+        )
 
 
 def stats_from_model(

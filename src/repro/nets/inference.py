@@ -8,26 +8,49 @@ total statistics, like gem5's end-of-simulation stats dump.
 Record/replay: building the phase models is the dominant cost of
 :func:`simulate_inference` and depends on the configuration only
 through the vector length.  :func:`record_inference` captures the
-L2-independent state of every layer once; the resulting
-:class:`NetworkRecording` then answers any L2 size with results
-bit-identical to a fresh :func:`simulate_inference` call — the exact
-sweep backend records one column and replays it across the L2 axis.
+L2-independent state of every layer once — counts, issue cycles,
+condensed traffic and the L1 split; the resulting
+:class:`NetworkRecording` then answers any L2 size under either sweep
+backend's L2 criterion.  Under ``exact`` the results are bit-identical
+to a fresh :func:`simulate_inference` call; ``fast`` applies the sharp
+Mattson threshold.  Both sweep backends record one column and replay
+it across the L2 axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from repro.conv.layer import ConvAlgorithm, ConvLayerSpec, choose_algorithm
 from repro.errors import ConfigError
+from repro.isa import OpClass
 from repro.kernels.tuple_mult import SLIDEUP
 from repro.model.aux_model import maxpool_model, shortcut_model
 from repro.model.layer_model import NetworkResult, layer_phases
-from repro.model.traffic import CondensedTraffic, PhaseModel, stats_from_model
+from repro.model.traffic import (
+    CAPACITY_FACTOR,
+    CondensedTraffic,
+    PhaseModel,
+    stats_from_model,
+)
 from repro.nets.layers import LayerSpec, MaxPoolSpec, ShortcutSpec
 from repro.obs import counters_from_stats, span
+from repro.sim.cache import CacheStats, HierarchyStats
+from repro.sim.stackdist import SparseReuseProfile
 from repro.sim.stats import SimStats
 from repro.sim.system import SystemConfig
+
+#: The sweep's backend tags, one per L2 criterion a recording answers
+#: (re-exported by :mod:`repro.codesign.sweep`, recorded on every sweep
+#: result, checkpoint and serve point key): ``exact`` smooths the L2
+#: hit/miss transition like :func:`~repro.model.traffic.evaluate_hierarchy`,
+#: ``fast`` applies the sharp fully-associative Mattson threshold.
+BACKEND_EXACT = "exact"
+BACKEND_FAST = "fast"
+BACKENDS = (BACKEND_EXACT, BACKEND_FAST)
 
 
 def layer_phase_models(
@@ -100,30 +123,74 @@ def simulate_inference(
 class LayerRecording:
     """One layer's L2-independent state.
 
-    ``template`` holds everything a :class:`SimStats` needs that the L2
-    size cannot change — issue cycles, instruction/element/flop counts,
-    the label — captured by running :func:`~repro.model.traffic.stats_from_model`
-    once at record time; ``traffic`` is the condensed traffic whose
-    :meth:`~repro.model.traffic.CondensedTraffic.evaluate` reproduces
-    the hierarchy stats bit-identically for any cache sizes.
+    ``template`` holds everything of the layer's :class:`SimStats` that
+    the L2 size cannot change — label, instruction/element/flop counts,
+    issue cycles, the L1 counters and the L2 access count.  ``to_l2`` is
+    the recorded L1 split: per condensed class of ``traffic``, the line
+    touches that miss the L1 and reach the L2.  :meth:`evaluate` applies
+    one of the two L2 criteria to that split.
     """
 
     template: SimStats
     traffic: CondensedTraffic
+    to_l2: np.ndarray
 
-    def evaluate(self, config: SystemConfig) -> SimStats:
-        """The layer's stats at ``config`` — bit-identical to
-        ``stats_from_model(phases, config, label)`` on the recorded
-        phases (``config`` may only differ from the record-time
-        configuration in cache sizes)."""
-        hstats = self.traffic.evaluate(
-            config.l1_kb * 1024, config.l2_mb * 1024 * 1024,
-            config.line_bytes,
+    @cached_property
+    def _sharp_l2(self) -> tuple[SparseReuseProfile, np.ndarray, np.ndarray,
+                                 np.ndarray]:
+        """The fast criterion's view of ``to_l2``, built on first use:
+        its stack-distance profile in lines, plus the distance, weight
+        and region of every store class (for writebacks)."""
+        tr = self.traffic
+        dist_lines = (tr.eff_unique / self.template.hierarchy.line_bytes)[
+            tr.eff_index]
+        store = tr.store_mask
+        return (
+            SparseReuseProfile.from_distances(dist_lines, self.to_l2),
+            dist_lines[store], self.to_l2[store], tr.region[store],
+        )
+
+    def _sharp_misses(self, l2_bytes: int) -> tuple[float, float]:
+        """Unrounded ``(misses, writebacks)`` under the sharp Mattson
+        criterion: a touch misses iff its reuse distance is at least the
+        capacity; a missing store is written back unless its region
+        stays resident."""
+        profile, store_dist, store_weights, store_region = self._sharp_l2
+        l2_eff = l2_bytes * CAPACITY_FACTOR
+        cap_lines = l2_eff / self.template.hierarchy.line_bytes
+        written = (store_dist >= cap_lines) & (store_region > l2_eff)
+        return (
+            profile.misses_for_capacity(cap_lines),
+            float(store_weights[written].sum()),
+        )
+
+    def evaluate(
+        self, config: SystemConfig, mode: str = BACKEND_EXACT
+    ) -> SimStats:
+        """The layer's stats at ``config``'s L2 size under ``mode``'s
+        criterion (``config`` may only differ from the record-time
+        configuration in the L2 size).  Under ``exact`` this is
+        bit-identical to ``stats_from_model(phases, config, label)`` on
+        the recorded phases."""
+        l2_bytes = config.l2_mb * 1024 * 1024
+        if mode == BACKEND_FAST:
+            misses, writebacks = self._sharp_misses(l2_bytes)
+        else:
+            misses, writebacks = self.traffic.smooth_l2(self.to_l2, l2_bytes)
+        t = self.template
+        l1, l2 = t.hierarchy.l1, t.hierarchy.l2
+        hstats = HierarchyStats(
+            l1=CacheStats(accesses=l1.accesses, misses=l1.misses),
+            l2=CacheStats(
+                accesses=l2.accesses,
+                misses=int(round(misses)),
+                writebacks=int(round(writebacks)),
+            ),
+            line_bytes=t.hierarchy.line_bytes,
         )
         l2_stall, dram_stall = config.memory_timings().stall_cycles(
             hstats.l1.misses, hstats.l2.misses, hstats.l2.writebacks
         )
-        t = self.template
         return SimStats(
             freq_ghz=t.freq_ghz,
             issue_cycles=t.issue_cycles,
@@ -154,10 +221,15 @@ class NetworkRecording:
     variant: str
     layers: tuple[LayerRecording, ...]
 
-    def evaluate(self, l2_mb: int) -> NetworkResult:
-        """Replay the recording at one L2 size — bit-identical to
-        ``simulate_inference(name, layers, config.with_(l2_mb=l2_mb),
-        ...)``."""
+    def evaluate(self, l2_mb: int, mode: str = BACKEND_EXACT) -> NetworkResult:
+        """Replay the recording at one L2 size under the ``mode``
+        backend's L2 criterion.  Under ``exact`` the result is
+        bit-identical to ``simulate_inference(name, layers,
+        config.with_(l2_mb=l2_mb), ...)``."""
+        if mode not in BACKENDS:
+            raise ConfigError(
+                f"unknown L2 criterion {mode!r} (expected one of {BACKENDS})"
+            )
         cfg = self.config.with_(l2_mb=l2_mb)
         per_layer: list[SimStats] = []
         total = SimStats(freq_ghz=cfg.freq_ghz, label=f"{self.name} total")
@@ -167,7 +239,7 @@ class NetworkRecording:
                   hybrid=self.hybrid, variant=self.variant) as net_span:
             for rec in self.layers:
                 with span("layer", label=rec.template.label) as layer_span:
-                    stats = rec.evaluate(cfg)
+                    stats = rec.evaluate(cfg, mode)
                     layer_span.add_counters(**counters_from_stats(stats))
                 per_layer.append(stats)
                 total.merge(stats)
@@ -177,6 +249,44 @@ class NetworkRecording:
         )
 
 
+def _record_layer(
+    label: str, phases: list[PhaseModel], traffic: CondensedTraffic,
+    config: SystemConfig,
+) -> LayerRecording:
+    """The L2-independent half of ``stats_from_model(phases, config,
+    label)``, computed directly: same counts, same issue-cycle
+    summation order, and the L1 split of ``evaluate_hierarchy``."""
+    lat = config.latency_model()
+    instr_counts: dict[OpClass, int] = {}
+    elem_counts: dict[OpClass, int] = {}
+    flops = 0
+    for ph in phases:
+        for c, n in ph.instrs.items():
+            instr_counts[c] = instr_counts.get(c, 0) + n
+        for c, n in ph.elems.items():
+            elem_counts[c] = elem_counts.get(c, 0) + n
+        flops += ph.flops
+    issue = 0.0
+    for c, n in instr_counts.items():
+        issue += lat.batch_issue_cycles(c, n, elem_counts.get(c, 0))
+    to_l2, l1_accesses, l1_misses = traffic.l1_split(config.l1_kb * 1024)
+    to_l2.setflags(write=False)
+    template = SimStats(
+        freq_ghz=config.freq_ghz,
+        issue_cycles=issue,
+        instrs={c.value: n for c, n in instr_counts.items()},
+        elems={c.value: n for c, n in elem_counts.items()},
+        flops=flops,
+        hierarchy=HierarchyStats(
+            l1=CacheStats(accesses=l1_accesses, misses=l1_misses),
+            l2=CacheStats(accesses=l1_misses),
+            line_bytes=config.line_bytes,
+        ),
+        label=label,
+    )
+    return LayerRecording(template=template, traffic=traffic, to_l2=to_l2)
+
+
 def record_inference(
     name: str,
     layers: list[LayerSpec],
@@ -184,13 +294,17 @@ def record_inference(
     hybrid: bool = True,
     variant: str = SLIDEUP,
 ) -> NetworkRecording:
-    """Record a network's L2-independent state for replay.
+    """Record a network's L2-independent state for replay — the one
+    per-VLEN pass both sweep backends share.
 
     The phase models depend on the configuration only through the
-    vector length (see :func:`layer_phase_models`), so a recording made
-    at any L2 size evaluates bit-identically at every other:
+    vector length (see :func:`layer_phase_models`), and the L1 is fixed
+    by ``config``, so a recording made at any L2 size evaluates
+    bit-identically at every other:
     ``record_inference(name, layers, cfg).evaluate(l2)`` equals
-    ``simulate_inference(name, layers, cfg.with_(l2_mb=l2))``.
+    ``simulate_inference(name, layers, cfg.with_(l2_mb=l2))``.  Each
+    layer opens a ``record_layer`` span with ``phase_models`` and
+    ``condense`` children.
     """
     if not layers:
         raise ConfigError("network has no layers")
@@ -198,13 +312,24 @@ def record_inference(
     with span("record_inference", network=name,
               vlen_bits=config.vlen_bits, hybrid=hybrid, variant=variant):
         for layer in layers:
-            label, phases = layer_phase_models(
-                layer, config, hybrid=hybrid, variant=variant
-            )
-            recs.append(LayerRecording(
-                template=stats_from_model(phases, config, label=label),
-                traffic=CondensedTraffic.from_phases(phases),
-            ))
+            with span("record_layer", label=layer.name) as layer_span:
+                with span("phase_models"):
+                    label, phases = layer_phase_models(
+                        layer, config, hybrid=hybrid, variant=variant
+                    )
+                with span("condense"):
+                    traffic = CondensedTraffic.from_phases(phases)
+                rec = _record_layer(label, phases, traffic, config)
+                t = rec.template
+                layer_span.set_attrs(label=label)
+                layer_span.add_counters(
+                    instrs=t.total_instrs,
+                    flops=t.flops,
+                    issue_cycles=t.issue_cycles,
+                    l1_accesses=t.hierarchy.l1.accesses,
+                    l1_misses=t.hierarchy.l1.misses,
+                )
+            recs.append(rec)
     return NetworkRecording(
         name=name, config=config, hybrid=hybrid, variant=variant,
         layers=tuple(recs),

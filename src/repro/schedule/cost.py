@@ -10,8 +10,9 @@ no trace) but principled on both axes of the timing model:
   with the configuration's own :class:`~repro.sim.core.LatencyModel`.
   For a given VLEN these counts equal the lifted trace's bit for bit.
 - **Memory stalls are estimated** with a stack-distance-style capacity
-  test, the same mechanism behind the co-design fast path
-  (:mod:`repro.codesign.fastpath`): the streamed B panel's reuse
+  test, the same mechanism behind the co-design sweep's fast backend
+  (:meth:`repro.nets.inference.NetworkRecording.evaluate`): the
+  streamed B panel's reuse
   distance per revisit is compared against the L1/L2 capacities to
   decide whether revisits hit or miss.  This captures the paper's
   central effect — the ``Kd * vl * 4``-byte B-panel reuse distance

@@ -15,10 +15,11 @@ Two representations share that criterion:
   O(N log N) algorithm);
 - :class:`SparseReuseProfile` — a weighted, sorted (distance, weight)
   form with O(log N) capacity queries via precomputed suffix sums.  The
-  co-design sweep's fast backend (:mod:`repro.codesign.fastpath`) builds
-  one per layer from the analytical traffic classes and answers the
-  whole 1 — 256 MB L2 axis from that single profiling pass; the dense
-  form converts losslessly via :meth:`ReuseProfile.to_sparse`.
+  co-design sweep's fast backend
+  (:class:`repro.nets.inference.LayerRecording`) builds one per layer
+  from the recorded L2-bound traffic classes and answers the whole
+  1 — 256 MB L2 axis from it; the dense form converts losslessly via
+  :meth:`ReuseProfile.to_sparse`.
 
 The test suite uses both to validate the exact set-associative
 simulator and vice versa (differential and property-based campaigns).

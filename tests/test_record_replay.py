@@ -1,9 +1,10 @@
 """Tests for the network record/replay core (repro.nets.inference).
 
-The exact backend of the co-design sweep records each network column
-once (phase models + condensed traffic, both independent of the L2
-size) and replays it per L2 capacity.  These tests pin the contract:
-replay is bit-identical to a fresh simulation at every grid point.
+Both backends of the co-design sweep record each network column once
+(phase models, condensed traffic and the L1 split, all independent of
+the L2 size) and replay it per L2 capacity.  These tests pin the
+contract: exact replay is bit-identical to a fresh simulation at every
+grid point, and both L2 criteria replay through the same span tree.
 """
 
 import os
@@ -70,6 +71,54 @@ class TestRecordReplayIdentity:
         for a, b in zip(replay_layers, live_layers):
             assert a.counters == b.counters
             assert a.attrs.get("label") == b.attrs.get("label")
+
+    def test_fast_replay_spans_match_exact_replay(self, prefix):
+        """Both L2 criteria replay through the same span structure: a
+        traced fast evaluation has the exact one's
+        ``simulate_inference``/``layer`` tree and labels."""
+        from repro.codesign import BACKEND_EXACT, BACKEND_FAST
+        from repro.obs import Tracer, tracing
+
+        rec = record_inference("n", prefix, SystemConfig())
+        trees = {}
+        for mode in (BACKEND_EXACT, BACKEND_FAST):
+            tracer = Tracer()
+            with tracing(tracer):
+                rec.evaluate(16, mode)
+            trees[mode] = tracer.root
+        exact, fast = trees[BACKEND_EXACT], trees[BACKEND_FAST]
+        assert fast.name == exact.name == "simulate_inference"
+        assert ([s.name for s in fast.walk()]
+                == [s.name for s in exact.walk()])
+        assert ([s.attrs.get("label") for s in fast.find("layer")]
+                == [s.attrs.get("label") for s in exact.find("layer")])
+
+    def test_record_spans_break_down_each_layer(self, prefix):
+        """Recording opens one ``record_layer`` span per layer, split
+        into ``phase_models`` and ``condense``, carrying the layer's
+        L2-independent counters."""
+        from repro.obs import Tracer, tracing
+
+        cfg = SystemConfig()
+        tracer = Tracer()
+        with tracing(tracer):
+            rec = record_inference("n", prefix, cfg)
+        root = tracer.root
+        assert root.name == "record_inference"
+        layer_spans = root.find("record_layer")
+        assert len(layer_spans) == len(prefix)
+        for sp, layer in zip(layer_spans, rec.layers):
+            t = layer.template
+            assert [c.name for c in sp.children] == ["phase_models",
+                                                     "condense"]
+            assert sp.attrs["label"] == t.label
+            assert sp.counters == {
+                "instrs": t.total_instrs,
+                "flops": t.flops,
+                "issue_cycles": t.issue_cycles,
+                "l1_accesses": t.hierarchy.l1.accesses,
+                "l1_misses": t.hierarchy.l1.misses,
+            }
 
 
 @pytest.mark.bench

@@ -1,8 +1,9 @@
 """Static-tooling gates: lint, types and coverage.
 
 Runs ruff and mypy over ``src/repro/analysis``, and a coverage session
-with a floor over ``repro.sim`` + ``repro.codesign`` (the stack-distance
-fast path and its backends), when the tools are installed (the ``dev``
+with a floor over ``repro.sim`` + ``repro.codesign`` +
+``repro.nets.inference`` (the sweep executor and the recording both of
+its backends evaluate), when the tools are installed (the ``dev``
 extra) — and skips cleanly when they are not, so the tier-1 suite has
 no dependencies beyond numpy/pytest/hypothesis.  The configuration
 itself lives in pyproject.toml; these tests just keep it honest.
@@ -19,10 +20,12 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 ANALYSIS = REPO / "src" / "repro" / "analysis"
 
-#: Tests exercising repro.sim + repro.codesign, run under coverage.
+#: Tests exercising repro.sim + repro.codesign + repro.nets.inference,
+#: run under coverage.
 COVERAGE_TESTS = [
     "tests/test_stackdist_properties.py",
     "tests/test_sweep_fastpath.py",
+    "tests/test_record_replay.py",
     "tests/test_codesign_executor.py",
     "tests/test_golden_sweep.py",
     "tests/test_sim_cache.py",

@@ -1,11 +1,12 @@
 """Differential campaign: the stack-distance fast backend vs the exact
 per-point simulation.
 
-The fast backend must agree with the exact backend on everything that
-does not depend on the L2 criterion (instruction counts, issue cycles,
-L1 statistics, L2 accesses) and stay within the stated associativity
-error bound (:data:`repro.codesign.MISS_RATE_BOUND`) on what does (L2
-miss rates — the exact backend smooths the hit/miss transition to model
+Both backends evaluate the same per-VLEN recording, so they must agree
+exactly on everything that does not depend on the L2 criterion
+(instruction counts, issue cycles, L1 statistics, L2 accesses) and stay
+within the stated associativity error bound
+(:data:`repro.codesign.MISS_RATE_BOUND`) on what does (L2 miss rates —
+the exact backend smooths the hit/miss transition to model
 set-associative conflicts; the fast one applies the sharp Mattson
 criterion).  The cross-backend tests are marked ``differential``:
 ``pytest -m differential`` runs just this campaign.
@@ -19,12 +20,11 @@ from repro.codesign import (
     MISS_RATE_BOUND,
     SweepValidation,
     codesign_sweep,
-    profile_network,
     validate_codesign_sweep,
 )
 from repro.conv import ConvLayerSpec
 from repro.errors import ConfigError
-from repro.nets.inference import simulate_inference
+from repro.nets.inference import record_inference, simulate_inference
 from repro.nets.layers import MaxPoolSpec, ShortcutSpec
 from repro.sim import SystemConfig
 
@@ -61,26 +61,26 @@ def fast_sweep():
 @pytest.mark.differential
 class TestBackendDifferential:
     def test_l2_independent_stats_are_identical(self, exact_sweep, fast_sweep):
-        """Everything upstream of the L2 criterion must match the exact
-        backend: instruction counts and flops exactly, issue cycles to
-        float equality, and the rounded cache counters to +-1 count
-        (the backends sum the same per-class floats in different
-        orders before rounding)."""
+        """Everything upstream of the L2 criterion comes from the one
+        shared recording, so it matches exactly — per layer and in
+        total: instruction/element/flop counts, issue cycles, the L1
+        counters and the L2 access count."""
         for v in VLENS:
             for l2 in L2_MBS:
-                ex = exact_sweep.at(v, l2).total
-                fa = fast_sweep.at(v, l2).total
-                assert fa.instrs == ex.instrs
-                assert fa.elems == ex.elems
-                assert fa.flops == ex.flops
-                assert fa.issue_cycles == pytest.approx(
-                    ex.issue_cycles, rel=1e-12)
-                assert abs(fa.hierarchy.l1.accesses
-                           - ex.hierarchy.l1.accesses) <= 1
-                assert abs(fa.hierarchy.l1.misses
-                           - ex.hierarchy.l1.misses) <= 1
-                assert abs(fa.hierarchy.l2.accesses
-                           - ex.hierarchy.l2.accesses) <= 1
+                ex_pt = exact_sweep.at(v, l2)
+                fa_pt = fast_sweep.at(v, l2)
+                pairs = [(ex_pt.total, fa_pt.total),
+                         *zip(ex_pt.per_layer, fa_pt.per_layer)]
+                assert len(pairs) == len(SYNTH_LAYERS) + 1
+                for ex, fa in pairs:
+                    assert fa.label == ex.label
+                    assert fa.instrs == ex.instrs
+                    assert fa.elems == ex.elems
+                    assert fa.flops == ex.flops
+                    assert fa.issue_cycles == ex.issue_cycles
+                    assert fa.hierarchy.l1 == ex.hierarchy.l1
+                    assert (fa.hierarchy.l2.accesses
+                            == ex.hierarchy.l2.accesses)
 
     def test_l2_miss_rate_within_stated_bound(self, exact_sweep, fast_sweep):
         """The associativity/smoothing error bound the fast backend
@@ -132,32 +132,46 @@ class TestBackendDifferential:
         assert isinstance(validation.best_agrees, bool)
 
 
-class TestProfileNetwork:
-    def test_profile_mirrors_simulate_inference_layer_labels(self):
-        cfg = SystemConfig(vlen_bits=512, l2_mb=1)
-        prof = profile_network("synth", SYNTH_LAYERS, cfg)
-        result = simulate_inference("synth", SYNTH_LAYERS, cfg)
-        assert [p.label for p in prof.layers] == [
-            s.label for s in result.per_layer]
-        assert prof.vlen_bits == 512
+class TestNetworkRecording:
+    """The one per-VLEN recording both backends evaluate."""
 
-    def test_one_profile_answers_every_capacity(self):
+    def test_recording_mirrors_simulate_inference_layer_labels(self):
         cfg = SystemConfig(vlen_bits=512, l2_mb=1)
-        prof = profile_network("synth", SYNTH_LAYERS, cfg)
-        curve = prof.miss_curve(list(L2_MBS))
-        assert set(curve) == set(L2_MBS)
-        rates = [curve[l2] for l2 in L2_MBS]
-        assert all(0 <= r <= 1 for r in rates)
+        rec = record_inference("synth", SYNTH_LAYERS, cfg)
+        result = simulate_inference("synth", SYNTH_LAYERS, cfg)
+        assert [r.template.label for r in rec.layers] == [
+            s.label for s in result.per_layer]
+        assert rec.config.vlen_bits == 512
+
+    def test_one_recording_answers_both_backends(
+            self, exact_sweep, fast_sweep):
+        """One recording, evaluated under each backend tag, is the
+        sweep's answer at every capacity of that VLEN column."""
+        for v in VLENS:
+            rec = record_inference("synth", SYNTH_LAYERS,
+                                   SystemConfig(vlen_bits=v, l2_mb=1))
+            for l2 in L2_MBS:
+                ex = rec.evaluate(l2, BACKEND_EXACT)
+                fa = rec.evaluate(l2, BACKEND_FAST)
+                assert ex == exact_sweep.at(v, l2)
+                assert fa == fast_sweep.at(v, l2)
+                assert 0 <= fa.total.l2_miss_rate <= 1
 
     def test_evaluate_rejects_bad_capacity(self):
         cfg = SystemConfig(vlen_bits=512, l2_mb=1)
-        prof = profile_network("synth", SYNTH_LAYERS[:1], cfg)
+        rec = record_inference("synth", SYNTH_LAYERS[:1], cfg)
+        for mode in (BACKEND_EXACT, BACKEND_FAST):
+            with pytest.raises(ConfigError):
+                rec.evaluate(0, mode)
+
+    def test_evaluate_rejects_unknown_mode(self):
+        rec = record_inference("synth", SYNTH_LAYERS[:1], SystemConfig())
         with pytest.raises(ConfigError):
-            prof.evaluate(0)
+            rec.evaluate(1, "approximate")
 
     def test_empty_network_rejected(self):
         with pytest.raises(ConfigError):
-            profile_network("empty", [], SystemConfig())
+            record_inference("empty", [], SystemConfig())
 
 
 class TestSweepModes:
