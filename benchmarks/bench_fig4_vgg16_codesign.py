@@ -60,8 +60,9 @@ def test_fig4_fastpath_vs_exact(benchmark, vgg_sweep):
     """Fast-vs-exact backend on the Figure 4 grid: the stack-distance
     fast path must reproduce the exact best (VLEN, L2) point, and both
     backends must beat the unamortized axis cost (len(l2_mbs)
-    independent simulations) — both by recording the column once and
-    evaluating the recording per L2 size under their criterion."""
+    independent simulations) — the exact backend by recording the
+    column once and replaying it per L2 size, the fast backend with
+    one profiling pass."""
     layers = vgg16_layers()
     l2s = vgg_sweep.l2_mbs
     # The unamortized baseline: one fresh exact simulation, scaled to
@@ -79,7 +80,7 @@ def test_fig4_fastpath_vs_exact(benchmark, vgg_sweep):
         rounds=1, iterations=1)
     exact_seconds = time.perf_counter() - t0
     # The fast column, min of 3 runs (timer noise only ever slows a
-    # run down; the minimum is the honest cost of the column).
+    # run down; the minimum is the honest cost of the profiling pass).
     fast_seconds = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()

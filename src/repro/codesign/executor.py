@@ -64,6 +64,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
+# profile_network: a former name of record_inference, still resolvable
+# here (see repro.codesign.fastpath).
+from repro.codesign.fastpath import profile_network  # noqa: F401
 from repro.codesign.sweep import BACKEND_EXACT, BACKENDS, SweepResult
 from repro.errors import ConfigError
 from repro.kernels.tuple_mult import SLIDEUP

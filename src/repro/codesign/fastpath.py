@@ -1,289 +1,15 @@
-"""The sweep's stack-distance fast backend.
+"""Former names of the fast backend's per-VLEN pass.
 
-The exact backend re-runs :func:`repro.nets.inference.simulate_inference`
-at every (VLEN, L2) grid point, even though everything expensive about a
-point — the per-layer phase models, instruction counts, issue cycles,
-and the L1 split (the L1 is fixed across the sweep) — depends only on
-the vector length.  Only the L2 hit/miss decision varies along the L2
-axis, and Mattson's stack-distance result answers it for *every*
-capacity from a single profile: an access misses a capacity-``C`` LRU
-cache iff its reuse distance is at least ``C``.
-
-:func:`profile_network` therefore runs one profiling pass per
-(network, VLEN): it builds the phase models once, resolves the L1 split
-with the same smoothed criterion the exact backend uses, and condenses
-the L2-bound traffic of each layer into a
-:class:`~repro.sim.stackdist.SparseReuseProfile` — a weighted
-stack-distance histogram of the model's cache-line touch stream, in
-lines.  :meth:`NetworkProfile.evaluate` then derives miss counts, DRAM
-traffic and stall cycles for any L2 capacity in O(log N), collapsing
-the sweep's L2 axis from N simulations to one pass.
-
-Error model (stated, and enforced by the differential test tier): the
-fast backend applies the sharp fully-associative Mattson criterion to
-the L2, where the exact backend smooths the hit/miss transition to
-model set-associative conflict behavior
-(:data:`repro.model.traffic.SHARPNESS`).  Every L2-independent quantity
-(instruction counts, issue cycles, L1 statistics, L2 accesses) is
-bit-identical between the backends; L2 miss counts differ only for
-traffic whose reuse distance sits near the capacity, so per-point L2
-miss-*rate* deltas are bounded by the smoothing mass around the
-threshold (``--mode validate`` measures it; the differential tests pin
-it below :data:`MISS_RATE_BOUND`).  Use the exact backend when absolute
-per-point miss counts matter; the fast backend preserves the sweep's
-shape — miss curves stay monotone in capacity — and its best point.
+The fast backend no longer profiles a VLEN column in a pass of its own:
+both backends evaluate one recording
+(:func:`repro.nets.inference.record_inference`), the fast one with
+``mode="fast"``.  These aliases keep the old names resolvable for code
+that still looks them up — the end-to-end benchmark's span tracer
+(``benchmarks/e2e/tracing.py``) patches ``NetworkProfile.evaluate``
+here and ``profile_network`` in :mod:`repro.codesign.executor`.
 """
 
-from __future__ import annotations
+from repro.nets.inference import NetworkRecording as NetworkProfile
+from repro.nets.inference import record_inference as profile_network
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.errors import ConfigError
-from repro.isa import OpClass
-from repro.kernels.tuple_mult import SLIDEUP
-from repro.model.layer_model import NetworkResult
-from repro.model.traffic import (
-    CAPACITY_FACTOR,
-    SHARPNESS,
-    PhaseModel,
-)
-from repro.nets.layers import LayerSpec
-from repro.obs import counters_from_stats, span
-from repro.sim.cache import CacheStats, HierarchyStats
-from repro.sim.stackdist import SparseReuseProfile
-from repro.sim.stats import SimStats
-from repro.sim.system import SystemConfig
-
-#: Stated differential bound on |fast - exact| total L2 miss rate per
-#: sweep point (the associativity/smoothing error the fast backend
-#: accepts; see the module docstring and tests/test_sweep_fastpath.py).
-MISS_RATE_BOUND = 0.15
-
-
-@dataclass(frozen=True)
-class LayerProfile:
-    """Everything one layer needs to be evaluated at any L2 capacity.
-
-    The scalar fields are L2-independent and bit-identical to the exact
-    backend's; ``l2_profile`` is the weighted stack-distance profile of
-    the layer's L2-bound line touches (distances in lines), and the
-    ``store_*`` arrays carry the dirty traffic needed for writeback
-    modeling (a line is written back when it misses *and* its region
-    does not stay resident in the L2).
-    """
-
-    label: str
-    instrs: dict[str, int]
-    elems: dict[str, int]
-    flops: int
-    issue_cycles: float
-    l1_accesses: int
-    l1_misses: int
-    l2_accesses: float
-    l2_profile: SparseReuseProfile
-    store_dist_lines: np.ndarray
-    store_weights: np.ndarray
-    store_region_bytes: np.ndarray
-
-    def evaluate(self, config: SystemConfig) -> SimStats:
-        """Statistics of this layer at ``config``'s L2 capacity."""
-        l2_eff = config.l2_mb * 1024 * 1024 * CAPACITY_FACTOR
-        cap_lines = l2_eff / config.line_bytes
-        misses = self.l2_profile.misses_for_capacity(cap_lines)
-        wb = float(
-            self.store_weights[
-                (self.store_dist_lines >= cap_lines)
-                & (self.store_region_bytes > l2_eff)
-            ].sum()
-        )
-        hstats = HierarchyStats(
-            l1=CacheStats(accesses=self.l1_accesses, misses=self.l1_misses),
-            l2=CacheStats(
-                accesses=int(round(self.l2_accesses)),
-                misses=int(round(misses)),
-                writebacks=int(round(wb)),
-            ),
-            line_bytes=config.line_bytes,
-        )
-        l2_stall, dram_stall = config.memory_timings().stall_cycles(
-            hstats.l1.misses, hstats.l2.misses, hstats.l2.writebacks
-        )
-        return SimStats(
-            freq_ghz=config.freq_ghz,
-            issue_cycles=self.issue_cycles,
-            l2_stall_cycles=l2_stall,
-            dram_stall_cycles=dram_stall,
-            instrs=dict(self.instrs),
-            elems=dict(self.elems),
-            flops=self.flops,
-            hierarchy=hstats,
-            label=self.label,
-        )
-
-
-@dataclass(frozen=True)
-class NetworkProfile:
-    """One profiling pass of (network, VLEN): the whole L2 axis in hand.
-
-    ``config`` is the profiled configuration; its ``l2_mb`` is
-    irrelevant to the profile and overridden by :meth:`evaluate`.
-    """
-
-    name: str
-    config: SystemConfig
-    layers: tuple[LayerProfile, ...]
-
-    @property
-    def vlen_bits(self) -> int:
-        return self.config.vlen_bits
-
-    def evaluate(self, l2_mb: int) -> NetworkResult:
-        """Derive the network result at one L2 capacity analytically."""
-        if l2_mb <= 0:
-            raise ConfigError(f"l2_mb must be positive, got {l2_mb}")
-        cfg = self.config.with_(l2_mb=l2_mb)
-        per_layer: list[SimStats] = []
-        total = SimStats(freq_ghz=cfg.freq_ghz, label=f"{self.name} total")
-        with span("evaluate_profile", network=self.name,
-                  vlen_bits=self.vlen_bits, l2_mb=l2_mb) as ev_span:
-            for layer in self.layers:
-                stats = layer.evaluate(cfg)
-                per_layer.append(stats)
-                total.merge(stats)
-            ev_span.add_counters(**counters_from_stats(total))
-        return NetworkResult(
-            name=self.name, per_layer=tuple(per_layer), total=total
-        )
-
-    def miss_curve(self, l2_mbs: list[int]) -> dict[int, float]:
-        """Total L2 miss rate per capacity — the whole axis at once."""
-        return {
-            l2: self.evaluate(l2).total.l2_miss_rate for l2 in l2_mbs
-        }
-
-
-def _smooth_hit_probability(
-    eff_bytes: np.ndarray, capacity_bytes: float
-) -> np.ndarray:
-    """Vectorized form of :func:`repro.model.traffic._hit_probability`."""
-    p = np.zeros_like(eff_bytes)
-    finite = np.isfinite(eff_bytes)
-    zero = eff_bytes == 0.0
-    ratio = np.divide(
-        eff_bytes, capacity_bytes, out=np.zeros_like(eff_bytes), where=finite
-    )
-    with np.errstate(over="ignore"):
-        p[finite] = 1.0 / (1.0 + ratio[finite] ** SHARPNESS)
-    p[zero] = 1.0
-    return p
-
-
-def _profile_layer(
-    label: str, phases: list[PhaseModel], config: SystemConfig
-) -> LayerProfile:
-    """Condense one layer's phase models into a :class:`LayerProfile`."""
-    lat = config.latency_model()
-    instr_counts: dict[str, int] = {}
-    elem_counts: dict[str, int] = {}
-    flops = 0
-    traffic = []
-    for ph in phases:
-        for c, n in ph.instrs.items():
-            instr_counts[c.value] = instr_counts.get(c.value, 0) + n
-        for c, n in ph.elems.items():
-            elem_counts[c.value] = elem_counts.get(c.value, 0) + n
-        flops += ph.flops
-        traffic.extend(ph.traffic)
-    issue = 0.0
-    for cname, n in instr_counts.items():
-        issue += lat.batch_issue_cycles(
-            OpClass(cname), n, elem_counts.get(cname, 0)
-        )
-    # Bulk-extract the traffic-class fields (the class count reaches
-    # the hundreds of thousands for GEMM-heavy layers, so per-class
-    # Python work here is the profiling pass's overhead budget).
-    count = len(traffic)
-    acc = np.fromiter(
-        (t.accesses for t in traffic), dtype=np.float64, count=count
-    )
-    eff = np.fromiter(
-        (t.distance * t.dilution for t in traffic),
-        dtype=np.float64, count=count,
-    )
-    store_mask = np.fromiter(
-        (t.is_store for t in traffic), dtype=bool, count=count
-    )
-    region = np.fromiter(
-        (t.region for t in traffic), dtype=np.float64, count=count
-    )
-    # The L1 split: identical (smoothed) criterion to the exact
-    # backend — the L1 is fixed across the sweep, so full fidelity
-    # costs nothing.
-    l1_eff = config.l1_kb * 1024 * CAPACITY_FACTOR
-    p1 = _smooth_hit_probability(eff, l1_eff)
-    to_l2 = acc * (1.0 - p1)
-    # The L2-bound stream as a stack-distance profile, in lines.
-    dist_lines = np.where(
-        np.isfinite(eff), eff / config.line_bytes, np.inf
-    )
-    l2_profile = SparseReuseProfile.from_distances(dist_lines, to_l2)
-    return LayerProfile(
-        label=label,
-        instrs=instr_counts,
-        elems=elem_counts,
-        flops=flops,
-        issue_cycles=issue,
-        l1_accesses=int(round(float(acc.sum()))),
-        l1_misses=int(round(float(to_l2.sum()))),
-        l2_accesses=float(to_l2.sum()),
-        l2_profile=l2_profile,
-        store_dist_lines=dist_lines[store_mask],
-        store_weights=to_l2[store_mask],
-        store_region_bytes=region[store_mask],
-    )
-
-
-def profile_network(
-    name: str,
-    layers: list[LayerSpec],
-    config: SystemConfig,
-    hybrid: bool = True,
-    variant: str = SLIDEUP,
-) -> NetworkProfile:
-    """One profiling pass: capture the network's reuse behavior at one
-    VLEN so every L2 capacity can be answered analytically.
-
-    Mirrors :func:`repro.nets.inference.simulate_inference` layer for
-    layer (same policy, same labels, same phase models); only the L2
-    criterion differs, as described in the module docstring.
-    """
-    if not layers:
-        raise ConfigError("network has no layers")
-    from repro.nets.inference import layer_phase_models
-
-    profiles = []
-    with span("profile_network", network=name,
-              vlen_bits=config.vlen_bits, hybrid=hybrid,
-              variant=variant) as net_span:
-        for layer in layers:
-            with span("profile_layer", label=layer.name) as layer_span:
-                label, phases = layer_phase_models(
-                    layer, config, hybrid=hybrid, variant=variant
-                )
-                profile = _profile_layer(label, phases, config)
-                layer_span.set_attrs(label=label)
-                layer_span.add_counters(
-                    instrs=sum(profile.instrs.values()),
-                    flops=profile.flops,
-                    issue_cycles=profile.issue_cycles,
-                    l1_accesses=profile.l1_accesses,
-                    l1_misses=profile.l1_misses,
-                )
-            profiles.append(profile)
-        net_span.add_counters(
-            instrs=sum(sum(p.instrs.values()) for p in profiles),
-            flops=sum(p.flops for p in profiles),
-        )
-    return NetworkProfile(name=name, config=config, layers=tuple(profiles))
+__all__ = ["NetworkProfile", "profile_network"]

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.isa import FLOPS_PER_ELEM, OpClass
 from repro.sim.cache import CacheStats, HierarchyStats
+from repro.sim.stackdist import SparseReuseProfile
 from repro.sim.stats import SimStats
 from repro.sim.system import SystemConfig
 
@@ -208,8 +210,8 @@ class CondensedTraffic:
 
     One row per traffic class, in the exact order the reference loop
     visits them (phase order, then class order within the phase).
-    :meth:`l1_split` resolves the L1 once; :meth:`smooth_l2` then applies
-    the L2 half of the reference to that split at any capacity.  Two
+    :meth:`l1_split` resolves the L1 once; :meth:`L1Split.smooth_l2`
+    then applies the L2 half of the reference at any capacity.  Two
     properties make the vectorized halves produce the same bits as the
     scalar reference:
 
@@ -267,32 +269,103 @@ class CondensedTraffic:
             dtype=np.float64,
         )[self.eff_index]
 
-    def l1_split(self, l1_bytes: int) -> tuple[np.ndarray, int, int]:
-        """The L1 half of :func:`evaluate_hierarchy` at ``l1_bytes``:
-        ``(to_l2, accesses, misses)`` — the per-class line touches that
-        miss the L1 and go on to the L2, plus the rounded L1 counters
-        (the reference's L2 access count equals its L1 miss count)."""
+    def l1_split(self, l1_bytes: int, line_bytes: int = LINE) -> "L1Split":
+        """The L1 half of :func:`evaluate_hierarchy` at ``l1_bytes``."""
         p1 = self._hit_probabilities(l1_bytes * CAPACITY_FACTOR)
         to_l2 = self.accesses * (1.0 - p1)
-        return (
-            to_l2,
-            int(round(_ordered_sum(self.accesses))),
-            int(round(_ordered_sum(to_l2))),
+        to_l2.setflags(write=False)
+        return L1Split(
+            traffic=self,
+            to_l2=to_l2,
+            accesses=int(round(_ordered_sum(self.accesses))),
+            misses=int(round(_ordered_sum(to_l2))),
+            line_bytes=line_bytes,
         )
 
-    def smooth_l2(
-        self, to_l2: np.ndarray, l2_bytes: int
-    ) -> tuple[float, float]:
-        """Unrounded ``(misses, writebacks)`` of an ``l2_bytes`` L2 fed
-        by ``to_l2`` (from :meth:`l1_split`), under the reference's
-        smoothed criterion — bit-identical to :func:`evaluate_hierarchy`,
-        O(unique distances) scalar work."""
+
+@dataclass(frozen=True)
+class L1Split:
+    """Condensed traffic resolved at one L1 size: the L2's input,
+    answerable at any L2 capacity under either L2 criterion.
+
+    ``to_l2`` holds, per condensed class of ``traffic``, the line
+    touches that miss the L1 and go on to the L2; ``accesses`` and
+    ``misses`` are the rounded L1 counters (the reference's L2 access
+    count equals its L1 miss count).  Both criteria return unrounded
+    ``(misses, writebacks)`` of the L2.
+    """
+
+    traffic: CondensedTraffic
+    to_l2: np.ndarray
+    accesses: int
+    misses: int
+    line_bytes: int
+
+    def smooth_l2(self, l2_bytes: int) -> tuple[float, float]:
+        """The reference's smoothed criterion — bit-identical to
+        :func:`evaluate_hierarchy`, O(unique distances) scalar work."""
+        tr = self.traffic
         l2_eff = l2_bytes * CAPACITY_FACTOR
-        missed = to_l2 * (1.0 - self._hit_probabilities(l2_eff))
+        missed = self.to_l2 * (1.0 - tr._hit_probabilities(l2_eff))
         return (
             _ordered_sum(missed),
-            _ordered_sum(missed[self.store_mask & (self.region > l2_eff)]),
+            _ordered_sum(missed[tr.store_mask & (tr.region > l2_eff)]),
         )
+
+    @cached_property
+    def _sharp_profile(
+        self,
+    ) -> tuple[SparseReuseProfile, np.ndarray, np.ndarray, np.ndarray]:
+        """The sharp criterion's view of ``to_l2``, built on first use:
+        its stack-distance profile in lines, plus the distance, weight
+        and region of every store class (for writebacks)."""
+        tr = self.traffic
+        dist_lines = (tr.eff_unique / self.line_bytes)[tr.eff_index]
+        store = tr.store_mask
+        return (
+            SparseReuseProfile.from_distances(dist_lines, self.to_l2),
+            dist_lines[store], self.to_l2[store], tr.region[store],
+        )
+
+    def sharp_l2(self, l2_bytes: int) -> tuple[float, float]:
+        """The sharp fully-associative Mattson criterion: a touch misses
+        iff its reuse distance is at least the capacity; a missing store
+        is written back unless its region stays resident."""
+        profile, store_dist, store_weights, store_region = self._sharp_profile
+        l2_eff = l2_bytes * CAPACITY_FACTOR
+        cap_lines = l2_eff / self.line_bytes
+        written = (store_dist >= cap_lines) & (store_region > l2_eff)
+        return (
+            profile.misses_for_capacity(cap_lines),
+            float(store_weights[written].sum()),
+        )
+
+
+def model_counts(
+    phases: list[PhaseModel], config: SystemConfig
+) -> tuple[float, dict[str, int], dict[str, int], int]:
+    """The L2-independent part of :func:`stats_from_model`:
+    ``(issue_cycles, instrs, elems, flops)``, with the counts keyed like
+    :class:`SimStats`' and issue cycles summed in a fixed order."""
+    lat = config.latency_model()
+    instr_counts: dict[OpClass, int] = {}
+    elem_counts: dict[OpClass, int] = {}
+    flops = 0
+    for ph in phases:
+        for c, n in ph.instrs.items():
+            instr_counts[c] = instr_counts.get(c, 0) + n
+        for c, n in ph.elems.items():
+            elem_counts[c] = elem_counts.get(c, 0) + n
+        flops += ph.flops
+    issue = 0.0
+    for c, n in instr_counts.items():
+        issue += lat.batch_issue_cycles(c, n, elem_counts.get(c, 0))
+    return (
+        issue,
+        {c.value: n for c, n in instr_counts.items()},
+        {c.value: n for c, n in elem_counts.items()},
+        flops,
+    )
 
 
 def stats_from_model(
@@ -306,27 +379,14 @@ def stats_from_model(
     simulator, so model-based and trace-based results are directly
     comparable (the validation tests rely on this).
     """
-    lat = config.latency_model()
-    mem = config.memory_timings()
     hstats = evaluate_hierarchy(
         phases,
         config.l1_kb * 1024,
         config.l2_mb * 1024 * 1024,
         config.line_bytes,
     )
-    instr_counts: dict[OpClass, int] = {}
-    elem_counts: dict[OpClass, int] = {}
-    flops = 0
-    for ph in phases:
-        for c, n in ph.instrs.items():
-            instr_counts[c] = instr_counts.get(c, 0) + n
-        for c, n in ph.elems.items():
-            elem_counts[c] = elem_counts.get(c, 0) + n
-        flops += ph.flops
-    issue = 0.0
-    for c, n in instr_counts.items():
-        issue += lat.batch_issue_cycles(c, n, elem_counts.get(c, 0))
-    l2_stall, dram_stall = mem.stall_cycles(
+    issue, instrs, elems, flops = model_counts(phases, config)
+    l2_stall, dram_stall = config.memory_timings().stall_cycles(
         hstats.l1.misses, hstats.l2.misses, hstats.l2.writebacks
     )
     return SimStats(
@@ -334,8 +394,8 @@ def stats_from_model(
         issue_cycles=issue,
         l2_stall_cycles=l2_stall,
         dram_stall_cycles=dram_stall,
-        instrs={c.value: n for c, n in instr_counts.items()},
-        elems={c.value: n for c, n in elem_counts.items()},
+        instrs=instrs,
+        elems=elems,
         flops=flops,
         hierarchy=hstats,
         label=label or config.describe(),

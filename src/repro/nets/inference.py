@@ -20,26 +20,22 @@ it across the L2 axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
 
 from repro.conv.layer import ConvAlgorithm, ConvLayerSpec, choose_algorithm
 from repro.errors import ConfigError
-from repro.isa import OpClass
 from repro.kernels.tuple_mult import SLIDEUP
 from repro.model.aux_model import maxpool_model, shortcut_model
 from repro.model.layer_model import NetworkResult, layer_phases
 from repro.model.traffic import (
-    CAPACITY_FACTOR,
     CondensedTraffic,
+    L1Split,
     PhaseModel,
+    model_counts,
     stats_from_model,
 )
 from repro.nets.layers import LayerSpec, MaxPoolSpec, ShortcutSpec
 from repro.obs import counters_from_stats, span
 from repro.sim.cache import CacheStats, HierarchyStats
-from repro.sim.stackdist import SparseReuseProfile
 from repro.sim.stats import SimStats
 from repro.sim.system import SystemConfig
 
@@ -125,44 +121,13 @@ class LayerRecording:
 
     ``template`` holds everything of the layer's :class:`SimStats` that
     the L2 size cannot change — label, instruction/element/flop counts,
-    issue cycles, the L1 counters and the L2 access count.  ``to_l2`` is
-    the recorded L1 split: per condensed class of ``traffic``, the line
-    touches that miss the L1 and reach the L2.  :meth:`evaluate` applies
-    one of the two L2 criteria to that split.
+    issue cycles, the L1 counters and the L2 access count.  ``split`` is
+    the layer's condensed traffic resolved at the recorded L1;
+    :meth:`evaluate` applies one of its two L2 criteria.
     """
 
     template: SimStats
-    traffic: CondensedTraffic
-    to_l2: np.ndarray
-
-    @cached_property
-    def _sharp_l2(self) -> tuple[SparseReuseProfile, np.ndarray, np.ndarray,
-                                 np.ndarray]:
-        """The fast criterion's view of ``to_l2``, built on first use:
-        its stack-distance profile in lines, plus the distance, weight
-        and region of every store class (for writebacks)."""
-        tr = self.traffic
-        dist_lines = (tr.eff_unique / self.template.hierarchy.line_bytes)[
-            tr.eff_index]
-        store = tr.store_mask
-        return (
-            SparseReuseProfile.from_distances(dist_lines, self.to_l2),
-            dist_lines[store], self.to_l2[store], tr.region[store],
-        )
-
-    def _sharp_misses(self, l2_bytes: int) -> tuple[float, float]:
-        """Unrounded ``(misses, writebacks)`` under the sharp Mattson
-        criterion: a touch misses iff its reuse distance is at least the
-        capacity; a missing store is written back unless its region
-        stays resident."""
-        profile, store_dist, store_weights, store_region = self._sharp_l2
-        l2_eff = l2_bytes * CAPACITY_FACTOR
-        cap_lines = l2_eff / self.template.hierarchy.line_bytes
-        written = (store_dist >= cap_lines) & (store_region > l2_eff)
-        return (
-            profile.misses_for_capacity(cap_lines),
-            float(store_weights[written].sum()),
-        )
+    split: L1Split
 
     def evaluate(
         self, config: SystemConfig, mode: str = BACKEND_EXACT
@@ -174,9 +139,9 @@ class LayerRecording:
         the recorded phases."""
         l2_bytes = config.l2_mb * 1024 * 1024
         if mode == BACKEND_FAST:
-            misses, writebacks = self._sharp_misses(l2_bytes)
+            misses, writebacks = self.split.sharp_l2(l2_bytes)
         else:
-            misses, writebacks = self.traffic.smooth_l2(self.to_l2, l2_bytes)
+            misses, writebacks = self.split.smooth_l2(l2_bytes)
         t = self.template
         l1, l2 = t.hierarchy.l1, t.hierarchy.l2
         hstats = HierarchyStats(
@@ -254,37 +219,24 @@ def _record_layer(
     config: SystemConfig,
 ) -> LayerRecording:
     """The L2-independent half of ``stats_from_model(phases, config,
-    label)``, computed directly: same counts, same issue-cycle
-    summation order, and the L1 split of ``evaluate_hierarchy``."""
-    lat = config.latency_model()
-    instr_counts: dict[OpClass, int] = {}
-    elem_counts: dict[OpClass, int] = {}
-    flops = 0
-    for ph in phases:
-        for c, n in ph.instrs.items():
-            instr_counts[c] = instr_counts.get(c, 0) + n
-        for c, n in ph.elems.items():
-            elem_counts[c] = elem_counts.get(c, 0) + n
-        flops += ph.flops
-    issue = 0.0
-    for c, n in instr_counts.items():
-        issue += lat.batch_issue_cycles(c, n, elem_counts.get(c, 0))
-    to_l2, l1_accesses, l1_misses = traffic.l1_split(config.l1_kb * 1024)
-    to_l2.setflags(write=False)
+    label)``: its counts and issue cycles, and the L1 split of
+    ``evaluate_hierarchy``."""
+    issue, instrs, elems, flops = model_counts(phases, config)
+    split = traffic.l1_split(config.l1_kb * 1024, config.line_bytes)
     template = SimStats(
         freq_ghz=config.freq_ghz,
         issue_cycles=issue,
-        instrs={c.value: n for c, n in instr_counts.items()},
-        elems={c.value: n for c, n in elem_counts.items()},
+        instrs=instrs,
+        elems=elems,
         flops=flops,
         hierarchy=HierarchyStats(
-            l1=CacheStats(accesses=l1_accesses, misses=l1_misses),
-            l2=CacheStats(accesses=l1_misses),
+            l1=CacheStats(accesses=split.accesses, misses=split.misses),
+            l2=CacheStats(accesses=split.misses),
             line_bytes=config.line_bytes,
         ),
         label=label,
     )
-    return LayerRecording(template=template, traffic=traffic, to_l2=to_l2)
+    return LayerRecording(template=template, split=split)
 
 
 def record_inference(
