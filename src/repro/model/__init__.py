@@ -17,7 +17,6 @@ from repro.model.layer_model import (
 from repro.model.traffic import (
     COLD,
     PhaseModel,
-    TrafficClass,
     evaluate_hierarchy,
     stats_from_model,
 )
@@ -31,7 +30,6 @@ from repro.model.winograd_model import (
 
 __all__ = [
     "PhaseModel",
-    "TrafficClass",
     "COLD",
     "evaluate_hierarchy",
     "stats_from_model",

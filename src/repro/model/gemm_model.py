@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.isa import OpClass
 from repro.kernels.common import GemmGeometry, Im2colGeometry
 from repro.model.traffic import COLD, PhaseModel, lines_per_access
@@ -24,38 +26,49 @@ def gemm_model(geom: GemmGeometry, cols_distance: float | None = None) -> PhaseM
     and its L2-size scaling.
     """
     ph = PhaseModel("gemm")
-    for pn in range(geom.n_panels):
-        j0 = pn * geom.vlen_elems
-        vl = min(geom.vlen_elems, geom.n - j0)
+    n_full, tail = divmod(geom.n, geom.vlen_elems)
+    # Accumulator rows of each M block (the last block may be short).
+    rows = np.minimum(geom.mr, geom.m - geom.mr * np.arange(geom.m_blocks))
+    first_dist = cols_distance if cols_distance is not None else COLD
+    # Full panels first, then the tail panel: each distinct panel width
+    # contributes one batch of instruction counts and one run of traffic.
+    for vl, panels in ((geom.vlen_elems, n_full), (tail, 1 if tail else 0)):
+        if not panels:
+            continue
         b_lines = lines_per_access(vl, 4)
-        # Instruction counts for the whole M loop of this panel, batched:
-        # the blocks tile M exactly (sum of rows over blocks == m), so
-        # the per-block counts collapse to closed forms with identical
-        # totals.
-        ph.add_instr(OpClass.VSETVL, geom.m_blocks, vl)
-        ph.add_instr(OpClass.VMOVE, geom.m, vl)  # accumulator init
-        ph.add_instr(OpClass.VLOAD_UNIT, geom.kd * geom.m_blocks, vl)  # B
-        ph.add_instr(OpClass.SCALAR, geom.kd * geom.m, 1)  # A loads
-        ph.add_instr(OpClass.VFMA, geom.kd * geom.m, vl)
-        ph.add_instr(OpClass.VSTORE_UNIT, geom.m, vl)  # C rows
-        for mb in range(geom.m_blocks):
-            rows = min(geom.mr, geom.m - mb * geom.mr)
-            # Traffic volumes.
-            d_mb = geom.kd * (vl * 4 + rows * 4.0 / 16) + rows * vl * 4
-            b_acc = geom.kd * b_lines
-            if mb == 0:
-                dist = cols_distance if cols_distance is not None else COLD
-                ph.add_traffic("B first read", b_acc, dist)
-            else:
-                ph.add_traffic("B panel reuse", b_acc, d_mb)
-            # A scalar loads are issued as SCALAR instructions and the
-            # weight block stays cache-resident between uses (it is tiny
-            # next to the column matrix), so — exactly like the
-            # functional kernel, which accounts them as scalar ops — no
-            # vector-memory traffic is attributed to A.
-            ph.add_traffic(
-                "C cold st", rows * b_lines, COLD, is_store=True
-            )
+        # Instruction counts for the whole M loop of these panels,
+        # batched: the blocks tile M exactly (sum of rows over blocks ==
+        # m), so the per-block counts collapse to closed forms with
+        # identical totals.
+        ph.add_instr(OpClass.VSETVL, geom.m_blocks * panels, vl)
+        ph.add_instr(OpClass.VMOVE, geom.m * panels, vl)  # accumulator init
+        ph.add_instr(OpClass.VLOAD_UNIT, geom.kd * geom.m_blocks * panels, vl)  # B
+        ph.add_instr(OpClass.SCALAR, geom.kd * geom.m * panels, 1)  # A loads
+        ph.add_instr(OpClass.VFMA, geom.kd * geom.m * panels, vl)
+        ph.add_instr(OpClass.VSTORE_UNIT, geom.m * panels, vl)  # C rows
+        # Traffic of one panel, two classes per M block in loop order:
+        # the block's B panel read, then its C row stores.  The first
+        # block reads B at the cross-kernel distance; every later block
+        # re-streams the panel at the one-block volume d_mb.
+        d_mb = geom.kd * (vl * 4 + rows * 4.0 / 16) + rows * vl * 4
+        d_mb[0] = first_dist
+        accesses = np.empty(2 * geom.m_blocks)
+        accesses[0::2] = geom.kd * b_lines
+        accesses[1::2] = rows * b_lines
+        distance = np.empty(2 * geom.m_blocks)
+        distance[0::2] = d_mb
+        distance[1::2] = COLD
+        # A scalar loads are issued as SCALAR instructions and the
+        # weight block stays cache-resident between uses (it is tiny
+        # next to the column matrix), so — exactly like the functional
+        # kernel, which accounts them as scalar ops — no vector-memory
+        # traffic is attributed to A.
+        ph.add_traffic(
+            "B panel read / C cold st",
+            np.tile(accesses, panels),
+            np.tile(distance, panels),
+            is_store=np.tile([False, True], geom.m_blocks * panels),
+        )
     return ph
 
 

@@ -8,10 +8,15 @@ this package therefore describe each kernel phase as
 - **exact instruction counts** per opcode class (closed forms mirroring
   the kernel loop structure, validated instruction-for-instruction
   against functional traces in the test suite), and
-- a set of :class:`TrafficClass` records: groups of cache-line touches
-  that share a *reuse distance* — the number of distinct bytes touched
-  between consecutive uses of a line, derived from the kernel's loop
-  volumes.
+- **traffic classes**: groups of cache-line touches that share a
+  *reuse distance* — the number of distinct bytes touched between
+  consecutive uses of a line, derived from the kernel's loop volumes.
+  A :class:`PhaseModel` stores its classes as columns
+  (:class:`TrafficColumns`: accesses, distance, is_store, region,
+  dilution), one row per class in append order.  Models append scalars
+  for one class or NumPy arrays for a whole run of classes (the GEMM
+  model emits its per-panel x per-block runs as arrays), through the
+  one validating :meth:`PhaseModel.add_traffic`.
 
 The classical stack-distance criterion (Mattson et al.; the same one
 :mod:`repro.sim.stackdist` measures empirically) then decides, for any
@@ -22,6 +27,12 @@ preserving the effects that drive its findings — filter-panel reuse
 outgrowing the L2 as VLEN grows (Table 1), transformed-tensor streaming
 (Table 2), and the V-plane/filter-slab reuse that saturates at 64 MB
 for VGG16 and 256 MB for YOLOv3 (Figures 3/4).
+
+:func:`evaluate_hierarchy` is the scalar reference: it walks the
+column rows in order.  :class:`CondensedTraffic` concatenates the same
+columns once per layer and reproduces the reference bit-identically in
+two vectorized halves (the L1 once, then the L2 at any capacity) — the
+record/replay path of the co-design sweep.
 """
 
 from __future__ import annotations
@@ -29,8 +40,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Any, NamedTuple, Sequence, Union
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.errors import ConfigError
 from repro.isa import FLOPS_PER_ELEM, OpClass
@@ -45,51 +58,79 @@ LINE = 64
 #: Reuse distance markers.
 COLD = math.inf  # compulsory miss: never hits
 
+FloatArray = npt.NDArray[np.float64]
+BoolArray = npt.NDArray[np.bool_]
 
-@dataclass(frozen=True)
-class TrafficClass:
-    """A group of cache-line touches sharing one reuse distance.
+#: A traffic field as :meth:`PhaseModel.add_traffic` takes it: one
+#: value for every appended class, or one per class.
+Values = Union[float, npt.NDArray[Any]]
+Flags = Union[bool, npt.NDArray[Any]]
 
-    Attributes:
-        name: array/role label for reports (e.g. "V plane re-read").
-        accesses: line touches in the group (one vector memory
-            instruction touches each line at most once).
-        distance: reuse distance in bytes at the moment of the touch;
-            ``COLD`` for first touches.
-        is_store: whether the touches are writes (writeback modeling).
-        region: total size in bytes of the array region the class
-            belongs to.  A dirty line is written back only if its
-            region does not stay resident in the L2 (streaming stores);
-            the default (infinite) means "always written back on miss".
-        dilution: set-conflict factor for power-of-two strided access
-            patterns: a stride of ``s`` lines concentrates the class
-            into ``1/s`` of a set-indexed cache's sets, shrinking the
-            effective capacity by ``s`` (validated against the exact
-            set-associative simulator in the test suite).
+
+def _frozen(arr: npt.NDArray[Any]) -> npt.NDArray[Any]:
+    arr.setflags(write=False)
+    return arr
+
+
+class TrafficColumns(NamedTuple):
+    """Traffic classes as read-only columns, one row per class.
+
+    A traffic class is a group of cache-line touches sharing one reuse
+    distance.  Per row:
+
+    - ``accesses``: line touches in the group (one vector memory
+      instruction touches each line at most once); always positive.
+    - ``distance``: reuse distance in bytes at the moment of the touch;
+      ``COLD`` for first touches.
+    - ``is_store``: whether the touches are writes (writeback modeling).
+    - ``region``: total size in bytes of the array region the class
+      belongs to.  A dirty line is written back only if its region does
+      not stay resident in the L2 (streaming stores); infinite means
+      "always written back on miss".
+    - ``dilution``: set-conflict factor for power-of-two strided access
+      patterns: a stride of ``s`` lines concentrates the class into
+      ``1/s`` of a set-indexed cache's sets, shrinking the effective
+      capacity by ``s`` (validated against the exact set-associative
+      simulator in the test suite).
     """
 
-    name: str
-    accesses: float
-    distance: float
-    is_store: bool = False
-    region: float = math.inf
-    dilution: float = 1.0
+    accesses: FloatArray
+    distance: FloatArray
+    is_store: BoolArray
+    region: FloatArray
+    dilution: FloatArray
 
-    def __post_init__(self) -> None:
-        if self.accesses < 0:
-            raise ConfigError(f"negative accesses in traffic class {self.name}")
-        if self.distance < 0:
-            raise ConfigError(f"negative distance in traffic class {self.name}")
+    @classmethod
+    def concat(cls, parts: Sequence[TrafficColumns]) -> TrafficColumns:
+        """The rows of ``parts``, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            none = _frozen(np.empty(0, dtype=np.float64))
+            return cls(none, none, _frozen(np.empty(0, dtype=bool)), none, none)
+        return cls(*(_frozen(np.concatenate(col)) for col in zip(*parts)))
 
 
-@dataclass
+#: One scalar-appended traffic class, pending conversion to columns.
+_Row = tuple[float, float, bool, float, float]
+
+
+@dataclass(eq=False)
 class PhaseModel:
-    """One kernel phase: exact instruction counts plus traffic classes."""
+    """One kernel phase: exact instruction counts plus traffic classes.
+
+    Traffic is appended through :meth:`add_traffic` and read back as
+    :attr:`traffic` columns.  Scalar appends are buffered as rows and
+    converted to columns on the next array append or read, so models
+    that append class by class stay cheap.
+    """
 
     name: str
     instrs: dict[OpClass, int] = field(default_factory=dict)
     elems: dict[OpClass, int] = field(default_factory=dict)
-    traffic: list[TrafficClass] = field(default_factory=list)
+    _rows: list[_Row] = field(default_factory=list, init=False, repr=False)
+    _chunks: list[TrafficColumns] = field(
+        default_factory=list, init=False, repr=False)
 
     def add_instr(self, opclass: OpClass, count: int, elems_per: int) -> None:
         if count < 0 or elems_per < 0:
@@ -100,16 +141,90 @@ class PhaseModel:
     def add_traffic(
         self,
         name: str,
-        accesses: float,
-        distance: float,
-        is_store: bool = False,
-        region: float = math.inf,
-        dilution: float = 1.0,
+        accesses: Values,
+        distance: Values,
+        is_store: Flags = False,
+        region: Values = math.inf,
+        dilution: Values = 1.0,
     ) -> None:
-        if accesses > 0:
-            self.traffic.append(
-                TrafficClass(name, accesses, distance, is_store, region, dilution)
-            )
+        """Append traffic classes (fields as in :class:`TrafficColumns`).
+
+        Scalars append one class.  If any field is a 1-D array, the
+        fields are broadcast together and append one class per element,
+        in order.  ``name`` labels the classes in error messages.
+        Classes without accesses are dropped; NaN or negative accesses
+        or distances, and NaN or non-positive dilutions, raise
+        :class:`ConfigError`.
+        """
+        if not (isinstance(accesses, np.ndarray)
+                or isinstance(distance, np.ndarray)
+                or isinstance(is_store, np.ndarray)
+                or isinstance(region, np.ndarray)
+                or isinstance(dilution, np.ndarray)):
+            acc, dist, dil = float(accesses), float(distance), float(dilution)
+            # NaN fails every comparison.
+            if not (acc >= 0.0 and dist >= 0.0 and dil > 0.0):
+                raise self._invalid(name, acc, dist, dil)
+            if acc > 0.0:
+                self._rows.append(
+                    (acc, dist, bool(is_store), float(region), dil))
+            return
+        acc_a, dist_a, store_a, region_a, dil_a = np.broadcast_arrays(
+            np.asarray(accesses, dtype=np.float64),
+            np.asarray(distance, dtype=np.float64),
+            np.asarray(is_store, dtype=bool),
+            np.asarray(region, dtype=np.float64),
+            np.asarray(dilution, dtype=np.float64),
+        )
+        if acc_a.ndim != 1:
+            raise ConfigError(
+                f"traffic class {name!r} in phase {self.name!r}: fields "
+                f"must be scalars or 1-D arrays, got shape {acc_a.shape}")
+        if not ((acc_a >= 0.0).all() and (dist_a >= 0.0).all()
+                and (dil_a > 0.0).all()):
+            raise self._invalid(name, acc_a, dist_a, dil_a)
+        keep = acc_a > 0.0
+        self._flush_rows()
+        self._chunks.append(TrafficColumns(
+            *(_frozen(col[keep])
+              for col in (acc_a, dist_a, store_a, region_a, dil_a))))
+
+    def _invalid(
+        self, name: str, accesses: Values, distance: Values, dilution: Values
+    ) -> ConfigError:
+        """The error for the first invalid field of a rejected append."""
+        for what, values, need in (
+            ("accesses", accesses, "non-negative"),
+            ("distance", distance, "non-negative"),
+            ("dilution", dilution, "positive"),
+        ):
+            arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
+            ok = arr > 0.0 if need == "positive" else arr >= 0.0
+            if not ok.all():
+                return ConfigError(
+                    f"traffic class {name!r} in phase {self.name!r}: {what} "
+                    f"must be {need}, got {arr[~ok][0]}")
+        return ConfigError(f"invalid traffic class {name!r} in phase {self.name!r}")
+
+    def _flush_rows(self) -> None:
+        if self._rows:
+            acc, dist, store, region, dil = zip(*self._rows)
+            self._chunks.append(TrafficColumns(
+                _frozen(np.array(acc, dtype=np.float64)),
+                _frozen(np.array(dist, dtype=np.float64)),
+                _frozen(np.array(store, dtype=bool)),
+                _frozen(np.array(region, dtype=np.float64)),
+                _frozen(np.array(dil, dtype=np.float64)),
+            ))
+            self._rows.clear()
+
+    @property
+    def traffic(self) -> TrafficColumns:
+        """All traffic classes appended so far, in append order."""
+        self._flush_rows()
+        if len(self._chunks) != 1:
+            self._chunks[:] = [TrafficColumns.concat(self._chunks)]
+        return self._chunks[0]
 
     @property
     def flops(self) -> int:
@@ -119,7 +234,7 @@ class PhaseModel:
 
     @property
     def total_line_accesses(self) -> float:
-        return sum(t.accesses for t in self.traffic)
+        return _ordered_sum(self.traffic.accesses)
 
 
 #: Effective-capacity derating for the stack-distance criterion.
@@ -171,19 +286,21 @@ def evaluate_hierarchy(
     l2 = CacheStats()
     wb = 0.0
     l1_acc = l1_miss = l2_acc = l2_miss = 0.0
-    for ph in phases:
-        for t in ph.traffic:
-            eff = t.distance * t.dilution
-            p1 = _hit_probability(eff, l1_eff, sharpness)
-            p2 = _hit_probability(eff, l2_eff, sharpness)
-            l1_acc += t.accesses
-            to_l2 = t.accesses * (1.0 - p1)
-            l1_miss += to_l2
-            l2_acc += to_l2
-            missed = to_l2 * (1.0 - p2)
-            l2_miss += missed
-            if t.is_store and t.region > l2_eff:
-                wb += missed
+    cols = TrafficColumns.concat([ph.traffic for ph in phases])
+    for accesses, distance, is_store, region, dilution in zip(
+        *(col.tolist() for col in cols)
+    ):
+        eff = distance * dilution
+        p1 = _hit_probability(eff, l1_eff, sharpness)
+        p2 = _hit_probability(eff, l2_eff, sharpness)
+        l1_acc += accesses
+        to_l2 = accesses * (1.0 - p1)
+        l1_miss += to_l2
+        l2_acc += to_l2
+        missed = to_l2 * (1.0 - p2)
+        l2_miss += missed
+        if is_store and region > l2_eff:
+            wb += missed
     l1.accesses = int(round(l1_acc))
     l1.misses = int(round(l1_miss))
     l2.accesses = int(round(l2_acc))
@@ -192,7 +309,7 @@ def evaluate_hierarchy(
     return HierarchyStats(l1=l1, l2=l2, line_bytes=line_bytes)
 
 
-def _ordered_sum(values: np.ndarray) -> float:
+def _ordered_sum(values: FloatArray) -> float:
     """Sum in array order with sequential accumulation.
 
     ``np.cumsum`` accumulates left-to-right, matching a reference
@@ -205,11 +322,13 @@ def _ordered_sum(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CondensedTraffic:
-    """Array form of a phase list's traffic, reproducing
-    :func:`evaluate_hierarchy` bit-identically in two halves.
+    """A phase list's traffic columns, concatenated and condensed, that
+    reproduce :func:`evaluate_hierarchy` bit-identically in two halves.
 
     One row per traffic class, in the exact order the reference loop
-    visits them (phase order, then class order within the phase).
+    visits them (phase order, then append order within the phase); the
+    distance and dilution columns are folded into the effective
+    distance, stored as its unique values plus an inverse index.
     :meth:`l1_split` resolves the L1 once; :meth:`L1Split.smooth_l2`
     then applies the L2 half of the reference at any capacity.  Two
     properties make the vectorized halves produce the same bits as the
@@ -225,43 +344,34 @@ class CondensedTraffic:
       the reference loop's left-to-right addition order.
 
     Elementwise ``+ - * /`` are single IEEE-754 operations and match
-    their scalar counterparts exactly.
+    their scalar counterparts exactly — including the effective
+    distance ``distance * dilution``, formed here once per class.
     """
 
-    accesses: np.ndarray
-    eff_unique: np.ndarray
-    eff_index: np.ndarray
-    store_mask: np.ndarray
-    region: np.ndarray
+    accesses: FloatArray
+    eff_unique: FloatArray
+    eff_index: npt.NDArray[np.intp]
+    store_mask: BoolArray
+    region: FloatArray
 
     @classmethod
-    def from_phases(cls, phases: list[PhaseModel]) -> "CondensedTraffic":
-        # Bulk-extract the class fields: GEMM-heavy layers reach the
-        # hundreds of thousands of classes.
-        classes = [t for ph in phases for t in ph.traffic]
-        n = len(classes)
-        accesses = np.fromiter(
-            (t.accesses for t in classes), dtype=np.float64, count=n)
-        eff = np.fromiter(
-            (t.distance * t.dilution for t in classes),
-            dtype=np.float64, count=n)
-        store_mask = np.fromiter(
-            (t.is_store for t in classes), dtype=bool, count=n)
-        region = np.fromiter(
-            (t.region for t in classes), dtype=np.float64, count=n)
-        eff_unique, eff_index = np.unique(eff, return_inverse=True)
-        for arr in (accesses, eff_unique, eff_index, store_mask, region):
-            arr.setflags(write=False)
+    def from_phases(cls, phases: list[PhaseModel]) -> CondensedTraffic:
+        cols = TrafficColumns.concat([ph.traffic for ph in phases])
+        eff_unique, eff_index = np.unique(
+            cols.distance * cols.dilution, return_inverse=True)
         return cls(
-            accesses=accesses, eff_unique=eff_unique, eff_index=eff_index,
-            store_mask=store_mask, region=region,
+            accesses=cols.accesses,
+            eff_unique=_frozen(eff_unique),
+            eff_index=_frozen(eff_index),
+            store_mask=cols.is_store,
+            region=cols.region,
         )
 
     @property
     def n_classes(self) -> int:
         return int(self.accesses.size)
 
-    def _hit_probabilities(self, capacity: float) -> np.ndarray:
+    def _hit_probabilities(self, capacity: float) -> FloatArray:
         """Per-class smoothed hit probability at an effective capacity."""
         return np.array(
             [_hit_probability(d, capacity, SHARPNESS)
@@ -269,7 +379,7 @@ class CondensedTraffic:
             dtype=np.float64,
         )[self.eff_index]
 
-    def l1_split(self, l1_bytes: int, line_bytes: int = LINE) -> "L1Split":
+    def l1_split(self, l1_bytes: int, line_bytes: int = LINE) -> L1Split:
         """The L1 half of :func:`evaluate_hierarchy` at ``l1_bytes``."""
         p1 = self._hit_probabilities(l1_bytes * CAPACITY_FACTOR)
         to_l2 = self.accesses * (1.0 - p1)
@@ -296,7 +406,7 @@ class L1Split:
     """
 
     traffic: CondensedTraffic
-    to_l2: np.ndarray
+    to_l2: FloatArray
     accesses: int
     misses: int
     line_bytes: int
@@ -315,7 +425,7 @@ class L1Split:
     @cached_property
     def _sharp_profile(
         self,
-    ) -> tuple[SparseReuseProfile, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[SparseReuseProfile, FloatArray, FloatArray, FloatArray]:
         """The sharp criterion's view of ``to_l2``, built on first use:
         its stack-distance profile in lines, plus the distance, weight
         and region of every store class (for writebacks)."""
@@ -410,8 +520,10 @@ def lines_of(nbytes: float, line_bytes: int = LINE) -> float:
 def lines_per_access(elems: int, stride_bytes: int, line_bytes: int = LINE) -> float:
     """Expected lines touched by one vector access of ``elems`` elements.
 
-    Unit-stride accesses touch ``ceil`` of their span; accesses whose
-    element stride reaches a full line touch one line per element.
+    Sub-line strides touch ``span / line`` lines in expectation (at
+    least one), where ``span`` runs from the first element's start to
+    the last element's end; accesses whose element stride reaches a
+    full line touch one line per element.
     """
     if elems <= 0:
         return 0.0

@@ -42,6 +42,7 @@ points ``0, ±1, ±2, ±1/2`` (plus infinity), exposed here as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -270,6 +271,12 @@ def default_points(num_finite: int) -> tuple[Fraction, ...]:
     return tuple(seq[:num_finite])
 
 
+@lru_cache(maxsize=None)
 def f6x3_transforms() -> WinogradTransforms:
-    """NNPACK's F(6x6, 3x3): 8x8 tiles, 3x3 filters, 6x6 outputs."""
+    """NNPACK's F(6x6, 3x3): 8x8 tiles, 3x3 filters, 6x6 outputs.
+
+    Built once and cached: the transforms are immutable (frozen
+    ``Fraction`` tuples; the float-array accessors build fresh arrays),
+    and every Winograd phase model and kernel driver asks for them.
+    """
     return cook_toom(6, 3, NNPACK_POINTS_F6X3)

@@ -8,8 +8,13 @@ This enforces the DESIGN.md trace-validation contract:
   case — boundary effects loom largest there).
 """
 
+import math
+
 import numpy as np
 import pytest
+
+from repro.errors import ConfigError
+from repro.isa import OpClass
 
 from repro.kernels import (
     INDEXED,
@@ -43,6 +48,7 @@ from repro.model import (
     tuple_mult_model,
     winograd_layer_model,
 )
+from repro.model.traffic import CondensedTraffic, lines_per_access
 from repro.conv import ConvLayerSpec
 from repro.rvv import Memory, RvvMachine, Tracer, assert_counts_match
 from repro.sim import Simulator, SystemConfig
@@ -243,6 +249,181 @@ class TestEvaluateHierarchy:
         h = evaluate_hierarchy([ph], 64 * 1024, 1 << 20)
         assert h.l2.writebacks == 20
         assert h.dram_lines == 30 + 20
+
+
+def _columns(ph: PhaseModel) -> list[np.ndarray]:
+    t = ph.traffic
+    return [t.accesses, t.distance, t.is_store, t.region, t.dilution]
+
+
+def _rows_to_columns(rows: list[tuple]) -> list[np.ndarray]:
+    """Reference columns from ``(accesses, distance, is_store, region,
+    dilution)`` rows, with the dtypes of :class:`TrafficColumns`."""
+    acc, dist, store, region, dil = zip(*rows) if rows else ((),) * 5
+    return [
+        np.array(acc, dtype=np.float64),
+        np.array(dist, dtype=np.float64),
+        np.array(store, dtype=bool),
+        np.array(region, dtype=np.float64),
+        np.array(dil, dtype=np.float64),
+    ]
+
+
+class TestTrafficColumns:
+    """``add_traffic``: scalar and array appends, order and validation."""
+
+    def test_scalar_and_array_appends_keep_order(self):
+        ph = PhaseModel("t")
+        ph.add_traffic("a", 3, 64.0)
+        ph.add_traffic("b", np.array([1.0, 0.0, 2.5]), 128.0,
+                       is_store=np.array([True, False, False]), region=4096.0)
+        ph.add_traffic("c", 7.0, COLD, is_store=True, dilution=4.0)
+        ph.add_traffic("d", np.array([5.0, 6.0]), np.array([1.0, 2.0]))
+        expected = _rows_to_columns([
+            (3.0, 64.0, False, math.inf, 1.0),
+            (1.0, 128.0, True, 4096.0, 1.0),
+            (2.5, 128.0, False, 4096.0, 1.0),  # the 0-access row is dropped
+            (7.0, COLD, True, math.inf, 4.0),
+            (5.0, 1.0, False, math.inf, 1.0),
+            (6.0, 2.0, False, math.inf, 1.0),
+        ])
+        for got, want in zip(_columns(ph), expected):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert ph.total_line_accesses == 3.0 + 1.0 + 2.5 + 7.0 + 5.0 + 6.0
+
+    def test_zero_access_classes_are_dropped(self):
+        ph = PhaseModel("t")
+        ph.add_traffic("none", 0, 64.0)
+        ph.add_traffic("none either", np.zeros(4), 64.0)
+        assert all(col.size == 0 for col in _columns(ph))
+        assert ph.total_line_accesses == 0.0
+
+    def test_empty_phase_has_empty_columns(self):
+        ph = PhaseModel("t")
+        assert [c.dtype for c in _columns(ph)] == [
+            np.float64, np.float64, bool, np.float64, np.float64]
+        h = evaluate_hierarchy([ph], 64 * 1024, 1 << 20)
+        assert h.l1.accesses == h.l2.misses == 0
+
+    @pytest.mark.parametrize("field,value", [
+        ("accesses", math.nan),
+        ("accesses", -1.0),
+        ("distance", math.nan),
+        ("distance", -64.0),
+        ("dilution", math.nan),
+        ("dilution", 0.0),
+        ("dilution", -2.0),
+    ])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_invalid_values_raise_naming_the_class(self, field, value, as_array):
+        fields = {"accesses": 10.0, "distance": 64.0, "dilution": 1.0}
+        if as_array:
+            fields = {k: np.full(3, v) for k, v in fields.items()}
+            fields[field][1] = value
+        else:
+            fields[field] = value
+        ph = PhaseModel("phase-x")
+        with pytest.raises(ConfigError, match=rf"'bad class'.*'phase-x'.*{field}"):
+            ph.add_traffic("bad class", **fields)
+        assert all(col.size == 0 for col in _columns(ph))
+
+    def test_rejects_multidimensional_fields(self):
+        ph = PhaseModel("t")
+        with pytest.raises(ConfigError, match="1-D"):
+            ph.add_traffic("grid", np.ones((2, 2)), 64.0)
+
+    def test_mixed_appends_condense_bit_identically(self):
+        """The scalar reference and the condensed L1 split + smoothed L2
+        agree exactly on a phase built from scalar and array appends."""
+        rng = np.random.default_rng(7)
+        dists = np.array([256.0, 48 * 1024.0, 700 * 1024.0, 3 << 20, COLD])
+        ph = PhaseModel("mixed")
+        for i in range(40):
+            if i % 3:
+                ph.add_traffic(f"s{i}", float(rng.uniform(0, 1e4)),
+                               float(rng.choice(dists)),
+                               is_store=bool(i % 2), region=float(1 << (10 + i % 20)),
+                               dilution=float(rng.choice([1.0, 2.0, 8.0])))
+            else:
+                n = int(rng.integers(1, 50))
+                ph.add_traffic(f"a{i}", rng.uniform(0, 1e4, n), rng.choice(dists, n),
+                               is_store=rng.random(n) < 0.5,
+                               region=rng.choice([1024.0, float(1 << 30)], n),
+                               dilution=rng.choice([1.0, 4.0], n))
+        other = PhaseModel("other")
+        other.add_traffic("tail", rng.uniform(0, 1e3, 5), 96 * 1024.0, is_store=True)
+        phases = [ph, other]
+        l1 = 64 * 1024
+        split = CondensedTraffic.from_phases(phases).l1_split(l1)
+        assert split.traffic.n_classes == sum(p.traffic.accesses.size for p in phases)
+        for mb in (1, 4, 64):
+            h = evaluate_hierarchy(phases, l1, mb << 20)
+            misses, writebacks = split.smooth_l2(mb << 20)
+            assert (h.l1.accesses, h.l1.misses, h.l2.accesses) == (
+                split.accesses, split.misses, split.misses)
+            assert (h.l2.misses, h.l2.writebacks) == (
+                int(round(misses)), int(round(writebacks)))
+
+
+def _gemm_oracle(geom: GemmGeometry, cols_distance: float | None):
+    """The per-panel, per-block scalar loop :func:`gemm_model` replaced:
+    ``(instrs, elems, traffic rows)``."""
+    instrs: dict = {}
+    elems: dict = {}
+
+    def add_instr(opclass, count, elems_per):
+        instrs[opclass] = instrs.get(opclass, 0) + count
+        elems[opclass] = elems.get(opclass, 0) + count * elems_per
+
+    rows_out = []
+    for pn in range(geom.n_panels):
+        j0 = pn * geom.vlen_elems
+        vl = min(geom.vlen_elems, geom.n - j0)
+        b_lines = lines_per_access(vl, 4)
+        add_instr(OpClass.VSETVL, geom.m_blocks, vl)
+        add_instr(OpClass.VMOVE, geom.m, vl)
+        add_instr(OpClass.VLOAD_UNIT, geom.kd * geom.m_blocks, vl)
+        add_instr(OpClass.SCALAR, geom.kd * geom.m, 1)
+        add_instr(OpClass.VFMA, geom.kd * geom.m, vl)
+        add_instr(OpClass.VSTORE_UNIT, geom.m, vl)
+        for mb in range(geom.m_blocks):
+            rows = min(geom.mr, geom.m - mb * geom.mr)
+            d_mb = geom.kd * (vl * 4 + rows * 4.0 / 16) + rows * vl * 4
+            b_acc = geom.kd * b_lines
+            if mb == 0:
+                dist = cols_distance if cols_distance is not None else COLD
+            else:
+                dist = d_mb
+            rows_out.append((b_acc, dist, False, math.inf, 1.0))
+            rows_out.append((rows * b_lines, COLD, True, math.inf, 1.0))
+    return instrs, elems, rows_out
+
+
+class TestGemmModelDifferential:
+    """The vectorized GEMM model against the scalar per-panel loop."""
+
+    @pytest.mark.parametrize("m,kd,n,vlen", [
+        (20, 9, 10, 16),     # tail panel only (n < vlen)
+        (20, 9, 64, 16),     # no tail panel (n % vlen == 0)
+        (5, 9, 70, 16),      # m < mr: one short block
+        (24, 9, 70, 16),     # m % mr == 0: full blocks only
+        (13, 1, 70, 16),     # kd == 1
+        (64, 27, 50176, 16),  # VGG16 conv0 at VLEN 512
+        (1, 1, 1, 64),
+    ])
+    @pytest.mark.parametrize("cols_distance", [None, 602112.0])
+    def test_matches_scalar_loop_bit_for_bit(self, m, kd, n, vlen, cols_distance):
+        geom = GemmGeometry(m=m, kd=kd, n=n, vlen_elems=vlen)
+        ph = gemm_model(geom, cols_distance=cols_distance)
+        instrs, elems, rows = _gemm_oracle(geom, cols_distance)
+        assert list(ph.instrs.items()) == list(instrs.items())
+        assert list(ph.elems.items()) == list(elems.items())
+        for got, want in zip(_columns(ph), _rows_to_columns(rows), strict=True):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLayerModel:

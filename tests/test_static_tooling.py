@@ -3,7 +3,9 @@
 Runs ruff and mypy over ``src/repro/analysis``, and a coverage session
 with a floor over ``repro.sim`` + ``repro.codesign`` +
 ``repro.nets.inference`` (the sweep executor and the recording both of
-its backends evaluate), when the tools are installed (the ``dev``
+its backends evaluate) + ``repro.model.traffic`` and
+``repro.model.gemm_model`` (the traffic columns the recording
+condenses), when the tools are installed (the ``dev``
 extra) — and skips cleanly when they are not, so the tier-1 suite has
 no dependencies beyond numpy/pytest/hypothesis.  The configuration
 itself lives in pyproject.toml; these tests just keep it honest.
@@ -20,9 +22,10 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 ANALYSIS = REPO / "src" / "repro" / "analysis"
 
-#: Tests exercising repro.sim + repro.codesign + repro.nets.inference,
-#: run under coverage.
+#: Tests exercising repro.sim + repro.codesign + repro.nets.inference +
+#: repro.model.traffic + repro.model.gemm_model, run under coverage.
 COVERAGE_TESTS = [
+    "tests/test_model.py",
     "tests/test_stackdist_properties.py",
     "tests/test_sweep_fastpath.py",
     "tests/test_record_replay.py",
@@ -50,12 +53,15 @@ STRICT_OBS_MODULES = [
     "repro.obs.metrics",
 ]
 
-#: The strict-mypy slice of repro.sim: the batched cache engine, the
-#: stream record/replay cache, and the sampling simulator.
+#: The strict-mypy bit-identity critical path: the batched cache
+#: engine, the stream record/replay cache, the sampling simulator, the
+#: traffic columns and the GEMM model.
 STRICT_SIM_MODULES = [
     "repro.sim.cache",
     "repro.sim.replay",
     "repro.sim.system",
+    "repro.model.traffic",
+    "repro.model.gemm_model",
 ]
 
 #: The strict-mypy kernel-generation layer: the schedule DSL and the

@@ -54,6 +54,19 @@ class TestCookToom:
         tf = f6x3_transforms()
         assert tf.points == NNPACK_POINTS_F6X3
 
+    def test_f6x3_is_cached_and_equals_a_fresh_construction(self):
+        from repro.kernels import transforms
+        from repro.model import winograd_model
+
+        tf = f6x3_transforms()
+        assert tf == cook_toom(6, 3, NNPACK_POINTS_F6X3)
+        assert f6x3_transforms() is tf
+        assert winograd_model.f6x3_transforms() is tf
+        assert transforms.f6x3_transforms() is tf
+        # The array accessors hand out fresh arrays: callers cannot
+        # corrupt the shared value.
+        assert tf.BT() is not tf.BT()
+
     def test_2d_matches_direct(self):
         tf = f6x3_transforms()
         rng = np.random.default_rng(2)
