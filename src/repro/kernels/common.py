@@ -185,11 +185,11 @@ class WinogradGeometry:
     def grid(self) -> TileGrid:
         return TileGrid(h_in=self.h, w_in=self.w, pad=self.pad, m=6, n=8)
 
-    @property
+    @cached_property
     def num_tiles(self) -> int:
         return self.grid.num_tiles
 
-    @property
+    @cached_property
     def tile_blocks(self) -> int:
         return ceil_div(self.num_tiles, TILES_PER_BLOCK)
 

@@ -30,8 +30,12 @@ LEVEL_INFO = "info"
 LEVEL_WARNING = "warning"
 
 
-def event(kind: str, level: str = LEVEL_INFO, **payload: Any) -> dict:
-    """Build one structured event (flat, JSON-serializable)."""
+def event(kind: str, /, level: str = LEVEL_INFO, **payload: Any) -> dict:
+    """Build one structured event (flat, JSON-serializable).
+
+    ``kind`` is positional-only so that a payload may carry a field
+    named ``kind`` too.
+    """
     return {"event": kind, "level": level, **payload}
 
 

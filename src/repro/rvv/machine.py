@@ -28,7 +28,9 @@ from repro.isa import OpClass, vsetvl as isa_vsetvl
 from repro.isa.encoding import VType, validate_vlen
 from repro.rvv.memory import Memory
 from repro.rvv.registers import RegAlloc, VRegFile
-from repro.rvv.tracer import MemAccess, Operands, Tracer
+from repro.rvv.tracer import MemAccess, Tracer, intern_operands
+
+_F32, _U32, _I32 = np.float32, np.uint32, np.int32
 
 
 class VectorEngine:
@@ -62,6 +64,7 @@ class VectorEngine:
         self.tracer = tracer if tracer is not None else Tracer(capture=False)
         self.strict = strict
         self.regs = VRegFile(vlen_bits)
+        self._reg_views = self.regs.views
         self.alloc = RegAlloc()
         self.vtype = VType(sew=32, lmul=1)
         self.vl = 0
@@ -94,7 +97,7 @@ class VectorEngine:
         self.vl = isa_vsetvl(avl, self.vlen_bits, sew, lmul)
         self._configured = True
         self.tracer.record(OpClass.VSETVL, self.vl, sew, lmul=lmul,
-                           ops=Operands(mn, avl=avl))
+                           ops=intern_operands(mn, avl=avl))
         return self.vl
 
     def _group_overlaps(self, a: int, b: int) -> bool:
@@ -106,14 +109,19 @@ class VectorEngine:
     # ------------------------------------------------------------------
     # Register views (fp32 / int32 over the active group)
     # ------------------------------------------------------------------
+    # These read the register file's view cache directly and fall back
+    # to it (which validates the group) only on a miss.
     def _f32(self, idx: int) -> np.ndarray:
-        return self.regs.f32(idx, self.vtype.lmul)
+        v = self._reg_views.get((_F32, idx, self.vtype.lmul))
+        return v if v is not None else self.regs.f32(idx, self.vtype.lmul)
 
     def _u32(self, idx: int) -> np.ndarray:
-        return self.regs.u32(idx, self.vtype.lmul)
+        v = self._reg_views.get((_U32, idx, self.vtype.lmul))
+        return v if v is not None else self.regs.u32(idx, self.vtype.lmul)
 
     def _i32(self, idx: int) -> np.ndarray:
-        return self.regs.i32(idx, self.vtype.lmul)
+        v = self._reg_views.get((_I32, idx, self.vtype.lmul))
+        return v if v is not None else self.regs.i32(idx, self.vtype.lmul)
 
     def read_f32(self, idx: int) -> np.ndarray:
         """Debug/test helper: copy of the active fp32 lanes of ``v[idx]``."""
@@ -131,7 +139,7 @@ class VectorEngine:
                   offsets: np.ndarray | None = None, is_load: bool = True) -> MemAccess:
         offs = None
         if offsets is not None and self.tracer.capture:
-            offs = tuple(int(o) for o in offsets)
+            offs = tuple(offsets.tolist())
         return MemAccess(kind=kind, base=base, elems=elems, ebytes=4,
                          stride=stride, offsets=offs, is_load=is_load)
 
@@ -140,14 +148,14 @@ class VectorEngine:
         self._f32(vd)[:vl] = self.memory.view(addr, vl, np.float32)
         self.tracer.record(OpClass.VLOAD_UNIT, vl, 32,
                            self._mem_desc("unit", addr, vl),
-                           lmul=self.vtype.lmul, ops=Operands(mn, vd=vd))
+                           lmul=self.vtype.lmul, ops=intern_operands(mn, vd=vd))
 
     def _st_unit(self, vs: int, addr: int, mn: str = "vse32.v") -> None:
         vl = self._require_vl()
         self.memory.view(addr, vl, np.float32)[:] = self._f32(vs)[:vl]
         self.tracer.record(OpClass.VSTORE_UNIT, vl, 32,
                            self._mem_desc("unit", addr, vl, is_load=False),
-                           lmul=self.vtype.lmul, ops=Operands(mn, vs=(vs,)))
+                           lmul=self.vtype.lmul, ops=intern_operands(mn, vs=(vs,)))
 
     def _ld_strided(self, vd: int, addr: int, stride_bytes: int,
                     mn: str = "vlse32.v") -> None:
@@ -156,7 +164,7 @@ class VectorEngine:
         self.tracer.record(OpClass.VLOAD_STRIDED, vl, 32,
                            self._mem_desc("strided", addr, vl, stride=stride_bytes),
                            lmul=self.vtype.lmul,
-                           ops=Operands(mn, vd=vd, imm=stride_bytes))
+                           ops=intern_operands(mn, vd=vd, imm=stride_bytes))
 
     def _st_strided(self, vs: int, addr: int, stride_bytes: int,
                     mn: str = "vsse32.v") -> None:
@@ -166,7 +174,7 @@ class VectorEngine:
                            self._mem_desc("strided", addr, vl, stride=stride_bytes,
                                           is_load=False),
                            lmul=self.vtype.lmul,
-                           ops=Operands(mn, vs=(vs,), imm=stride_bytes))
+                           ops=intern_operands(mn, vs=(vs,), imm=stride_bytes))
 
     def _ld_indexed(self, vd: int, base: int, vidx: int,
                     mn: str = "vluxei32.v") -> None:
@@ -176,7 +184,7 @@ class VectorEngine:
         self.tracer.record(OpClass.VLOAD_INDEXED, vl, 32,
                            self._mem_desc("indexed", base, vl, offsets=offsets),
                            lmul=self.vtype.lmul,
-                           ops=Operands(mn, vd=vd, vidx=vidx))
+                           ops=intern_operands(mn, vd=vd, vidx=vidx))
 
     def _st_indexed(self, vs: int, base: int, vidx: int,
                     mn: str = "vsuxei32.v") -> None:
@@ -187,7 +195,7 @@ class VectorEngine:
                            self._mem_desc("indexed", base, vl, offsets=offsets,
                                           is_load=False),
                            lmul=self.vtype.lmul,
-                           ops=Operands(mn, vs=(vs,), vidx=vidx))
+                           ops=intern_operands(mn, vs=(vs,), vidx=vidx))
 
     # ------------------------------------------------------------------
     # Arithmetic semantics
@@ -198,7 +206,7 @@ class VectorEngine:
         d = self._f32(vd)
         d[:vl] += self._f32(vs1)[:vl] * self._f32(vs2)[:vl]
         self.tracer.record(OpClass.VFMA, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands(mn, vd=vd, vs=(vs1, vs2), merges=True))
+                           ops=intern_operands(mn, vd=vd, vs=(vs1, vs2), merges=True))
 
     def _fma_f(self, vd: int, f: float, vs: int, mn: str = "vfmacc.vf") -> None:
         """vd[i] += f * vs[i]  (vfmacc.vf)."""
@@ -206,7 +214,7 @@ class VectorEngine:
         d = self._f32(vd)
         d[:vl] += np.float32(f) * self._f32(vs)[:vl]
         self.tracer.record(OpClass.VFMA, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands(mn, vd=vd, vs=(vs,), merges=True))
+                           ops=intern_operands(mn, vd=vd, vs=(vs,), merges=True))
 
     def _nfms_f(self, vd: int, f: float, vs: int, mn: str = "vfnmsac.vf") -> None:
         """vd[i] -= f * vs[i]  (vfnmsac.vf)."""
@@ -214,7 +222,7 @@ class VectorEngine:
         d = self._f32(vd)
         d[:vl] -= np.float32(f) * self._f32(vs)[:vl]
         self.tracer.record(OpClass.VFMA, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands(mn, vd=vd, vs=(vs,), merges=True))
+                           ops=intern_operands(mn, vd=vd, vs=(vs,), merges=True))
 
     _ARITH = {
         "add": np.add,
@@ -228,7 +236,7 @@ class VectorEngine:
         fn = self._ARITH[op]
         self._f32(vd)[:vl] = fn(self._f32(vs1)[:vl], self._f32(vs2)[:vl])
         self.tracer.record(OpClass.VFARITH, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands(mn or f"vf{op}.vv", vd=vd,
+                           ops=intern_operands(mn or f"vf{op}.vv", vd=vd,
                                         vs=(vs1, vs2)))
 
     def _arith_f(self, op: str, vd: int, vs: int, f: float,
@@ -237,49 +245,49 @@ class VectorEngine:
         fn = self._ARITH[op]
         self._f32(vd)[:vl] = fn(self._f32(vs)[:vl], np.float32(f))
         self.tracer.record(OpClass.VFARITH, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands(mn or f"vf{op}.vf", vd=vd, vs=(vs,)))
+                           ops=intern_operands(mn or f"vf{op}.vf", vd=vd, vs=(vs,)))
 
     def _splat_f(self, vd: int, f: float, mn: str = "vfmv.v.f") -> None:
         vl = self._require_vl()
         self._f32(vd)[:vl] = np.float32(f)
         self.tracer.record(OpClass.VMOVE, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands(mn, vd=vd))
+                           ops=intern_operands(mn, vd=vd))
 
     def _mov(self, vd: int, vs: int, mn: str = "vmv.v.v") -> None:
         vl = self._require_vl()
         self._f32(vd)[:vl] = self._f32(vs)[:vl]
         self.tracer.record(OpClass.VMOVE, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands(mn, vd=vd, vs=(vs,)))
+                           ops=intern_operands(mn, vd=vd, vs=(vs,)))
 
     def _iota(self, vd: int, mn: str = "vid.v") -> None:
         vl = self._require_vl()
         self._u32(vd)[:vl] = np.arange(vl, dtype=np.uint32)
         self.tracer.record(OpClass.VMOVE, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands(mn, vd=vd))
+                           ops=intern_operands(mn, vd=vd))
 
     def _iadd_x(self, vd: int, vs: int, x: int, mn: str = "vadd.vx") -> None:
         vl = self._require_vl()
         self._u32(vd)[:vl] = self._u32(vs)[:vl] + np.uint32(x)
         self.tracer.record(OpClass.VIARITH, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands(mn, vd=vd, vs=(vs,), imm=x))
+                           ops=intern_operands(mn, vd=vd, vs=(vs,), imm=x))
 
     def _imul_x(self, vd: int, vs: int, x: int, mn: str = "vmul.vx") -> None:
         vl = self._require_vl()
         self._u32(vd)[:vl] = self._u32(vs)[:vl] * np.uint32(x)
         self.tracer.record(OpClass.VIARITH, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands(mn, vd=vd, vs=(vs,), imm=x))
+                           ops=intern_operands(mn, vd=vd, vs=(vs,), imm=x))
 
     def _iand_x(self, vd: int, vs: int, x: int, mn: str = "vand.vx") -> None:
         vl = self._require_vl()
         self._u32(vd)[:vl] = self._u32(vs)[:vl] & np.uint32(x)
         self.tracer.record(OpClass.VIARITH, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands(mn, vd=vd, vs=(vs,), imm=x))
+                           ops=intern_operands(mn, vd=vd, vs=(vs,), imm=x))
 
     def _redsum(self, vs: int, mn: str = "vfredusum.vs") -> float:
         vl = self._require_vl()
         total = float(np.sum(self._f32(vs)[:vl], dtype=np.float64))
         self.tracer.record(OpClass.VREDUCE, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands(mn, vs=(vs,)))
+                           ops=intern_operands(mn, vs=(vs,)))
         return total
 
     # ------------------------------------------------------------------
@@ -311,7 +319,7 @@ class VectorEngine:
         if offset < vl:
             d[offset:vl] = s[: vl - offset]
         self.tracer.record(OpClass.VSLIDE, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands(mn, vd=vd, vs=(vs,), imm=offset,
+                           ops=intern_operands(mn, vd=vd, vs=(vs,), imm=offset,
                                         merges=True))
 
     def _slidedown(self, vd: int, vs: int, offset: int,
@@ -327,7 +335,7 @@ class VectorEngine:
         out[:take] = s[offset : offset + take]
         d[:vl] = out
         self.tracer.record(OpClass.VSLIDE, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands(mn, vd=vd, vs=(vs,), imm=offset))
+                           ops=intern_operands(mn, vd=vd, vs=(vs,), imm=offset))
 
     def _gather_reg(self, vd: int, vs: int, vidx: int,
                     mn: str = "vrgather.vv") -> None:
@@ -346,7 +354,7 @@ class VectorEngine:
         out[ok] = src[idx[ok]]
         self._f32(vd)[:vl] = out
         self.tracer.record(OpClass.VPERMUTE, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands(mn, vd=vd, vs=(vs,), vidx=vidx))
+                           ops=intern_operands(mn, vd=vd, vs=(vs,), vidx=vidx))
 
     # ------------------------------------------------------------------
     def scalar_ops(self, n: int = 1) -> None:
@@ -477,7 +485,7 @@ class RvvMachine(VectorEngine):
         self.tracer.record(
             OpClass.VLOAD_UNIT, vl, 32,
             self._mem_desc("unit", self._index_scratch, vl),
-            lmul=self.vtype.lmul, ops=Operands("vle32.v", vd=vd),
+            lmul=self.vtype.lmul, ops=intern_operands("vle32.v", vd=vd),
         )
 
     # --- register movement ------------------------------------------------

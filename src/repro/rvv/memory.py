@@ -59,6 +59,11 @@ class Memory:
         self.size = int(size_bytes)
         self.base = int(base)
         self._buf = np.zeros(self.size, dtype=np.uint8)
+        # Float32 view of the 4-byte-aligned addresses, for gathers.
+        self._f32_lead = -self.base % 4
+        self._f32_words = self._buf[
+            self._f32_lead : self._f32_lead + (self.size - self._f32_lead) // 4 * 4
+        ].view(np.float32)
         self._brk = self.base
         self._allocations: list[tuple[int, int]] = []  # (addr, nbytes)
         self._labels: list[str | None] = []
@@ -165,12 +170,7 @@ class Memory:
         self._check(hi, 4)
         if np.any(addrs % 4):
             raise AlignmentError("gather addresses must be 4-byte aligned for EEW=32")
-        idx = addrs - self.base
-        out = np.empty(offs.size, dtype=np.float32)
-        flat = self._buf
-        for k in range(4):
-            out.view(np.uint8)[k::4] = flat[idx + k]
-        return out
+        return self._f32_words[(addrs - (self.base + self._f32_lead)) >> 2]
 
     def scatter_f32(self, base: int, byte_offsets: np.ndarray, values: np.ndarray) -> None:
         """Element scatter: write float32 values at ``base + off``."""

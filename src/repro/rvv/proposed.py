@@ -31,7 +31,7 @@ from repro.errors import IllegalInstructionError
 from repro.isa import OpClass
 from repro.kernels.common import QUAD
 from repro.rvv.machine import RvvMachine
-from repro.rvv.tracer import Operands
+from repro.rvv.tracer import intern_operands
 
 
 class RvvPlusMachine(RvvMachine):
@@ -60,7 +60,7 @@ class RvvPlusMachine(RvvMachine):
         quad = s[QUAD * q : QUAD * q + QUAD]
         self._f32(vd)[:vl] = np.tile(quad, -(-vl // QUAD))[:vl]
         self.tracer.record(OpClass.VPERMUTE, vl, 32, lmul=self.vtype.lmul,
-                           ops=Operands("vrep4.vi", vd=vd, vs=(vs,), imm=q))
+                           ops=intern_operands("vrep4.vi", vd=vd, vs=(vs,), imm=q))
 
     def vtrn4_vv(
         self, vd: tuple[int, int, int, int], vs: tuple[int, int, int, int]
@@ -89,7 +89,7 @@ class RvvPlusMachine(RvvMachine):
         for g in range(QUAD):
             self._f32(vd[g])[:vl] = out[g]
             self.tracer.record(OpClass.VPERMUTE, vl, 32, lmul=self.vtype.lmul,
-                               ops=Operands("vtrn4.vv", vd=vd[g], vs=vs))
+                               ops=intern_operands("vtrn4.vv", vd=vd[g], vs=vs))
 
 
 def has_proposed_extensions(machine) -> bool:

@@ -13,9 +13,10 @@ a C intrinsics programmer hits.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Iterator
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.errors import RegisterSpillError, VectorStateError
 
@@ -26,9 +27,12 @@ NUM_VREGS = 32
 class VRegFile:
     """Backing storage for the 32 architectural vector registers.
 
-    Registers are stored as raw bytes; typed views are created per access
-    according to the selected element width, mirroring how RVV reinterprets
-    register contents under different SEW settings.
+    Registers are stored as raw bytes; typed views reinterpret them
+    according to the selected element width, mirroring how RVV
+    reinterprets register contents under different SEW settings.  Each
+    ``(dtype, idx, lmul)`` view is built on first use and then served
+    from :attr:`views`; an invalid index or misaligned group is checked
+    before it is cached, so it raises on every access.
     """
 
     def __init__(self, vlen_bits: int) -> None:
@@ -37,6 +41,8 @@ class VRegFile:
         self.vlen_bits = vlen_bits
         self.vlen_bytes = vlen_bits // 8
         self._data = np.zeros((NUM_VREGS, self.vlen_bytes), dtype=np.uint8)
+        #: Typed views keyed by ``(dtype, idx, lmul)``; all alias ``_data``.
+        self.views: dict[tuple[type[np.generic], int, int], npt.NDArray[Any]] = {}
 
     def _check_reg(self, idx: int, lmul: int = 1) -> None:
         if not 0 <= idx < NUM_VREGS:
@@ -50,24 +56,30 @@ class VRegFile:
                 f"register group v{idx}..v{idx + lmul - 1} exceeds the register file"
             )
 
-    def f32(self, idx: int, lmul: int = 1) -> np.ndarray:
+    def view(self, dtype: type[np.generic], idx: int,
+             lmul: int = 1) -> npt.NDArray[Any]:
+        """A ``dtype`` view over register group ``idx`` (lmul registers)."""
+        key = (dtype, idx, lmul)
+        v = self.views.get(key)
+        if v is None:
+            self._check_reg(idx, lmul)
+            v = self.views[key] = self._data[idx : idx + lmul].reshape(-1).view(dtype)
+        return v
+
+    def f32(self, idx: int, lmul: int = 1) -> npt.NDArray[Any]:
         """Float32 view over register group ``idx`` (lmul registers)."""
-        self._check_reg(idx, lmul)
-        return self._data[idx : idx + lmul].reshape(-1).view(np.float32)
+        return self.view(np.float32, idx, lmul)
 
-    def i32(self, idx: int, lmul: int = 1) -> np.ndarray:
+    def i32(self, idx: int, lmul: int = 1) -> npt.NDArray[Any]:
         """Int32 view over register group ``idx``."""
-        self._check_reg(idx, lmul)
-        return self._data[idx : idx + lmul].reshape(-1).view(np.int32)
+        return self.view(np.int32, idx, lmul)
 
-    def u32(self, idx: int, lmul: int = 1) -> np.ndarray:
+    def u32(self, idx: int, lmul: int = 1) -> npt.NDArray[Any]:
         """Uint32 view over register group ``idx``."""
-        self._check_reg(idx, lmul)
-        return self._data[idx : idx + lmul].reshape(-1).view(np.uint32)
+        return self.view(np.uint32, idx, lmul)
 
-    def raw(self, idx: int, lmul: int = 1) -> np.ndarray:
-        self._check_reg(idx, lmul)
-        return self._data[idx : idx + lmul].reshape(-1)
+    def raw(self, idx: int, lmul: int = 1) -> npt.NDArray[Any]:
+        return self.view(np.uint8, idx, lmul)
 
 
 class RegAlloc:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Any
 
 from repro.errors import ConfigError
 from repro.isa import OpClass
@@ -93,6 +94,13 @@ def load_trace(path: str | Path) -> Tracer:
 
     The returned tracer has both per-class statistics and full events,
     so it can be replayed with :meth:`repro.sim.Simulator.run_trace`.
+
+    Raises:
+        ConfigError: naming ``file:line`` for a bad header or any event
+            that does not follow the format above (unknown opclass or
+            access kind, non-integer or negative sizes, an element width
+            that is not a positive multiple of 8, or an indexed access
+            without exactly one integer offset per element).
     """
     p = Path(path)
     tracer = Tracer(capture=True)
@@ -102,32 +110,38 @@ def load_trace(path: str | Path) -> Tracer:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{p}: not a repro trace file") from exc
-        if header.get("repro_trace") not in SUPPORTED_VERSIONS:
-            raise ConfigError(
-                f"{p}: unsupported trace version {header.get('repro_trace')!r}"
-            )
+        version = header.get("repro_trace") if isinstance(header, dict) else None
+        if version not in SUPPORTED_VERSIONS:
+            raise ConfigError(f"{p}: unsupported trace version {version!r}")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("event is not a JSON object")
                 opclass = OpClass(rec["o"])
-                lmul = int(rec.get("m", 1))
+                elems = _int(rec, "e")
+                if elems < 0:
+                    raise ValueError(f"negative element count {elems}")
+                eew = _int(rec, "w")
+                if eew <= 0 or eew % 8:
+                    raise ValueError(
+                        f"element width {eew} is not a positive multiple of 8")
+                lmul = _int(rec, "m", 1)
                 mem = None
                 if "k" in rec:
                     mem = MemAccess(
-                        kind=rec["k"],
-                        base=int(rec["b"]),
-                        elems=int(rec["e"]),
-                        ebytes=rec["w"] // 8,
-                        stride=int(rec.get("s", 0)),
-                        offsets=(
-                            tuple(rec["x"]) if "x" in rec else None
-                        ),
+                        kind=_kind(rec),
+                        base=_int(rec, "b"),
+                        elems=elems,
+                        ebytes=eew // 8,
+                        stride=_int(rec, "s", 0),
+                        offsets=_offsets(rec, elems),
                         is_load=bool(rec.get("l", True)),
-                        seq=int(rec["q"]) if "q" in rec else -1,
-                        sew=int(rec.get("ms", rec["w"])),
-                        lmul=int(rec.get("ml", lmul)),
+                        seq=_int(rec, "q", -1),
+                        sew=_int(rec, "ms", eew),
+                        lmul=_int(rec, "ml", lmul),
                     )
                 ops = None
                 if "op" in rec:
@@ -141,8 +155,38 @@ def load_trace(path: str | Path) -> Tracer:
                         merges=bool(op.get("mg", False)),
                         avl=int(op["a"]) if "a" in op else None,
                     )
-                tracer.record(opclass, int(rec["e"]), int(rec["w"]), mem,
-                              lmul=lmul, ops=ops)
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(f"{p}:{lineno}: malformed event") from exc
+                tracer.record(opclass, elems, eew, mem, lmul=lmul, ops=ops)
+            except (KeyError, ValueError, TypeError) as exc:
+                raise ConfigError(f"{p}:{lineno}: malformed event: {exc}") from exc
     return tracer
+
+
+def _int(rec: dict[str, Any], key: str, default: int | None = None) -> int:
+    """Integer field ``key`` of an event (booleans and strings rejected)."""
+    value = rec[key] if default is None else rec.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _kind(rec: dict[str, Any]) -> str:
+    kind = rec["k"]
+    if kind not in ("unit", "strided", "indexed"):
+        raise ValueError(f"unknown access kind {kind!r}")
+    return kind
+
+
+def _offsets(rec: dict[str, Any], elems: int) -> tuple[int, ...] | None:
+    """The byte offsets of an indexed access; None for the other kinds."""
+    if rec["k"] != "indexed":
+        if "x" in rec:
+            raise ValueError(f"{rec['k']} access carries offsets")
+        return None
+    if "x" not in rec:
+        raise ValueError("indexed access without offsets")
+    offsets = rec["x"]
+    if not isinstance(offsets, list) or any(type(o) is not int for o in offsets):
+        raise ValueError("offsets must be a list of integers")
+    if len(offsets) != elems:
+        raise ValueError(f"{len(offsets)} offsets for {elems} elements")
+    return tuple(offsets)

@@ -39,8 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
-import numpy as np
-
 from repro.errors import ConfigError, SimulationError
 from repro.isa import OpClass
 from repro.rvv.tracer import Tracer
@@ -267,14 +265,7 @@ class Simulator:
         address-by-address.
         """
         hier = self.config.hierarchy()
-        line_parts = []
-        store_parts = []
-        for m in tracer.mem_events():
-            lines = m.line_addresses(self.config.line_bytes)
-            line_parts.append(lines)
-            store_parts.append(np.full(lines.size, not m.is_load, dtype=bool))
-        if line_parts:
-            hier.access(np.concatenate(line_parts), np.concatenate(store_parts))
+        hier.access(*tracer.line_stream(self.config.line_bytes))
         hstats = hier.snapshot()
         issue = 0.0
         flops = 0

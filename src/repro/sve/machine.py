@@ -29,7 +29,7 @@ from repro.isa import OpClass
 from repro.isa.encoding import VType
 from repro.isa import vsetvl as isa_vsetvl
 from repro.rvv.machine import VectorEngine
-from repro.rvv.tracer import Operands
+from repro.rvv.tracer import intern_operands
 from repro.errors import VectorStateError
 
 
@@ -56,7 +56,7 @@ class SveMachine(VectorEngine):
         self.vl = isa_vsetvl(n - i, self.vlen_bits, 32, 1)
         self._configured = True
         self.tracer.record(OpClass.VMASK, self.vl, 32,
-                           ops=Operands("whilelt", avl=n - i))
+                           ops=intern_operands("whilelt", avl=n - i))
         return self.vl
 
     def ld1w(self, vd: int, addr: int) -> None:
@@ -111,7 +111,7 @@ class SveMachine(VectorEngine):
             np.uint32(start) + np.arange(vl, dtype=np.uint32) * np.uint32(step)
         )
         self.tracer.record(OpClass.VIARITH, vl, 32,
-                           ops=Operands("index", vd=vd, imm=step))
+                           ops=intern_operands("index", vd=vd, imm=step))
 
     # --- RVV-compatible adapter (single-source kernels) ---------------------
     def setvl(self, avl: int, sew: int = 32, lmul: int = 1) -> int:
@@ -212,7 +212,7 @@ class SveMachine(VectorEngine):
             OpClass.VLOAD_UNIT, vl, 32,
             MemAccess(kind="unit", base=self._index_scratch, elems=vl,
                       ebytes=4, stride=4, is_load=True),
-            ops=Operands("ld1w", vd=vd),
+            ops=intern_operands("ld1w", vd=vd),
         )
 
     def vslideup_vx(self, vd: int, vs: int, offset: int) -> None:

@@ -20,6 +20,7 @@ inter-tile parallelization across channels maps to unit-stride vectors):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,23 +56,23 @@ class TileGrid:
     def r(self) -> int:
         return self.n - self.m + 1
 
-    @property
+    @cached_property
     def h_out(self) -> int:
         return self.h_in + 2 * self.pad - self.r + 1
 
-    @property
+    @cached_property
     def w_out(self) -> int:
         return self.w_in + 2 * self.pad - self.r + 1
 
-    @property
+    @cached_property
     def tiles_h(self) -> int:
         return -(-self.h_out // self.m)  # ceil division
 
-    @property
+    @cached_property
     def tiles_w(self) -> int:
         return -(-self.w_out // self.m)
 
-    @property
+    @cached_property
     def num_tiles(self) -> int:
         return self.tiles_h * self.tiles_w
 

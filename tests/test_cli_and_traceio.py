@@ -72,6 +72,60 @@ class TestTraceIO:
         with pytest.raises(ConfigError):
             load_trace(p)
 
+    def _load_event(self, tmp_path, event):
+        """Load a v2 file whose third line is ``event``."""
+        p = tmp_path / "bad.trace"
+        p.write_text('{"repro_trace": 2}\n{"o": "vsetvl", "e": 16, "w": 32}\n'
+                     + event + "\n")
+        return p
+
+    def _assert_rejected(self, tmp_path, event, reason):
+        p = self._load_event(tmp_path, event)
+        with pytest.raises(ConfigError, match=reason) as info:
+            load_trace(p)
+        assert f"{p}:3:" in str(info.value)
+
+    def test_string_width_rejected(self, tmp_path):
+        self._assert_rejected(
+            tmp_path, '{"o": "vfma", "e": 16, "w": "32"}', "'w' must be an integer")
+
+    def test_unknown_access_kind_rejected(self, tmp_path):
+        self._assert_rejected(
+            tmp_path,
+            '{"o": "vload_strided", "e": 2, "w": 32, "k": "bogus", "b": 4096, "s": 8}',
+            "unknown access kind 'bogus'")
+
+    def test_indexed_access_without_offsets_rejected(self, tmp_path):
+        self._assert_rejected(
+            tmp_path, '{"o": "vload_indexed", "e": 2, "w": 32, "k": "indexed", "b": 4096}',
+            "indexed access without offsets")
+
+    def test_short_offsets_list_rejected(self, tmp_path):
+        self._assert_rejected(
+            tmp_path,
+            '{"o": "vload_indexed", "e": 3, "w": 32, "k": "indexed", "b": 4096,'
+            ' "x": [0, 4]}',
+            "2 offsets for 3 elements")
+
+    def test_negative_element_count_rejected(self, tmp_path):
+        self._assert_rejected(
+            tmp_path, '{"o": "vload_unit", "e": -1, "w": 32, "k": "unit", "b": 4096}',
+            "negative element count")
+
+    def test_non_integer_offsets_rejected(self, tmp_path):
+        self._assert_rejected(
+            tmp_path,
+            '{"o": "vload_indexed", "e": 2, "w": 32, "k": "indexed", "b": 4096,'
+            ' "x": [0, 4.5]}',
+            "offsets must be a list of integers")
+
+    def test_valid_indexed_event_loads(self, tmp_path):
+        p = self._load_event(
+            tmp_path, '{"o": "vload_indexed", "e": 2, "w": 32, "k": "indexed",'
+                      ' "b": 4096, "x": [4, 0]}')
+        mem, = load_trace(p).mem_events()
+        assert mem.offsets == (4, 0) and mem.seq == 1
+
 
 class TestCli:
     def test_info(self, capsys):

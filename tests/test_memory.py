@@ -114,6 +114,17 @@ class TestGatherScatter:
         with pytest.raises(MemoryError_):
             mem.scatter_f32(a, np.array([0, 4]), np.array([1.0], dtype=np.float32))
 
+    def test_gather_with_unaligned_memory_base(self):
+        m = Memory(1024, base=4098)
+        a = m.alloc_f32(4, align=4)
+        m.write_f32(a, np.array([1, 2, 3, 4], dtype=np.float32))
+        last = (m.base + m.size - 4) // 4 * 4  # last whole aligned word
+        m.write_f32(last, np.array([9], dtype=np.float32))
+        offs = np.array([12, 0, 4, 4, last - a], dtype=np.int64)
+        np.testing.assert_array_equal(m.gather_f32(a, offs), [4, 1, 2, 2, 9])
+        with pytest.raises(MemoryError_):
+            m.gather_f32(a, np.array([last - a + 4], dtype=np.int64))
+
     def test_gather_out_of_bounds(self, mem):
         a = mem.alloc_f32(4)
         with pytest.raises(MemoryError_):

@@ -23,7 +23,8 @@ REPO = Path(__file__).resolve().parent.parent
 ANALYSIS = REPO / "src" / "repro" / "analysis"
 
 #: Tests exercising repro.sim + repro.codesign + repro.nets.inference +
-#: repro.model.traffic + repro.model.gemm_model, run under coverage.
+#: repro.model.traffic + repro.model.gemm_model + repro.rvv, run under
+#: coverage.
 COVERAGE_TESTS = [
     "tests/test_model.py",
     "tests/test_stackdist_properties.py",
@@ -35,6 +36,11 @@ COVERAGE_TESTS = [
     "tests/test_sim_events.py",
     "tests/test_sim_system.py",
     "tests/test_schedule_tune.py",
+    "tests/test_tracer_rows.py",
+    "tests/test_machine.py",
+    "tests/test_memory.py",
+    "tests/test_cli_and_traceio.py",
+    "tests/test_proposed_extensions.py",
 ]
 
 
@@ -55,13 +61,15 @@ STRICT_OBS_MODULES = [
 
 #: The strict-mypy bit-identity critical path: the batched cache
 #: engine, the stream record/replay cache, the sampling simulator, the
-#: traffic columns and the GEMM model.
+#: traffic columns, the GEMM model, the tracer and the register file.
 STRICT_SIM_MODULES = [
     "repro.sim.cache",
     "repro.sim.replay",
     "repro.sim.system",
     "repro.model.traffic",
     "repro.model.gemm_model",
+    "repro.rvv.tracer",
+    "repro.rvv.registers",
 ]
 
 #: The strict-mypy kernel-generation layer: the schedule DSL and the
