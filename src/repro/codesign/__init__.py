@@ -1,10 +1,11 @@
 """The co-design study: vector-length x L2-size sweeps and reporting.
 
 Every (VLEN x L2) grid is answered from one recording per VLEN
-(:func:`repro.nets.inference.record_inference`), evaluated at each L2
-size under one of two L2 criteria: the exact backend's smoothed
-criterion, bit-identical to per-point simulation, or the fast
-backend's sharp Mattson threshold over a stack-distance profile.
+(:func:`repro.nets.inference.record_inference`), replayed across the
+whole L2 axis in one call under one of two L2 criteria: the exact
+backend's smoothed criterion, bit-identical to per-point simulation,
+or the fast backend's sharp Mattson threshold over a stack-distance
+profile.
 ``codesign_sweep(mode=...)`` selects the backend;
 :func:`validate_codesign_sweep` runs both and reports per-point
 miss-rate deltas.

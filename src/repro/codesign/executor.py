@@ -36,8 +36,9 @@ The unit of work is a VLEN *column*, which amortizes per-VLEN state
 over the whole L2 axis: each column is recorded once
 (:func:`~repro.nets.inference.record_inference`; the phase models
 depend on the configuration only through the vector length) and the
-recording is evaluated per L2 size under the backend's (``mode``) L2
-criterion — the exact backend's is bit-identical to a fresh
+recording is replayed across the column's whole L2 axis in one call
+under the backend's (``mode``) L2 criterion — the exact backend's is
+bit-identical to a fresh
 :func:`~repro.nets.inference.simulate_inference` call at every point,
 the fast backend's is the sharp Mattson threshold.  Every checkpoint
 records which backend produced it.
@@ -289,14 +290,15 @@ def _evaluate_vlen(
     The layer phase models depend on the configuration only through
     the vector length, so one recording pass
     (:func:`~repro.nets.inference.record_inference`) answers the whole
-    L2 axis; each point evaluates the recording (under ``exact``,
-    bit-identical to a fresh ``simulate_inference`` call at that
-    point).  The recording pass's wall time is attributed to the
-    column's first point so per-point seconds still sum to the column's
-    true cost.  With ``collect`` (the pooled path), the column's span
-    subtree and counter delta are captured and returned picklable, so
-    the parent can graft them into its trace and registry; the serial
-    path leaves it False and records into the ambient tracer directly.
+    L2 axis, replayed in one call (under ``exact``, bit-identical to a
+    fresh ``simulate_inference`` call at every point).  Each point's
+    seconds are an even share of the replay's wall time, and the
+    first point also carries the recording's, so per-point seconds
+    still sum to the column's true cost.  With ``collect`` (the pooled
+    path), the column's span subtree and counter delta are captured and
+    returned picklable, so the parent can graft them into its trace and
+    registry; the serial path leaves it False and records into the
+    ambient tracer directly.
     """
     def column() -> list[tuple[int, NetworkResult, float]]:
         t0 = time.perf_counter()
@@ -304,16 +306,13 @@ def _evaluate_vlen(
         recording = record_inference(
             name, layers, cfg, hybrid=hybrid, variant=variant
         )
-        record_secs = time.perf_counter() - t0
-        out: list[tuple[int, NetworkResult, float]] = []
-        for i, l2_mb in enumerate(l2_mbs):
-            t1 = time.perf_counter()
-            result = recording.evaluate(l2_mb, mode)
-            secs = time.perf_counter() - t1
-            if i == 0:
-                secs += record_secs
-            out.append((l2_mb, result, secs))
-        return out
+        t1 = time.perf_counter()
+        results = recording.evaluate(l2_mbs, mode)
+        share = (time.perf_counter() - t1) / len(l2_mbs)
+        return [
+            (l2_mb, result, share + (t1 - t0 if i == 0 else 0.0))
+            for i, (l2_mb, result) in enumerate(zip(l2_mbs, results))
+        ]
 
     if not collect:
         return column(), {}

@@ -268,7 +268,7 @@ def codesign_sweep(
             serially in-process, more fans out over a process pool
             (results are bit-identical either way).  Both modes
             parallelize over VLEN columns: each column is recorded once
-            and evaluated per L2 size.
+            and replayed across its L2 axis.
         checkpoint_dir: directory for per-point JSON checkpoints; an
             interrupted sweep re-run with the same directory resumes
             without recomputing finished points.  Checkpoints record
@@ -279,7 +279,7 @@ def codesign_sweep(
             finished (or checkpoint-restored) point.
         mode: the L2 criterion.  Both backends record each VLEN once
             (:func:`repro.nets.inference.record_inference`) and
-            evaluate the recording per L2 size.  ``"exact"`` applies the
+            replay it across the L2 axis.  ``"exact"`` applies the
             smoothed criterion, bit-identical to a fresh
             :func:`~repro.nets.inference.simulate_inference` at every
             point; ``"fast"`` applies the sharp Mattson criterion to a

@@ -31,8 +31,8 @@ for VGG16 and 256 MB for YOLOv3 (Figures 3/4).
 :func:`evaluate_hierarchy` is the scalar reference: it walks the
 column rows in order.  :class:`CondensedTraffic` concatenates the same
 columns once per layer and reproduces the reference bit-identically in
-two vectorized halves (the L1 once, then the L2 at any capacity) — the
-record/replay path of the co-design sweep.
+two vectorized halves (the L1 once, then the L2 across an axis of
+capacities) — the record/replay path of the co-design sweep.
 """
 
 from __future__ import annotations
@@ -153,21 +153,21 @@ class PhaseModel:
         fields are broadcast together and append one class per element,
         in order.  ``name`` labels the classes in error messages.
         Classes without accesses are dropped; NaN or negative accesses
-        or distances, and NaN or non-positive dilutions, raise
-        :class:`ConfigError`.
+        or distances, NaN regions, and NaN or non-positive dilutions
+        raise :class:`ConfigError`.
         """
         if not (isinstance(accesses, np.ndarray)
                 or isinstance(distance, np.ndarray)
                 or isinstance(is_store, np.ndarray)
                 or isinstance(region, np.ndarray)
                 or isinstance(dilution, np.ndarray)):
-            acc, dist, dil = float(accesses), float(distance), float(dilution)
+            acc, dist, reg, dil = (float(accesses), float(distance),
+                                   float(region), float(dilution))
             # NaN fails every comparison.
-            if not (acc >= 0.0 and dist >= 0.0 and dil > 0.0):
-                raise self._invalid(name, acc, dist, dil)
+            if not (acc >= 0.0 and dist >= 0.0 and reg == reg and dil > 0.0):
+                raise self._invalid(name, acc, dist, reg, dil)
             if acc > 0.0:
-                self._rows.append(
-                    (acc, dist, bool(is_store), float(region), dil))
+                self._rows.append((acc, dist, bool(is_store), reg, dil))
             return
         acc_a, dist_a, store_a, region_a, dil_a = np.broadcast_arrays(
             np.asarray(accesses, dtype=np.float64),
@@ -181,8 +181,8 @@ class PhaseModel:
                 f"traffic class {name!r} in phase {self.name!r}: fields "
                 f"must be scalars or 1-D arrays, got shape {acc_a.shape}")
         if not ((acc_a >= 0.0).all() and (dist_a >= 0.0).all()
-                and (dil_a > 0.0).all()):
-            raise self._invalid(name, acc_a, dist_a, dil_a)
+                and (region_a == region_a).all() and (dil_a > 0.0).all()):
+            raise self._invalid(name, acc_a, dist_a, region_a, dil_a)
         keep = acc_a > 0.0
         self._flush_rows()
         self._chunks.append(TrafficColumns(
@@ -190,16 +190,19 @@ class PhaseModel:
               for col in (acc_a, dist_a, store_a, region_a, dil_a))))
 
     def _invalid(
-        self, name: str, accesses: Values, distance: Values, dilution: Values
+        self, name: str, accesses: Values, distance: Values, region: Values,
+        dilution: Values,
     ) -> ConfigError:
         """The error for the first invalid field of a rejected append."""
         for what, values, need in (
             ("accesses", accesses, "non-negative"),
             ("distance", distance, "non-negative"),
+            ("region", region, "a number"),
             ("dilution", dilution, "positive"),
         ):
             arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
-            ok = arr > 0.0 if need == "positive" else arr >= 0.0
+            ok = {"positive": arr > 0.0, "non-negative": arr >= 0.0,
+                  "a number": arr == arr}[need]
             if not ok.all():
                 return ConfigError(
                     f"traffic class {name!r} in phase {self.name!r}: {what} "
@@ -330,9 +333,9 @@ class CondensedTraffic:
     distance and dilution columns are folded into the effective
     distance, stored as its unique values plus an inverse index.
     :meth:`l1_split` resolves the L1 once; :meth:`L1Split.smooth_l2`
-    then applies the L2 half of the reference at any capacity.  Two
-    properties make the vectorized halves produce the same bits as the
-    scalar reference:
+    then applies the L2 half of the reference at every capacity of an
+    axis.  Two properties make the vectorized halves produce the same
+    bits as the scalar reference:
 
     - The hit-probability power is the one operation whose NumPy SIMD
       code path does *not* round like scalar ``**``; effective
@@ -371,18 +374,22 @@ class CondensedTraffic:
     def n_classes(self) -> int:
         return int(self.accesses.size)
 
-    def _hit_probabilities(self, capacity: float) -> FloatArray:
-        """Per-class smoothed hit probability at an effective capacity."""
-        return np.array(
-            [_hit_probability(d, capacity, SHARPNESS)
-             for d in self.eff_unique.tolist()],
+    @cached_property
+    def _eff_list(self) -> list[float]:
+        return self.eff_unique.tolist()  # type: ignore[no-any-return]
+
+    def _miss_fractions(self, capacity: float) -> FloatArray:
+        """Per-class smoothed miss fraction ``1 - p`` at an effective
+        capacity (formed per unique distance, then gathered)."""
+        hit = np.array(
+            [_hit_probability(d, capacity, SHARPNESS) for d in self._eff_list],
             dtype=np.float64,
-        )[self.eff_index]
+        )
+        return (1.0 - hit)[self.eff_index]
 
     def l1_split(self, l1_bytes: int, line_bytes: int = LINE) -> L1Split:
         """The L1 half of :func:`evaluate_hierarchy` at ``l1_bytes``."""
-        p1 = self._hit_probabilities(l1_bytes * CAPACITY_FACTOR)
-        to_l2 = self.accesses * (1.0 - p1)
+        to_l2 = self.accesses * self._miss_fractions(l1_bytes * CAPACITY_FACTOR)
         to_l2.setflags(write=False)
         return L1Split(
             traffic=self,
@@ -396,13 +403,14 @@ class CondensedTraffic:
 @dataclass(frozen=True)
 class L1Split:
     """Condensed traffic resolved at one L1 size: the L2's input,
-    answerable at any L2 capacity under either L2 criterion.
+    answerable over an axis of L2 capacities under either L2 criterion.
 
     ``to_l2`` holds, per condensed class of ``traffic``, the line
     touches that miss the L1 and go on to the L2; ``accesses`` and
     ``misses`` are the rounded L1 counters (the reference's L2 access
-    count equals its L1 miss count).  Both criteria return unrounded
-    ``(misses, writebacks)`` of the L2.
+    count equals its L1 miss count).  Both criteria take L2 byte sizes
+    in any order and return the L2's unrounded ``(misses,
+    writebacks)`` as arrays in that order.
     """
 
     traffic: CondensedTraffic
@@ -411,16 +419,22 @@ class L1Split:
     misses: int
     line_bytes: int
 
-    def smooth_l2(self, l2_bytes: int) -> tuple[float, float]:
-        """The reference's smoothed criterion — bit-identical to
-        :func:`evaluate_hierarchy`, O(unique distances) scalar work."""
+    def smooth_l2(self, l2_bytes: Sequence[int]) -> tuple[FloatArray, FloatArray]:
+        """The reference's smoothed criterion at every L2 size of
+        ``l2_bytes`` — bit-identical, size by size, to
+        :func:`evaluate_hierarchy`; O(unique distances) scalar work per
+        size."""
         tr = self.traffic
-        l2_eff = l2_bytes * CAPACITY_FACTOR
-        missed = self.to_l2 * (1.0 - tr._hit_probabilities(l2_eff))
-        return (
-            _ordered_sum(missed),
-            _ordered_sum(missed[tr.store_mask & (tr.region > l2_eff)]),
-        )
+        caps = (np.asarray(l2_bytes, dtype=np.float64)
+                * CAPACITY_FACTOR).tolist()
+        misses = np.empty(len(caps))
+        writebacks = np.empty(len(caps))
+        for i, l2_eff in enumerate(caps):
+            missed = self.to_l2 * tr._miss_fractions(l2_eff)
+            misses[i] = _ordered_sum(missed)
+            writebacks[i] = _ordered_sum(
+                missed[tr.store_mask & (tr.region > l2_eff)])
+        return misses, writebacks
 
     @cached_property
     def _sharp_profile(
@@ -428,27 +442,54 @@ class L1Split:
     ) -> tuple[SparseReuseProfile, FloatArray, FloatArray, FloatArray]:
         """The sharp criterion's view of ``to_l2``, built on first use:
         its stack-distance profile in lines, plus the distance, weight
-        and region of every store class (for writebacks)."""
+        and region of every store class (for writebacks).
+
+        The profile bins the classes by the traffic's own unique
+        effective distances (already sorted and deduplicated), so only
+        those few hundred values are converted to lines and sorted."""
         tr = self.traffic
-        dist_lines = (tr.eff_unique / self.line_bytes)[tr.eff_index]
+        lines, to_bin = np.unique(
+            tr.eff_unique / self.line_bytes, return_inverse=True)
+        bins = to_bin[tr.eff_index]
+        mass = np.bincount(bins, weights=self.to_l2, minlength=lines.size)
+        keep = mass > 0
         store = tr.store_mask
         return (
-            SparseReuseProfile.from_distances(dist_lines, self.to_l2),
-            dist_lines[store], self.to_l2[store], tr.region[store],
+            SparseReuseProfile(distances=lines[keep], weights=mass[keep]),
+            lines[bins[store]], self.to_l2[store], tr.region[store],
         )
 
-    def sharp_l2(self, l2_bytes: int) -> tuple[float, float]:
-        """The sharp fully-associative Mattson criterion: a touch misses
-        iff its reuse distance is at least the capacity; a missing store
-        is written back unless its region stays resident."""
+    def sharp_l2(self, l2_bytes: Sequence[int]) -> tuple[FloatArray, FloatArray]:
+        """The sharp fully-associative Mattson criterion at every L2
+        size of ``l2_bytes``: a touch misses iff its reuse distance is
+        at least the capacity; a missing store is written back unless
+        its region stays resident.
+
+        Along the axis sorted by capacity the written-back store
+        classes form nested sets: class ``c`` is written at sorted
+        position ``j`` iff ``j < k[c]``, with ``k[c]`` the number of
+        capacities its distance reaches and its region exceeds.  Each
+        distinct set is summed once, over the same classes in the same
+        order as a per-size mask, and shared by the sizes it covers."""
         profile, store_dist, store_weights, store_region = self._sharp_profile
-        l2_eff = l2_bytes * CAPACITY_FACTOR
+        l2_eff = np.asarray(l2_bytes, dtype=np.float64) * CAPACITY_FACTOR
         cap_lines = l2_eff / self.line_bytes
-        written = (store_dist >= cap_lines) & (store_region > l2_eff)
-        return (
-            profile.misses_for_capacity(cap_lines),
-            float(store_weights[written].sum()),
+        misses = profile.misses_for_capacities(cap_lines)
+        order = np.argsort(l2_eff, kind="stable")
+        k = np.minimum(
+            np.searchsorted(cap_lines[order], store_dist, side="right"),
+            np.searchsorted(l2_eff[order], store_region, side="left"),
         )
+        # leaving[j]: classes whose last written position is j - 1.
+        leaving = np.bincount(k, minlength=order.size + 1).tolist()
+        writebacks = np.empty(order.size)
+        total = 0.0
+        for j, i in enumerate(order.tolist()):
+            if j == 0 or leaving[j]:
+                written = k > j
+                total = float(store_weights[written].sum())
+            writebacks[i] = total
+        return misses, writebacks
 
 
 def model_counts(

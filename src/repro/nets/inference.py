@@ -8,18 +8,22 @@ total statistics, like gem5's end-of-simulation stats dump.
 Record/replay: building the phase models is the dominant cost of
 :func:`simulate_inference` and depends on the configuration only
 through the vector length.  :func:`record_inference` captures the
-L2-independent state of every layer once — counts, issue cycles,
-condensed traffic and the L1 split; the resulting
-:class:`NetworkRecording` then answers any L2 size under either sweep
-backend's L2 criterion.  Under ``exact`` the results are bit-identical
-to a fresh :func:`simulate_inference` call; ``fast`` applies the sharp
-Mattson threshold.  Both sweep backends record one column and replay
-it across the L2 axis.
+L2-independent state of every layer once — counts, issue and L2-stall
+cycles, condensed traffic and the L1 split; the resulting
+:class:`NetworkRecording` then answers a whole L2 axis in one pass
+under either sweep backend's L2 criterion.  Under ``exact`` the
+results are bit-identical to a fresh :func:`simulate_inference` call;
+``fast`` applies the sharp Mattson threshold.  Both sweep backends
+record one column and replay it across the L2 axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
+from typing import Sequence
+
+import numpy as np
 
 from repro.conv.layer import ConvAlgorithm, ConvLayerSpec, choose_algorithm
 from repro.errors import ConfigError
@@ -34,7 +38,7 @@ from repro.model.traffic import (
     stats_from_model,
 )
 from repro.nets.layers import LayerSpec, MaxPoolSpec, ShortcutSpec
-from repro.obs import counters_from_stats, span
+from repro.obs import counters_from_stats, current_tracer, span
 from repro.sim.cache import CacheStats, HierarchyStats
 from repro.sim.stats import SimStats
 from repro.sim.system import SystemConfig
@@ -121,52 +125,55 @@ class LayerRecording:
 
     ``template`` holds everything of the layer's :class:`SimStats` that
     the L2 size cannot change — label, instruction/element/flop counts,
-    issue cycles, the L1 counters and the L2 access count.  ``split`` is
-    the layer's condensed traffic resolved at the recorded L1;
-    :meth:`evaluate` applies one of its two L2 criteria.
+    issue and L2-stall cycles, the L1 counters and the L2 access count.
+    ``split`` is the layer's condensed traffic resolved at the recorded
+    L1, answerable under either L2 criterion.
     """
 
     template: SimStats
     split: L1Split
 
-    def evaluate(
-        self, config: SystemConfig, mode: str = BACKEND_EXACT
-    ) -> SimStats:
-        """The layer's stats at ``config``'s L2 size under ``mode``'s
-        criterion (``config`` may only differ from the record-time
-        configuration in the L2 size).  Under ``exact`` this is
-        bit-identical to ``stats_from_model(phases, config, label)`` on
-        the recorded phases."""
-        l2_bytes = config.l2_mb * 1024 * 1024
-        if mode == BACKEND_FAST:
-            misses, writebacks = self.split.sharp_l2(l2_bytes)
-        else:
-            misses, writebacks = self.split.smooth_l2(l2_bytes)
-        t = self.template
-        l1, l2 = t.hierarchy.l1, t.hierarchy.l2
-        hstats = HierarchyStats(
+
+def _l2_axis(l2_mbs: Sequence[int]) -> list[int]:
+    """``l2_mbs`` as Python ints, rejecting an empty axis and any size
+    that is not a positive integer (``bool`` included)."""
+    try:
+        sizes = list(l2_mbs)
+    except TypeError:
+        raise ConfigError(
+            f"expected a sequence of L2 sizes in MB, got {l2_mbs!r}"
+        ) from None
+    if not sizes:
+        raise ConfigError("the L2 axis is empty")
+    for mb in sizes:
+        if isinstance(mb, bool) or not isinstance(mb, Integral) or mb <= 0:
+            raise ConfigError(
+                f"L2 sizes must be positive integers (MB), got {mb!r}")
+    return [int(mb) for mb in sizes]
+
+
+def _at_l2(
+    template: SimStats, misses: int, writebacks: int, dram_stall: float
+) -> SimStats:
+    """A fresh copy of ``template`` completed with one L2 size's
+    misses, writebacks and DRAM stall cycles."""
+    l1, l2 = template.hierarchy.l1, template.hierarchy.l2
+    return SimStats(
+        freq_ghz=template.freq_ghz,
+        issue_cycles=template.issue_cycles,
+        l2_stall_cycles=template.l2_stall_cycles,
+        dram_stall_cycles=dram_stall,
+        instrs=dict(template.instrs),
+        elems=dict(template.elems),
+        flops=template.flops,
+        hierarchy=HierarchyStats(
             l1=CacheStats(accesses=l1.accesses, misses=l1.misses),
-            l2=CacheStats(
-                accesses=l2.accesses,
-                misses=int(round(misses)),
-                writebacks=int(round(writebacks)),
-            ),
-            line_bytes=t.hierarchy.line_bytes,
-        )
-        l2_stall, dram_stall = config.memory_timings().stall_cycles(
-            hstats.l1.misses, hstats.l2.misses, hstats.l2.writebacks
-        )
-        return SimStats(
-            freq_ghz=t.freq_ghz,
-            issue_cycles=t.issue_cycles,
-            l2_stall_cycles=l2_stall,
-            dram_stall_cycles=dram_stall,
-            instrs=dict(t.instrs),
-            elems=dict(t.elems),
-            flops=t.flops,
-            hierarchy=hstats,
-            label=t.label,
-        )
+            l2=CacheStats(accesses=l2.accesses, misses=misses,
+                          writebacks=writebacks),
+            line_bytes=template.hierarchy.line_bytes,
+        ),
+        label=template.label,
+    )
 
 
 @dataclass(frozen=True)
@@ -174,10 +181,10 @@ class NetworkRecording:
     """A network's L2-independent state, replayable across the L2 axis.
 
     ``config`` is the record-time configuration; :meth:`evaluate`
-    overrides its ``l2_mb`` and emits the same ``simulate_inference`` /
-    per-``layer`` span structure (with identical counters) as the live
-    simulation, so traces of replayed and fresh runs are
-    indistinguishable.
+    answers any L2 sizes under it and, when a tracer is installed,
+    emits per size the same ``simulate_inference`` / per-``layer`` span
+    structure (with identical counters) as the live simulation, so
+    traces of replayed and fresh runs are indistinguishable.
     """
 
     name: str
@@ -186,32 +193,74 @@ class NetworkRecording:
     variant: str
     layers: tuple[LayerRecording, ...]
 
-    def evaluate(self, l2_mb: int, mode: str = BACKEND_EXACT) -> NetworkResult:
-        """Replay the recording at one L2 size under the ``mode``
-        backend's L2 criterion.  Under ``exact`` the result is
-        bit-identical to ``simulate_inference(name, layers,
-        config.with_(l2_mb=l2_mb), ...)``."""
+    def evaluate(
+        self, l2_mbs: Sequence[int], mode: str = BACKEND_EXACT
+    ) -> list[NetworkResult]:
+        """Replay the recording at every L2 size of ``l2_mbs`` (in MB,
+        any order, duplicates allowed) under the ``mode`` backend's L2
+        criterion; one result per size, in input order.  Under
+        ``exact`` each is bit-identical to ``simulate_inference(name,
+        layers, config.with_(l2_mb=l2_mb), ...)``.
+
+        Each layer answers the whole axis in one criterion call.  The
+        L2-independent part of the network total is merged once, in
+        layer order; per size only the L2 misses, writebacks and DRAM
+        stall cycles accumulate, in the same order, so every total
+        equals a per-point ``SimStats.merge`` chain exactly.
+        """
         if mode not in BACKENDS:
             raise ConfigError(
                 f"unknown L2 criterion {mode!r} (expected one of {BACKENDS})"
             )
-        cfg = self.config.with_(l2_mb=l2_mb)
-        per_layer: list[SimStats] = []
-        total = SimStats(freq_ghz=cfg.freq_ghz, label=f"{self.name} total")
+        axis = _l2_axis(l2_mbs)
+        criterion = L1Split.sharp_l2 if mode == BACKEND_FAST else L1Split.smooth_l2
+        timings = self.config.memory_timings()
+        l2_bytes = [mb * 1024 * 1024 for mb in axis]
+        base = SimStats(freq_ghz=self.config.freq_ghz, label=f"{self.name} total")
+        total_misses = np.zeros(len(axis), dtype=np.int64)
+        total_writebacks = np.zeros(len(axis), dtype=np.int64)
+        total_dram = np.zeros(len(axis))
+        columns = []
+        for rec in self.layers:
+            misses_f, writebacks_f = criterion(rec.split, l2_bytes)
+            misses = np.rint(misses_f).astype(np.int64)
+            writebacks = np.rint(writebacks_f).astype(np.int64)
+            dram = timings.dram_stall_cycles(misses, writebacks)
+            base.merge(rec.template)
+            total_misses += misses
+            total_writebacks += writebacks
+            total_dram += dram
+            columns.append((rec.template, misses.tolist(),
+                            writebacks.tolist(), dram.tolist()))
+        columns.append((base, total_misses.tolist(),
+                        total_writebacks.tolist(), total_dram.tolist()))
+        results = []
+        for i in range(len(axis)):
+            *per_layer, total = (_at_l2(t, m[i], w[i], d[i])
+                                 for t, m, w, d in columns)
+            results.append(NetworkResult(
+                name=self.name, per_layer=tuple(per_layer), total=total))
+        if current_tracer() is not None:
+            for l2_mb, result in zip(axis, results):
+                self._trace(l2_mb, result)
+        return results
+
+    def _trace(self, l2_mb: int, result: NetworkResult) -> None:
+        """Emit one replayed point's ``simulate_inference`` span tree.
+
+        The axis is computed before any tree is emitted, so these spans
+        carry the structure and counters of the point; their wall time
+        is the emission's, and the replay's own time falls to the
+        caller's span."""
+        cfg = self.config
         with span("simulate_inference", network=self.name,
-                  vlen_bits=cfg.vlen_bits, l2_mb=cfg.l2_mb,
+                  vlen_bits=cfg.vlen_bits, l2_mb=l2_mb,
                   freq_ghz=cfg.freq_ghz,
                   hybrid=self.hybrid, variant=self.variant) as net_span:
-            for rec in self.layers:
-                with span("layer", label=rec.template.label) as layer_span:
-                    stats = rec.evaluate(cfg, mode)
+            for stats in result.per_layer:
+                with span("layer", label=stats.label) as layer_span:
                     layer_span.add_counters(**counters_from_stats(stats))
-                per_layer.append(stats)
-                total.merge(stats)
-            net_span.add_counters(**counters_from_stats(total))
-        return NetworkResult(
-            name=self.name, per_layer=tuple(per_layer), total=total
-        )
+            net_span.add_counters(**counters_from_stats(result.total))
 
 
 def _record_layer(
@@ -219,13 +268,14 @@ def _record_layer(
     config: SystemConfig,
 ) -> LayerRecording:
     """The L2-independent half of ``stats_from_model(phases, config,
-    label)``: its counts and issue cycles, and the L1 split of
+    label)``: its counts, issue and L2-stall cycles, and the L1 split of
     ``evaluate_hierarchy``."""
     issue, instrs, elems, flops = model_counts(phases, config)
     split = traffic.l1_split(config.l1_kb * 1024, config.line_bytes)
     template = SimStats(
         freq_ghz=config.freq_ghz,
         issue_cycles=issue,
+        l2_stall_cycles=config.memory_timings().l2_stall_cycles(split.misses),
         instrs=instrs,
         elems=elems,
         flops=flops,
@@ -253,7 +303,7 @@ def record_inference(
     vector length (see :func:`layer_phase_models`), and the L1 is fixed
     by ``config``, so a recording made at any L2 size evaluates
     bit-identically at every other:
-    ``record_inference(name, layers, cfg).evaluate(l2)`` equals
+    ``record_inference(name, layers, cfg).evaluate([l2])[0]`` equals
     ``simulate_inference(name, layers, cfg.with_(l2_mb=l2))``.  Each
     layer opens a ``record_layer`` span with ``phase_models`` and
     ``condense`` children.

@@ -172,9 +172,20 @@ class BaselineStore:
         return payload
 
     def resolve(self, against: str | None = None) -> dict[str, Any]:
-        """Load ``against``, or the most recently recorded baseline."""
+        """Load ``against``, or the most recently recorded baseline.
+
+        ``against`` may also be an unambiguous prefix of a recorded
+        revision (an abbreviated git hash)."""
         if against is not None:
-            return self.load(against)
+            if self.path_for(against).is_file():
+                return self.load(against)
+            matches = [r for r in self.revs() if r.startswith(against)]
+            if len(matches) > 1:
+                raise ObsError(
+                    f"baseline revision {against!r} is ambiguous "
+                    f"(matches: {', '.join(matches)})"
+                )
+            return self.load(matches[0] if matches else against)
         revs = self.revs()
         if not revs:
             raise ObsError(

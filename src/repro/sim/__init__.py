@@ -8,7 +8,7 @@
   cache simulation;
 - :func:`reuse_profile` — one-pass stack-distance miss curves, with
   :class:`SparseReuseProfile` as the weighted sparse form the sweep's
-  fast backend queries per L2 capacity;
+  fast backend queries for a whole L2 axis at once;
 - :class:`LatencyModel` / :class:`MemoryTimings` — issue occupancy
   (constant-latency vector mode, per the paper's gem5 fork) and stall
   modeling;

@@ -28,9 +28,14 @@ peak fp32 throughput at 512-bit VLEN is 16 lanes x 2 flops x 2 GHz =
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, overload
 
 from repro.errors import ConfigError
 from repro.isa import OpClass
+
+if TYPE_CHECKING:
+    import numpy as np
+    import numpy.typing as npt
 
 #: Latency modes.
 CONSTANT = "constant"
@@ -179,9 +184,28 @@ class MemoryTimings:
 
         Writebacks consume DRAM bandwidth but not demand latency.
         """
-        l2_stalls = l1_misses * self.l2_hit_latency / self.mlp_l2
-        dram_stalls = (
+        return (self.l2_stall_cycles(l1_misses),
+                self.dram_stall_cycles(l2_misses, l2_writebacks))
+
+    def l2_stall_cycles(self, l1_misses: int) -> float:
+        """Stall cycles of the L1 misses served by the L2."""
+        return l1_misses * self.l2_hit_latency / self.mlp_l2
+
+    @overload
+    def dram_stall_cycles(self, l2_misses: int, l2_writebacks: int) -> float: ...
+
+    @overload
+    def dram_stall_cycles(
+        self, l2_misses: npt.NDArray[np.int64], l2_writebacks: npt.NDArray[np.int64]
+    ) -> npt.NDArray[np.float64]: ...
+
+    def dram_stall_cycles(self, l2_misses: Any, l2_writebacks: Any) -> Any:
+        """Stall cycles of the L2 misses and writebacks served by DRAM.
+
+        Elementwise over integer arrays (one entry per L2 size of a
+        replayed axis), with the same float operations as on scalars.
+        """
+        return (
             l2_misses * self.dram_cycles_per_line
             + l2_writebacks * self.line_bytes / self.dram_bytes_per_cycle
         )
-        return l2_stalls, dram_stalls

@@ -16,10 +16,10 @@ Two representations share that criterion:
 - :class:`SparseReuseProfile` — a weighted, sorted (distance, weight)
   form with O(log N) capacity queries via precomputed suffix sums.  The
   co-design sweep's fast backend
-  (:class:`repro.nets.inference.LayerRecording`) builds one per layer
+  (:meth:`repro.model.traffic.L1Split.sharp_l2`) builds one per layer
   from the recorded L2-bound traffic classes and answers the whole
-  1 — 256 MB L2 axis from it; the dense form converts losslessly via
-  :meth:`ReuseProfile.to_sparse`.
+  1 — 256 MB L2 axis from it in one lookup; the dense form converts
+  losslessly via :meth:`ReuseProfile.to_sparse`.
 
 The test suite uses both to validate the exact set-associative
 simulator and vice versa (differential and property-based campaigns).
@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.errors import ConfigError
 
@@ -71,7 +72,7 @@ class ReuseProfile:
 
     def misses_for_capacity(self, capacity_lines: int) -> int:
         """Misses of a fully-associative LRU cache with that capacity."""
-        if capacity_lines <= 0:
+        if not capacity_lines > 0:  # NaN fails every comparison
             raise ConfigError(f"capacity must be positive, got {capacity_lines}")
         if capacity_lines >= self.histogram.size:
             return self.cold
@@ -178,10 +179,19 @@ class SparseReuseProfile:
 
     def misses_for_capacity(self, capacity_lines: float) -> float:
         """Miss weight of a fully-associative LRU cache of that capacity."""
-        if capacity_lines <= 0:
-            raise ConfigError(f"capacity must be positive, got {capacity_lines}")
-        i = int(np.searchsorted(self.distances, capacity_lines, side="left"))
-        return float(self._suffix[i])  # type: ignore[attr-defined]
+        return float(self.misses_for_capacities([capacity_lines])[0])
+
+    def misses_for_capacities(self, capacities_lines: ArrayLike) -> np.ndarray:
+        """:meth:`misses_for_capacity` of every capacity at once, in
+        input order.  NaN and non-positive capacities raise
+        :class:`ConfigError`."""
+        caps = np.asarray(capacities_lines, dtype=np.float64)
+        bad = ~(caps > 0)  # NaN fails every comparison
+        if bad.any():
+            raise ConfigError(
+                f"capacity must be positive, got {caps[bad].flat[0]}")
+        idx = np.searchsorted(self.distances, caps, side="left")
+        return self._suffix[idx]  # type: ignore[attr-defined,no-any-return]
 
     def miss_rate_for_capacity(self, capacity_lines: float) -> float:
         return (

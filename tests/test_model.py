@@ -312,13 +312,15 @@ class TestTrafficColumns:
         ("accesses", -1.0),
         ("distance", math.nan),
         ("distance", -64.0),
+        ("region", math.nan),
         ("dilution", math.nan),
         ("dilution", 0.0),
         ("dilution", -2.0),
     ])
     @pytest.mark.parametrize("as_array", [False, True])
     def test_invalid_values_raise_naming_the_class(self, field, value, as_array):
-        fields = {"accesses": 10.0, "distance": 64.0, "dilution": 1.0}
+        fields = {"accesses": 10.0, "distance": 64.0, "region": 4096.0,
+                  "dilution": 1.0}
         if as_array:
             fields = {k: np.full(3, v) for k, v in fields.items()}
             fields[field][1] = value
@@ -358,13 +360,14 @@ class TestTrafficColumns:
         l1 = 64 * 1024
         split = CondensedTraffic.from_phases(phases).l1_split(l1)
         assert split.traffic.n_classes == sum(p.traffic.accesses.size for p in phases)
-        for mb in (1, 4, 64):
+        sizes = (1, 4, 64)
+        misses, writebacks = split.smooth_l2([mb << 20 for mb in sizes])
+        for mb, m, w in zip(sizes, misses.tolist(), writebacks.tolist()):
             h = evaluate_hierarchy(phases, l1, mb << 20)
-            misses, writebacks = split.smooth_l2(mb << 20)
             assert (h.l1.accesses, h.l1.misses, h.l2.accesses) == (
                 split.accesses, split.misses, split.misses)
             assert (h.l2.misses, h.l2.writebacks) == (
-                int(round(misses)), int(round(writebacks)))
+                int(round(m)), int(round(w)))
 
 
 def _gemm_oracle(geom: GemmGeometry, cols_distance: float | None):

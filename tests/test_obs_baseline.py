@@ -73,6 +73,17 @@ class TestStore:
         assert store.resolve()["rev"] == "bbb"
         assert store.resolve("aaa")["rev"] == "aaa"
 
+    def test_resolve_accepts_an_unambiguous_prefix(self, tmp_path):
+        store = BaselineStore(tmp_path)
+        store.save(_payload("abc123", x=(1.0, [])))
+        store.save(_payload("abd456", x=(2.0, [])))
+        assert store.resolve("abc")["rev"] == "abc123"
+        assert store.resolve("abd456")["rev"] == "abd456"
+        with pytest.raises(ObsError, match="ambiguous"):
+            store.resolve("ab")
+        with pytest.raises(ObsError, match="known: "):
+            store.resolve("zzz")
+
     def test_unknown_rev_names_known_ones(self, tmp_path):
         store = BaselineStore(tmp_path)
         store.save(_payload("aaa", x=(1.0, [])))

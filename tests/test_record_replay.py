@@ -2,7 +2,7 @@
 
 Both backends of the co-design sweep record each network column once
 (phase models, condensed traffic and the L1 split, all independent of
-the L2 size) and replay it per L2 capacity.  These tests pin the
+the L2 size) and replay it across the L2 axis.  These tests pin the
 contract: exact replay is bit-identical to a fresh simulation at every
 grid point, and both L2 criteria replay through the same span tree.
 """
@@ -28,8 +28,8 @@ class TestRecordReplayIdentity:
         for vlen in (512, 2048):
             cfg = SystemConfig(vlen_bits=vlen, l2_mb=1)
             rec = record_inference("vgg16-3L", prefix, cfg)
-            for l2 in (1, 4, 64):
-                replayed = rec.evaluate(l2)
+            sizes = (1, 4, 64)
+            for l2, replayed in zip(sizes, rec.evaluate(sizes)):
                 fresh = simulate_inference(
                     "vgg16-3L", prefix, cfg.with_(l2_mb=l2)
                 )
@@ -40,7 +40,7 @@ class TestRecordReplayIdentity:
         L2 size evaluates identically at every other."""
         at_1 = record_inference("n", prefix, SystemConfig(l2_mb=1))
         at_64 = record_inference("n", prefix, SystemConfig(l2_mb=64))
-        assert at_1.evaluate(16) == at_64.evaluate(16)
+        assert at_1.evaluate([16]) == at_64.evaluate([16])
 
     def test_replay_respects_variant_and_hybrid(self, prefix):
         cfg = SystemConfig()
@@ -48,7 +48,7 @@ class TestRecordReplayIdentity:
                                variant="indexed")
         fresh = simulate_inference("n", prefix, cfg, hybrid=False,
                                    variant="indexed")
-        assert rec.evaluate(cfg.l2_mb) == fresh
+        assert rec.evaluate([cfg.l2_mb]) == [fresh]
 
     def test_replay_spans_match_live_simulation(self, prefix):
         """A traced replay must emit the same span tree with the same
@@ -62,7 +62,7 @@ class TestRecordReplayIdentity:
         with tracing(live_tracer):
             simulate_inference("n", prefix, cfg)
         with tracing(replay_tracer):
-            rec.evaluate(cfg.l2_mb)
+            rec.evaluate([cfg.l2_mb])
         live, replay = live_tracer.root, replay_tracer.root
         assert replay.name == live.name == "simulate_inference"
         live_layers = live.find("layer")
@@ -84,7 +84,7 @@ class TestRecordReplayIdentity:
         for mode in (BACKEND_EXACT, BACKEND_FAST):
             tracer = Tracer()
             with tracing(tracer):
-                rec.evaluate(16, mode)
+                rec.evaluate([16], mode)
             trees[mode] = tracer.root
         exact, fast = trees[BACKEND_EXACT], trees[BACKEND_FAST]
         assert fast.name == exact.name == "simulate_inference"
@@ -127,11 +127,13 @@ class TestRecordReplayIdentity:
     reason="wall-time guard; set REPRO_RUN_WALL_BENCH=1 to run",
 )
 def test_replay_speedup_guard():
-    """Replaying a recorded column must beat a fresh exact simulation
-    by >= 10x per grid point (the tentpole's acceptance bar).  Skipped
-    by default: wall-time assertions are hostile to loaded CI boxes."""
+    """Replaying a recorded column across the paper's L2 axis must beat
+    a fresh exact simulation by >= 10x per grid point (the tentpole's
+    acceptance bar).  Skipped by default: wall-time assertions are
+    hostile to loaded CI boxes."""
     layers = vgg16_layers()
     cfg = SystemConfig(vlen_bits=512, l2_mb=1)
+    axis = (1, 4, 16, 64, 256)
     t0 = time.perf_counter()
     rec = record_inference("vgg16", layers, cfg)
     record_secs = time.perf_counter() - t0
@@ -141,10 +143,12 @@ def test_replay_speedup_guard():
     replay_secs = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        replayed = rec.evaluate(16)
+        replayed = rec.evaluate(axis)
         replay_secs = min(replay_secs, time.perf_counter() - t0)
-    assert replayed == fresh  # never trade correctness for speed
-    speedup = fresh_secs / replay_secs
+    assert replayed[axis.index(16)] == fresh  # never trade correctness for speed
+    per_point = replay_secs / len(axis)
+    speedup = fresh_secs / per_point
     print(f"\nrecord {record_secs:.2f}s  fresh point {fresh_secs:.2f}s  "
-          f"replay {1e3 * replay_secs:.1f}ms  speedup {speedup:.1f}x")
+          f"replay {1e3 * per_point:.1f}ms/point over {len(axis)}  "
+          f"speedup {speedup:.1f}x")
     assert speedup >= 10.0, speedup

@@ -1,7 +1,9 @@
 """Property-based campaign over the stack-distance machinery.
 
-The co-design sweep's fast backend rests on this module: one profiling
-pass must answer *every* L2 capacity correctly.  These tests pin the
+The co-design sweep's fast backend rests on this module: both sweep
+backends replay one per-VLEN recording, and under the fast backend
+each recorded layer's weighted profile must answer *every* L2 capacity
+of the axis correctly, all in one lookup.  These tests pin the
 classical Mattson invariants with hypothesis-generated access streams
 and weighted profiles:
 
@@ -9,7 +11,9 @@ and weighted profiles:
 - the miss curve is monotone non-increasing in capacity;
 - cold misses == distinct lines (compulsory misses);
 - the O(N log N) Fenwick-tree pass matches a naive O(N^2) recount;
-- the sparse weighted form agrees with the dense histogram everywhere.
+- the sparse weighted form agrees with the dense histogram everywhere;
+- the array lookup equals the scalar one capacity by capacity, and
+  both reject NaN and non-positive capacities.
 """
 
 import numpy as np
@@ -203,6 +207,47 @@ class TestSparseProfileProperties:
             SparseReuseProfile(
                 distances=np.array([1.0]), weights=np.array([1.0])
             ).misses_for_capacity(0)
+
+    def test_nan_and_non_positive_capacities_rejected(self):
+        prof = SparseReuseProfile(
+            distances=np.array([1.0, np.inf]), weights=np.array([2.0, 3.0])
+        )
+        for bad in (float("nan"), 0.0, -1.0):
+            with pytest.raises(ConfigError):
+                prof.misses_for_capacity(bad)
+            with pytest.raises(ConfigError):
+                prof.misses_for_capacities([4.0, bad])
+        with pytest.raises(ConfigError):
+            ReuseProfile(histogram=np.zeros(3, dtype=np.int64), cold=0,
+                         total=0).misses_for_capacity(float("nan"))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(min_value=0, max_value=1e4, allow_nan=False),
+                    st.just(float("inf")),
+                ),
+                st.floats(min_value=0, max_value=1e4, allow_nan=False),
+            ),
+            max_size=40,
+        ),
+        st.lists(
+            st.one_of(
+                st.floats(min_value=1e-3, max_value=2e4, allow_nan=False),
+                st.sampled_from([1.0, 10.0, 100.0, 1000.0]),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_array_lookup_equals_scalar_lookup(self, pairs, caps):
+        d = np.array([p[0] for p in pairs], dtype=np.float64)
+        w = np.array([p[1] for p in pairs], dtype=np.float64)
+        prof = SparseReuseProfile.from_distances(d, w)
+        got = prof.misses_for_capacities(caps)
+        assert got.shape == (len(caps),)
+        assert got.tolist() == [prof.misses_for_capacity(c) for c in caps]
 
     def test_empty_profile(self):
         prof = SparseReuseProfile.from_distances(

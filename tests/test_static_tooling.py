@@ -30,6 +30,7 @@ COVERAGE_TESTS = [
     "tests/test_stackdist_properties.py",
     "tests/test_sweep_fastpath.py",
     "tests/test_record_replay.py",
+    "tests/test_axis_replay.py",
     "tests/test_codesign_executor.py",
     "tests/test_golden_sweep.py",
     "tests/test_sim_cache.py",

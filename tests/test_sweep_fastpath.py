@@ -150,9 +150,8 @@ class TestNetworkRecording:
         for v in VLENS:
             rec = record_inference("synth", SYNTH_LAYERS,
                                    SystemConfig(vlen_bits=v, l2_mb=1))
-            for l2 in L2_MBS:
-                ex = rec.evaluate(l2, BACKEND_EXACT)
-                fa = rec.evaluate(l2, BACKEND_FAST)
+            for l2, ex, fa in zip(L2_MBS, rec.evaluate(L2_MBS, BACKEND_EXACT),
+                                  rec.evaluate(L2_MBS, BACKEND_FAST)):
                 assert ex == exact_sweep.at(v, l2)
                 assert fa == fast_sweep.at(v, l2)
                 assert 0 <= fa.total.l2_miss_rate <= 1
@@ -162,12 +161,12 @@ class TestNetworkRecording:
         rec = record_inference("synth", SYNTH_LAYERS[:1], cfg)
         for mode in (BACKEND_EXACT, BACKEND_FAST):
             with pytest.raises(ConfigError):
-                rec.evaluate(0, mode)
+                rec.evaluate([0], mode)
 
     def test_evaluate_rejects_unknown_mode(self):
         rec = record_inference("synth", SYNTH_LAYERS[:1], SystemConfig())
         with pytest.raises(ConfigError):
-            rec.evaluate(1, "approximate")
+            rec.evaluate([1], "approximate")
 
     def test_empty_network_rejected(self):
         with pytest.raises(ConfigError):
