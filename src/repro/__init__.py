@@ -30,7 +30,6 @@ from repro.errors import (
     MemoryError_,
     RegisterSpillError,
     ReproError,
-    SimulationError,
     TraceValidationError,
     VectorStateError,
 )
@@ -48,5 +47,4 @@ __all__ = [
     "RegisterSpillError",
     "IllegalInstructionError",
     "TraceValidationError",
-    "SimulationError",
 ]

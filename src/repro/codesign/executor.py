@@ -72,7 +72,7 @@ from repro.codesign.sweep import BACKEND_EXACT, BACKENDS, SweepResult
 from repro.errors import ConfigError
 from repro.kernels.tuple_mult import SLIDEUP
 from repro.model.layer_model import NetworkResult
-from repro.nets.inference import record_inference
+from repro.nets.inference import grid_axis, record_inference
 from repro.nets.layers import LayerSpec
 from repro.obs import (
     COUNTERS,
@@ -353,11 +353,11 @@ def evaluate_column(
         raise ConfigError(
             f"unknown sweep mode {mode!r} (expected one of {BACKENDS})"
         )
-    if not l2_mbs:
-        raise ConfigError("evaluate_column needs at least one L2 size")
+    (vlen_bits,) = grid_axis([vlen], "vlen")
+    axis = tuple(grid_axis(l2_mbs))
     base = base_config if base_config is not None else SystemConfig()
     return _evaluate_vlen(
-        name, layers, int(vlen), tuple(int(l) for l in l2_mbs),
+        name, layers, vlen_bits, axis,
         hybrid, variant, base, mode, collect, span_attrs,
     )
 
@@ -603,13 +603,11 @@ def run_sweep(
             f"unknown sweep mode {mode!r} (expected one of {BACKENDS}; "
             f"'validate' is served by validate_codesign_sweep)"
         )
-    if not vlens or not l2_mbs:
-        raise ConfigError("sweep grids must be non-empty")
+    grid_vlens = tuple(sorted(set(grid_axis(vlens, "vlens"))))
+    grid_l2s = tuple(sorted(set(grid_axis(l2_mbs))))
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     base = base_config if base_config is not None else SystemConfig()
-    grid_vlens = tuple(sorted(set(int(v) for v in vlens)))
-    grid_l2s = tuple(sorted(set(int(l) for l in l2_mbs)))
     points = [(v, l) for v in grid_vlens for l in grid_l2s]
     total = len(points)
 

@@ -1,12 +1,12 @@
 """Environment-knob parsing with a loud invalid-value policy.
 
 Several runtime knobs are read from the environment
-(``REPRO_STREAM_CACHE_MB``, ``REPRO_SWEEP_WORKERS``,
-``REPRO_BENCH_BASELINE``, ...).  Historically each reader parsed its
-variable ad hoc and *silently* repaired bad values — a garbage
-``REPRO_STREAM_CACHE_MB=256MB`` fell back to the default and a negative
-budget clamped to zero without a word, so a mistyped knob looked exactly
-like an applied one.  This module centralizes the policy:
+(``REPRO_SWEEP_WORKERS``, ``REPRO_METRICS_SAMPLE_CAP``,
+``REPRO_BENCH_BASELINE``, ...).  Parsed ad hoc, a bad value is easily
+repaired in silence: a garbage ``REPRO_SWEEP_WORKERS=4x`` quietly falls
+back to the default, a negative one clamps without a word, and a
+mistyped knob looks exactly like an applied one.  This module
+centralizes the policy:
 
 - unset or empty/whitespace-only values mean "use the default" and stay
   silent (an empty export is how shells unset a knob);

@@ -74,10 +74,6 @@ class TraceValidationError(ReproError):
     """An analytical instruction-stream model disagrees with a trace."""
 
 
-class SimulationError(ReproError):
-    """The timing simulator reached an inconsistent internal state."""
-
-
 class ObsError(ReproError):
     """Misuse of the observability layer (:mod:`repro.obs`).
 

@@ -19,6 +19,7 @@ record one column and replay it across the L2 axis.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Sequence
@@ -134,22 +135,25 @@ class LayerRecording:
     split: L1Split
 
 
-def _l2_axis(l2_mbs: Sequence[int]) -> list[int]:
-    """``l2_mbs`` as Python ints, rejecting an empty axis and any size
-    that is not a positive integer (``bool`` included)."""
-    try:
-        sizes = list(l2_mbs)
-    except TypeError:
+def grid_axis(values: Sequence[int], field: str = "l2_mbs") -> list[int]:
+    """One co-design grid axis (``vlens`` or ``l2_mbs``) as Python ints.
+
+    Rejects, with a :class:`ConfigError` naming ``field``, anything but
+    a non-empty sequence of positive integers: ``bool``, float and
+    string values are errors, never truncated.
+    """
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
         raise ConfigError(
-            f"expected a sequence of L2 sizes in MB, got {l2_mbs!r}"
-        ) from None
-    if not sizes:
-        raise ConfigError("the L2 axis is empty")
-    for mb in sizes:
-        if isinstance(mb, bool) or not isinstance(mb, Integral) or mb <= 0:
+            f"{field} must be a sequence of positive integers, "
+            f"got {values!r}")
+    items = list(values)
+    if not items:
+        raise ConfigError(f"{field} must be non-empty")
+    for v in items:
+        if isinstance(v, bool) or not isinstance(v, Integral) or v <= 0:
             raise ConfigError(
-                f"L2 sizes must be positive integers (MB), got {mb!r}")
-    return [int(mb) for mb in sizes]
+                f"{field} must contain positive integers, got {v!r}")
+    return [int(v) for v in items]
 
 
 def _at_l2(
@@ -212,7 +216,7 @@ class NetworkRecording:
             raise ConfigError(
                 f"unknown L2 criterion {mode!r} (expected one of {BACKENDS})"
             )
-        axis = _l2_axis(l2_mbs)
+        axis = grid_axis(l2_mbs)
         criterion = L1Split.sharp_l2 if mode == BACKEND_FAST else L1Split.smooth_l2
         timings = self.config.memory_timings()
         l2_bytes = [mb * 1024 * 1024 for mb in axis]

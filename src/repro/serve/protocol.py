@@ -48,6 +48,7 @@ from repro.conv.layer import ConvLayerSpec
 from repro.errors import ConfigError, ObsError
 from repro.kernels.tuple_mult import SLIDEUP, VARIANTS
 from repro.nets import build_layers, vgg16_layers, yolov3_layers
+from repro.nets.inference import grid_axis
 from repro.nets.layers import LayerSpec, MaxPoolSpec, ShortcutSpec
 from repro.sim.system import SystemConfig
 
@@ -80,8 +81,6 @@ class Query:
     def __post_init__(self) -> None:
         if not self.layers:
             raise ConfigError("query resolves to an empty network")
-        if not self.vlens or not self.l2_mbs:
-            raise ConfigError("query grids must be non-empty")
         if self.mode not in BACKENDS:
             raise ConfigError(
                 f"unknown query mode {self.mode!r} "
@@ -93,10 +92,10 @@ class Query:
                 f"(expected one of {VARIANTS})"
             )
         object.__setattr__(
-            self, "vlens", tuple(sorted(set(int(v) for v in self.vlens)))
+            self, "vlens", tuple(sorted(set(grid_axis(self.vlens, "vlens"))))
         )
         object.__setattr__(
-            self, "l2_mbs", tuple(sorted(set(int(l) for l in self.l2_mbs)))
+            self, "l2_mbs", tuple(sorted(set(grid_axis(self.l2_mbs))))
         )
 
     @property
@@ -123,14 +122,12 @@ class Query:
                 f"unknown query field(s): {', '.join(sorted(unknown))}"
             )
         name, layers = _resolve_network(payload)
-        vlens = _int_list(payload, "vlens")
-        l2_mbs = _int_list(payload, "l2_mbs")
         config = _resolve_config(payload.get("config"))
         return cls(
             network=name,
             layers=tuple(layers),
-            vlens=vlens,
-            l2_mbs=l2_mbs,
+            vlens=payload.get("vlens"),
+            l2_mbs=payload.get("l2_mbs"),
             mode=str(payload.get("mode", BACKEND_EXACT)),
             hybrid=bool(payload.get("hybrid", True)),
             variant=str(payload.get("variant", SLIDEUP)),
@@ -195,16 +192,6 @@ def _resolve_config(overrides: Any) -> SystemConfig:
             f"unknown config field(s): {', '.join(sorted(unknown))}"
         )
     return SystemConfig(**{str(k): v for k, v in overrides.items()})
-
-
-def _int_list(payload: Mapping[str, Any], field: str) -> tuple[int, ...]:
-    raw = payload.get(field)
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ConfigError(f"query {field!r} must be a non-empty list")
-    try:
-        return tuple(int(v) for v in raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"query {field!r} must contain integers") from None
 
 
 def _opt_int(payload: Mapping[str, Any], field: str) -> int | None:

@@ -1,9 +1,7 @@
 """Timing simulation (the gem5 RiscvMinorCPU role).
 
 - :class:`SystemConfig` / :class:`Simulator` — configuration points of
-  the co-design space and the program runner;
-- :class:`LoopNest` / :class:`BodyInstr` — batched instruction-stream
-  descriptors produced by :mod:`repro.model`;
+  the co-design space and the exact trace runner;
 - :class:`Cache` / :class:`CacheHierarchy` — exact set-associative LRU
   cache simulation;
 - :func:`reuse_profile` — one-pass stack-distance miss curves, with
@@ -12,22 +10,12 @@
 - :class:`LatencyModel` / :class:`MemoryTimings` — issue occupancy
   (constant-latency vector mode, per the paper's gem5 fork) and stall
   modeling;
-- :class:`StreamCache` — bounded record/replay store for materialized
-  nest line streams (streams are cache-size independent, so one
-  recording serves a whole co-design sweep);
 - :class:`SimStats` — the reported statistics.
 """
 
 from repro.sim.cache import Cache, CacheHierarchy, CacheStats, HierarchyStats
 from repro.sim.core import CONSTANT, THROUGHPUT, LatencyModel, MemoryTimings
 from repro.sim.energy import EnergyBreakdown, EnergyModel, estimate_energy
-from repro.sim.events import BodyInstr, LoopNest, total_counts
-from repro.sim.replay import (
-    StreamCache,
-    StreamCacheStats,
-    default_stream_cache,
-    set_default_stream_cache,
-)
 from repro.sim.stackdist import ReuseProfile, SparseReuseProfile, reuse_profile
 from repro.sim.stats import SimStats
 from repro.sim.system import Simulator, SystemConfig
@@ -36,9 +24,6 @@ __all__ = [
     "SystemConfig",
     "Simulator",
     "SimStats",
-    "LoopNest",
-    "BodyInstr",
-    "total_counts",
     "Cache",
     "CacheHierarchy",
     "CacheStats",
@@ -53,8 +38,4 @@ __all__ = [
     "EnergyModel",
     "EnergyBreakdown",
     "estimate_energy",
-    "StreamCache",
-    "StreamCacheStats",
-    "default_stream_cache",
-    "set_default_stream_cache",
 ]

@@ -55,32 +55,6 @@ class CacheStats:
         self.evictions += other.evictions
         self.writebacks += other.writebacks
 
-    def scaled(self, factor: float) -> "CacheStats":
-        """Extrapolated copy (used by the sampling simulator).
-
-        Each counter is rounded to an integer, then clamped along the
-        causal chain ``misses <= accesses``, ``evictions <= misses``,
-        ``writebacks <= evictions`` — an eviction happens only on a
-        miss and a writeback only on an eviction, so independent
-        rounding of small samples could otherwise report impossible
-        states (more misses than accesses, i.e. negative hits, or more
-        writebacks than evictions).  For counters that already satisfy
-        the chain the clamps never bind: rounding is monotone, so
-        scaling preserves the ordering.
-        """
-        if factor < 0:
-            raise ConfigError(f"scale factor must be non-negative, got {factor}")
-        accesses = int(round(self.accesses * factor))
-        misses = min(int(round(self.misses * factor)), accesses)
-        evictions = min(int(round(self.evictions * factor)), misses)
-        writebacks = min(int(round(self.writebacks * factor)), evictions)
-        return CacheStats(
-            accesses=accesses,
-            misses=misses,
-            evictions=evictions,
-            writebacks=writebacks,
-        )
-
     def to_dict(self) -> dict[str, int]:
         """JSON-serializable counters (checkpointing, CLI)."""
         return {
@@ -131,18 +105,6 @@ class Cache:
         self._sets: list[OrderedDict[int, bool]] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
-        self.stats = CacheStats()
-
-    def reset_stats(self) -> None:
-        """Zero the counters without flushing cache contents.
-
-        Used by the sampling simulator to discard warmup accesses."""
-        self.stats = CacheStats()
-
-    def flush(self) -> None:
-        """Drop all contents and counters."""
-        for s in self._sets:
-            s.clear()
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -262,10 +224,6 @@ class Cache:
                 COUNTERS.inc(prefix + "writebacks", writebacks)
         return missed
 
-    @property
-    def lines_resident(self) -> int:
-        return sum(len(s) for s in self._sets)
-
 
 @dataclass
 class HierarchyStats:
@@ -287,12 +245,6 @@ class HierarchyStats:
     def merge(self, other: "HierarchyStats") -> None:
         self.l1.merge(other.l1)
         self.l2.merge(other.l2)
-
-    def scaled(self, factor: float) -> "HierarchyStats":
-        return HierarchyStats(
-            l1=self.l1.scaled(factor), l2=self.l2.scaled(factor),
-            line_bytes=self.line_bytes,
-        )
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable counters (checkpointing, CLI)."""
@@ -386,11 +338,3 @@ class CacheHierarchy:
             l2=CacheStats(**vars(self.l2.stats)),
             line_bytes=self.line_bytes,
         )
-
-    def reset_stats(self) -> None:
-        self.l1.reset_stats()
-        self.l2.reset_stats()
-
-    def flush(self) -> None:
-        self.l1.flush()
-        self.l2.flush()

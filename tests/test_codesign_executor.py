@@ -5,12 +5,13 @@ import json
 
 import pytest
 
-from repro.codesign import SweepResult, codesign_sweep
+from repro.codesign import SweepResult, codesign_sweep, executor
 from repro.codesign.executor import (
     CHECKPOINT_VERSION,
     MANIFEST_NAME,
     SweepProgress,
     _point_path,
+    evaluate_column,
 )
 from repro.errors import ConfigError
 from repro.model.layer_model import NetworkResult
@@ -60,6 +61,38 @@ class TestParallelExecution:
     def test_empty_grid_rejected(self, layers):
         with pytest.raises(ConfigError):
             codesign_sweep("x", layers, vlens=(), l2_mbs=(1,), workers=2)
+
+
+#: Grid axes no entry point may coerce: fractional, ``bool``, string,
+#: non-positive and empty.
+BAD_AXES = [(1.5,), (512.7,), (True,), (1, True), ("16",), (0,), (-4,), ()]
+
+
+class TestAxisValidation:
+    """The executor's entry points reject a malformed axis, naming it,
+    before any recording runs; nothing is truncated to an integer."""
+
+    @pytest.fixture(autouse=True)
+    def no_recording(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("recorded before the axis was checked")
+
+        monkeypatch.setattr(executor, "record_inference", refuse)
+
+    @pytest.mark.parametrize("bad", BAD_AXES)
+    def test_evaluate_column_rejects(self, layers, bad):
+        with pytest.raises(ConfigError, match="l2_mbs"):
+            evaluate_column("x", layers, 512, bad)
+        if bad:
+            with pytest.raises(ConfigError, match="vlen"):
+                evaluate_column("x", layers, bad[-1], (1,))
+
+    @pytest.mark.parametrize("field", ["vlens", "l2_mbs"])
+    @pytest.mark.parametrize("bad", BAD_AXES)
+    def test_codesign_sweep_rejects(self, layers, field, bad):
+        axes = {"vlens": (512,), "l2_mbs": (1,), field: bad}
+        with pytest.raises(ConfigError, match=field):
+            codesign_sweep("x", layers, **axes)
 
 
 class TestCheckpointResume:

@@ -4,8 +4,8 @@ Every runtime knob read from the environment goes through
 :mod:`repro.envknobs`: unset (or empty) means the default silently,
 anything else either parses or produces a :class:`RuntimeWarning`
 naming the variable and the bad value — a typo'd
-``REPRO_STREAM_CACHE_MB=256MB`` must not quietly run with a different
-cache budget.
+``REPRO_SWEEP_WORKERS=4x`` must not quietly run with a different worker
+count.
 """
 
 import warnings
@@ -117,30 +117,3 @@ class TestEnvDir:
         monkeypatch.setenv(KNOB, str(f))
         with pytest.warns(RuntimeWarning, match=KNOB):
             assert env_dir(KNOB) is None
-
-
-class TestStreamCacheBudgetKnob:
-    """The original silent swallow: ``REPRO_STREAM_CACHE_MB=garbage``."""
-
-    def test_garbage_budget_warns_and_uses_default(self, monkeypatch):
-        from repro.sim.replay import (
-            BUDGET_ENV,
-            DEFAULT_BUDGET_MB,
-            _default_budget_bytes,
-        )
-        monkeypatch.setenv(BUDGET_ENV, "256MB")
-        with pytest.warns(RuntimeWarning, match=BUDGET_ENV):
-            assert _default_budget_bytes() == DEFAULT_BUDGET_MB * 1024 * 1024
-
-    def test_negative_budget_warns_and_disables(self, monkeypatch):
-        from repro.sim.replay import BUDGET_ENV, _default_budget_bytes
-        monkeypatch.setenv(BUDGET_ENV, "-5")
-        with pytest.warns(RuntimeWarning, match=BUDGET_ENV):
-            assert _default_budget_bytes() == 0
-
-    def test_valid_budget_is_silent(self, monkeypatch):
-        from repro.sim.replay import BUDGET_ENV, _default_budget_bytes
-        monkeypatch.setenv(BUDGET_ENV, "8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _default_budget_bytes() == 8 * 1024 * 1024

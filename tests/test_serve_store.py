@@ -9,6 +9,7 @@ once), the LRU byte budget, the durable tier, and the
 import json
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.serve.store import (
     SOURCE_COMPUTED,
     SOURCE_STORE,
 )
+from repro.sim import SystemConfig
 
 pytestmark = pytest.mark.serve
 
@@ -65,6 +67,15 @@ class TestQueryProtocol:
         ({"config": {"l2_mb": 64}}, "grid axes"),
         ({"config": {"warp_drive": 1}}, "unknown config field"),
         ({"height": 64}, "only apply to 'cfg'"),
+        # Axis values are validated, never truncated or coerced.
+        ({"vlens": [512.9, "1024"]}, "vlens"),
+        ({"vlens": [True]}, "vlens"),
+        ({"l2_mbs": [1.5]}, "l2_mbs"),
+        ({"l2_mbs": [2.0]}, "l2_mbs"),
+        ({"l2_mbs": [1, True]}, "l2_mbs"),
+        ({"l2_mbs": "16"}, "l2_mbs"),
+        ({"l2_mbs": [0]}, "l2_mbs"),
+        ({"l2_mbs": [-4]}, "l2_mbs"),
     ])
     def test_malformed_payloads_raise_config_error(self, payload, match):
         base = {"network": "vgg16", "vlens": [512], "l2_mbs": [1]}
@@ -94,6 +105,30 @@ class TestQueryProtocol:
         key_exact = point_key(_query(mode="exact"), 512, 1)
         assert key_fast != key_exact
         assert key_fast.endswith(":fast:v512:l2mb1")
+
+
+class TestConfigIdentity:
+    """Pins what every store entry and checkpoint manifest is keyed by.
+
+    A change to a ``SystemConfig`` field re-keys every durable store
+    entry (older entries then miss and are recomputed) and fails every
+    older checkpoint directory with "manifest mismatch".  Such a change
+    must update these pins, so it shows up as a reviewed diff.
+    """
+
+    def test_config_fields(self):
+        assert sorted(asdict(SystemConfig())) == [
+            "datapath_bits", "dram_gbs", "dram_latency", "freq_ghz",
+            "gather_per_elem", "gather_setup", "l1_assoc", "l1_kb",
+            "l2_assoc", "l2_hit_latency", "l2_mb", "latency_mode",
+            "line_bytes", "mlp_dram", "mlp_l2", "strided_per_elem",
+            "vec_occupancy", "vlen_bits",
+        ]
+
+    def test_network_hash_of_a_named_query(self):
+        query = Query.from_payload({"network": "vgg16", "max_layers": 2,
+                                    "vlens": [512], "l2_mbs": [1]})
+        assert network_hash(query) == "f9f5e03588cc12f6373de6009bd17b72"
 
 
 class TestStoreBasics:

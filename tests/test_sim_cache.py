@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.sim import Cache, CacheHierarchy, reuse_profile
+from repro.sim import Cache, CacheHierarchy, CacheStats, reuse_profile
 
 
 class TestCacheBasics:
@@ -70,24 +70,13 @@ class TestCacheBasics:
         c.access_lines(np.array([1, 2], dtype=np.int64))  # evict 0
         assert c.stats.writebacks == 1
 
-    def test_reset_stats_keeps_contents(self):
-        c = Cache(4096, assoc=4)
-        c.access_lines(np.arange(4, dtype=np.int64))
-        c.reset_stats()
-        m = c.access_lines(np.arange(4, dtype=np.int64))
-        assert not m.any()
-        assert c.stats.accesses == 4
-        assert c.stats.misses == 0
-
-    def test_flush_drops_contents(self):
-        c = Cache(4096, assoc=4)
-        c.access_lines(np.arange(4, dtype=np.int64))
-        c.flush()
-        assert c.access_lines(np.arange(4, dtype=np.int64)).all()
-
     def test_empty_stream(self):
         c = Cache(4096, assoc=4)
         assert c.access_lines(np.empty(0, dtype=np.int64)).size == 0
+
+    def test_cache_stats_dict_roundtrip(self):
+        s = CacheStats(accesses=10, misses=4, evictions=3, writebacks=2)
+        assert CacheStats.from_dict(s.to_dict()) == s
 
 
 class TestHierarchy:
@@ -263,90 +252,6 @@ class TestBatchedEngineDifferential:
         assert va == vb == []  # clean victims never write back
         assert vars(a.stats) == vars(b.stats)
         assert a.stats.writebacks == 0
-
-
-class TestScaledConsistency:
-    def test_scaled_clamps_to_accesses(self):
-        from repro.sim.cache import CacheStats
-
-        # Deliberately inconsistent counters must come out consistent.
-        s = CacheStats(accesses=2, misses=5, evictions=7, writebacks=9)
-        t = s.scaled(1.0)
-        assert t.misses <= t.accesses
-        assert t.evictions <= t.accesses
-        assert t.writebacks <= t.accesses
-        assert t.hits >= 0
-
-    def test_scaled_rounds(self):
-        from repro.sim.cache import CacheStats
-
-        t = CacheStats(accesses=100, misses=50).scaled(0.1)
-        assert t.accesses == 10 and t.misses == 5
-
-    def test_scaled_rejects_negative_factor(self):
-        from repro.sim.cache import CacheStats
-
-        with pytest.raises(ConfigError):
-            CacheStats(accesses=1).scaled(-0.5)
-
-    @given(
-        accesses=st.integers(0, 1000),
-        miss_frac=st.floats(0.0, 1.0),
-        factor=st.floats(0.0, 3.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_scaled_never_negative_hits(self, accesses, miss_frac, factor):
-        from repro.sim.cache import CacheStats
-
-        misses = int(accesses * miss_frac)
-        t = CacheStats(accesses=accesses, misses=misses).scaled(factor)
-        assert 0 <= t.misses <= t.accesses
-        assert t.hits >= 0
-
-    def test_scaled_clamps_full_causal_chain(self):
-        from repro.sim.cache import CacheStats
-
-        # Inconsistent counters: more evictions than misses, more
-        # writebacks than evictions.  The clamp chain restores
-        # misses <= accesses, evictions <= misses, writebacks <= evictions.
-        s = CacheStats(accesses=10, misses=3, evictions=9, writebacks=12)
-        t = s.scaled(1.0)
-        assert t.misses <= t.accesses
-        assert t.evictions <= t.misses
-        assert t.writebacks <= t.evictions
-
-    @given(
-        accesses=st.integers(0, 1000),
-        miss_frac=st.floats(0.0, 1.0),
-        evict_frac=st.floats(0.0, 1.0),
-        wb_frac=st.floats(0.0, 1.0),
-        factor=st.floats(0.0, 3.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_scaled_chain_never_binds_on_consistent_counters(
-        self, accesses, miss_frac, evict_frac, wb_frac, factor
-    ):
-        """For counters that already satisfy the causal chain, scaling
-        preserves it and the clamps never alter the rounded values."""
-        from repro.sim.cache import CacheStats
-
-        misses = int(accesses * miss_frac)
-        evictions = int(misses * evict_frac)
-        writebacks = int(evictions * wb_frac)
-        t = CacheStats(accesses=accesses, misses=misses,
-                       evictions=evictions, writebacks=writebacks).scaled(factor)
-        assert 0 <= t.writebacks <= t.evictions <= t.misses <= t.accesses
-        assert t.hits >= 0
-        # Rounding is monotone, so the clamps are no-ops here.
-        assert t.misses == int(round(misses * factor))
-        assert t.evictions == int(round(evictions * factor))
-        assert t.writebacks == int(round(writebacks * factor))
-
-    def test_cache_stats_dict_roundtrip(self):
-        from repro.sim.cache import CacheStats
-
-        s = CacheStats(accesses=10, misses=4, evictions=3, writebacks=2)
-        assert CacheStats.from_dict(s.to_dict()) == s
 
 
 class TestReuseProfile:

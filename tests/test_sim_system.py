@@ -1,21 +1,18 @@
-"""Tests for the latency model, system config, and sampled simulation."""
+"""Tests for the latency model, system config, and trace simulation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.isa import OpClass
 from repro.rvv import RvvMachine, Tracer
+from repro.rvv.tracer import MemAccess
 from repro.sim import (
     CONSTANT,
     THROUGHPUT,
-    BodyInstr,
     LatencyModel,
-    LoopNest,
     MemoryTimings,
     Simulator,
-    SimStats,
     SystemConfig,
 )
 
@@ -92,87 +89,68 @@ class TestSystemConfig:
             SystemConfig(l2_mb=0)
 
 
-def make_stream_nest(n_lines: int, reps: int, name="stream") -> LoopNest:
-    """A nest streaming over n_lines cache lines, reps times."""
-    body = (
-        BodyInstr(
-            opclass=OpClass.VLOAD_UNIT, elems=16, base=0,
-            dim_strides=(0, 64), elem_stride=4,
-        ),
-        BodyInstr(opclass=OpClass.VFMA, elems=16),
-    )
-    return LoopNest(name, dims=(reps, n_lines), body=body)
+def stream_trace(n_lines: int, reps: int, lines_per_load: int = 1) -> Tracer:
+    """A captured trace streaming over ``n_lines`` cache lines, ``reps``
+    times: unit fp32 loads of ``lines_per_load`` lines each, every load
+    followed by one VFMA over the loaded elements."""
+    elems = 16 * lines_per_load
+    tracer = Tracer(capture=True)
+    for _ in range(reps):
+        for base in range(0, n_lines * 64, elems * 4):
+            tracer.record(OpClass.VLOAD_UNIT, elems, 32,
+                          MemAccess("unit", base, elems, 4, stride=4))
+            tracer.record(OpClass.VFMA, elems, 32)
+    return tracer
+
+
+#: 4 MB streamed four times, 64 lines per load: more than a 1 MB L2.
+LARGE_STREAM = stream_trace(65536, 4, lines_per_load=64)
 
 
 class TestSimulator:
-    def test_empty_program_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(SystemConfig()).run([])
-
     def test_instruction_accounting_exact(self):
-        nest = make_stream_nest(100, 3)
-        stats = Simulator(SystemConfig()).run([nest])
+        stats = Simulator(SystemConfig()).run_trace(stream_trace(100, 3))
         assert stats.instrs["vload_unit"] == 300
         assert stats.instrs["vfma"] == 300
         assert stats.flops == 300 * 32
 
     def test_fitting_working_set_hits_after_first_pass(self):
-        nest = make_stream_nest(64, 10)  # 4 kB, fits L1
-        stats = Simulator(SystemConfig()).run([nest])
+        trace = stream_trace(64, 10)  # 4 kB, fits L1
+        stats = Simulator(SystemConfig()).run_trace(trace)
         assert stats.hierarchy.l1.misses == 64  # cold only
         assert stats.l2_miss_rate == 1.0  # all 64 cold misses reach DRAM
 
     def test_streaming_working_set_misses(self):
         # 4 MB working set > 1 MB L2: repeated passes keep missing.
-        nest = make_stream_nest(65536, 4)
-        stats = Simulator(SystemConfig()).run([nest])
+        stats = Simulator(SystemConfig()).run_trace(LARGE_STREAM)
         assert stats.hierarchy.l2.miss_rate > 0.9
 
     def test_larger_l2_eliminates_misses(self):
-        nest = make_stream_nest(65536, 4)  # 4 MB
-        small = Simulator(SystemConfig(l2_mb=1)).run([nest])
-        big = Simulator(SystemConfig(l2_mb=16)).run([nest])
+        small = Simulator(SystemConfig(l2_mb=1)).run_trace(LARGE_STREAM)
+        big = Simulator(SystemConfig(l2_mb=16)).run_trace(LARGE_STREAM)
         assert big.hierarchy.l2.misses < small.hierarchy.l2.misses / 3
         assert big.cycles < small.cycles
-
-    def test_sampling_matches_exact_on_uniform_stream(self):
-        nest = make_stream_nest(2048, 50)  # 128 kB set, 102400 lines
-        exact = Simulator(SystemConfig(max_sim_lines=10**9)).run([nest])
-        sampled = Simulator(
-            SystemConfig(max_sim_lines=10_000, warmup_outer=2, sample_outer=8)
-        ).run([nest])
-        # Steady-state extrapolation must agree within a few percent.
-        assert sampled.hierarchy.l1.accesses == pytest.approx(
-            exact.hierarchy.l1.accesses, rel=0.05
-        )
-        assert sampled.hierarchy.l2.misses == pytest.approx(
-            exact.hierarchy.l2.misses, rel=0.10, abs=2100
-        )
-        assert sampled.cycles == pytest.approx(exact.cycles, rel=0.05)
 
     def test_vlen_reduces_instructions_constant_mode(self):
         """Doubling VL halves instructions and compute cycles (the
         scaling regime of the paper's gem5 fork)."""
 
         def program(vl_elems):
-            n_instr = 4096 // vl_elems
-            body = (
-                BodyInstr(
-                    opclass=OpClass.VFMA, elems=vl_elems,
-                ),
-            )
-            return [LoopNest("fma", dims=(n_instr,), body=body)]
+            tracer = Tracer(capture=True)
+            for _ in range(4096 // vl_elems):
+                tracer.record(OpClass.VFMA, vl_elems, 32)
+            return tracer
 
         sim = Simulator(SystemConfig())
-        s16 = sim.run(program(16))
-        s128 = sim.run(program(128))
+        s16 = sim.run_trace(program(16))
+        s128 = sim.run_trace(program(128))
         assert s16.issue_cycles == 8 * s128.issue_cycles
 
     def test_stats_merge(self):
-        nest = make_stream_nest(64, 2)
+        trace = stream_trace(64, 2)
         sim = Simulator(SystemConfig())
-        a = sim.run([nest])
-        b = sim.run([nest])
+        a = sim.run_trace(trace)
+        b = sim.run_trace(trace)
         total_flops = a.flops + b.flops
         a.merge(b)
         assert a.flops == total_flops
@@ -180,99 +158,25 @@ class TestSimulator:
 
     def test_stats_merge_rejects_frequency_mismatch(self):
         """Merging runs from different clocks would corrupt seconds."""
-        nest = make_stream_nest(64, 2)
-        a = Simulator(SystemConfig(freq_ghz=2.0)).run([nest])
-        b = Simulator(SystemConfig(freq_ghz=1.5)).run([nest])
+        trace = stream_trace(64, 2)
+        a = Simulator(SystemConfig(freq_ghz=2.0)).run_trace(trace)
+        b = Simulator(SystemConfig(freq_ghz=1.5)).run_trace(trace)
         with pytest.raises(ConfigError):
             a.merge(b)
 
     def test_stats_roundtrip_from_dict(self):
         """to_dict/from_dict is lossless for every counter."""
-        nest = make_stream_nest(64, 2)
-        a = Simulator(SystemConfig()).run([nest], label="rt")
+        a = Simulator(SystemConfig()).run_trace(stream_trace(64, 2),
+                                                label="rt")
         b = type(a).from_dict(a.to_dict())
         assert b == a
         assert b.cycles == a.cycles
         assert b.hierarchy.l2.writebacks == a.hierarchy.l2.writebacks
 
     def test_report_renders(self):
-        stats = Simulator(SystemConfig()).run([make_stream_nest(16, 1)])
+        stats = Simulator(SystemConfig()).run_trace(stream_trace(16, 1))
         text = stats.report()
         assert "L2 miss rate" in text and "GFLOP/s" in text
-
-
-class TestDegenerateSamplingWindows:
-    """Regression tests for the sampling window edge cases.
-
-    A nest whose trip count cannot cover warmup plus one sample window
-    used to divide by zero (``(outer - warm) / sample`` with
-    ``sample == 0``); the policy is now to simulate such nests exactly.
-    """
-
-    def test_outer_one_oversized_nest_runs_exactly(self):
-        # The ISSUE repro: outer == 1 and the single iteration alone
-        # exceeds max_sim_lines, so warm clamps to 1 == outer and the
-        # sample window is empty.  This used to raise ZeroDivisionError.
-        nest = make_stream_nest(64, 1)  # dims == (1, 64)
-        stats = Simulator(SystemConfig(max_sim_lines=10)).run([nest])
-        exact = Simulator(SystemConfig(max_sim_lines=10**9)).run([nest])
-        assert stats.hierarchy.to_dict() == exact.hierarchy.to_dict()
-        assert stats.hierarchy.l1.accesses == 64
-        assert stats.hierarchy.l1.misses == 64
-        assert stats.cycles == exact.cycles
-
-    def test_outer_equals_clamped_warmup(self):
-        # warmup_outer >= outer: warm clamps to outer - 1 and exactly
-        # one sample iteration remains.
-        nest = make_stream_nest(16, 4)
-        cfg = SystemConfig(max_sim_lines=10, warmup_outer=8, sample_outer=8)
-        stats = Simulator(cfg).run([nest])
-        h = stats.hierarchy
-        assert h.l1.accesses == 4 * 16  # windows cover the whole nest
-        assert 0 <= h.l1.misses <= h.l1.accesses
-
-    def test_outer_equals_warmup_plus_one(self):
-        # outer == warm + 1: a single-iteration sample window scaled by
-        # (outer - warm) / sample == 1 — must equal exact simulation.
-        nest = make_stream_nest(16, 3)
-        cfg = SystemConfig(max_sim_lines=10, warmup_outer=2, sample_outer=8)
-        stats = Simulator(cfg).run([nest])
-        exact = Simulator(SystemConfig(max_sim_lines=10**9)).run([nest])
-        assert stats.hierarchy.to_dict() == exact.hierarchy.to_dict()
-
-    @given(
-        n_lines=st.integers(1, 64),
-        reps=st.integers(1, 6),
-        max_lines=st.integers(1, 400),
-        warmup=st.integers(0, 4),
-        sample=st.integers(1, 4),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_sampling_always_runs_and_stays_consistent(
-        self, n_lines, reps, max_lines, warmup, sample
-    ):
-        """Property: for any window geometry the simulator completes,
-        agrees bit-for-bit with exact simulation when the nest fits
-        under ``max_sim_lines``, and otherwise reports counters that
-        respect the causal chain (no negative hits, evictions bounded
-        by misses, writebacks by evictions)."""
-        nest = make_stream_nest(n_lines, reps)
-        cfg = SystemConfig(
-            max_sim_lines=max_lines, warmup_outer=warmup, sample_outer=sample
-        )
-        stats = Simulator(cfg).run([nest])
-        h = stats.hierarchy
-        for lvl in (h.l1, h.l2):
-            assert 0 <= lvl.misses <= lvl.accesses
-            assert lvl.evictions <= lvl.misses
-            assert lvl.writebacks <= lvl.evictions
-            assert lvl.hits >= 0
-        if n_lines * reps <= max_lines:
-            exact = Simulator(
-                cfg.with_(max_sim_lines=10**9)
-            ).run([nest])
-            assert h.to_dict() == exact.hierarchy.to_dict()
-            assert stats.cycles == exact.cycles
 
 
 class TestTraceSimulation:

@@ -34,7 +34,6 @@ COVERAGE_TESTS = [
     "tests/test_codesign_executor.py",
     "tests/test_golden_sweep.py",
     "tests/test_sim_cache.py",
-    "tests/test_sim_events.py",
     "tests/test_sim_system.py",
     "tests/test_schedule_tune.py",
     "tests/test_tracer_rows.py",
@@ -61,11 +60,10 @@ STRICT_OBS_MODULES = [
 ]
 
 #: The strict-mypy bit-identity critical path: the batched cache
-#: engine, the stream record/replay cache, the sampling simulator, the
-#: traffic columns, the GEMM model, the tracer and the register file.
+#: engine, the trace simulator, the traffic columns, the GEMM model,
+#: the tracer and the register file.
 STRICT_SIM_MODULES = [
     "repro.sim.cache",
-    "repro.sim.replay",
     "repro.sim.system",
     "repro.model.traffic",
     "repro.model.gemm_model",
