@@ -49,7 +49,8 @@ from repro.kernels.tuple_mult import (
 )
 from repro.rvv import Memory, RvvMachine, RvvPlusMachine, Tracer
 from repro.rvv.machine import VectorEngine
-from repro.schedule.library import SCHEDULED_VARIANTS
+from repro.schedule.ir import Schedule
+from repro.schedule.library import KTILE_GEMM, LMUL4_GEMM, XTILE_COPY
 from repro.sve import SveMachine
 
 #: The paper's co-design sweep points; the VLA pass diffs across these.
@@ -152,32 +153,44 @@ def _transpose_harness(which: str) -> Callable[[VectorEngine], None]:
     return run
 
 
-def _gemm_harness(machine: VectorEngine) -> None:
-    rng = np.random.default_rng(19)
-    geom = GemmGeometry(m=6, kd=9, n=40,
-                        vlen_elems=machine.vlen_bits // 32)
-    bufs = GemmBuffers.allocate(machine, geom)
-    bufs.load(machine, geom,
-              rng.standard_normal((geom.m, geom.kd)).astype(np.float32),
-              rng.standard_normal((geom.kd, geom.n)).astype(np.float32))
-    gemm_kernel(machine, geom, bufs)
+def _gemm_harness(
+    sched: Schedule | None = None,
+) -> Callable[[VectorEngine], None]:
+    def run(machine: VectorEngine) -> None:
+        rng = np.random.default_rng(19)
+        geom = GemmGeometry(m=6, kd=9, n=40,
+                            vlen_elems=machine.vlen_bits // 32)
+        bufs = GemmBuffers.allocate(machine, geom)
+        bufs.load(machine, geom,
+                  rng.standard_normal((geom.m, geom.kd)).astype(np.float32),
+                  rng.standard_normal((geom.kd, geom.n)).astype(np.float32))
+        gemm_kernel(machine, geom, bufs, sched)
+    return run
 
 
-def _im2col_harness(machine: VectorEngine) -> None:
-    rng = np.random.default_rng(23)
-    geom = Im2colGeometry(c_in=3, h=10, w=20, ksize=3, stride=1, pad=1)
-    bufs = Im2colBuffers.allocate(machine, geom)
-    bufs.load_input(machine, geom,
-                    rng.standard_normal((geom.c_in, geom.h, geom.w))
-                    .astype(np.float32))
-    im2col_kernel(machine, geom, bufs)
+def _im2col_harness(
+    sched: Schedule | None = None,
+) -> Callable[[VectorEngine], None]:
+    def run(machine: VectorEngine) -> None:
+        rng = np.random.default_rng(23)
+        geom = Im2colGeometry(c_in=3, h=10, w=20, ksize=3, stride=1, pad=1)
+        bufs = Im2colBuffers.allocate(machine, geom)
+        bufs.load_input(machine, geom,
+                        rng.standard_normal((geom.c_in, geom.h, geom.w))
+                        .astype(np.float32))
+        im2col_kernel(machine, geom, bufs, sched)
+    return run
 
 
-def _direct1x1_harness(machine: VectorEngine) -> None:
-    rng = np.random.default_rng(29)
-    x = rng.standard_normal((4, 5, 20)).astype(np.float32)
-    w = rng.standard_normal((6, 4, 1, 1)).astype(np.float32)
-    direct_conv1x1_sim(machine, x, w)
+def _direct1x1_harness(
+    c_in: int = 4, h: int = 5, w: int = 20, c_out: int = 6, stride: int = 1,
+) -> Callable[[VectorEngine], None]:
+    def run(machine: VectorEngine) -> None:
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal((c_in, h, w)).astype(np.float32)
+        wt = rng.standard_normal((c_out, c_in, 1, 1)).astype(np.float32)
+        direct_conv1x1_sim(machine, x, wt, stride=stride)
+    return run
 
 
 def _streaming_harness(kernel: str, lmul: int = 1) -> Callable[[VectorEngine], None]:
@@ -216,9 +229,12 @@ KERNEL_SPECS: tuple[KernelSpec, ...] = (
     KernelSpec("winograd/input_transform", _transform_harness("input")),
     KernelSpec("winograd/filter_transform", _transform_harness("filter")),
     KernelSpec("winograd/output_transform", _transform_harness("output")),
-    KernelSpec("gemm", _gemm_harness),
-    KernelSpec("im2col", _im2col_harness),
-    KernelSpec("direct1x1", _direct1x1_harness),
+    KernelSpec("gemm", _gemm_harness()),
+    KernelSpec("im2col", _im2col_harness()),
+    KernelSpec("direct1x1", _direct1x1_harness()),
+    # Stride 2: one lowered matmul per output row, strided input loads.
+    KernelSpec("direct1x1@s2",
+               _direct1x1_harness(c_in=3, h=7, w=41, c_out=10, stride=2)),
     KernelSpec("streaming/memcpy", _streaming_harness("memcpy")),
     KernelSpec("streaming/axpy", _streaming_harness("axpy")),
     KernelSpec("streaming/dot", _streaming_harness("dot")),
@@ -226,13 +242,15 @@ KERNEL_SPECS: tuple[KernelSpec, ...] = (
                machines=("rvv",)),
     KernelSpec("conv/winograd", _winograd_driver_harness, fast=False),
     KernelSpec("conv/im2col_gemm", _im2col_driver_harness, fast=False),
-) + tuple(
-    # DSL-generated kernels (repro.schedule): the default schedules
-    # reproduce the hand-written gemm/im2col/direct1x1 programs, the
-    # rest keep LMUL grouping and reduction blocking under continuous
-    # audit.  Same passes, same gates — generated code earns no slack.
-    KernelSpec(v.name, v.run, machines=v.machines)
-    for v in SCHEDULED_VARIANTS
+    # Non-default schedules (repro.schedule.library) on the same harness
+    # problems: LMUL grouping, reduction blocking and a tiled copy stay
+    # under continuous audit.  LMUL > 1 groups are RVV-only: the SVE
+    # flavor implements fp32, LMUL=1 kernels (its ``setvl`` rejects
+    # anything else), matching the ``streaming/axpy@lmul2`` precedent.
+    KernelSpec("sched/gemm@ijk-lmul4", _gemm_harness(LMUL4_GEMM),
+               machines=("rvv",)),
+    KernelSpec("sched/gemm@ktile", _gemm_harness(KTILE_GEMM)),
+    KernelSpec("sched/im2col@yrx-xtile", _im2col_harness(XTILE_COPY)),
 )
 
 

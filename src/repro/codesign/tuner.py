@@ -14,11 +14,11 @@ machine output is bit-identical to the fp32 reference
 — a tuner must never recommend a kernel that fails differential
 validation.
 
-The default (hand-written-equivalent) schedule is always part of the
-exactly-simulated set, so the winner is never worse than the shipped
-kernel.  Layers are shrunk to tractable *proxy* problems (channel and
-pixel caps) before search — the caps are recorded in the report and
-the provenance manifest.
+The default schedule — the shipped kernel itself — is always part of
+the exactly-simulated set and is the reported baseline, so the winner
+is never worse than the shipped kernel.  Layers are shrunk to
+tractable *proxy* problems (channel and pixel caps) before search —
+the caps are recorded in the report and the provenance manifest.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.rvv import Memory, RvvMachine, Tracer
 from repro.schedule.algorithms import CopyAlgorithm, MatmulAlgorithm
 from repro.schedule.cost import copy_surrogate, matmul_surrogate
 from repro.schedule.ir import Schedule, default_copy_schedule
-from repro.schedule.library import scheduled_gemm, scheduled_im2col
 from repro.schedule.space import matmul_space, sample_space
 from repro.sim.system import Simulator, SystemConfig
 
@@ -199,22 +198,17 @@ def _machine(config: SystemConfig) -> RvvMachine:
 
 def _exact_cycles(
     layer: ConvLayerSpec, config: SystemConfig, seed: int,
-    gemm_sched: Schedule | None,
+    gemm_sched: Schedule,
 ) -> tuple[float, bool]:
     """(exact cycles, output bit-identical to the fp32 reference).
 
-    ``gemm_sched=None`` runs the hand-written kernels (the baseline);
-    otherwise the generated im2col (default copy schedule) + the
-    generated GEMM under ``gemm_sched``.
+    Runs the im2col kernel (default copy schedule), then the GEMM
+    kernel under ``gemm_sched``.
     """
     machine = _machine(config)
     ig, ibufs, gg, gbufs, a = _stage(machine, layer, seed)
-    if gemm_sched is None:
-        im2col_kernel(machine, ig, ibufs)
-        gemm_kernel(machine, gg, gbufs)
-    else:
-        scheduled_im2col(machine, ig, ibufs, default_copy_schedule())
-        scheduled_gemm(machine, gg, gbufs, gemm_sched)
+    im2col_kernel(machine, ig, ibufs)
+    gemm_kernel(machine, gg, gbufs, gemm_sched)
     cols = ibufs.read_cols(machine, ig)
     got = gbufs.read_c(machine, gg)
     ok = bool(np.array_equal(got, gemm_fp32(a, cols)))
@@ -235,7 +229,8 @@ def tune_layer(
     Surrogate-ranks the sampled space, exactly simulates the top-k
     plus the default schedule (or everything when ``exhaustive``),
     and differentially validates every exactly-simulated candidate
-    against the fp32 reference.
+    against the fp32 reference.  The default schedule (candidate 0,
+    the shipped kernel) is the baseline.
     """
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
@@ -264,7 +259,6 @@ def tune_layer(
         if 0 not in chosen:
             chosen.append(0)  # the default schedule is always evaluated
 
-    baseline, _ = _exact_cycles(layer, config, seed, None)
     for i in chosen:
         cycles, ok = _exact_cycles(layer, config, seed,
                                    candidates[i].schedule)
@@ -274,6 +268,8 @@ def tune_layer(
                 f"{layer.name} / {candidates[i].schedule.label()}")
         candidates[i].exact_cycles = cycles
         candidates[i].validated = ok
+    baseline = candidates[0].exact_cycles
+    assert baseline is not None  # the default is always simulated
 
     return LayerTuning(
         layer=layer.name,

@@ -7,18 +7,22 @@
 - :mod:`repro.kernels.transpose` — the 4-vector transpose workarounds,
   Algorithm 3 (indexed) and Algorithm 4 (strided);
 - :mod:`repro.kernels.im2col` / :mod:`repro.kernels.gemm` — the
-  im2col+GEMM path;
+  im2col+GEMM path, and :mod:`repro.kernels.direct` — the direct 1x1
+  convolution; all three are emitted by the schedule DSL's lowering
+  (:mod:`repro.schedule`) under its default schedules;
 - :mod:`repro.kernels.drivers` — end-to-end convolution drivers;
 - :mod:`repro.kernels.common` — geometry/layout shared with the
   analytical models (the trace-validation contract).
 """
 
 from repro.kernels.buffers import (
+    Direct1x1Buffers,
     GemmBuffers,
     Im2colBuffers,
     WinogradBuffers,
 )
 from repro.kernels.common import (
+    Direct1x1Geometry,
     GemmGeometry,
     Im2colGeometry,
     TransformOp,
@@ -26,12 +30,7 @@ from repro.kernels.common import (
     transform_op_class_counts,
     transform_ops,
 )
-from repro.kernels.direct import (
-    Direct1x1Buffers,
-    Direct1x1Geometry,
-    direct1x1_kernel,
-    direct_conv1x1_sim,
-)
+from repro.kernels.direct import direct1x1_kernel, direct_conv1x1_sim
 from repro.kernels.drivers import im2col_gemm_conv2d_sim, winograd_conv2d_sim
 from repro.kernels.gemm import gemm_kernel
 from repro.kernels.im2col import im2col_kernel

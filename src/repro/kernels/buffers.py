@@ -7,7 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.kernels.common import GemmGeometry, Im2colGeometry, WinogradGeometry
+from repro.kernels.common import (
+    Direct1x1Geometry,
+    GemmGeometry,
+    Im2colGeometry,
+    WinogradGeometry,
+)
 from repro.rvv.machine import VectorEngine
 
 
@@ -134,4 +139,23 @@ class Im2colBuffers:
             machine.memory.read_f32(self.cols, geom.cols_size)
             .reshape(geom.rows, geom.cols)
             .copy()
+        )
+
+
+@dataclass(frozen=True)
+class Direct1x1Buffers:
+    """Byte base addresses for the direct 1x1 kernel."""
+
+    x: int
+    weights: int
+    y: int
+
+    @classmethod
+    def allocate(cls, machine: VectorEngine,
+                 geom: Direct1x1Geometry) -> "Direct1x1Buffers":
+        mem = machine.memory
+        return cls(
+            x=mem.alloc_f32(geom.x_size, label="direct.x"),
+            weights=mem.alloc_f32(geom.w_size, label="direct.weights"),
+            y=mem.alloc_f32(geom.y_size, label="direct.y"),
         )

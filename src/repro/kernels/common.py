@@ -13,7 +13,8 @@ agree on live here:
   the blocked Winograd pipeline (tile grid, channel/output panels, the
   quad-replicated filter layout, buffer strides).
 - :class:`GemmGeometry` / :class:`Im2colGeometry` — the same for the
-  im2col+GEMM path.
+  im2col+GEMM path, and :class:`Direct1x1Geometry` for the direct 1x1
+  convolution.
 """
 
 from __future__ import annotations
@@ -434,3 +435,48 @@ class Im2colGeometry:
     @property
     def cols_size(self) -> int:
         return self.rows * self.cols
+
+
+@dataclass(frozen=True)
+class Direct1x1Geometry:
+    """A 1x1 convolution run directly on the CHW feature map."""
+
+    c_in: int
+    h: int
+    w: int
+    c_out: int
+    stride: int
+    vlen_elems: int
+    mr: int = 8
+
+    def __post_init__(self) -> None:
+        if min(self.c_in, self.h, self.w, self.c_out, self.stride) < 1:
+            raise ConfigError(f"bad 1x1 geometry: {self}")
+
+    @property
+    def h_out(self) -> int:
+        return (self.h - 1) // self.stride + 1
+
+    @property
+    def w_out(self) -> int:
+        return (self.w - 1) // self.stride + 1
+
+    @property
+    def n_pixels(self) -> int:
+        return self.h_out * self.w_out
+
+    @property
+    def k_blocks(self) -> int:
+        return ceil_div(self.c_out, self.mr)
+
+    @property
+    def x_size(self) -> int:
+        return self.c_in * self.h * self.w
+
+    @property
+    def w_size(self) -> int:
+        return self.c_out * self.c_in
+
+    @property
+    def y_size(self) -> int:
+        return self.c_out * self.n_pixels

@@ -11,7 +11,9 @@ input planes directly:
     Y[k, :] = sum_c W[k, c] * X[c, ::stride]
 
 Same accumulator structure as :mod:`repro.kernels.gemm` (``mr`` output
-channels per pass, ``vl`` pixels per vector); stride-2 layers use
+channels per pass, ``vl`` pixels per vector) and the same source: the
+schedule DSL's matmul lowering, pinned by
+``tests/data/golden_schedule_direct1x1_*.json``.  Stride-2 layers use
 strided loads.  The ablation bench ``bench_ablation_direct_1x1.py``
 quantifies the saved traffic against the paper's im2col+GEMM choice on
 YOLOv3's six 1x1 layers.
@@ -19,99 +21,37 @@ YOLOv3's six 1x1 layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.kernels.common import ceil_div
+from repro.kernels.buffers import Direct1x1Buffers
+from repro.kernels.common import Direct1x1Geometry
 from repro.rvv.machine import VectorEngine
 
-
-@dataclass(frozen=True)
-class Direct1x1Geometry:
-    """Geometry of a 1x1 convolution run directly on the feature map."""
-
-    c_in: int
-    h: int
-    w: int
-    c_out: int
-    stride: int
-    vlen_elems: int
-    mr: int = 8
-
-    def __post_init__(self) -> None:
-        if min(self.c_in, self.h, self.w, self.c_out, self.stride) < 1:
-            raise ConfigError(f"bad 1x1 geometry: {self}")
-
-    @property
-    def h_out(self) -> int:
-        return (self.h - 1) // self.stride + 1
-
-    @property
-    def w_out(self) -> int:
-        return (self.w - 1) // self.stride + 1
-
-    @property
-    def n_pixels(self) -> int:
-        return self.h_out * self.w_out
-
-    @property
-    def k_blocks(self) -> int:
-        return ceil_div(self.c_out, self.mr)
-
-    @property
-    def x_size(self) -> int:
-        return self.c_in * self.h * self.w
-
-    @property
-    def w_size(self) -> int:
-        return self.c_out * self.c_in
-
-    @property
-    def y_size(self) -> int:
-        return self.c_out * self.n_pixels
-
-    def x_offset(self, c: int, y: int, x: int) -> int:
-        return (c * self.h + y) * self.w + x
-
-    def y_offset(self, k: int, oy: int, ox: int) -> int:
-        return (k * self.h_out + oy) * self.w_out + ox
-
-
-@dataclass(frozen=True)
-class Direct1x1Buffers:
-    """Byte base addresses for the direct 1x1 kernel."""
-
-    x: int
-    weights: int
-    y: int
-
-    @classmethod
-    def allocate(cls, machine: VectorEngine, geom: Direct1x1Geometry):
-        mem = machine.memory
-        return cls(
-            x=mem.alloc_f32(geom.x_size, label="direct.x"),
-            weights=mem.alloc_f32(geom.w_size, label="direct.weights"),
-            y=mem.alloc_f32(geom.y_size, label="direct.y"),
-        )
+if TYPE_CHECKING:
+    from repro.schedule.ir import Schedule
 
 
 def direct1x1_kernel(
     machine: VectorEngine,
     geom: Direct1x1Geometry,
     bufs: Direct1x1Buffers,
+    sched: Schedule | None = None,
 ) -> None:
     """Direct 1x1 convolution over CHW feature maps.
 
-    Loop structure (mirrored exactly by
-    :func:`repro.model.direct_model.direct1x1_model`); the pixel strip
-    is *outermost* so the just-loaded input strip is re-read across the
-    output-channel blocks at a tiny reuse distance (C x strip bytes),
-    and stride-1 layers strip-mine the whole contiguous plane rather
-    than row by row:
+    ``sched`` defaults to :func:`repro.schedule.default_direct_schedule`,
+    whose loop structure :func:`repro.model.direct_model.direct1x1_model`
+    mirrors exactly.  The pixel strip is *outermost* so the just-loaded
+    input strip is re-read across the output-channel blocks at a tiny
+    reuse distance (C x strip bytes).  Stride-1 layers strip-mine the
+    whole contiguous plane; strided layers lower one matmul per output
+    row, because their pixels are contiguous only within a row:
 
     for each pixel strip (whole plane at stride 1, per row otherwise):
+      vsetvl
       for each output-channel block (mr channels):
         mr x accumulator init
         for c in input channels:
@@ -119,50 +59,24 @@ def direct1x1_kernel(
           mr x (scalar weight load + vfmacc.vf)
         mr x unit store
     """
+    # Imported at call time: repro.schedule imports this package's
+    # geometry, so a module-level import would be circular.
+    from repro.schedule import (
+        MatmulAlgorithm,
+        MatmulOperands,
+        default_direct_schedule,
+        lower_matmul,
+    )
+
+    alg = MatmulAlgorithm.from_direct1x1(geom)
+    if sched is None:
+        sched = default_direct_schedule(geom.mr)
     s = geom.stride
-    w_view = machine.memory.view(bufs.weights, geom.w_size)
-
-    def strips():
-        """Yield (x element offset within plane, y offset, length)."""
-        if s == 1:
-            n = geom.h * geom.w  # h_out*w_out == plane for stride 1
-            done = 0
-            while done < n:
-                ln = min(geom.vlen_elems, n - done)
-                yield done, done, ln
-                done += ln
-        else:
-            for oy in range(geom.h_out):
-                done = 0
-                while done < geom.w_out:
-                    ln = min(geom.vlen_elems, geom.w_out - done)
-                    yield (oy * s) * geom.w + done * s, oy * geom.w_out + done, ln
-                    done += ln
-
-    with machine.alloc.scoped(geom.mr + 1) as regs:
-        acc, xv = regs[: geom.mr], regs[geom.mr]
-        for x_off, y_off, ln in strips():
-            machine.setvl(ln)
-            for kb in range(geom.k_blocks):
-                k0 = kb * geom.mr
-                rows = min(geom.mr, geom.c_out - k0)
-                for r in range(rows):
-                    machine.vfmv_v_f(acc[r], 0.0)
-                for c in range(geom.c_in):
-                    src = bufs.x + 4 * (c * geom.h * geom.w + x_off)
-                    if s == 1:
-                        machine.vle32(xv, src)
-                    else:
-                        machine.vlse32(xv, src, 4 * s)
-                    for r in range(rows):
-                        wv = float(w_view[(k0 + r) * geom.c_in + c])
-                        machine.scalar_ops(1)  # the scalar weight load
-                        machine.vfmacc_vf(acc[r], wv, xv)
-                for r in range(rows):
-                    machine.vse32(
-                        acc[r],
-                        bufs.y + 4 * ((k0 + r) * geom.n_pixels + y_off),
-                    )
+    for oy in range(geom.h_out if s > 1 else 1):
+        lower_matmul(machine, alg, sched, MatmulOperands(
+            a=bufs.weights,
+            b=bufs.x + 4 * oy * s * geom.w,
+            c=bufs.y + 4 * oy * geom.w_out))
 
 
 def direct_conv1x1_sim(

@@ -11,54 +11,54 @@ The B panel is re-streamed for every M block — a reuse distance of
 mechanism behind the paper's Table 1: YOLOv3's (GEMM-heavy) L2 miss
 rate rises from 39% to 52% as VLEN grows from 512 to 4096 bits, and
 behind its L2-size scaling (bigger L2 re-captures the B panel).
+
+The loop nest is not written here: it is the schedule DSL's lowering
+of the matmul statement (:mod:`repro.schedule`), pinned by
+``tests/data/golden_schedule_gemm_default.json``.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.kernels.buffers import GemmBuffers
 from repro.kernels.common import GemmGeometry
 from repro.rvv.machine import VectorEngine
+
+if TYPE_CHECKING:
+    from repro.schedule.ir import Schedule
 
 
 def gemm_kernel(
     machine: VectorEngine,
     geom: GemmGeometry,
     bufs: GemmBuffers,
+    sched: Schedule | None = None,
 ) -> None:
     """C = A @ B with the blocked VLA microkernel.
 
-    Loop structure (mirrored exactly by
-    :func:`repro.model.gemm_model.gemm_nests`):
+    ``sched`` defaults to :func:`repro.schedule.default_matmul_schedule`,
+    whose loop structure :func:`repro.model.gemm_model.gemm_model`
+    mirrors exactly:
 
     for each N panel (vl = columns in panel):
       for each M block (mr rows):
-        mr x accumulator init
+        vsetvl; mr x accumulator init
         for k in reduction dim:
           1x unit load of B[k, panel]
           mr x (scalar A load + vfmacc.vf)
         mr x unit store of C rows
     """
-    for pn in range(geom.n_panels):
-        j0 = pn * geom.vlen_elems
-        vl = min(geom.vlen_elems, geom.n - j0)
-        for mb in range(geom.m_blocks):
-            i0 = mb * geom.mr
-            rows = min(geom.mr, geom.m - i0)
-            machine.setvl(vl)
-            with machine.alloc.scoped(rows + 1) as regs:
-                acc, b_reg = regs[:rows], regs[rows]
-                for r in range(rows):
-                    machine.vfmv_v_f(acc[r], 0.0)
-                a_view = machine.memory.view(
-                    bufs.a, geom.a_size
-                )  # scalar reads of A (modeled as scalar loads)
-                for k in range(geom.kd):
-                    machine.vle32(b_reg, bufs.b + 4 * geom.b_offset(k, j0))
-                    for r in range(rows):
-                        a_val = float(a_view[geom.a_offset(i0 + r, k)])
-                        machine.scalar_ops(1)  # the scalar load of A[i, k]
-                        machine.vfmacc_vf(acc[r], a_val, b_reg)
-                for r in range(rows):
-                    machine.vse32(
-                        acc[r], bufs.c + 4 * geom.c_offset(i0 + r, j0)
-                    )
+    # Imported at call time: repro.schedule imports this package's
+    # geometry, so a module-level import would be circular.
+    from repro.schedule import (
+        MatmulAlgorithm,
+        MatmulOperands,
+        default_matmul_schedule,
+        lower_matmul,
+    )
+
+    lower_matmul(machine, MatmulAlgorithm.from_gemm(geom),
+                 sched if sched is not None
+                 else default_matmul_schedule(geom.mr),
+                 MatmulOperands(a=bufs.a, b=bufs.b, c=bufs.c))

@@ -5,49 +5,50 @@ filter-column) triple; filling it copies one shifted/strided view of
 the input plane.  Stride-1 layers copy with unit-stride loads; strided
 layers use strided loads (element stride = ``stride * 4`` bytes), one
 output row at a time, strip-mined over the output width.
+
+The loop nest is the schedule DSL's lowering of the copy statement
+(:mod:`repro.schedule`), pinned by
+``tests/data/golden_schedule_im2col_default.json``.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.kernels.buffers import Im2colBuffers
 from repro.kernels.common import Im2colGeometry
 from repro.rvv.machine import VectorEngine
+
+if TYPE_CHECKING:
+    from repro.schedule.ir import Schedule
 
 
 def im2col_kernel(
     machine: VectorEngine,
     geom: Im2colGeometry,
     bufs: Im2colBuffers,
+    sched: Schedule | None = None,
 ) -> None:
     """Unfold the padded input into the Darknet column matrix.
 
-    Loop structure (mirrored exactly by
-    :func:`repro.model.im2col_model.im2col_nests`):
+    ``sched`` defaults to :func:`repro.schedule.default_copy_schedule`,
+    whose loop structure
+    :func:`repro.model.gemm_model.im2col_model_for` mirrors exactly:
 
     for each row (c, ki, kj) of the column matrix:
       for each output row oy:
-        strip-mine output columns: (unit or strided) load + unit store
+        strip-mine output columns: vsetvl, (unit or strided) load,
+        unit store
     """
-    s = geom.stride
-    with machine.alloc.scoped(1) as (v,):
-        for c in range(geom.c_in):
-            for ki in range(geom.ksize):
-                for kj in range(geom.ksize):
-                    row = (c * geom.ksize + ki) * geom.ksize + kj
-                    for oy in range(geom.h_out):
-                        iy = oy * s + ki
-                        done = 0
-                        while done < geom.w_out:
-                            vl = machine.setvl(geom.w_out - done)
-                            src = bufs.x + 4 * geom.x_offset(
-                                c, iy, (done * s) + kj
-                            )
-                            if s == 1:
-                                machine.vle32(v, src)
-                            else:
-                                machine.vlse32(v, src, 4 * s)
-                            dst = bufs.cols + 4 * (
-                                row * geom.cols + oy * geom.w_out + done
-                            )
-                            machine.vse32(v, dst)
-                            done += vl
+    # Imported at call time: repro.schedule imports this package's
+    # geometry, so a module-level import would be circular.
+    from repro.schedule import (
+        CopyAlgorithm,
+        CopyOperands,
+        default_copy_schedule,
+        lower_copy,
+    )
+
+    lower_copy(machine, CopyAlgorithm(geom),
+               sched if sched is not None else default_copy_schedule(),
+               CopyOperands(src=bufs.x, dst=bufs.cols))

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 from repro.isa import OpClass
-from repro.kernels.direct import Direct1x1Geometry
+from repro.kernels.common import Direct1x1Geometry
 from repro.model.traffic import COLD, PhaseModel
 
 
 def direct1x1_model(geom: Direct1x1Geometry) -> PhaseModel:
     """Mirrors :func:`repro.kernels.direct.direct1x1_kernel` exactly.
 
-    The pixel loop is outermost: per strip, one setvl, then per
+    That kernel is the schedule DSL's matmul lowering under
+    :func:`repro.schedule.default_direct_schedule` (one statement per
+    plane at stride 1, one per output row otherwise).  The pixel loop
+    is outermost: per strip, one setvl, then per
     output-channel block mr accumulator inits, C loads, C*rows scalar
     weight loads + vfmaccs and mr stores.  The X strip is re-read per
     k-block at distance ~C * strip bytes (an L1 hit); X and Y otherwise
@@ -20,7 +23,7 @@ def direct1x1_model(geom: Direct1x1Geometry) -> PhaseModel:
     s = geom.stride
     vlen = geom.vlen_elems
 
-    # Strip census, matching the kernel's strips() generator.
+    # Strip census: the lowering's vector strips over the pixel axis.
     if s == 1:
         n = geom.h * geom.w
         full, tail = divmod(n, vlen)

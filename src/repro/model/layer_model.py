@@ -12,8 +12,12 @@ from dataclasses import dataclass
 
 from repro.conv.layer import ConvAlgorithm, ConvLayerSpec, choose_algorithm
 from repro.errors import ConfigError
-from repro.kernels.common import GemmGeometry, Im2colGeometry, WinogradGeometry
-from repro.kernels.direct import Direct1x1Geometry
+from repro.kernels.common import (
+    Direct1x1Geometry,
+    GemmGeometry,
+    Im2colGeometry,
+    WinogradGeometry,
+)
 from repro.model.direct_model import direct1x1_model
 from repro.kernels.tuple_mult import SLIDEUP
 from repro.model.gemm_model import gemm_model, im2col_model_for

@@ -149,11 +149,19 @@ def grid_axis(values: Sequence[int], field: str = "l2_mbs") -> list[int]:
     items = list(values)
     if not items:
         raise ConfigError(f"{field} must be non-empty")
-    for v in items:
-        if isinstance(v, bool) or not isinstance(v, Integral) or v <= 0:
-            raise ConfigError(
-                f"{field} must contain positive integers, got {v!r}")
-    return [int(v) for v in items]
+    return [positive_int(v, field) for v in items]
+
+
+def positive_int(value: object, field: str) -> int:
+    """``value`` as a Python int, if it is a positive integer.
+
+    ``bool``, fractional, string and non-positive values raise a
+    :class:`ConfigError` naming ``field``; nothing is truncated or
+    coerced.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value <= 0:
+        raise ConfigError(f"{field} takes positive integers only, got {value!r}")
+    return int(value)
 
 
 def _at_l2(

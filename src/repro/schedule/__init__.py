@@ -4,9 +4,12 @@ Exo-style separation of concerns for the repo's convolution kernels: a
 statement (:mod:`repro.schedule.algorithms`) says *what* is computed,
 a :class:`Schedule` (:mod:`repro.schedule.ir`) says *how* its loop
 nest is tiled/ordered/vectorized/unrolled, and the lowering
-(:mod:`repro.schedule.lower`) emits the same RVV/SVE driver programs
-the hand-written kernels produce — so the functional machines, audit
-pipelines and cost model consume generated kernels unchanged.
+(:mod:`repro.schedule.lower`) emits the RVV/SVE driver program.  This
+is the only source of the GEMM, im2col and direct 1x1 kernels:
+:func:`repro.kernels.gemm_kernel`, :func:`repro.kernels.im2col_kernel`
+and :func:`repro.kernels.direct1x1_kernel` lower the default schedules
+unless given another, and ``tests/data/golden_schedule_*.json`` pin
+their listings.
 
 ``repro tune`` searches this space per layer
 (:mod:`repro.schedule.space`, :mod:`repro.codesign.tuner`).
@@ -29,15 +32,7 @@ from repro.schedule.ir import (
     default_matmul_schedule,
     matmul_schedule,
 )
-from repro.schedule.library import (
-    SCHEDULED_VARIANTS,
-    ScheduledVariant,
-    scheduled_direct1x1,
-    scheduled_gemm,
-    scheduled_im2col,
-    scheduled_im2col_gemm_conv2d_sim,
-)
-from repro.schedule.lower import GeneratedKernel, lower_copy, lower_matmul
+from repro.schedule.lower import lower_copy, lower_matmul
 from repro.schedule.space import copy_space, matmul_space, sample_space
 
 __all__ = [
@@ -55,13 +50,6 @@ __all__ = [
     "CopyOperands",
     "lower_matmul",
     "lower_copy",
-    "GeneratedKernel",
-    "scheduled_gemm",
-    "scheduled_im2col",
-    "scheduled_direct1x1",
-    "scheduled_im2col_gemm_conv2d_sim",
-    "SCHEDULED_VARIANTS",
-    "ScheduledVariant",
     "matmul_space",
     "copy_space",
     "sample_space",

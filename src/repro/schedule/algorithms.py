@@ -2,8 +2,8 @@
 
 An algorithm describes *what* is computed — extents and row-major
 address arithmetic over flat fp32 operand buffers — and nothing about
-loop structure.  The same two statements cover all three ported
-hand-written kernels:
+loop structure.  Two statements are the only source of the GEMM,
+im2col and direct 1x1 kernels in :mod:`repro.kernels`:
 
 - :class:`MatmulAlgorithm` is the GEMM statement.  With
   :meth:`MatmulAlgorithm.from_gemm` it addresses the column matrix the
@@ -20,8 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.kernels.common import GemmGeometry, Im2colGeometry
-from repro.kernels.direct import Direct1x1Geometry
+from repro.kernels.common import (
+    Direct1x1Geometry,
+    GemmGeometry,
+    Im2colGeometry,
+)
 
 
 @dataclass(frozen=True)
@@ -75,18 +78,19 @@ class MatmulAlgorithm:
     def from_direct1x1(cls, geom: Direct1x1Geometry) -> "MatmulAlgorithm":
         """The direct 1x1 convolution as a matmul whose B is the input.
 
-        Only stride-1 layers keep the pixel axis contiguous; strided
-        1x1 layers would segment ``j`` per output row and are routed
-        through im2col-GEMM instead.
+        At stride 1 the pixel axis is the whole contiguous plane and
+        one statement covers the layer.  At stride ``s > 1`` the pixels
+        are contiguous only within an output row, so the statement
+        covers one row (``n = w_out``, B read with element stride
+        ``s``); the kernel lowers it once per output row, with the B
+        and C operands offset to that row.
         """
-        if geom.stride != 1:
-            raise ConfigError(
-                "the scheduled direct 1x1 statement requires stride 1 "
-                f"(got stride {geom.stride}); use the im2col-GEMM path")
-        n = geom.h * geom.w  # == n_pixels at stride 1
+        s = geom.stride
+        n = geom.h * geom.w if s == 1 else geom.w_out
         return cls(name="direct1x1", m=geom.c_out, n=n, kd=geom.c_in,
-                   a_row_stride=geom.c_in, b_row_stride=n,
-                   c_row_stride=n, a_elems=geom.w_size)
+                   a_row_stride=geom.c_in, b_row_stride=geom.h * geom.w,
+                   c_row_stride=geom.n_pixels, b_elem_stride=s,
+                   a_elems=geom.w_size)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ pass, so no partial driver program is ever emitted.
 Schedules are vector-length-agnostic: ``vectorize`` fixes the LMUL
 register grouping, but the vector length itself comes from the machine
 at lowering time (the grant rule ``vl = min(AVL, VLMAX)`` strip-mines
-the vector axis exactly like the hand-written kernels do).  The
+the vector axis).  The
 special tile size ``"vl"`` means "one full vector grant" —
 ``LMUL * VLMAX`` elements, whatever VLEN turns out to be.
 """
@@ -291,12 +291,11 @@ def copy_schedule() -> Schedule:
 
 
 def default_matmul_schedule(mr: int = 8) -> Schedule:
-    """The schedule of the shipped hand-written GEMM microkernel.
+    """The schedule of the shipped GEMM microkernel.
 
     Tile j by one vector grant, vectorize at LMUL=1, tile i by ``mr``
-    and unroll it, panels outermost, ``vsetvl`` per block — lowering
-    this reproduces :func:`repro.kernels.gemm.gemm_kernel`
-    instruction for instruction.
+    and unroll it, panels outermost, ``vsetvl`` per block — what
+    :func:`repro.kernels.gemm.gemm_kernel` lowers by default.
     """
     return (matmul_schedule()
             .tile("j", VL).vectorize("j", lmul=1)
@@ -308,14 +307,18 @@ def default_direct_schedule(mr: int = 8) -> Schedule:
     """The schedule of the shipped direct 1x1 kernel.
 
     Same microkernel as the GEMM default, but with ``vsetvl`` hoisted
-    to the pixel strip (the hand-written kernel sets VL once per strip
-    and reuses it across the output-channel blocks).
+    to the pixel strip (VL is set once per strip and reused across the
+    output-channel blocks) — what
+    :func:`repro.kernels.direct.direct1x1_kernel` lowers by default.
     """
     return default_matmul_schedule(mr).hoist_setvl()
 
 
 def default_copy_schedule() -> Schedule:
-    """The schedule of the shipped im2col kernel (rows outer, x streamed)."""
+    """The schedule of the shipped im2col kernel (rows outer, x streamed).
+
+    What :func:`repro.kernels.im2col.im2col_kernel` lowers by default.
+    """
     return (copy_schedule()
             .vectorize("x", lmul=1)
             .reorder("r", "y", "x"))

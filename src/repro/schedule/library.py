@@ -1,174 +1,18 @@
-"""Ported (algorithm, schedule) pairs and the generated-kernel registry.
+"""Named non-default schedules kept under continuous audit.
 
-The shipped hand-written GEMM, im2col and direct 1x1 kernels are
-reproduced here as (algorithm, schedule) pairs: lowering the default
-schedules emits the same driver programs instruction for instruction
-(``tests/test_schedule_equivalence.py`` pins this).  A few non-default
-schedules are registered alongside so the audit pipelines continuously
-cover generated code on paths no hand-written kernel exercises
-(LMUL-grouped accumulators, reduction blocking with memory-placed
-accumulators).
-
-:func:`scheduled_variants` feeds the :class:`KernelSpec` registry in
-:mod:`repro.analysis.audit` — expressed here as plain
-(name, harness, machines) records to keep the import dependency
-one-directional (analysis imports schedule, never the reverse).
+The default schedules (:mod:`repro.schedule.ir`) *are* the shipped GEMM,
+im2col and direct 1x1 kernels of :mod:`repro.kernels`.  The schedules
+here lower to programs no default emits (LMUL-grouped accumulators,
+reduction blocking with memory-placed accumulators, a tiled copy), so
+:mod:`repro.analysis.audit` registers them next to the defaults on the
+same harness problems, and ``tests/data/golden_schedule_*.json`` pins
+the LMUL-4 GEMM listing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from repro.schedule.ir import Schedule, copy_schedule, matmul_schedule
 
-import numpy as np
-
-from repro.kernels.buffers import GemmBuffers, Im2colBuffers
-from repro.kernels.common import GemmGeometry, Im2colGeometry
-from repro.kernels.direct import Direct1x1Buffers, Direct1x1Geometry
-from repro.rvv.machine import VectorEngine
-from repro.schedule.algorithms import (
-    CopyAlgorithm,
-    CopyOperands,
-    MatmulAlgorithm,
-    MatmulOperands,
-)
-from repro.schedule.ir import (
-    Schedule,
-    copy_schedule,
-    default_copy_schedule,
-    default_direct_schedule,
-    default_matmul_schedule,
-    matmul_schedule,
-)
-from repro.schedule.lower import lower_copy, lower_matmul
-
-
-# ----------------------------------------------------------------------
-# Scheduled kernel drivers (drop-in peers of the hand-written ones).
-# ----------------------------------------------------------------------
-def scheduled_gemm(
-    machine: VectorEngine,
-    geom: GemmGeometry,
-    bufs: GemmBuffers,
-    sched: Schedule | None = None,
-) -> None:
-    """C = A @ B via the DSL; default schedule == ``gemm_kernel``."""
-    alg = MatmulAlgorithm.from_gemm(geom)
-    lower_matmul(machine, alg,
-                 sched if sched is not None
-                 else default_matmul_schedule(geom.mr),
-                 MatmulOperands(a=bufs.a, b=bufs.b, c=bufs.c))
-
-
-def scheduled_im2col(
-    machine: VectorEngine,
-    geom: Im2colGeometry,
-    bufs: Im2colBuffers,
-    sched: Schedule | None = None,
-) -> None:
-    """Column-matrix unfolding via the DSL; default == ``im2col_kernel``."""
-    alg = CopyAlgorithm(geom)
-    lower_copy(machine, alg,
-               sched if sched is not None else default_copy_schedule(),
-               CopyOperands(src=bufs.x, dst=bufs.cols))
-
-
-def scheduled_direct1x1(
-    machine: VectorEngine,
-    geom: Direct1x1Geometry,
-    bufs: Direct1x1Buffers,
-    sched: Schedule | None = None,
-) -> None:
-    """Direct 1x1 convolution via the DSL; default == ``direct1x1_kernel``."""
-    alg = MatmulAlgorithm.from_direct1x1(geom)
-    lower_matmul(machine, alg,
-                 sched if sched is not None
-                 else default_direct_schedule(geom.mr),
-                 MatmulOperands(a=bufs.weights, b=bufs.x, c=bufs.y))
-
-
-def scheduled_im2col_gemm_conv2d_sim(
-    machine: VectorEngine,
-    x: np.ndarray,
-    weights: np.ndarray,
-    stride: int = 1,
-    pad: int = 0,
-    gemm_sched: Schedule | None = None,
-    copy_sched: Schedule | None = None,
-) -> np.ndarray:
-    """Full im2col+GEMM convolution from generated kernels.
-
-    Mirrors :func:`repro.kernels.drivers.im2col_gemm_conv2d_sim`
-    (same staging, buffers and layout; the GEMM reads the column
-    matrix in place), with both stages' schedules swappable.
-    """
-    c, h, w = x.shape
-    k = weights.shape[0]
-    ig = Im2colGeometry(c_in=c, h=h, w=w, ksize=weights.shape[2],
-                        stride=stride, pad=pad)
-    ibufs = Im2colBuffers.allocate(machine, ig)
-    ibufs.load_input(machine, ig, np.asarray(x, dtype=np.float32))
-    scheduled_im2col(machine, ig, ibufs, copy_sched)
-
-    gg = GemmGeometry(m=k, kd=ig.rows, n=ig.cols,
-                      vlen_elems=machine.vlen_bits // 32)
-    gbufs = GemmBuffers(
-        a=machine.memory.alloc_f32(gg.a_size, label="gemm.a"),
-        b=ibufs.cols,
-        c=machine.memory.alloc_f32(gg.c_size, label="gemm.c"),
-    )
-    machine.memory.write_f32(
-        gbufs.a, np.asarray(weights, dtype=np.float32).reshape(k, -1))
-    scheduled_gemm(machine, gg, gbufs, gemm_sched)
-    return gbufs.read_c(machine, gg).reshape(k, ig.h_out, ig.w_out)
-
-
-# ----------------------------------------------------------------------
-# Registry harnesses.  Shapes and seeds deliberately match the
-# hand-written specs in repro.analysis.audit so the equivalence tests
-# compare like with like (and the VLMAX-collision rules carry over).
-# ----------------------------------------------------------------------
-def _gemm_harness(sched: Schedule | None) -> Callable[[VectorEngine], None]:
-    def run(machine: VectorEngine) -> None:
-        rng = np.random.default_rng(19)
-        geom = GemmGeometry(m=6, kd=9, n=40,
-                            vlen_elems=machine.vlen_bits // 32)
-        bufs = GemmBuffers.allocate(machine, geom)
-        bufs.load(machine, geom,
-                  rng.standard_normal((geom.m, geom.kd)).astype(np.float32),
-                  rng.standard_normal((geom.kd, geom.n)).astype(np.float32))
-        scheduled_gemm(machine, geom, bufs, sched)
-    return run
-
-
-def _im2col_harness(sched: Schedule | None) -> Callable[[VectorEngine], None]:
-    def run(machine: VectorEngine) -> None:
-        rng = np.random.default_rng(23)
-        geom = Im2colGeometry(c_in=3, h=10, w=20, ksize=3, stride=1, pad=1)
-        bufs = Im2colBuffers.allocate(machine, geom)
-        bufs.load_input(machine, geom,
-                        rng.standard_normal((geom.c_in, geom.h, geom.w))
-                        .astype(np.float32))
-        scheduled_im2col(machine, geom, bufs, sched)
-    return run
-
-
-def _direct1x1_harness(sched: Schedule | None) -> Callable[[VectorEngine], None]:
-    def run(machine: VectorEngine) -> None:
-        rng = np.random.default_rng(29)
-        geom = Direct1x1Geometry(c_in=4, h=5, w=20, c_out=6, stride=1,
-                                 vlen_elems=machine.vlen_bits // 32)
-        bufs = Direct1x1Buffers.allocate(machine, geom)
-        machine.memory.write_f32(
-            bufs.x, rng.standard_normal(geom.x_size).astype(np.float32))
-        machine.memory.write_f32(
-            bufs.weights,
-            rng.standard_normal(geom.w_size).astype(np.float32))
-        scheduled_direct1x1(machine, geom, bufs, sched)
-    return run
-
-
-#: Non-default schedules registered for continuous audit coverage.
 LMUL4_GEMM: Schedule = (matmul_schedule()
                         .tile("j", "vl").vectorize("j", lmul=4)
                         .tile("i", 4).unroll("i")
@@ -183,26 +27,3 @@ KTILE_GEMM: Schedule = (matmul_schedule()
 XTILE_COPY: Schedule = (copy_schedule()
                         .tile("x", 8).vectorize("x", lmul=1)
                         .reorder("y", "r", "x"))
-
-
-@dataclass(frozen=True)
-class ScheduledVariant:
-    """One generated kernel variant for the KernelSpec registry."""
-
-    name: str
-    run: Callable[[VectorEngine], None]
-    machines: tuple[str, ...] = ("rvv", "sve")
-
-
-#: LMUL > 1 groups are RVV-only: the SVE flavor implements fp32,
-#: LMUL=1 kernels (its ``setvl`` rejects anything else), matching the
-#: ``streaming/axpy@lmul2`` precedent.
-SCHEDULED_VARIANTS: tuple[ScheduledVariant, ...] = (
-    ScheduledVariant("sched/gemm@default", _gemm_harness(None)),
-    ScheduledVariant("sched/gemm@ijk-lmul4", _gemm_harness(LMUL4_GEMM),
-                     machines=("rvv",)),
-    ScheduledVariant("sched/gemm@ktile", _gemm_harness(KTILE_GEMM)),
-    ScheduledVariant("sched/im2col@default", _im2col_harness(None)),
-    ScheduledVariant("sched/im2col@yrx-xtile", _im2col_harness(XTILE_COPY)),
-    ScheduledVariant("sched/direct1x1@default", _direct1x1_harness(None)),
-)

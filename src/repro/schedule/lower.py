@@ -1,19 +1,19 @@
 """Lowering: schedule x algorithm -> RVV/SVE driver program.
 
-The lowering emits onto the same :class:`~repro.rvv.machine.VectorEngine`
-API the hand-written kernels use, so everything downstream — the
-functional machines, the trace-lifted and symbolic audit pipelines,
-``Simulator.run_trace`` — consumes generated kernels unchanged.  Under
-the default schedules the emission is *instruction-for-instruction*
-identical to the hand-written GEMM / im2col / direct 1x1 kernels
-(pinned by ``tests/test_schedule_equivalence.py``).
+The lowering emits onto the :class:`~repro.rvv.machine.VectorEngine`
+API, so everything downstream — the functional machines, the
+trace-lifted and symbolic audit pipelines, ``Simulator.run_trace`` —
+consumes generated kernels like any other.  It is the only emitter of
+the GEMM, im2col and direct 1x1 kernels (:mod:`repro.kernels` calls it
+with the default schedules); ``tests/data/golden_schedule_*.json`` pin
+the default listings instruction for instruction.
 
 Strip-mining follows the machines' grant rule: the vector axis
 advances by ``vl = min(AVL, LMUL * VLMAX)`` per strip.  An untiled
 vector axis requests the whole remainder (the im2col convention); a
 tiled one requests ``min(tile, remainder)`` (the GEMM convention) —
-this also pins the AVL operand recorded in the trace, part of the
-bit-identical equivalence contract.
+this also pins the AVL operand recorded in the trace, which the golden
+listings freeze.
 
 fp32 semantics: every loop structure this lowering can produce keeps
 the reduction ``k`` strictly increasing per C element.  When the
@@ -26,9 +26,8 @@ so *any* legal schedule is bit-identical to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
-from repro.kernels.common import ceil_div
 from repro.rvv.machine import VectorEngine
 from repro.schedule.algorithms import (
     CopyAlgorithm,
@@ -193,66 +192,3 @@ def lower_copy(
             for y in range(alg.h_out):
                 for r in range(alg.rows):
                     body(r, y)
-
-
-@dataclass(frozen=True)
-class GeneratedKernel:
-    """A lowered (algorithm, schedule) pair, callable like a kernel.
-
-    ``emit(machine, operands)`` runs the generated program on any
-    :class:`~repro.rvv.machine.VectorEngine` (concrete or abstract).
-    """
-
-    name: str
-    algorithm: MatmulAlgorithm | CopyAlgorithm
-    schedule: Schedule
-
-    def __post_init__(self) -> None:
-        self.schedule.validate()
-
-    @property
-    def emit(self) -> Callable[..., None]:
-        if isinstance(self.algorithm, MatmulAlgorithm):
-            return self._emit_matmul
-        return self._emit_copy
-
-    def _emit_matmul(
-        self, machine: VectorEngine, ops: MatmulOperands
-    ) -> None:
-        assert isinstance(self.algorithm, MatmulAlgorithm)
-        lower_matmul(machine, self.algorithm, self.schedule, ops)
-
-    def _emit_copy(self, machine: VectorEngine, ops: CopyOperands) -> None:
-        assert isinstance(self.algorithm, CopyAlgorithm)
-        lower_copy(machine, self.algorithm, self.schedule, ops)
-
-    def describe(self) -> dict[str, object]:
-        alg = self.algorithm
-        if isinstance(alg, MatmulAlgorithm):
-            shape: dict[str, object] = {
-                "statement": alg.name, "m": alg.m, "n": alg.n, "kd": alg.kd}
-        else:
-            g = alg.geom
-            shape = {"statement": "im2col", "c_in": g.c_in, "h": g.h,
-                     "w": g.w, "ksize": g.ksize, "stride": g.stride,
-                     "pad": g.pad}
-        return {"name": self.name, "algorithm": shape,
-                "schedule": self.schedule.describe()}
-
-
-def matmul_blocks(alg: MatmulAlgorithm, sched: Schedule,
-                  vstep: int) -> tuple[int, int, int]:
-    """(vector strips, i blocks, k blocks) of the lowered nest.
-
-    Shared by the lowering's surrogate cost model so its closed-form
-    counts agree with what :func:`lower_matmul` actually emits.
-    """
-    jt = sched.tiles.get("j")
-    if jt is None or jt == VL:
-        strips = ceil_div(alg.n, vstep)
-    else:
-        assert isinstance(jt, int)
-        strips = ceil_div(alg.n, min(jt, vstep))
-    kt = sched.tiles.get("k")
-    kb = ceil_div(alg.kd, kt) if isinstance(kt, int) else 1
-    return strips, ceil_div(alg.m, sched.mr), kb

@@ -48,7 +48,7 @@ from repro.conv.layer import ConvLayerSpec
 from repro.errors import ConfigError, ObsError
 from repro.kernels.tuple_mult import SLIDEUP, VARIANTS
 from repro.nets import build_layers, vgg16_layers, yolov3_layers
-from repro.nets.inference import grid_axis
+from repro.nets.inference import grid_axis, positive_int
 from repro.nets.layers import LayerSpec, MaxPoolSpec, ShortcutSpec
 from repro.sim.system import SystemConfig
 
@@ -145,7 +145,7 @@ def _resolve_network(
             "query must carry exactly one of 'network' (a named net) "
             "or 'cfg' (darknet cfg text)"
         )
-    max_layers = payload.get("max_layers")
+    max_layers = _opt_int(payload, "max_layers")
     if named is not None:
         if named not in NAMED_NETWORKS:
             raise ConfigError(
@@ -162,14 +162,14 @@ def _resolve_network(
             )
         layers = NAMED_NETWORKS[str(named)]()
         if max_layers is not None:
-            layers = layers[: int(max_layers)]
+            layers = layers[:max_layers]
         return str(named), layers
     layers = build_layers(
         str(cfg_text),
         height=_opt_int(payload, "height"),
         width=_opt_int(payload, "width"),
         channels=_opt_int(payload, "channels"),
-        max_layers=int(max_layers) if max_layers is not None else None,
+        max_layers=max_layers,
     )
     return str(payload.get("name", "custom")), layers
 
@@ -196,7 +196,7 @@ def _resolve_config(overrides: Any) -> SystemConfig:
 
 def _opt_int(payload: Mapping[str, Any], field: str) -> int | None:
     raw = payload.get(field)
-    return int(raw) if raw is not None else None
+    return positive_int(raw, field) if raw is not None else None
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ bit-identical, and per-layer span counters sum exactly to the untraced
 network totals)."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,9 +40,13 @@ from repro.obs import (
     warnings_in,
     write_manifest,
 )
+from repro.obs.manifest import git_rev
 from repro.sim import SystemConfig
 
 pytestmark = pytest.mark.obs
+
+#: The repository root (a git checkout, or an exported source tree).
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------------
@@ -406,8 +411,15 @@ class TestManifest:
         assert m["config"] == {"vlen_bits": 1024}
         assert m["network"] == "vgg16"
         assert m["seed_state"]["seed"] == 7
-        # This repo is a git checkout, so the revision resolves.
-        assert isinstance(m["git_rev"], str) and len(m["git_rev"]) >= 7
+        if (REPO_ROOT / ".git").exists():
+            # A git checkout: the revision resolves.
+            assert isinstance(m["git_rev"], str) and len(m["git_rev"]) >= 7
+        else:
+            # An exported tree (e.g. ``git archive``) has no revision.
+            assert m["git_rev"] is None
+
+    def test_git_rev_is_none_outside_a_checkout(self, tmp_path):
+        assert git_rev(cwd=tmp_path) is None
 
     def test_seed_state_digest_is_stable_shape(self):
         s = seed_state()

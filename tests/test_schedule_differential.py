@@ -21,15 +21,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.conv.reference import gemm_fp32, im2col_gemm_conv2d_fp32
 from repro.errors import ScheduleError
-from repro.kernels.buffers import GemmBuffers
-from repro.kernels.common import GemmGeometry
+from repro.kernels import gemm_kernel, im2col_kernel
+from repro.kernels.buffers import GemmBuffers, Im2colBuffers
+from repro.kernels.common import GemmGeometry, Im2colGeometry
 from repro.rvv import Memory, RvvMachine, Tracer
-from repro.schedule import (
-    VL,
-    matmul_schedule,
-    scheduled_gemm,
-    scheduled_im2col_gemm_conv2d_sim,
-)
+from repro.schedule import VL, matmul_schedule
 from repro.schedule.space import copy_space, matmul_space
 
 pytestmark = pytest.mark.dsl
@@ -50,8 +46,29 @@ def _run_gemm(vlen, m, kd, n, sched, seed):
     geom = GemmGeometry(m=m, kd=kd, n=n, vlen_elems=vlen // 32)
     bufs = GemmBuffers.allocate(machine, geom)
     bufs.load(machine, geom, a, b)
-    scheduled_gemm(machine, geom, bufs, sched)
+    gemm_kernel(machine, geom, bufs, sched)
     return bufs.read_c(machine, geom), gemm_fp32(a, b)
+
+
+def _run_conv(vlen, x, w, gemm_sched, copy_sched):
+    """im2col + GEMM with both stages' schedules swappable (the GEMM
+    reads the column matrix in place, as the shipped driver does)."""
+    machine = _machine(vlen)
+    c, h, wd = x.shape
+    k = w.shape[0]
+    ig = Im2colGeometry(c_in=c, h=h, w=wd, ksize=w.shape[2], stride=1,
+                        pad=1)
+    ibufs = Im2colBuffers.allocate(machine, ig)
+    ibufs.load_input(machine, ig, x)
+    im2col_kernel(machine, ig, ibufs, copy_sched)
+    gg = GemmGeometry(m=k, kd=ig.rows, n=ig.cols, vlen_elems=vlen // 32)
+    gbufs = GemmBuffers(
+        a=machine.memory.alloc_f32(gg.a_size, label="gemm.a"),
+        b=ibufs.cols,
+        c=machine.memory.alloc_f32(gg.c_size, label="gemm.c"))
+    machine.memory.write_f32(gbufs.a, w.reshape(k, -1))
+    gemm_kernel(machine, gg, gbufs, gemm_sched)
+    return gbufs.read_c(machine, gg).reshape(k, ig.h_out, ig.w_out)
 
 
 @st.composite
@@ -104,10 +121,7 @@ def test_scheduled_conv_matches_fp32_reference(vlen):
     want = im2col_gemm_conv2d_fp32(x, w, stride=1, pad=1)
     for gemm_sched in (None, matmul_space(m=5, kd=27)[1]):
         for copy_sched in (None, copy_space()[1]):
-            machine = _machine(vlen)
-            got = scheduled_im2col_gemm_conv2d_sim(
-                machine, x, w, stride=1, pad=1,
-                gemm_sched=gemm_sched, copy_sched=copy_sched)
+            got = _run_conv(vlen, x, w, gemm_sched, copy_sched)
             assert np.array_equal(got, want)
 
 
@@ -146,7 +160,7 @@ def test_illegal_schedules_raise_without_emitting(name, sched):
               rng.standard_normal((6, 9)).astype(np.float32),
               rng.standard_normal((9, 40)).astype(np.float32))
     with pytest.raises(ScheduleError):
-        scheduled_gemm(machine, geom, bufs, sched)
+        gemm_kernel(machine, geom, bufs, sched)
     assert machine.tracer.events == []
     assert machine.tracer.by_class == {}
 

@@ -3,9 +3,9 @@ surrogate fidelity.
 
 ``repro tune`` is only trustworthy if (a) a report is a pure function
 of (net, config, seed) — no hidden global state, (b) its winner never
-loses to the shipped hand-written kernels (the default schedule is
-always in the exactly-simulated set, and its generated trace *is* the
-hand-written trace), and (c) the cheap surrogate ranking is good
+loses to the shipped kernels (the default schedule is always in the
+exactly-simulated set, and its generated trace *is* the shipped
+im2col+GEMM driver's trace), and (c) the cheap surrogate ranking is good
 enough that the exact re-rank of the top-k finds the true optimum —
 checked here by exhaustively exact-simulating a whole schedule space
 and asserting the surrogate's leaders contain the exact best.
@@ -13,12 +13,15 @@ and asserting the surrogate's leaders contain the exact best.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.codesign.tuner import proxy_layer, tune_layer, tune_network
 from repro.conv.layer import ConvLayerSpec
-from repro.sim.system import SystemConfig
+from repro.kernels import im2col_gemm_conv2d_sim
+from repro.rvv import Memory, RvvMachine, Tracer
+from repro.sim.system import Simulator, SystemConfig
 
 pytestmark = pytest.mark.dsl
 
@@ -52,15 +55,24 @@ def test_different_seed_samples_a_different_space():
 def test_top1_never_loses_to_the_handwritten_baseline():
     report = _tune()
     assert len(report.layers) == 2
-    for tuning in report.layers:
+    for layer, tuning in zip(NET, report.layers):
         best = tuning.best
         assert best.validated is True
         assert best.exact_cycles is not None
         assert best.exact_cycles <= tuning.baseline_cycles
-        # The default schedule's generated trace is the hand-written
-        # trace, so its exact cycles equal the baseline's.
-        default = tuning.candidates[0]
-        assert default.exact_cycles == tuning.baseline_cycles
+        # The baseline is what the shipped im2col+GEMM driver costs on
+        # the same (proxy) problem.
+        proxy = proxy_layer(layer, 1024, 64)
+        machine = RvvMachine(CONFIG.vlen_bits, memory=Memory(1 << 28),
+                             tracer=Tracer(capture=True))
+        im2col_gemm_conv2d_sim(
+            machine,
+            np.zeros((proxy.c_in, proxy.h_in, proxy.w_in), np.float32),
+            np.zeros((proxy.c_out, proxy.c_in, proxy.ksize, proxy.ksize),
+                     np.float32),
+            stride=proxy.stride, pad=proxy.pad)
+        shipped = Simulator(CONFIG).run_trace(machine.tracer).cycles
+        assert tuning.baseline_cycles == shipped
 
 
 @pytest.mark.parametrize("layer", NET, ids=[lay.name for lay in NET])

@@ -29,6 +29,25 @@ from repro.sim import SystemConfig
 pytestmark = pytest.mark.serve
 
 
+#: A two-layer Darknet cfg for queries that ship their topology.
+CFG_TEXT = """
+[net]
+height=8
+width=8
+channels=3
+[convolutional]
+filters=4
+size=3
+stride=1
+pad=1
+[convolutional]
+filters=4
+size=1
+stride=1
+pad=1
+"""
+
+
 def _query(**overrides):
     payload = {"network": "vgg16", "max_layers": 2,
                "vlens": [512, 1024], "l2_mbs": [1, 16], "mode": "fast"}
@@ -82,6 +101,27 @@ class TestQueryProtocol:
         base.update(payload)
         with pytest.raises(ConfigError, match=match):
             Query.from_payload(base)
+
+    @pytest.mark.parametrize("value", [2.7, True, "3", 0, -1])
+    @pytest.mark.parametrize("field",
+                             ["max_layers", "height", "width", "channels"])
+    def test_bad_integer_fields_raise_config_error(self, field, value):
+        """Counts are read as positive integers, never truncated or
+        coerced (2.7 is not 2 layers, ``true`` is not 1)."""
+        base = {"cfg": CFG_TEXT, "vlens": [512], "l2_mbs": [1], field: value}
+        with pytest.raises(ConfigError, match=field):
+            Query.from_payload(base)
+        if field == "max_layers":
+            with pytest.raises(ConfigError, match=field):
+                Query.from_payload({"network": "vgg16", "vlens": [512],
+                                    "l2_mbs": [1], field: value})
+
+    def test_integer_fields_accept_positive_integers(self):
+        q = Query.from_payload({"cfg": CFG_TEXT, "vlens": [512],
+                                "l2_mbs": [1], "max_layers": 1,
+                                "height": 16, "width": 16, "channels": 4})
+        assert len(q.layers) == 1
+        assert q.layers[0].c_in == 4
 
     def test_must_name_exactly_one_topology_source(self):
         with pytest.raises(ConfigError, match="exactly one"):
