@@ -72,7 +72,7 @@ def input_transform(
     """Transform every 8x8 input tile of every channel: X -> V.
 
     Loop structure (mirrored exactly by
-    :func:`repro.model.winograd_model.input_transform_nests`):
+    :func:`repro.model.winograd_model.input_transform_model`):
 
     for each channel block cb (vl = channels in block):
       for each tile t:
@@ -187,7 +187,7 @@ def output_transform(
     paper's strided-transpose workaround (Algorithm 4).  Final results
     scatter into the CHW output with channel-strided stores.
 
-    Mirrored by :func:`repro.model.winograd_model.output_transform_nests`.
+    Mirrored by :func:`repro.model.winograd_model.output_transform_model`.
     """
     tf = transforms if transforms is not None else f6x3_transforms()
     at = tf.AT(np.float32)

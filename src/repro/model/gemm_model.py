@@ -64,10 +64,8 @@ def gemm_model(geom: GemmGeometry, cols_distance: float | None = None) -> PhaseM
         # kernel, which accounts them as scalar ops — no vector-memory
         # traffic is attributed to A.
         ph.add_traffic(
-            "B panel read / C cold st",
-            np.tile(accesses, panels),
-            np.tile(distance, panels),
-            is_store=np.tile([False, True], geom.m_blocks * panels),
+            "B panel read / C cold st", accesses, distance,
+            is_store=np.tile([False, True], geom.m_blocks), repeat=panels,
         )
     return ph
 

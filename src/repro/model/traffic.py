@@ -14,9 +14,11 @@ this package therefore describe each kernel phase as
   A :class:`PhaseModel` stores its classes as columns
   (:class:`TrafficColumns`: accesses, distance, is_store, region,
   dilution), one row per class in append order.  Models append scalars
-  for one class or NumPy arrays for a whole run of classes (the GEMM
-  model emits its per-panel x per-block runs as arrays), through the
-  one validating :meth:`PhaseModel.add_traffic`.
+  for one class or NumPy arrays for a whole run of classes, through the
+  one validating :meth:`PhaseModel.add_traffic`; its ``repeat`` count
+  appends a loop's per-iteration pattern of classes once per iteration
+  (the GEMM model's per-panel blocks, the Winograd models' k-panels and
+  channel blocks) while validating and condensing only the pattern.
 
 The classical stack-distance criterion (Mattson et al.; the same one
 :mod:`repro.sim.stackdist` measures empirically) then decides, for any
@@ -32,7 +34,11 @@ for VGG16 and 256 MB for YOLOv3 (Figures 3/4).
 column rows in order.  :class:`CondensedTraffic` concatenates the same
 columns once per layer and reproduces the reference bit-identically in
 two vectorized halves (the L1 once, then the L2 across an axis of
-capacities) — the record/replay path of the co-design sweep.
+capacities) — the record/replay path of the co-design sweep.  A layer
+has hundreds of thousands of classes but at most a few dozen distinct
+effective distances, so each append keeps its own sorted distinct set,
+and condensation merges those small sets instead of sorting the
+classes.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ COLD = math.inf  # compulsory miss: never hits
 
 FloatArray = npt.NDArray[np.float64]
 BoolArray = npt.NDArray[np.bool_]
+IndexArray = npt.NDArray[np.intp]
 
 #: A traffic field as :meth:`PhaseModel.add_traffic` takes it: one
 #: value for every appended class, or one per class.
@@ -100,15 +107,62 @@ class TrafficColumns(NamedTuple):
     region: FloatArray
     dilution: FloatArray
 
+
+def _tiled(
+    parts: Sequence[tuple[npt.NDArray[Any], int]], dtype: npt.DTypeLike,
+) -> npt.NDArray[Any]:
+    """One read-only array holding each ``(pattern, repeat)`` part's
+    pattern ``repeat`` times over, parts in order (a lone unrepeated
+    part is returned as is)."""
+    if len(parts) == 1 and parts[0][1] == 1:
+        return _frozen(parts[0][0])
+    out = np.empty(sum(p.size * r for p, r in parts), dtype=dtype)
+    start = 0
+    for pattern, repeat in parts:
+        stop = start + pattern.size * repeat
+        out[start:stop].reshape(repeat, pattern.size)[...] = pattern
+        start = stop
+    return _frozen(out)
+
+
+class _Run(NamedTuple):
+    """One append of traffic classes, validated and without zero-access
+    rows, that repeats ``repeat`` times in a row; ``eff_unique`` holds
+    the sorted distinct effective distances ``distance * dilution`` of
+    ``cols`` and ``eff_index`` each row's position in it."""
+
+    cols: TrafficColumns
+    eff_unique: FloatArray
+    eff_index: IndexArray
+    repeat: int
+
     @classmethod
-    def concat(cls, parts: Sequence[TrafficColumns]) -> TrafficColumns:
-        """The rows of ``parts``, in order."""
-        if len(parts) == 1:
-            return parts[0]
-        if not parts:
-            none = _frozen(np.empty(0, dtype=np.float64))
-            return cls(none, none, _frozen(np.empty(0, dtype=bool)), none, none)
-        return cls(*(_frozen(np.concatenate(col)) for col in zip(*parts)))
+    def of(cls, cols: TrafficColumns, repeat: int = 1) -> _Run:
+        eff = cols.distance * cols.dilution
+        eff_unique = np.unique(eff)
+        return cls(cols, _frozen(eff_unique),
+                   _frozen(np.searchsorted(eff_unique, eff)), repeat)
+
+
+def _laid_out(runs: Sequence[_Run]) -> TrafficColumns:
+    """The classes of ``runs``, each run repeated, in order."""
+    return TrafficColumns(*(
+        _tiled([(r.cols[i], r.repeat) for r in runs], dtype)
+        for i, dtype in enumerate(
+            (np.float64, np.float64, bool, np.float64, np.float64))))
+
+
+def _merged_eff(runs: Sequence[_Run]) -> tuple[FloatArray, IndexArray]:
+    """``np.unique(eff, return_inverse=True)`` of the effective
+    distances of ``runs`` laid out in order, without sorting them: the
+    runs' small sorted sets are merged, and each run's indices are
+    mapped into the merged set through a ``searchsorted`` table before
+    they are tiled."""
+    eff_unique = _frozen(np.unique(np.concatenate(
+        [r.eff_unique for r in runs] or [np.empty(0, dtype=np.float64)])))
+    return eff_unique, _tiled(
+        [(np.searchsorted(eff_unique, r.eff_unique)[r.eff_index], r.repeat)
+         for r in runs], np.intp)
 
 
 #: One scalar-appended traffic class, pending conversion to columns.
@@ -122,15 +176,15 @@ class PhaseModel:
     Traffic is appended through :meth:`add_traffic` and read back as
     :attr:`traffic` columns.  Scalar appends are buffered as rows and
     converted to columns on the next array append or read, so models
-    that append class by class stay cheap.
+    that append class by class stay cheap; array appends are kept as
+    runs, each condensed on its own, and laid out only when read.
     """
 
     name: str
     instrs: dict[OpClass, int] = field(default_factory=dict)
     elems: dict[OpClass, int] = field(default_factory=dict)
     _rows: list[_Row] = field(default_factory=list, init=False, repr=False)
-    _chunks: list[TrafficColumns] = field(
-        default_factory=list, init=False, repr=False)
+    _runs: list[_Run] = field(default_factory=list, init=False, repr=False)
 
     def add_instr(self, opclass: OpClass, count: int, elems_per: int) -> None:
         if count < 0 or elems_per < 0:
@@ -146,37 +200,49 @@ class PhaseModel:
         is_store: Flags = False,
         region: Values = math.inf,
         dilution: Values = 1.0,
+        repeat: int = 1,
     ) -> None:
         """Append traffic classes (fields as in :class:`TrafficColumns`).
 
         Scalars append one class.  If any field is a 1-D array, the
         fields are broadcast together and append one class per element,
-        in order.  ``name`` labels the classes in error messages.
-        Classes without accesses are dropped; NaN or negative accesses
-        or distances, NaN regions, and NaN or non-positive dilutions
-        raise :class:`ConfigError`.
+        in order.  The classes are appended ``repeat`` times in a row;
+        validation, dropping and condensation run once, on the single
+        copy.  ``name`` labels the classes in error messages.  Classes
+        without accesses are dropped; NaN or negative accesses or
+        distances, NaN regions, NaN or non-positive dilutions, and a
+        ``repeat`` below 1 raise :class:`ConfigError`.  A ``-0.0``
+        distance is stored as ``+0.0``, so the distinct distances do not
+        depend on the order of appends.
         """
-        if not (isinstance(accesses, np.ndarray)
-                or isinstance(distance, np.ndarray)
-                or isinstance(is_store, np.ndarray)
-                or isinstance(region, np.ndarray)
-                or isinstance(dilution, np.ndarray)):
+        if repeat < 1:
+            raise ConfigError(
+                f"traffic class {name!r} in phase {self.name!r}: repeat "
+                f"must be at least 1, got {repeat}")
+        if repeat == 1 and not (isinstance(accesses, np.ndarray)
+                                or isinstance(distance, np.ndarray)
+                                or isinstance(is_store, np.ndarray)
+                                or isinstance(region, np.ndarray)
+                                or isinstance(dilution, np.ndarray)):
             acc, dist, reg, dil = (float(accesses), float(distance),
                                    float(region), float(dilution))
             # NaN fails every comparison.
             if not (acc >= 0.0 and dist >= 0.0 and reg == reg and dil > 0.0):
                 raise self._invalid(name, acc, dist, reg, dil)
             if acc > 0.0:
-                self._rows.append((acc, dist, bool(is_store), reg, dil))
+                # Adding +0.0 turns -0.0 into +0.0 and keeps every
+                # other value.
+                self._rows.append((acc, dist + 0.0, bool(is_store), reg, dil))
             return
-        acc_a, dist_a, store_a, region_a, dil_a = np.broadcast_arrays(
-            np.asarray(accesses, dtype=np.float64),
-            np.asarray(distance, dtype=np.float64),
-            np.asarray(is_store, dtype=bool),
-            np.asarray(region, dtype=np.float64),
-            np.asarray(dilution, dtype=np.float64),
-        )
-        if acc_a.ndim != 1:
+        acc_a, dist_a, store_a, region_a, dil_a = np.atleast_1d(
+            *np.broadcast_arrays(
+                np.asarray(accesses, dtype=np.float64),
+                np.asarray(distance, dtype=np.float64),
+                np.asarray(is_store, dtype=bool),
+                np.asarray(region, dtype=np.float64),
+                np.asarray(dilution, dtype=np.float64),
+            ))
+        if acc_a.ndim > 1:
             raise ConfigError(
                 f"traffic class {name!r} in phase {self.name!r}: fields "
                 f"must be scalars or 1-D arrays, got shape {acc_a.shape}")
@@ -184,10 +250,12 @@ class PhaseModel:
                 and (region_a == region_a).all() and (dil_a > 0.0).all()):
             raise self._invalid(name, acc_a, dist_a, region_a, dil_a)
         keep = acc_a > 0.0
-        self._flush_rows()
-        self._chunks.append(TrafficColumns(
-            *(_frozen(col[keep])
-              for col in (acc_a, dist_a, store_a, region_a, dil_a))))
+        if keep.any():
+            self._flush_rows()
+            self._runs.append(_Run.of(TrafficColumns(*(
+                _frozen(col[keep])
+                for col in (acc_a, dist_a + 0.0, store_a, region_a, dil_a))),
+                repeat))
 
     def _invalid(
         self, name: str, accesses: Values, distance: Values, region: Values,
@@ -212,22 +280,26 @@ class PhaseModel:
     def _flush_rows(self) -> None:
         if self._rows:
             acc, dist, store, region, dil = zip(*self._rows)
-            self._chunks.append(TrafficColumns(
+            self._runs.append(_Run.of(TrafficColumns(
                 _frozen(np.array(acc, dtype=np.float64)),
                 _frozen(np.array(dist, dtype=np.float64)),
                 _frozen(np.array(store, dtype=bool)),
                 _frozen(np.array(region, dtype=np.float64)),
                 _frozen(np.array(dil, dtype=np.float64)),
-            ))
+            )))
             self._rows.clear()
+
+    def _flushed_runs(self) -> list[_Run]:
+        self._flush_rows()
+        return self._runs
 
     @property
     def traffic(self) -> TrafficColumns:
         """All traffic classes appended so far, in append order."""
-        self._flush_rows()
-        if len(self._chunks) != 1:
-            self._chunks[:] = [TrafficColumns.concat(self._chunks)]
-        return self._chunks[0]
+        runs = self._flushed_runs()
+        if len(runs) != 1 or runs[0].repeat != 1:
+            runs[:] = [_Run(_laid_out(runs), *_merged_eff(runs), 1)]
+        return runs[0].cols
 
     @property
     def flops(self) -> int:
@@ -289,7 +361,7 @@ def evaluate_hierarchy(
     l2 = CacheStats()
     wb = 0.0
     l1_acc = l1_miss = l2_acc = l2_miss = 0.0
-    cols = TrafficColumns.concat([ph.traffic for ph in phases])
+    cols = _laid_out([r for ph in phases for r in ph._flushed_runs()])
     for accesses, distance, is_store, region, dilution in zip(
         *(col.tolist() for col in cols)
     ):
@@ -331,7 +403,8 @@ class CondensedTraffic:
     One row per traffic class, in the exact order the reference loop
     visits them (phase order, then append order within the phase); the
     distance and dilution columns are folded into the effective
-    distance, stored as its unique values plus an inverse index.
+    distance, stored as its sorted unique values plus an inverse index
+    (exactly ``np.unique(distance * dilution, return_inverse=True)``).
     :meth:`l1_split` resolves the L1 once; :meth:`L1Split.smooth_l2`
     then applies the L2 half of the reference at every capacity of an
     axis.  Two properties make the vectorized halves produce the same
@@ -339,35 +412,45 @@ class CondensedTraffic:
 
     - The hit-probability power is the one operation whose NumPy SIMD
       code path does *not* round like scalar ``**``; effective
-      distances are therefore deduplicated (network layers share a few
-      hundred distinct reuse distances across hundreds of thousands of
-      classes) and :func:`_hit_probability` runs as scalar math once
-      per unique distance, gathered back through the inverse index.
+      distances are therefore deduplicated (a network layer has up to
+      hundreds of thousands of classes but at most 14 distinct
+      effective distances in VGG16 and YOLOv3) and
+      :func:`_hit_probability` runs as scalar math once per unique
+      distance, gathered back through the inverse index.
     - Accumulations run through :func:`_ordered_sum`, which preserves
       the reference loop's left-to-right addition order.
 
     Elementwise ``+ - * /`` are single IEEE-754 operations and match
     their scalar counterparts exactly — including the effective
-    distance ``distance * dilution``, formed here once per class.
+    distance ``distance * dilution``, formed once per class of each
+    appended pattern.
+
+    :meth:`from_phases` sorts no per-class array: every append already
+    holds its own sorted distinct distances and a local index, so the
+    unique values are the merge of those small sets, and each append's
+    index is mapped into them through a ``searchsorted`` table before it
+    is laid out (tiled, for a repeated append).
     """
 
     accesses: FloatArray
     eff_unique: FloatArray
-    eff_index: npt.NDArray[np.intp]
+    eff_index: IndexArray
     store_mask: BoolArray
     region: FloatArray
 
     @classmethod
     def from_phases(cls, phases: list[PhaseModel]) -> CondensedTraffic:
-        cols = TrafficColumns.concat([ph.traffic for ph in phases])
-        eff_unique, eff_index = np.unique(
-            cols.distance * cols.dilution, return_inverse=True)
+        runs = [run for ph in phases for run in ph._flushed_runs()]
+        eff_unique, eff_index = _merged_eff(runs)
         return cls(
-            accesses=cols.accesses,
-            eff_unique=_frozen(eff_unique),
-            eff_index=_frozen(eff_index),
-            store_mask=cols.is_store,
-            region=cols.region,
+            accesses=_tiled([(r.cols.accesses, r.repeat) for r in runs],
+                            np.float64),
+            eff_unique=eff_unique,
+            eff_index=eff_index,
+            store_mask=_tiled([(r.cols.is_store, r.repeat) for r in runs],
+                              bool),
+            region=_tiled([(r.cols.region, r.repeat) for r in runs],
+                          np.float64),
         )
 
     @property
@@ -446,7 +529,7 @@ class L1Split:
 
         The profile bins the classes by the traffic's own unique
         effective distances (already sorted and deduplicated), so only
-        those few hundred values are converted to lines and sorted."""
+        those few values are converted to lines and sorted."""
         tr = self.traffic
         lines, to_bin = np.unique(
             tr.eff_unique / self.line_bytes, return_inverse=True)

@@ -331,6 +331,49 @@ class TestTrafficColumns:
             ph.add_traffic("bad class", **fields)
         assert all(col.size == 0 for col in _columns(ph))
 
+    def test_repeat_appends_the_pattern_in_a_row(self):
+        ph = PhaseModel("t")
+        ph.add_traffic("a", 3, 64.0)
+        ph.add_traffic("panel", np.array([1.0, 0.0, 2.5]),
+                       np.array([128.0, 256.0, COLD]),
+                       is_store=np.array([False, False, True]), region=4096.0,
+                       repeat=3)
+        ph.add_traffic("one class", 7.0, 512.0, dilution=2.0, repeat=2)
+        panel = [(1.0, 128.0, False, 4096.0, 1.0),
+                 (2.5, COLD, True, 4096.0, 1.0)]  # the 0-access row is dropped
+        expected = _rows_to_columns(
+            [(3.0, 64.0, False, math.inf, 1.0)] + panel * 3
+            + [(7.0, 512.0, False, math.inf, 2.0)] * 2)
+        for got, want in zip(_columns(ph), expected):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("field,value", [
+        ("accesses", -1.0),
+        ("distance", math.nan),
+        ("region", math.nan),
+        ("dilution", 0.0),
+    ])
+    def test_repeat_rejects_invalid_fields_by_name(self, field, value):
+        fields = {k: np.full(3, v) for k, v in (
+            ("accesses", 10.0), ("distance", 64.0), ("region", 4096.0),
+            ("dilution", 1.0))}
+        fields[field][2] = value
+        ph = PhaseModel("phase-x")
+        with pytest.raises(ConfigError, match=rf"'bad run'.*'phase-x'.*{field}"):
+            ph.add_traffic("bad run", **fields, repeat=4)
+        assert all(col.size == 0 for col in _columns(ph))
+
+    @pytest.mark.parametrize("repeat", [0, -1])
+    def test_repeat_below_one_raises(self, repeat):
+        ph = PhaseModel("t")
+        with pytest.raises(ConfigError, match="repeat"):
+            ph.add_traffic("r", np.ones(2), 64.0, repeat=repeat)
+        with pytest.raises(ConfigError, match="repeat"):
+            ph.add_traffic("r", 1.0, 64.0, repeat=repeat)
+        assert all(col.size == 0 for col in _columns(ph))
+
     def test_rejects_multidimensional_fields(self):
         ph = PhaseModel("t")
         with pytest.raises(ConfigError, match="1-D"):

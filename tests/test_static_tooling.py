@@ -3,9 +3,9 @@
 Runs ruff and mypy over ``src/repro/analysis``, and a coverage session
 with a floor over ``repro.sim`` + ``repro.codesign`` +
 ``repro.nets.inference`` (the sweep executor and the recording both of
-its backends evaluate) + ``repro.model.traffic`` and
-``repro.model.gemm_model`` (the traffic columns the recording
-condenses), when the tools are installed (the ``dev``
+its backends evaluate) + ``repro.model.traffic``,
+``repro.model.gemm_model`` and ``repro.model.winograd_model`` (the
+traffic columns the recording condenses), when the tools are installed (the ``dev``
 extra) — and skips cleanly when they are not, so the tier-1 suite has
 no dependencies beyond numpy/pytest/hypothesis.  The configuration
 itself lives in pyproject.toml; these tests just keep it honest.
@@ -23,10 +23,11 @@ REPO = Path(__file__).resolve().parent.parent
 ANALYSIS = REPO / "src" / "repro" / "analysis"
 
 #: Tests exercising repro.sim + repro.codesign + repro.nets.inference +
-#: repro.model.traffic + repro.model.gemm_model + repro.rvv, run under
-#: coverage.
+#: repro.model.traffic + repro.model.gemm_model +
+#: repro.model.winograd_model + repro.rvv, run under coverage.
 COVERAGE_TESTS = [
     "tests/test_model.py",
+    "tests/test_columnar_traffic.py",
     "tests/test_stackdist_properties.py",
     "tests/test_sweep_fastpath.py",
     "tests/test_record_replay.py",
@@ -67,6 +68,7 @@ STRICT_SIM_MODULES = [
     "repro.sim.system",
     "repro.model.traffic",
     "repro.model.gemm_model",
+    "repro.model.winograd_model",
     "repro.rvv.tracer",
     "repro.rvv.registers",
 ]
