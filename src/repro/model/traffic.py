@@ -31,14 +31,17 @@ outgrowing the L2 as VLEN grows (Table 1), transformed-tensor streaming
 for VGG16 and 256 MB for YOLOv3 (Figures 3/4).
 
 :func:`evaluate_hierarchy` is the scalar reference: it walks the
-column rows in order.  :class:`CondensedTraffic` concatenates the same
-columns once per layer and reproduces the reference bit-identically in
-two vectorized halves (the L1 once, then the L2 across an axis of
-capacities) — the record/replay path of the co-design sweep.  A layer
-has hundreds of thousands of classes but at most a few dozen distinct
-effective distances, so each append keeps its own sorted distinct set,
-and condensation merges those small sets instead of sorting the
-classes.
+column rows in order.  :class:`CondensedTraffic` is the record/replay
+path of the co-design sweep: it reproduces the reference's rounded
+counters in two halves (the L1 once, then the L2 across an axis of
+capacities).  A layer has hundreds of thousands of classes but at most
+a few dozen distinct effective distances and a few regions, so each
+append keeps its own sorted distinct set, condensation merges those
+small sets instead of sorting the classes, and the counters are
+summed from per-(distance, store, region) group totals.  A rigorous
+floating-point error bound certifies that each rounded count equals
+``rint`` of the reference's class-by-class sum; a count the bound
+cannot settle falls back to that sum over the laid-out classes.
 """
 
 from __future__ import annotations
@@ -46,13 +49,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, NamedTuple, Sequence, Union
+from typing import Any, Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.errors import ConfigError
 from repro.isa import FLOPS_PER_ELEM, OpClass
+from repro.obs.counters import COUNTERS
 from repro.sim.cache import CacheStats, HierarchyStats
 from repro.sim.stackdist import SparseReuseProfile
 from repro.sim.stats import SimStats
@@ -67,6 +71,7 @@ COLD = math.inf  # compulsory miss: never hits
 FloatArray = npt.NDArray[np.float64]
 BoolArray = npt.NDArray[np.bool_]
 IndexArray = npt.NDArray[np.intp]
+IntArray = npt.NDArray[np.int64]
 
 #: A traffic field as :meth:`PhaseModel.add_traffic` takes it: one
 #: value for every appended class, or one per class.
@@ -144,25 +149,44 @@ class _Run(NamedTuple):
                    _frozen(np.searchsorted(eff_unique, eff)), repeat)
 
 
+_DTYPES = (np.float64, np.float64, bool, np.float64, np.float64)
+
+
+def _column(runs: Sequence[_Run], i: int) -> npt.NDArray[Any]:
+    """Column ``i`` of :class:`TrafficColumns` over the classes of
+    ``runs``, each run repeated, in order."""
+    return _tiled([(r.cols[i], r.repeat) for r in runs], _DTYPES[i])
+
+
 def _laid_out(runs: Sequence[_Run]) -> TrafficColumns:
     """The classes of ``runs``, each run repeated, in order."""
-    return TrafficColumns(*(
-        _tiled([(r.cols[i], r.repeat) for r in runs], dtype)
-        for i, dtype in enumerate(
-            (np.float64, np.float64, bool, np.float64, np.float64))))
+    return TrafficColumns(*(_column(runs, i) for i in range(len(_DTYPES))))
+
+
+def _merged_unique(runs: Sequence[_Run]) -> FloatArray:
+    """The sorted distinct effective distances of ``runs``: the merge
+    of the runs' small sorted sets, without sorting any class."""
+    return _frozen(np.unique(np.concatenate(
+        [r.eff_unique for r in runs] or [np.empty(0, dtype=np.float64)])))
+
+
+def _pattern_indices(
+    eff_unique: FloatArray, runs: Sequence[_Run],
+) -> list[IndexArray]:
+    """Each run's pattern rows as positions in ``eff_unique``, mapped
+    through a ``searchsorted`` table of the run's own distinct set."""
+    return [np.searchsorted(eff_unique, r.eff_unique)[r.eff_index]
+            for r in runs]
 
 
 def _merged_eff(runs: Sequence[_Run]) -> tuple[FloatArray, IndexArray]:
     """``np.unique(eff, return_inverse=True)`` of the effective
-    distances of ``runs`` laid out in order, without sorting them: the
-    runs' small sorted sets are merged, and each run's indices are
-    mapped into the merged set through a ``searchsorted`` table before
-    they are tiled."""
-    eff_unique = _frozen(np.unique(np.concatenate(
-        [r.eff_unique for r in runs] or [np.empty(0, dtype=np.float64)])))
+    distances of ``runs`` laid out in order, without sorting them."""
+    eff_unique = _merged_unique(runs)
     return eff_unique, _tiled(
-        [(np.searchsorted(eff_unique, r.eff_unique)[r.eff_index], r.repeat)
-         for r in runs], np.intp)
+        [(index, r.repeat)
+         for index, r in zip(_pattern_indices(eff_unique, runs), runs)],
+        np.intp)
 
 
 #: One scalar-appended traffic class, pending conversion to columns.
@@ -209,9 +233,10 @@ class PhaseModel:
         in order.  The classes are appended ``repeat`` times in a row;
         validation, dropping and condensation run once, on the single
         copy.  ``name`` labels the classes in error messages.  Classes
-        without accesses are dropped; NaN or negative accesses or
-        distances, NaN regions, NaN or non-positive dilutions, and a
-        ``repeat`` below 1 raise :class:`ConfigError`.  A ``-0.0``
+        without accesses are dropped; NaN, infinite or negative
+        accesses, NaN or negative distances, NaN regions, NaN, infinite
+        or non-positive dilutions, and a ``repeat`` below 1 raise
+        :class:`ConfigError` naming the field.  A ``-0.0``
         distance is stored as ``+0.0``, so the distinct distances do not
         depend on the order of appends.
         """
@@ -227,7 +252,8 @@ class PhaseModel:
             acc, dist, reg, dil = (float(accesses), float(distance),
                                    float(region), float(dilution))
             # NaN fails every comparison.
-            if not (acc >= 0.0 and dist >= 0.0 and reg == reg and dil > 0.0):
+            if not (0.0 <= acc < math.inf and dist >= 0.0 and reg == reg
+                    and 0.0 < dil < math.inf):
                 raise self._invalid(name, acc, dist, reg, dil)
             if acc > 0.0:
                 # Adding +0.0 turns -0.0 into +0.0 and keeps every
@@ -246,8 +272,13 @@ class PhaseModel:
             raise ConfigError(
                 f"traffic class {name!r} in phase {self.name!r}: fields "
                 f"must be scalars or 1-D arrays, got shape {acc_a.shape}")
-        if not ((acc_a >= 0.0).all() and (dist_a >= 0.0).all()
-                and (region_a == region_a).all() and (dil_a > 0.0).all()):
+        if acc_a.size == 0:
+            return
+        # The reductions propagate NaN, which fails every comparison.
+        lo, hi = np.minimum.reduce, np.maximum.reduce
+        if not (0.0 <= lo(acc_a) and hi(acc_a) < math.inf
+                and lo(dist_a) >= 0.0 and not math.isnan(lo(region_a))
+                and 0.0 < lo(dil_a) and hi(dil_a) < math.inf):
             raise self._invalid(name, acc_a, dist_a, region_a, dil_a)
         keep = acc_a > 0.0
         if keep.any():
@@ -263,13 +294,15 @@ class PhaseModel:
     ) -> ConfigError:
         """The error for the first invalid field of a rejected append."""
         for what, values, need in (
-            ("accesses", accesses, "non-negative"),
+            ("accesses", accesses, "finite and non-negative"),
             ("distance", distance, "non-negative"),
             ("region", region, "a number"),
-            ("dilution", dilution, "positive"),
+            ("dilution", dilution, "finite and positive"),
         ):
             arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
-            ok = {"positive": arr > 0.0, "non-negative": arr >= 0.0,
+            ok = {"finite and positive": np.isfinite(arr) & (arr > 0.0),
+                  "finite and non-negative": np.isfinite(arr) & (arr >= 0.0),
+                  "non-negative": arr >= 0.0,
                   "a number": arr == arr}[need]
             if not ok.all():
                 return ConfigError(
@@ -389,98 +422,174 @@ def _ordered_sum(values: FloatArray) -> float:
 
     ``np.cumsum`` accumulates left-to-right, matching a reference
     ``+=`` loop bit-for-bit; ``np.sum`` pairwise-sums and may round
-    differently.  Bit-identity to :func:`evaluate_hierarchy` depends on
-    this.
+    differently.  The per-class fallbacks of :class:`L1Split` rely on
+    this to reproduce :func:`evaluate_hierarchy`'s sums.
     """
     return float(values.cumsum()[-1]) if values.size else 0.0
 
 
+def _miss_fractions(eff_unique: Sequence[float], capacity: float) -> FloatArray:
+    """Smoothed miss fraction ``1 - p`` of each distinct effective
+    distance at an effective capacity, as scalar math per distance."""
+    hit = np.array(
+        [_hit_probability(d, capacity, SHARPNESS) for d in eff_unique],
+        dtype=np.float64,
+    )
+    return 1.0 - hit
+
+
+def _effective(l2_bytes: Sequence[int]) -> FloatArray:
+    """Effective capacities of L2 byte sizes, as the reference forms them."""
+    return np.asarray(l2_bytes, dtype=np.float64) * CAPACITY_FACTOR
+
+
+#: Unit roundoff of IEEE-754 binary64 (round to nearest).
+_UNIT_ROUNDOFF = 2.0**-53
+
+#: Factor on a computed rounding bound covering the few roundings of
+#: computing the bound itself (each shrinks it by at most ``1 - u``).
+_BOUND_SLACK = 1.0 + 2.0**-20
+
+#: Counter bumped once per per-class fallback (an L1 split, or one L2
+#: size of one layer) whose certificate failed.
+FALLBACK_COUNTER = "model.replay_fallbacks"
+
+
+def _certified(estimates: FloatArray, factor: float) -> tuple[IntArray, BoolArray]:
+    """``(rint(estimates - B), ok)`` with ``B = factor * estimates``:
+    where ``ok``, ``rint`` of any float within ``B`` of the estimate is
+    that count (see :attr:`CondensedTraffic.error_factor`)."""
+    bound = estimates * factor
+    lo = np.rint(estimates - bound)
+    return lo.astype(np.int64), lo == np.rint(estimates + bound)
+
+
 @dataclass(frozen=True)
 class CondensedTraffic:
-    """A phase list's traffic columns, concatenated and condensed, that
-    reproduce :func:`evaluate_hierarchy` bit-identically in two halves.
+    """A phase list's traffic, condensed into per-group access totals
+    that reproduce :func:`evaluate_hierarchy`'s rounded counters.
 
-    One row per traffic class, in the exact order the reference loop
-    visits them (phase order, then append order within the phase); the
-    distance and dilution columns are folded into the effective
-    distance, stored as its sorted unique values plus an inverse index
-    (exactly ``np.unique(distance * dilution, return_inverse=True)``).
-    :meth:`l1_split` resolves the L1 once; :meth:`L1Split.smooth_l2`
-    then applies the L2 half of the reference at every capacity of an
-    axis.  Two properties make the vectorized halves produce the same
-    bits as the scalar reference:
+    A group is one ``(effective distance, is_store, region)`` triple:
+    a network layer has hundreds of thousands of classes but at most 14
+    distinct effective distances (``distance * dilution``) in VGG16 and
+    YOLOv3 and at most 6 regions, so at most a few hundred groups.
+    ``totals[u, s, r]`` sums the accesses of the classes at distance
+    ``eff_unique[u]``, store flag ``s`` and region ``region_unique[r]``.
+    :meth:`from_phases` forms it with one ``bincount`` over the
+    appends' patterns (each class weighted by its append's ``repeat``),
+    so condensation costs O(patterns), not O(classes); the distinct
+    distances are the merge of the appends' own small sorted sets.
 
-    - The hit-probability power is the one operation whose NumPy SIMD
-      code path does *not* round like scalar ``**``; effective
-      distances are therefore deduplicated (a network layer has up to
-      hundreds of thousands of classes but at most 14 distinct
-      effective distances in VGG16 and YOLOv3) and
-      :func:`_hit_probability` runs as scalar math once per unique
-      distance, gathered back through the inverse index.
-    - Accumulations run through :func:`_ordered_sum`, which preserves
-      the reference loop's left-to-right addition order.
+    Every criterion is linear in the accesses and takes one scalar per
+    distance (the hit probability, or the sharp threshold) and exact
+    comparisons per region, so its sums are sums of group terms;
+    :meth:`l1_split` and :class:`L1Split` answer from the groups, and
+    :attr:`error_factor` certifies that the rounded counts equal those
+    of the reference's class-by-class sums.
 
-    Elementwise ``+ - * /`` are single IEEE-754 operations and match
-    their scalar counterparts exactly — including the effective
-    distance ``distance * dilution``, formed once per class of each
-    appended pattern.
-
-    :meth:`from_phases` sorts no per-class array: every append already
-    holds its own sorted distinct distances and a local index, so the
-    unique values are the merge of those small sets, and each append's
-    index is mapped into them through a ``searchsorted`` table before it
-    is laid out (tiled, for a repeated append).
+    The per-class columns of the reference's loop order (phase order,
+    then append order) stay available as lazily laid-out properties —
+    ``accesses``, ``eff_index`` (exactly ``np.unique(distance *
+    dilution, return_inverse=True)[1]``), ``store_mask`` and ``region``
+    — for the fallbacks and the tests; a certified replay reads none of
+    them.
     """
 
-    accesses: FloatArray
+    runs: tuple[_Run, ...]
     eff_unique: FloatArray
-    eff_index: IndexArray
-    store_mask: BoolArray
-    region: FloatArray
+    region_unique: FloatArray
+    totals: FloatArray
 
     @classmethod
     def from_phases(cls, phases: list[PhaseModel]) -> CondensedTraffic:
-        runs = [run for ph in phases for run in ph._flushed_runs()]
-        eff_unique, eff_index = _merged_eff(runs)
-        return cls(
-            accesses=_tiled([(r.cols.accesses, r.repeat) for r in runs],
-                            np.float64),
-            eff_unique=eff_unique,
-            eff_index=eff_index,
-            store_mask=_tiled([(r.cols.is_store, r.repeat) for r in runs],
-                              bool),
-            region=_tiled([(r.cols.region, r.repeat) for r in runs],
-                          np.float64),
-        )
+        runs = tuple(run for ph in phases for run in ph._flushed_runs())
+        eff_unique = _merged_unique(runs)
+        if not runs:
+            empty = _frozen(np.empty(0, dtype=np.float64))
+            return cls(runs, eff_unique, empty,
+                       _frozen(np.zeros((0, 2, 0), dtype=np.float64)))
+        region = np.concatenate([r.cols.region for r in runs])
+        region_unique = np.unique(region)
+        shape = (eff_unique.size, 2, region_unique.size)
+        # The flat index of each pattern row's (distance, store, region).
+        group = ((np.concatenate(_pattern_indices(eff_unique, runs)) * 2
+                  + np.concatenate([r.cols.is_store for r in runs]))
+                 * region_unique.size + np.searchsorted(region_unique, region))
+        weights = np.concatenate([r.cols.accesses * r.repeat for r in runs])
+        totals = np.bincount(group, weights=weights,
+                             minlength=math.prod(shape)).reshape(shape)
+        return cls(runs, eff_unique, _frozen(region_unique), _frozen(totals))
 
     @property
     def n_classes(self) -> int:
-        return int(self.accesses.size)
+        return sum(r.cols.accesses.size * r.repeat for r in self.runs)
+
+    @cached_property
+    def accesses(self) -> FloatArray:
+        return _column(self.runs, 0)
+
+    @cached_property
+    def store_mask(self) -> BoolArray:
+        return _column(self.runs, 2)
+
+    @cached_property
+    def region(self) -> FloatArray:
+        return _column(self.runs, 3)
+
+    @cached_property
+    def eff_index(self) -> IndexArray:
+        return _merged_eff(self.runs)[1]
 
     @cached_property
     def _eff_list(self) -> list[float]:
         return self.eff_unique.tolist()  # type: ignore[no-any-return]
 
-    def _miss_fractions(self, capacity: float) -> FloatArray:
-        """Per-class smoothed miss fraction ``1 - p`` at an effective
-        capacity (formed per unique distance, then gathered)."""
-        hit = np.array(
-            [_hit_probability(d, capacity, SHARPNESS) for d in self._eff_list],
-            dtype=np.float64,
-        )
-        return (1.0 - hit)[self.eff_index]
+    @cached_property
+    def error_factor(self) -> float:
+        """``c`` such that every sum this traffic's counters round lies
+        within ``B = c * S`` of its grouped estimate ``S``.
+
+        Let ``E`` be the exact real sum of one counter's terms: the
+        non-negative products ``a * m1 [* m2]`` of each class's
+        accesses with the float miss fractions (or 0/1 thresholds) of
+        its distance, every class filtered by the same exact
+        comparisons.  The reference sums — ``evaluate_hierarchy``'s
+        ordered loop and ``_ordered_sum``, the sharp rule's ``bincount``
+        plus suffix ``cumsum``, a pairwise ``.sum()`` — and the grouped
+        estimate each pass every term through at most ``K = n + runs +
+        groups + 4`` roundings: at most two products, the additions of
+        a sum of at most ``n`` terms (any summation tree), one
+        ``* repeat`` and a sum over at most ``groups`` terms.  With all
+        terms non-negative, each result is within ``gamma_K * E`` of
+        ``E``, ``gamma_k = k u / (1 - k u)`` (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, Lemma 3.3 and §4.2).  So a
+        reference ``R`` and the estimate ``S`` differ by at most ``2
+        gamma_K E <= 2 gamma_K S / (1 - gamma_K) = c S``; the factor is
+        inflated by ``_BOUND_SLACK`` for its own rounding.  Since
+        rounding to nearest is monotone and ``R`` is a float,
+        ``fl(S - B) <= R <= fl(S + B)``; ``rint`` is monotone too, so if
+        ``rint(fl(S - B)) == rint(fl(S + B))`` that integer is
+        ``rint(R)`` (:func:`_certified`).
+        """
+        k = self.n_classes + len(self.runs) + self.totals.size + 4
+        gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+        return 2.0 * gamma / (1.0 - gamma) * _BOUND_SLACK
 
     def l1_split(self, l1_bytes: int, line_bytes: int = LINE) -> L1Split:
-        """The L1 half of :func:`evaluate_hierarchy` at ``l1_bytes``."""
-        to_l2 = self.accesses * self._miss_fractions(l1_bytes * CAPACITY_FACTOR)
-        to_l2.setflags(write=False)
-        return L1Split(
-            traffic=self,
-            to_l2=to_l2,
-            accesses=int(round(_ordered_sum(self.accesses))),
-            misses=int(round(_ordered_sum(to_l2))),
-            line_bytes=line_bytes,
-        )
+        """The L1 half of :func:`evaluate_hierarchy` at ``l1_bytes``:
+        per-group L2 inputs and the certified rounded L1 counters."""
+        miss = _frozen(_miss_fractions(self._eff_list,
+                                       l1_bytes * CAPACITY_FACTOR))
+        to_l2 = _frozen(self.totals * miss[:, None, None])
+        counts, ok = _certified(np.array([self.totals.sum(), to_l2.sum()]),
+                                self.error_factor)
+        accesses, misses = counts.tolist()
+        if not ok.all():
+            COUNTERS.inc(FALLBACK_COUNTER)
+            accesses = round(_ordered_sum(self.accesses))
+            misses = round(_ordered_sum(self.accesses * miss[self.eff_index]))
+        return L1Split(traffic=self, l1_miss=miss, group_to_l2=to_l2,
+                       accesses=accesses, misses=misses, line_bytes=line_bytes)
 
 
 @dataclass(frozen=True)
@@ -488,91 +597,126 @@ class L1Split:
     """Condensed traffic resolved at one L1 size: the L2's input,
     answerable over an axis of L2 capacities under either L2 criterion.
 
-    ``to_l2`` holds, per condensed class of ``traffic``, the line
-    touches that miss the L1 and go on to the L2; ``accesses`` and
-    ``misses`` are the rounded L1 counters (the reference's L2 access
-    count equals its L1 miss count).  Both criteria take L2 byte sizes
-    in any order and return the L2's unrounded ``(misses,
-    writebacks)`` as arrays in that order.
+    ``l1_miss`` holds the L1 miss fraction of each distinct effective
+    distance and ``group_to_l2`` each group's line touches that miss
+    the L1 and go on to the L2 (shaped like ``traffic.totals``);
+    ``accesses`` and ``misses`` are the rounded L1 counters (the
+    reference's L2 access count equals its L1 miss count).
+
+    Both criteria take L2 byte sizes in any order and return the L2's
+    rounded ``(misses, writebacks)`` as ``int64`` arrays in that order,
+    equal to ``evaluate_hierarchy``'s (smooth) or the scalar sharp
+    rule's counters.  Per size they sum O(groups) terms
+    (:meth:`smooth_sums`, :meth:`sharp_sums`) and certify the rounding
+    (:attr:`CondensedTraffic.error_factor`); only a size whose
+    certificate fails runs the reference over the laid-out classes, and
+    bumps the ``model.replay_fallbacks`` counter.
     """
 
     traffic: CondensedTraffic
-    to_l2: FloatArray
+    l1_miss: FloatArray
+    group_to_l2: FloatArray
     accesses: int
     misses: int
     line_bytes: int
 
-    def smooth_l2(self, l2_bytes: Sequence[int]) -> tuple[FloatArray, FloatArray]:
-        """The reference's smoothed criterion at every L2 size of
-        ``l2_bytes`` — bit-identical, size by size, to
-        :func:`evaluate_hierarchy`; O(unique distances) scalar work per
-        size."""
+    @cached_property
+    def to_l2(self) -> FloatArray:
+        """Per laid-out class, the line touches that go on to the L2."""
         tr = self.traffic
-        caps = (np.asarray(l2_bytes, dtype=np.float64)
-                * CAPACITY_FACTOR).tolist()
-        misses = np.empty(len(caps))
-        writebacks = np.empty(len(caps))
-        for i, l2_eff in enumerate(caps):
-            missed = self.to_l2 * tr._miss_fractions(l2_eff)
-            misses[i] = _ordered_sum(missed)
-            writebacks[i] = _ordered_sum(
-                missed[tr.store_mask & (tr.region > l2_eff)])
+        return _frozen(tr.accesses * self.l1_miss[tr.eff_index])
+
+    def _written(self, l2_eff: FloatArray, missed: FloatArray) -> FloatArray:
+        """Per size, the sum of the store groups of ``missed`` (shaped
+        ``(sizes, *totals.shape)``) whose region exceeds the size."""
+        written = self.traffic.region_unique > l2_eff[:, None]
+        return np.where(written[:, None, :], missed[:, :, 1, :], 0.0).sum(
+            axis=(1, 2))
+
+    def smooth_sums(self, l2_bytes: Sequence[int]) -> tuple[FloatArray, FloatArray]:
+        """Grouped estimates of the smoothed criterion's unrounded L2
+        ``(misses, writebacks)`` at every size of ``l2_bytes``; the
+        miss fraction is the reference's scalar per distance and size."""
+        l2_eff = _effective(l2_bytes)
+        eff = self.traffic._eff_list
+        miss = np.array([_miss_fractions(eff, c) for c in l2_eff.tolist()],
+                        dtype=np.float64).reshape(l2_eff.size, len(eff))
+        missed = self.group_to_l2 * miss[:, :, None, None]
+        return missed.sum(axis=(1, 2, 3)), self._written(l2_eff, missed)
+
+    def sharp_sums(self, l2_bytes: Sequence[int]) -> tuple[FloatArray, FloatArray]:
+        """Grouped estimates of the sharp criterion's unrounded L2
+        ``(misses, writebacks)`` at every size of ``l2_bytes``: a group
+        misses iff its distance in lines reaches the capacity in lines."""
+        l2_eff = _effective(l2_bytes)
+        reach = (self.traffic.eff_unique / self.line_bytes
+                 >= (l2_eff / self.line_bytes)[:, None])
+        missed = np.where(reach[:, :, None, None], self.group_to_l2, 0.0)
+        return missed.sum(axis=(1, 2, 3)), self._written(l2_eff, missed)
+
+    def _settle(
+        self, l2_bytes: Sequence[int], sums: tuple[FloatArray, FloatArray],
+        reference: Callable[[float], tuple[float, float]],
+    ) -> tuple[IntArray, IntArray]:
+        """Certified counts of ``sums``; a size whose certificate fails
+        takes both counts from ``reference`` at its effective capacity."""
+        factor = self.traffic.error_factor
+        (misses, m_ok), (writebacks, w_ok) = (_certified(s, factor) for s in sums)
+        doubtful = np.flatnonzero(~(m_ok & w_ok)).tolist()
+        if doubtful:
+            l2_eff = _effective(l2_bytes)
+            for i in doubtful:
+                COUNTERS.inc(FALLBACK_COUNTER)
+                m, w = reference(float(l2_eff[i]))
+                misses[i], writebacks[i] = round(m), round(w)
         return misses, writebacks
 
-    @cached_property
-    def _sharp_profile(
-        self,
-    ) -> tuple[SparseReuseProfile, FloatArray, FloatArray, FloatArray]:
-        """The sharp criterion's view of ``to_l2``, built on first use:
-        its stack-distance profile in lines, plus the distance, weight
-        and region of every store class (for writebacks).
+    def smooth_l2(self, l2_bytes: Sequence[int]) -> tuple[IntArray, IntArray]:
+        """The reference's smoothed criterion at every L2 size of
+        ``l2_bytes``: the counters of :func:`evaluate_hierarchy`, size
+        by size."""
+        return self._settle(l2_bytes, self.smooth_sums(l2_bytes),
+                            self._smooth_reference)
 
-        The profile bins the classes by the traffic's own unique
-        effective distances (already sorted and deduplicated), so only
-        those few values are converted to lines and sorted."""
+    def sharp_l2(self, l2_bytes: Sequence[int]) -> tuple[IntArray, IntArray]:
+        """The sharp fully-associative Mattson criterion at every L2
+        size of ``l2_bytes``: a touch misses iff its reuse distance is
+        at least the capacity; a missing store is written back unless
+        its region stays resident."""
+        return self._settle(l2_bytes, self.sharp_sums(l2_bytes),
+                            self._sharp_reference)
+
+    def _smooth_reference(self, l2_eff: float) -> tuple[float, float]:
+        """The smoothed rule at one effective capacity, class by class
+        in the reference's order: unrounded (misses, writebacks)."""
+        tr = self.traffic
+        missed = self.to_l2 * _miss_fractions(tr._eff_list, l2_eff)[tr.eff_index]
+        return (_ordered_sum(missed),
+                _ordered_sum(missed[tr.store_mask & (tr.region > l2_eff)]))
+
+    @cached_property
+    def _sharp_profile(self) -> tuple[SparseReuseProfile, FloatArray]:
+        """The sharp rule's stack-distance profile of ``to_l2`` and each
+        class's distance in lines; the classes are binned by the few
+        distinct effective distances, so no per-class array is sorted."""
         tr = self.traffic
         lines, to_bin = np.unique(
             tr.eff_unique / self.line_bytes, return_inverse=True)
         bins = to_bin[tr.eff_index]
         mass = np.bincount(bins, weights=self.to_l2, minlength=lines.size)
         keep = mass > 0
-        store = tr.store_mask
-        return (
-            SparseReuseProfile(distances=lines[keep], weights=mass[keep]),
-            lines[bins[store]], self.to_l2[store], tr.region[store],
-        )
+        return (SparseReuseProfile(distances=lines[keep], weights=mass[keep]),
+                lines[bins])
 
-    def sharp_l2(self, l2_bytes: Sequence[int]) -> tuple[FloatArray, FloatArray]:
-        """The sharp fully-associative Mattson criterion at every L2
-        size of ``l2_bytes``: a touch misses iff its reuse distance is
-        at least the capacity; a missing store is written back unless
-        its region stays resident.
-
-        Along the axis sorted by capacity the written-back store
-        classes form nested sets: class ``c`` is written at sorted
-        position ``j`` iff ``j < k[c]``, with ``k[c]`` the number of
-        capacities its distance reaches and its region exceeds.  Each
-        distinct set is summed once, over the same classes in the same
-        order as a per-size mask, and shared by the sizes it covers."""
-        profile, store_dist, store_weights, store_region = self._sharp_profile
-        l2_eff = np.asarray(l2_bytes, dtype=np.float64) * CAPACITY_FACTOR
+    def _sharp_reference(self, l2_eff: float) -> tuple[float, float]:
+        """The sharp rule at one effective capacity over the laid-out
+        classes: unrounded (misses, writebacks)."""
+        profile, lines = self._sharp_profile
         cap_lines = l2_eff / self.line_bytes
-        misses = profile.misses_for_capacities(cap_lines)
-        order = np.argsort(l2_eff, kind="stable")
-        k = np.minimum(
-            np.searchsorted(cap_lines[order], store_dist, side="right"),
-            np.searchsorted(l2_eff[order], store_region, side="left"),
-        )
-        # leaving[j]: classes whose last written position is j - 1.
-        leaving = np.bincount(k, minlength=order.size + 1).tolist()
-        writebacks = np.empty(order.size)
-        total = 0.0
-        for j, i in enumerate(order.tolist()):
-            if j == 0 or leaving[j]:
-                written = k > j
-                total = float(store_weights[written].sum())
-            writebacks[i] = total
-        return misses, writebacks
+        tr = self.traffic
+        written = tr.store_mask & (lines >= cap_lines) & (tr.region > l2_eff)
+        return (profile.misses_for_capacity(cap_lines),
+                float(self.to_l2[written].sum()))
 
 
 def model_counts(

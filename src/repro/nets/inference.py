@@ -234,9 +234,7 @@ class NetworkRecording:
         total_dram = np.zeros(len(axis))
         columns = []
         for rec in self.layers:
-            misses_f, writebacks_f = criterion(rec.split, l2_bytes)
-            misses = np.rint(misses_f).astype(np.int64)
-            writebacks = np.rint(writebacks_f).astype(np.int64)
+            misses, writebacks = criterion(rec.split, l2_bytes)
             dram = timings.dram_stall_cycles(misses, writebacks)
             base.merge(rec.template)
             total_misses += misses

@@ -217,8 +217,29 @@ class Regression:
 
 
 @dataclass(frozen=True)
+class WallDelta:
+    """One compared bench's mean wall time, baseline -> this run."""
+
+    bench: str
+    base: float
+    current: float
+
+    @property
+    def change(self) -> float:
+        """Relative change (negative: faster)."""
+        return (self.current - self.base) / self.base if self.base else 0.0
+
+    def to_dict(self) -> dict[str, Any]:
+        return {"bench": self.bench, "base": self.base,
+                "current": self.current, "change": self.change}
+
+
+@dataclass(frozen=True)
 class BenchComparison:
-    """Outcome of comparing a run against a stored baseline."""
+    """Outcome of comparing a run against a stored baseline.
+
+    ``walls`` holds the wall-time delta of every compared bench that
+    both runs timed, whether or not wall time was gated."""
 
     base_rev: str
     current_rev: str | None
@@ -226,6 +247,7 @@ class BenchComparison:
     regressions: tuple[Regression, ...]
     added: tuple[str, ...] = ()
     notes: tuple[str, ...] = field(default=())
+    walls: tuple[WallDelta, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -240,6 +262,7 @@ class BenchComparison:
             "regressions": [r.to_dict() for r in self.regressions],
             "added": list(self.added),
             "notes": list(self.notes),
+            "walls": [w.to_dict() for w in self.walls],
         }
 
 
@@ -274,11 +297,14 @@ def compare_payloads(
     ``walls=False`` skips the wall-time comparison entirely (cycles
     only) — for loaded or shared machines where wall noise exceeds any
     sane tolerance; the skip is recorded in the notes, never silent.
+    Either way, every compared bench both payloads timed reports its
+    baseline -> current mean wall time in ``walls``.
     """
     base_benches: Mapping[str, Any] = base.get("benches", {})
     cur_benches: Mapping[str, Any] = current.get("benches", {})
     regressions: list[Regression] = []
     notes: list[str] = []
+    deltas: list[WallDelta] = []
     compared = 0
     for name in sorted(base_benches):
         b = base_benches[name]
@@ -305,9 +331,11 @@ def compare_payloads(
                 ),
                 base=float(b["cycles"]), current=float(c["cycles"]),
             ))
+        b_wall, c_wall = b.get("wall_mean"), c.get("wall_mean")
+        if b_wall is not None and c_wall is not None:
+            deltas.append(WallDelta(name, float(b_wall), float(c_wall)))
         if not walls:
             continue
-        b_wall, c_wall = b.get("wall_mean"), c.get("wall_mean")
         if b_wall is None or c_wall is None:
             notes.append(f"{name}: wall time not compared (not recorded)")
             continue
@@ -336,6 +364,7 @@ def compare_payloads(
         regressions=tuple(regressions),
         added=added,
         notes=tuple(notes),
+        walls=tuple(deltas),
     )
 
 
@@ -346,6 +375,8 @@ def render_comparison(cmp: BenchComparison) -> str:
         + (f" (current {cmp.current_rev})" if cmp.current_rev else "")
     )
     rows = [head]
+    rows.extend(f"  wall {w.bench}: {w.base:.4f}s -> {w.current:.4f}s "
+                f"({w.change:+.1%})" for w in cmp.walls)
     for r in cmp.regressions:
         rows.append(f"  REGRESSION [{r.kind}] {r.bench}: {r.detail}")
     for name in cmp.added:

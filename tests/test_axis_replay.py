@@ -326,11 +326,14 @@ def _split(classes) -> L1Split:
 
 
 def _check_criterion(criterion, reference, split, axis) -> None:
+    """The criterion's counts are ``rint`` of the float oracle, size by
+    size (the criteria return rounded ``int64`` counts)."""
     misses, writebacks = criterion(split, axis)
+    assert misses.dtype == writebacks.dtype == np.int64
     assert misses.shape == writebacks.shape == (len(axis),)
     ref = [reference(split, b) for b in axis]
-    assert misses.tobytes() == np.array([m for m, _ in ref]).tobytes()
-    assert writebacks.tobytes() == np.array([w for _, w in ref]).tobytes()
+    assert misses.tobytes() == np.rint([m for m, _ in ref]).astype(np.int64).tobytes()
+    assert writebacks.tobytes() == np.rint([w for _, w in ref]).astype(np.int64).tobytes()
 
 
 class TestCriteriaOverAnAxis:

@@ -310,12 +310,15 @@ class TestTrafficColumns:
     @pytest.mark.parametrize("field,value", [
         ("accesses", math.nan),
         ("accesses", -1.0),
+        ("accesses", math.inf),
+        ("accesses", -math.inf),
         ("distance", math.nan),
         ("distance", -64.0),
         ("region", math.nan),
         ("dilution", math.nan),
         ("dilution", 0.0),
         ("dilution", -2.0),
+        ("dilution", math.inf),
     ])
     @pytest.mark.parametrize("as_array", [False, True])
     def test_invalid_values_raise_naming_the_class(self, field, value, as_array):
@@ -330,6 +333,27 @@ class TestTrafficColumns:
         with pytest.raises(ConfigError, match=rf"'bad class'.*'phase-x'.*{field}"):
             ph.add_traffic("bad class", **fields)
         assert all(col.size == 0 for col in _columns(ph))
+
+    def test_non_finite_accesses_and_dilutions_name_their_field(self):
+        """An infinite dilution of a zero distance would make a NaN
+        effective distance, and infinite accesses an infinite count;
+        both are refused at the append, in either form."""
+        ph = PhaseModel("phase-x")
+        with pytest.raises(ConfigError, match="dilution must be finite"):
+            ph.add_traffic("x", 1.0, 0.0, dilution=math.inf)
+        with pytest.raises(ConfigError, match="accesses must be finite"):
+            ph.add_traffic("x", math.inf, 0.0)
+        with pytest.raises(ConfigError, match="dilution must be finite"):
+            ph.add_traffic("x", np.ones(2), 0.0, dilution=np.array([1.0, math.inf]))
+        with pytest.raises(ConfigError, match="accesses must be finite"):
+            ph.add_traffic("x", np.array([math.inf, 1.0]), 0.0, repeat=2)
+        assert all(col.size == 0 for col in _columns(ph))
+
+    def test_infinite_distance_and_region_stay_accepted(self):
+        ph = PhaseModel("t")
+        ph.add_traffic("cold", 2.0, COLD, is_store=True, region=math.inf)
+        ph.add_traffic("cold run", np.ones(2), COLD, region=math.inf)
+        assert _columns(ph)[1].tolist() == [COLD] * 3
 
     def test_repeat_appends_the_pattern_in_a_row(self):
         ph = PhaseModel("t")
@@ -351,9 +375,11 @@ class TestTrafficColumns:
 
     @pytest.mark.parametrize("field,value", [
         ("accesses", -1.0),
+        ("accesses", math.inf),
         ("distance", math.nan),
         ("region", math.nan),
         ("dilution", 0.0),
+        ("dilution", math.inf),
     ])
     def test_repeat_rejects_invalid_fields_by_name(self, field, value):
         fields = {k: np.full(3, v) for k, v in (

@@ -167,6 +167,36 @@ class TestComparePolicy:
         assert cmp.ok  # the 50x wall blowup is deliberately ignored
         assert any("cycles only" in n for n in cmp.notes)
 
+    def test_every_compared_wall_is_reported(self):
+        """Speed-ups and slow-downs within tolerance both print their
+        baseline -> current wall; the pass/fail policy is unchanged."""
+        base = _payload("a", fast=(1.0, [2.0, 2.0]), slow=(2.0, [1.0, 1.0]),
+                        untimed=(3.0, []))
+        cur = _payload("b", fast=(1.0, [0.5]), slow=(2.0, [1.25]),
+                       untimed=(3.0, []))
+        for walls in (True, False):
+            cmp = compare_payloads(base, cur, walls=walls)
+            assert cmp.ok
+            assert [(w.bench, w.base, w.current) for w in cmp.walls] == [
+                ("fast", 2.0, 0.5), ("slow", 1.0, 1.25)]
+            assert [w.change for w in cmp.walls] == [-0.75, 0.25]
+            text = render_comparison(cmp)
+            assert "wall fast: 2.0000s -> 0.5000s (-75.0%)" in text
+            assert "wall slow: 1.0000s -> 1.2500s (+25.0%)" in text
+            assert "wall untimed" not in text
+            assert text.endswith("OK")
+            assert cmp.to_dict()["walls"] == [
+                {"bench": "fast", "base": 2.0, "current": 0.5, "change": -0.75},
+                {"bench": "slow", "base": 1.0, "current": 1.25, "change": 0.25},
+            ]
+
+    def test_wall_regression_still_reports_its_delta(self):
+        cmp = compare_payloads(_payload("a", x=(1.0, [1.0, 1.0])),
+                               _payload("b", x=(1.0, [5.0])))
+        assert not cmp.ok
+        assert [(w.base, w.current) for w in cmp.walls] == [(1.0, 5.0)]
+        assert "wall x: 1.0000s -> 5.0000s (+400.0%)" in render_comparison(cmp)
+
     def test_wall_tolerance_floors(self):
         # Absolute floor dominates tiny benches; sigma term dominates
         # noisy ones; relative floor dominates stable long ones.
