@@ -29,8 +29,9 @@ properties a long sweep needs in production:
   CLI run is never silent about degradation or dropped data.  When an
   ambient tracer is installed (:func:`repro.obs.tracing`), the sweep
   records a ``run_sweep`` span and worker subtraces travel back with
-  each result and are grafted into the parent trace; worker counter
-  deltas merge into the process-global registry the same way.
+  each result and are grafted into the parent trace.  Pool workers
+  always ship their metrics delta home the same way, and it merges
+  into the process registry (:data:`repro.obs.METRICS`).
 
 The unit of work is a VLEN *column*, which amortizes per-VLEN state
 over the whole L2 axis: each column is recorded once
@@ -75,8 +76,8 @@ from repro.model.layer_model import NetworkResult
 from repro.nets.inference import grid_axis, record_inference
 from repro.nets.layers import LayerSpec
 from repro.obs import (
-    COUNTERS,
     LEVEL_WARNING,
+    METRICS,
     BenchRecorder,
     EventSink,
     Span,
@@ -294,11 +295,12 @@ def _evaluate_vlen(
     fresh ``simulate_inference`` call at every point).  Each point's
     seconds are an even share of the replay's wall time, and the
     first point also carries the recording's, so per-point seconds
-    still sum to the column's true cost.  With ``collect`` (the pooled
-    path), the column's span subtree and counter delta are captured and
-    returned picklable, so the parent can graft them into its trace and
-    registry; the serial path leaves it False and records into the
-    ambient tracer directly.
+    still sum to the column's true cost.  With ``collect`` the
+    column's span subtree is recorded into a local tracer and returned
+    picklable in ``extras["span"]``, so a caller running it off the
+    ambient tracer's thread or process can graft it into its trace; the
+    serial path leaves it False and records into the ambient tracer
+    directly.
     """
     def column() -> list[tuple[int, NetworkResult, float]]:
         t0 = time.perf_counter()
@@ -317,11 +319,25 @@ def _evaluate_vlen(
     if not collect:
         return column(), {}
     local = Tracer()
-    with COUNTERS.capture() as cap, tracing(local), local.span(
+    with tracing(local), local.span(
         "sweep_worker", vlen=vlen, l2_mbs=list(l2_mbs), **dict(span_attrs or {})
     ):
         out = column()
-    return out, {"span": local.root.to_dict(), "counters": cap.delta()}
+    return out, {"span": local.root.to_dict()}
+
+
+def _pooled_vlen(
+    *args: Any,
+) -> tuple[list[tuple[int, NetworkResult, float]], dict]:
+    """:func:`_evaluate_vlen` in a pool worker process.
+
+    Processes share no registry, so the worker also ships the metrics
+    delta its column produced (``extras["metrics"]``) for the parent to
+    merge into :data:`~repro.obs.METRICS`.
+    """
+    with METRICS.capture() as cap:
+        column, extras = _evaluate_vlen(*args)
+    return column, {**extras, "metrics": cap.delta()}
 
 
 def evaluate_column(
@@ -343,8 +359,8 @@ def evaluate_column(
     (:mod:`repro.serve`) schedule: one call amortizes the per-VLEN
     recording over every requested L2 size and returns
     ``([(l2_mb, result, seconds), ...], extras)``, where ``extras``
-    carries the picklable span/counter capture when ``collect`` is set
-    (see :func:`_evaluate_vlen`).  Results are bit-identical to the same
+    carries the picklable span subtree when ``collect`` is set (see
+    :func:`_evaluate_vlen`).  Results are bit-identical to the same
     point evaluated alone, however the L2 axis was batched (and, under
     ``exact``, to a fresh
     :func:`~repro.nets.inference.simulate_inference`).
@@ -644,9 +660,8 @@ def run_sweep(
                 todo.append((v, l))
 
         def absorb(extras: dict) -> None:
-            """Merge a pooled worker's trace/counters into this process."""
-            if extras.get("counters"):
-                COUNTERS.merge(extras["counters"])
+            """Merge a pooled worker's metrics/trace into this process."""
+            METRICS.merge(extras["metrics"])
             tracer = current_tracer()
             if tracer is not None and extras.get("span"):
                 tracer.attach(Span.from_dict(extras["span"]))
@@ -681,7 +696,7 @@ def run_sweep(
                 with pool:
                     futures = {
                         pool.submit(
-                            _evaluate_vlen, name, layers, v,
+                            _pooled_vlen, name, layers, v,
                             tuple(l2s), hybrid, variant, base, mode, collect,
                         ): v
                         for v, l2s in columns.items()

@@ -56,7 +56,7 @@ import numpy.typing as npt
 
 from repro.errors import ConfigError
 from repro.isa import FLOPS_PER_ELEM, OpClass
-from repro.obs.counters import COUNTERS
+from repro.obs.metrics import METRICS
 from repro.sim.cache import CacheStats, HierarchyStats
 from repro.sim.stackdist import SparseReuseProfile
 from repro.sim.stats import SimStats
@@ -453,6 +453,9 @@ _BOUND_SLACK = 1.0 + 2.0**-20
 #: Counter bumped once per per-class fallback (an L1 split, or one L2
 #: size of one layer) whose certificate failed.
 FALLBACK_COUNTER = "model.replay_fallbacks"
+_M_FALLBACKS = METRICS.counter(
+    FALLBACK_COUNTER, "replay counts whose rounding certificate failed "
+    "and were recomputed class by class")
 
 
 def _certified(estimates: FloatArray, factor: float) -> tuple[IntArray, BoolArray]:
@@ -585,7 +588,7 @@ class CondensedTraffic:
                                 self.error_factor)
         accesses, misses = counts.tolist()
         if not ok.all():
-            COUNTERS.inc(FALLBACK_COUNTER)
+            _M_FALLBACKS.inc()
             accesses = round(_ordered_sum(self.accesses))
             misses = round(_ordered_sum(self.accesses * miss[self.eff_index]))
         return L1Split(traffic=self, l1_miss=miss, group_to_l2=to_l2,
@@ -666,7 +669,7 @@ class L1Split:
         if doubtful:
             l2_eff = _effective(l2_bytes)
             for i in doubtful:
-                COUNTERS.inc(FALLBACK_COUNTER)
+                _M_FALLBACKS.inc()
                 m, w = reference(float(l2_eff[i]))
                 misses[i], writebacks[i] = round(m), round(w)
         return misses, writebacks

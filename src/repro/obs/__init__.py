@@ -6,14 +6,14 @@ The measurement substrate under every performance claim in this repo:
   an ambient :class:`Tracer` (``with span("simulate_inference"): ...``),
   with per-span wall time and ``SimStats`` counters; spans serialize,
   so worker processes ship their subtrees back to the parent trace.
-- :mod:`repro.obs.counters` — the process-global
-  :class:`CounterRegistry` (:data:`COUNTERS`) hot paths bump; worker
-  deltas travel back with results and merge exactly.
-- :mod:`repro.obs.metrics` — the typed service metrics registry
-  (:data:`METRICS`): monotonic counters, gauges, and fixed-bucket
-  latency histograms with exact-until-capped percentiles, rendered as
-  Prometheus text exposition for ``GET /metrics`` and parsed back by
-  ``repro loadtest``.
+- :mod:`repro.obs.metrics` — the process-global metrics registry
+  (:data:`METRICS`), the one counter store every component bumps (the
+  serve path, the result store, the cache simulator, the replay):
+  monotonic counters, gauges, and fixed-bucket latency histograms with
+  exact-until-capped percentiles, rendered as Prometheus text
+  exposition for ``GET /metrics`` and parsed back by ``repro
+  loadtest``.  Pool workers ship their capture deltas home and the
+  parent merges them, so totals are exact however a sweep ran.
 - :mod:`repro.obs.events` — structured events and sinks (JSONL flight
   recorder, in-memory, callback, tee); the sweep executor's progress,
   ETA and degradation warnings all flow through this layer.
@@ -68,7 +68,6 @@ from repro.obs.baseline import (
     compare_payloads,
     render_comparison,
 )
-from repro.obs.counters import COUNTERS, CounterCapture, CounterRegistry
 from repro.obs.export import (
     EXPORT_FORMATS,
     chrome_trace,
@@ -139,9 +138,6 @@ __all__ = [
     "tracing",
     "current_tracer",
     "counters_from_stats",
-    "COUNTERS",
-    "CounterRegistry",
-    "CounterCapture",
     "METRICS",
     "MetricsRegistry",
     "MetricsCapture",

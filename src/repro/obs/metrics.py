@@ -1,11 +1,13 @@
-"""Typed service metrics: counters, gauges, and latency histograms.
+"""Typed metrics: counters, gauges, and latency histograms.
 
-:mod:`repro.obs.counters` gives the sweep a flat bag of process-safe
-totals; a *service* needs more shape than that.  This module is the
-serve path's metrics substrate:
+This module is the process's one counter store.  Every component that
+counts — the serve path, the result store, the named caches of the
+trace simulator, the replay's certificate fallbacks — bumps a typed
+metric on :data:`METRICS`:
 
-- :class:`Counter` — monotonic totals (queries served, store hits).
-  Negative increments are a bug in the instrumentation, so they raise.
+- :class:`Counter` — monotonic totals (queries served, store hits,
+  cache misses).  An increment that is negative, NaN or infinite is a
+  bug in the instrumentation, so it raises.
 - :class:`Gauge` — instantaneous levels (open queries, busy workers,
   resident store bytes).  Gauges go up and down and are excluded from
   cross-process deltas, which only make sense for monotone series.
@@ -16,7 +18,8 @@ serve path's metrics substrate:
   to bucket interpolation and say so (``"exact": False``).
 
 All three are registered in a :class:`MetricsRegistry` (process-global
-instance: :data:`METRICS`).  Hot paths bump metrics unconditionally;
+instance: :data:`METRICS`).  Hot paths bind their metric handles once
+(at import or construction) and bump them unconditionally;
 :meth:`MetricsRegistry.disable` turns every mutation into a no-op so
 the overhead benches can measure instrumented-vs-not on the same code.
 
@@ -26,12 +29,13 @@ also carries the matching :func:`parse_exposition` /
 :func:`percentile_from_buckets` consumers so ``repro loadtest`` and the
 smoke tests read the service the same way a real scrape pipeline would.
 
-Like :class:`~repro.obs.counters.CounterRegistry`, the registry is
-process-safe by *delta shipping*, not shared memory: a worker captures
-(:meth:`MetricsRegistry.capture`), the plain-dict delta pickles home,
-and the parent folds it in (:meth:`MetricsRegistry.merge`).  Raw
-histogram samples do not travel — merged observations count toward the
-``dropped`` tally so percentile exactness stays honest.
+The registry is process-safe by *delta shipping*, not shared memory:
+a sweep's pool worker captures (:meth:`MetricsRegistry.capture`), the
+plain-dict delta pickles home with the task's result, and the parent
+folds it in (:meth:`MetricsRegistry.merge`).  Threads share the
+registry and need no shipping.  Raw histogram samples do not travel —
+merged observations count toward the ``dropped`` tally so percentile
+exactness stays honest.
 """
 
 from __future__ import annotations
@@ -75,11 +79,11 @@ class Counter:
         self._value = 0.0
 
     def inc(self, value: float = 1) -> None:
-        """Add ``value`` (must be >= 0) to the total."""
-        if value < 0:
+        """Add ``value`` (finite and >= 0) to the total."""
+        if not 0 <= value < math.inf:  # also false for NaN
             raise ObsError(
-                f"counter {self.name!r} incremented by {value}; "
-                "counters are monotonic — use a gauge for levels"
+                f"counter {self.name!r} incremented by {value}; counters "
+                "are monotonic and finite — use a gauge for levels"
             )
         if not self._registry.enabled:
             return
@@ -422,9 +426,13 @@ class MetricsRegistry:
     def capture(self) -> "MetricsCapture":
         """Context manager measuring mutations made inside it.
 
-        The worker-side half of cross-process metrics, mirroring
-        :meth:`CounterRegistry.capture`: the returned delta is a plain
-        dict (picklable) that the parent folds in with :meth:`merge`.
+        The worker-side half of cross-process metrics::
+
+            with METRICS.capture() as cap:
+                ...                      # work that bumps metrics
+            return result, cap.delta()   # picklable dict, merged by
+                                         # the parent
+
         Gauges are levels, not totals, so they are excluded.
         """
         return MetricsCapture(self)
@@ -502,7 +510,7 @@ class MetricsCapture:
         return out
 
 
-#: The process-global registry the serve path instruments.
+#: The process-global registry every instrumented component bumps.
 METRICS = MetricsRegistry()
 
 

@@ -52,7 +52,7 @@ from repro.serve.loadtest import (
     run_saturation,
 )
 from repro.serve.service import CodesignService, ServeServer
-from repro.serve.store import ResultStore, StoreStats
+from repro.serve.store import ResultStore
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -63,7 +63,6 @@ __all__ = [
     "iter_ndjson",
     "stream_query",
     "ResultStore",
-    "StoreStats",
     "CodesignService",
     "ServeServer",
     "RequestOutcome",

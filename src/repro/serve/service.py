@@ -53,7 +53,7 @@ import json
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any
 
@@ -62,7 +62,6 @@ from repro.codesign.sweep import SweepResult
 from repro.errors import ConfigError, ReproError
 from repro.model.layer_model import NetworkResult
 from repro.nets.layers import LayerSpec
-from repro.obs.counters import COUNTERS
 from repro.obs.events import (
     LEVEL_WARNING,
     CallbackSink,
@@ -140,7 +139,8 @@ def _column_worker(
     With ``collect`` the column's ``sweep_worker`` span subtree comes
     back in ``extras`` — stamped with the ``query_id``, because ambient
     contextvars do not cross ``run_in_executor`` — so the service can
-    graft it into the query's trace tree.
+    graft it into the query's trace tree.  Metrics need no shipping:
+    the worker threads bump the process registry directly.
     """
     layers: list[LayerSpec] = list(query.layers)
     column, extras = evaluate_column(
@@ -151,6 +151,22 @@ def _column_worker(
         span_attrs={"query_id": query_id} if query_id is not None else None,
     )
     return column, extras
+
+
+def _point_result(query: Query, payload: dict[str, Any]) -> NetworkResult:
+    """Decode a stored point under ``query``'s own labels.
+
+    Store keys leave labels out (:func:`~repro.serve.protocol.
+    query_identity`), so a payload may have been computed for another
+    network with the same layers; its network name, total label and
+    per-layer labels (``<layer name>[<algorithm>]``) are renamed to
+    this query's, exactly what a direct sweep of it would carry.
+    """
+    result = NetworkResult.from_dict(payload["result"])
+    result.total.label = f"{query.network} total"
+    for layer, stats in zip(query.layers, result.per_layer):
+        stats.label = layer.name + stats.label[stats.label.rindex("["):]
+    return replace(result, name=query.network)
 
 
 def _point_payload(
@@ -208,10 +224,10 @@ class CodesignService:
     def stats(self) -> dict[str, Any]:
         """The ``GET /v1/stats`` payload.
 
-        The store sub-dict is one atomic
-        :meth:`~repro.serve.store.ResultStore.snapshot` — occupancy and
-        hit counters copied under a single lock, so the fields of one
-        response are mutually consistent under concurrent load.
+        The store sub-dict is
+        :meth:`~repro.serve.store.ResultStore.snapshot`: occupancy
+        copied under the store's lock plus the process-wide store
+        counters of :data:`~repro.obs.METRICS`.
         """
         _G_OPEN.set(self.open_queries)
         _G_INFLIGHT.set(len(self._inflight))
@@ -269,7 +285,6 @@ class CodesignService:
             raise ConfigError("service is draining (shutdown in progress)")
         qid = query_id if query_id else uuid.uuid4().hex[:12]
         scoped = ScopedSink(sink, query_id=qid)
-        COUNTERS.inc("serve.queries")
         _M_QUERIES.inc()
         self.open_queries += 1
         _G_OPEN.set(self.open_queries)
@@ -364,10 +379,8 @@ class CodesignService:
             payload = self.store.get(key)
             if payload is not None:
                 lookup = time.perf_counter() - t0
-                results[(vlen, l2_mb)] = NetworkResult.from_dict(
-                    payload["result"])
+                results[(vlen, l2_mb)] = _point_result(query, payload)
                 served[SOURCE_STORE] += 1
-                COUNTERS.inc("serve.points_hit")
                 _M_POINTS_STORE.inc()
                 _H_POINT.observe(lookup)
                 sink.emit(event(
@@ -413,11 +426,9 @@ class CodesignService:
                     failure = outcome
                 continue
             payload, seconds = outcome
-            results[(vlen, l2_mb)] = NetworkResult.from_dict(
-                payload["result"])
+            results[(vlen, l2_mb)] = _point_result(query, payload)
             served[source] += 1
             if source == SOURCE_COALESCED:
-                COUNTERS.inc("serve.points_coalesced")
                 _M_POINTS_COALESCED.inc()
             _H_POINT.observe(seconds)
             sink.emit(event(
@@ -473,7 +484,6 @@ class CodesignService:
             for l2_mb, result, seconds in column:
                 payload = _point_payload(query, vlen, l2_mb, result)
                 self.store.put(keys[l2_mb], payload)
-                COUNTERS.inc("serve.points_computed")
                 _M_POINTS_COMPUTED.inc()
                 self._inflight.pop(keys[l2_mb], None)
                 fut = futs[l2_mb]

@@ -27,14 +27,12 @@ Consistency guarantees:
   mid-run therefore restarts warm, losing at most the point that was
   in flight.
 
-Observability: ``serve.store.{hits,misses,coalesced,evictions}`` on
-the process-global :data:`repro.obs.COUNTERS`, mirrored as typed
-``store.*`` counters on :data:`repro.obs.METRICS` for ``GET /metrics``.
-Readers use :meth:`ResultStore.stats` / :meth:`ResultStore.snapshot`,
-both of which copy every field under one lock acquisition so the
-returned counters are mutually consistent (hits + misses really is the
-number of lookups, ``bytes`` matches ``entries``) even while other
-threads mutate the store.
+Observability: the ``store.{hits,misses,coalesced,evictions,disk_hits}``
+counters on the process-global :data:`repro.obs.METRICS` registry
+(``GET /metrics``).  :meth:`ResultStore.snapshot` is the ``/v1/stats``
+view: occupancy (``entries``, ``bytes``) copied under the store's lock
+plus the registry's counter values, which are process-wide — the same
+thing for the one store a served process runs.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from repro.codesign.executor import (
     _write_json_atomic,
 )
 from repro.errors import ConfigError
-from repro.obs.counters import COUNTERS
 from repro.obs.metrics import METRICS
 from repro.serve.protocol import Query, point_key
 
@@ -68,8 +65,6 @@ SOURCE_STORE = "store"
 SOURCE_COMPUTED = "computed"
 SOURCE_COALESCED = "coalesced"
 
-# Typed mirrors of the serve.store.* counters (same increments, richer
-# consumers: /metrics exposition, loadtest hit-rate trajectories).
 _M_HITS = METRICS.counter("store.hits", "store lookups answered from memory or disk")
 _M_MISSES = METRICS.counter("store.misses", "store lookups that required a compute")
 _M_COALESCED = METRICS.counter(
@@ -80,24 +75,11 @@ _M_DISK_HITS = METRICS.counter("store.disk_hits", "hits served by reading the du
 _G_ENTRIES = METRICS.gauge("store.entries", "resident store entries")
 _G_BYTES = METRICS.gauge("store.bytes", "resident store payload bytes")
 
-
-@dataclass
-class StoreStats:
-    """Effectiveness counters of one :class:`ResultStore`."""
-
-    hits: int = 0
-    misses: int = 0
-    coalesced: int = 0
-    evictions: int = 0
-    bytes: int = 0
-    disk_hits: int = 0
-
-    def to_dict(self) -> dict[str, int]:
-        return dict(
-            hits=self.hits, misses=self.misses, coalesced=self.coalesced,
-            evictions=self.evictions, bytes=self.bytes,
-            disk_hits=self.disk_hits,
-        )
+#: The ``/v1/stats`` store keys read from the registry's counters.
+_STORE_TOTALS = {
+    "hits": _M_HITS, "misses": _M_MISSES, "coalesced": _M_COALESCED,
+    "evictions": _M_EVICTIONS, "disk_hits": _M_DISK_HITS,
+}
 
 
 @dataclass
@@ -144,32 +126,26 @@ class ResultStore:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._inflight: dict[str, Future[dict[str, Any]]] = {}
-        self._stats = StoreStats()
+        #: Resident payload bytes, the LRU's budget measure.
+        self._bytes = 0
 
     # ------------------------------------------------------------------
-    def stats(self) -> StoreStats:
-        """A mutually consistent copy of the effectiveness counters.
-
-        Copied under one lock acquisition, so the fields of the
-        returned value agree with each other — unlike reading a live
-        stats object field by field while other threads mutate it.
-        """
-        with self._lock:
-            return StoreStats(**self._stats.to_dict())
-
     def snapshot(self) -> dict[str, int]:
-        """Atomic ``/stats`` view: occupancy + counters, one lock.
+        """The ``/v1/stats`` view: occupancy plus the store counters.
 
-        Also refreshes the ``store.entries`` / ``store.bytes`` gauges,
-        so a ``/metrics`` scrape that follows a ``/stats`` read cannot
-        disagree with it about occupancy.
+        ``entries`` and ``bytes`` are copied under one lock, so they
+        agree with each other.  The counters are the registry's
+        process-wide totals.  Also refreshes the ``store.entries`` /
+        ``store.bytes`` gauges, so a ``/metrics`` scrape that follows a
+        ``/stats`` read cannot disagree with it about occupancy.
         """
         with self._lock:
             out = {
                 "entries": len(self._entries),
                 "max_bytes": self.max_bytes,
-                **self._stats.to_dict(),
+                "bytes": self._bytes,
             }
+        out.update((k, int(c.value)) for k, c in _STORE_TOTALS.items())
         _G_ENTRIES.set(out["entries"])
         _G_BYTES.set(out["bytes"])
         return out
@@ -189,23 +165,15 @@ class ResultStore:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self._stats.hits += 1
-                COUNTERS.inc("serve.store.hits")
                 _M_HITS.inc()
                 return entry.payload
         payload = self._disk_get(key)
         if payload is not None:
             with self._lock:
                 self._admit_locked(key, payload)
-                self._stats.hits += 1
-                self._stats.disk_hits += 1
-            COUNTERS.inc("serve.store.hits")
             _M_HITS.inc()
             _M_DISK_HITS.inc()
             return payload
-        with self._lock:
-            self._stats.misses += 1
-        COUNTERS.inc("serve.store.misses")
         _M_MISSES.inc()
         return None
 
@@ -236,8 +204,6 @@ class ResultStore:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self._stats.hits += 1
-                COUNTERS.inc("serve.store.hits")
                 _M_HITS.inc()
                 return entry.payload, SOURCE_STORE
             existing = self._inflight.get(key)
@@ -247,8 +213,6 @@ class ResultStore:
                 owner = True
             else:
                 fut = existing
-                self._stats.coalesced += 1
-                COUNTERS.inc("serve.store.coalesced")
                 _M_COALESCED.inc()
         if not owner:
             return fut.result(), SOURCE_COALESCED
@@ -258,10 +222,7 @@ class ResultStore:
         if disk is not None:
             with self._lock:
                 self._admit_locked(key, disk)
-                self._stats.hits += 1
-                self._stats.disk_hits += 1
                 self._inflight.pop(key, None)
-            COUNTERS.inc("serve.store.hits")
             _M_HITS.inc()
             _M_DISK_HITS.inc()
             fut.set_result(disk)
@@ -274,10 +235,8 @@ class ResultStore:
             fut.set_exception(e)
             raise
         with self._lock:
-            self._stats.misses += 1
             self._admit_locked(key, payload)
             self._inflight.pop(key, None)
-        COUNTERS.inc("serve.store.misses")
         _M_MISSES.inc()
         self._disk_put(key, payload)
         fut.set_result(payload)
@@ -289,17 +248,15 @@ class ResultStore:
         nbytes = _payload_bytes(payload)
         old = self._entries.pop(key, None)
         if old is not None:
-            self._stats.bytes -= old.nbytes
+            self._bytes -= old.nbytes
         if nbytes > self.max_bytes:
             return  # larger than the whole budget: serve pass-through
-        while self._stats.bytes + nbytes > self.max_bytes and self._entries:
+        while self._bytes + nbytes > self.max_bytes and self._entries:
             _, dropped = self._entries.popitem(last=False)
-            self._stats.bytes -= dropped.nbytes
-            self._stats.evictions += 1
-            COUNTERS.inc("serve.store.evictions")
+            self._bytes -= dropped.nbytes
             _M_EVICTIONS.inc()
         self._entries[key] = _Entry(payload, nbytes)
-        self._stats.bytes += nbytes
+        self._bytes += nbytes
 
     # ------------------------------------------------------------------
     # Durable tier.

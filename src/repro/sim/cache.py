@@ -29,7 +29,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.errors import ConfigError
-from repro.obs.counters import COUNTERS
+from repro.obs.metrics import METRICS, Counter
 
 
 @dataclass
@@ -83,9 +83,9 @@ class Cache:
         assoc: ways per set.
         line_bytes: line size (64, as the paper's gem5 config).
         name: level label ("l1"/"l2"); when set, every batch of
-            accesses also bumps the process-global observability
-            counters ``cache.<name>.{accesses,misses,evictions,
-            writebacks}`` (:data:`repro.obs.COUNTERS`).
+            accesses also bumps the process-global counters
+            ``cache.<name>.{accesses,misses,evictions,writebacks}``
+            (:data:`repro.obs.METRICS`), bound once here.
     """
 
     def __init__(self, size_bytes: int, assoc: int = 8, line_bytes: int = 64,
@@ -106,6 +106,11 @@ class Cache:
             OrderedDict() for _ in range(self.num_sets)
         ]
         self.stats = CacheStats()
+        self._counters: list[Counter] | None = [
+            METRICS.counter(f"cache.{name}.{what}",
+                            f"line {what} of the {name} cache model")
+            for what in ("accesses", "misses", "evictions", "writebacks")
+        ] if name else None
 
     # ------------------------------------------------------------------
     def access_lines(
@@ -214,14 +219,11 @@ class Cache:
         stats.misses += miss_count
         stats.evictions += evictions
         stats.writebacks += writebacks
-        if self.name:
-            prefix = f"cache.{self.name}."
-            COUNTERS.inc(prefix + "accesses", n)
-            COUNTERS.inc(prefix + "misses", miss_count)
-            if evictions:
-                COUNTERS.inc(prefix + "evictions", evictions)
-            if writebacks:
-                COUNTERS.inc(prefix + "writebacks", writebacks)
+        if self._counters is not None:
+            for counter, value in zip(
+                self._counters, (n, miss_count, evictions, writebacks)
+            ):
+                counter.inc(value)
         return missed
 
 

@@ -1,9 +1,9 @@
 """Tests for the observability layer (repro.obs): span nesting and
-serialization, counter registry semantics, event sinks and JSONL
-round-trips, run manifests, renderers — and the acceptance criterion
-that tracing is observation-only (traced and untraced simulations are
-bit-identical, and per-layer span counters sum exactly to the untraced
-network totals)."""
+serialization, the cache simulator's registry counters, event sinks
+and JSONL round-trips, run manifests, renderers — and the acceptance
+criterion that tracing is observation-only (traced and untraced
+simulations are bit-identical, and per-layer span counters sum exactly
+to the untraced network totals)."""
 
 import json
 from pathlib import Path
@@ -16,10 +16,9 @@ from repro.cli import main
 from repro.nets import vgg16_layers
 from repro.nets.inference import simulate_inference
 from repro.obs import (
-    COUNTERS,
     LEVEL_WARNING,
+    METRICS,
     CallbackSink,
-    CounterRegistry,
     JsonlSink,
     MemorySink,
     Span,
@@ -42,6 +41,7 @@ from repro.obs import (
 )
 from repro.obs.manifest import git_rev
 from repro.sim import SystemConfig
+from tests.metrics_delta import counter_delta
 
 pytestmark = pytest.mark.obs
 
@@ -182,36 +182,7 @@ class TestSpanSerialization:
 # Counters.
 # ----------------------------------------------------------------------
 class TestCounterRegistry:
-    def test_inc_get_snapshot(self):
-        reg = CounterRegistry()
-        reg.inc("a")
-        reg.inc("a", 4)
-        reg.inc("b", 2.5)
-        assert reg.get("a") == 5 and reg.get("missing") == 0
-        assert reg.snapshot() == {"a": 5, "b": 2.5}
-
-    def test_merge_adds(self):
-        reg = CounterRegistry()
-        reg.inc("a", 1)
-        reg.merge({"a": 2, "b": 3})
-        assert reg.snapshot() == {"a": 3, "b": 3}
-
-    def test_capture_reports_delta_only(self):
-        reg = CounterRegistry()
-        reg.inc("before", 10)
-        with reg.capture() as cap:
-            reg.inc("before", 5)
-            reg.inc("new", 1)
-            reg.inc("untouched", 0)
-        assert cap.delta() == {"before": 5, "new": 1}
-        # Registry itself keeps the absolute values.
-        assert reg.get("before") == 15
-
-    def test_reset(self):
-        reg = CounterRegistry()
-        reg.inc("a", 1)
-        reg.reset()
-        assert reg.snapshot() == {}
+    """The cache simulator's counters on the process registry."""
 
     def test_cache_hierarchy_feeds_global_registry(self):
         """The trace-driven cache hot path bumps cache.l1.* /
@@ -224,16 +195,16 @@ class TestCounterRegistry:
         rng = np.random.default_rng(0)
         lines = rng.integers(0, 4096, size=20_000, dtype=np.int64)
         stores = rng.random(20_000) < 0.3
-        with COUNTERS.capture() as cap:
+        with METRICS.capture() as cap:
             h.access(lines, stores)
-        delta = cap.delta()
+        delta = counter_delta(cap)
         snap = h.snapshot()
         assert delta["cache.l1.accesses"] == snap.l1.accesses
         assert delta["cache.l1.misses"] == snap.l1.misses
         assert delta["cache.l2.accesses"] == snap.l2.accesses
         assert delta["cache.l2.misses"] == snap.l2.misses
-        # Zero increments are suppressed (this stream fits in L2, so
-        # no L2 writebacks), hence the defaulted lookup.
+        # A delta leaves out counters that did not move (this stream
+        # fits in L2, so no L2 writebacks), hence the defaulted lookup.
         assert delta.get("cache.l2.writebacks", 0) == snap.l2.writebacks
         assert delta["cache.l1.evictions"] == snap.l1.evictions
         assert delta["cache.l1.writebacks"] == snap.l1.writebacks
@@ -246,7 +217,7 @@ class TestCounterRegistry:
         from repro.sim.cache import Cache
 
         c = Cache(4096, assoc=4)
-        with COUNTERS.capture() as cap:
+        with METRICS.capture() as cap:
             c.access_lines(np.arange(512, dtype=np.int64))
         assert cap.delta() == {}
         assert c.stats.accesses == 512
@@ -557,6 +528,38 @@ class TestTracingExactness:
         trace = json.loads((trace_dir / "trace.json").read_text())
         assert trace["trace"]["name"] == "simulate_inference"
         assert len(trace["trace"]["children"]) == 1
+
+    def test_pooled_sweep_merges_worker_metrics(self, monkeypatch):
+        """Pool workers ship their metrics deltas home: a traced pooled
+        sweep moves the parent's counters exactly as the serial run
+        does.  Failing every rounding certificate makes each column
+        bump ``model.replay_fallbacks`` inside the worker."""
+        import numpy as np
+
+        import repro.model.traffic as traffic
+        from repro.codesign import codesign_sweep
+
+        certified = traffic._certified
+
+        def doubtful(estimates, factor):
+            counts, ok = certified(estimates, factor)
+            return counts, np.zeros_like(ok)
+
+        monkeypatch.setattr(traffic, "_certified", doubtful)
+        layers = vgg16_layers()[:2]
+        deltas, sweeps = [], []
+        for workers in (1, 2):
+            with tracing(Tracer()), METRICS.capture() as cap:
+                sweeps.append(codesign_sweep(
+                    "vgg-head", layers, vlens=(512, 1024), l2_mbs=(1, 16),
+                    workers=workers))
+            deltas.append(counter_delta(cap))
+        serial, pooled = sweeps
+        assert not pooled.degraded, "the pool must really run"
+        assert pooled == serial
+        # One fallback per layer's L1 split and per layer and L2 size.
+        assert deltas[0] == {traffic.FALLBACK_COUNTER: 2 * 2 * (1 + 2)}
+        assert deltas[1] == deltas[0]
 
     def test_sweep_worker_spans_merge_into_parent_trace(self):
         """A traced parallel sweep grafts one worker subtree per point

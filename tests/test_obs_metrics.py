@@ -6,7 +6,8 @@ these tests pin the contracts the instrumentation and its consumers
 
 - registration is get-or-create, and a name collision across kinds (or
   across histogram bucket layouts) raises instead of silently aliasing;
-- counters are monotonic (negative increments raise), gauges are not;
+- counters are monotonic and finite (negative, NaN and infinite
+  increments raise), gauges are not;
 - histogram percentiles are *exact* (nearest-rank) until the raw-sample
   reservoir cap, then bucket-interpolated — and ``summary()`` says
   which regime applies;
@@ -19,13 +20,17 @@ these tests pin the contracts the instrumentation and its consumers
 - ``reset()`` zeroes in place so module-level metric handles survive.
 """
 
+import asyncio
 import math
 import pickle
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ObsError
+from repro.obs import MemorySink
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -87,8 +92,9 @@ class TestRegistrySemantics:
         c.inc()
         c.inc(2.5)
         assert c.value == 3.5
-        with pytest.raises(ObsError, match="monotonic"):
-            c.inc(-1)
+        for bad in (-1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ObsError, match=r"'c'.*monotonic"):
+                c.inc(bad)
         assert c.value == 3.5
 
     def test_gauge_moves_both_ways(self, reg):
@@ -348,3 +354,48 @@ class TestMetricTypes:
         assert Counter.kind == "counter"
         assert Gauge.kind == "gauge"
         assert Histogram.kind == "histogram"
+
+
+def _expand_braces(pattern):
+    """``a_{x,y}_b`` -> ``a_x_b``, ``a_y_b`` (every group, recursively)."""
+    m = re.search(r"\{([^}]*)\}", pattern)
+    if m is None:
+        return [pattern]
+    return [name for alt in m.group(1).split(",")
+            for name in _expand_braces(
+                pattern[:m.start()] + alt + pattern[m.end():])]
+
+
+def _catalogued_series():
+    """The series of the EXPERIMENTS.md ``/metrics`` catalogue table."""
+    text = (Path(__file__).resolve().parents[1] / "EXPERIMENTS.md").read_text(
+        encoding="utf-8")
+    table = text.split("**The metrics catalogue.**", 1)[1].split("\n\n", 2)[1]
+    rows = re.findall(r"^\| `([^`]+)` \|", table, flags=re.M)
+    return {name for row in rows for name in _expand_braces(row)}
+
+
+class TestCatalogue:
+    def test_every_exposed_family_is_catalogued(self):
+        """The EXPERIMENTS catalogue names exactly the series ``GET
+        /metrics`` exposes once a query was served and a kernel trace
+        ran through the cache simulator."""
+        from repro.serve import CodesignService, Query, ResultStore
+        from repro.sim import Simulator, SystemConfig
+        from tests.test_sim_system import stream_trace
+
+        service = CodesignService(ResultStore(max_bytes=1 << 20), workers=1)
+        query = Query.from_payload({"network": "vgg16", "max_layers": 1,
+                                    "vlens": [512], "l2_mbs": [1],
+                                    "mode": "fast"})
+        asyncio.run(service.handle_query(query, MemorySink()))
+        Simulator(SystemConfig()).run_trace(stream_trace(64, 2))
+
+        exposed = set()
+        for line in service.render_metrics().splitlines():
+            if line.startswith("# TYPE "):
+                _, _, name, kind = line.split()
+                exposed.add(name + "_total" if kind == "counter" else name)
+        catalogued = _catalogued_series()
+        assert exposed - catalogued == set(), "exposed but not catalogued"
+        assert catalogued - exposed == set(), "catalogued but not exposed"

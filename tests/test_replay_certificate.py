@@ -30,7 +30,8 @@ from repro.model.traffic import (
 )
 from repro.nets import vgg16_layers, yolov3_layers
 from repro.nets.inference import BACKENDS
-from repro.obs.counters import COUNTERS
+from repro.obs import METRICS
+from tests.metrics_delta import counter_delta
 from tests.test_axis_replay import sharp_reference, smooth_reference
 
 MB = 1 << 20
@@ -128,14 +129,14 @@ class TestForcedFallback:
         the fallback rounds the reference half to even."""
         ph = PhaseModel("t")
         ph.add_traffic("cold", accesses, COLD, is_store=True)
-        with COUNTERS.capture() as cap:
+        with METRICS.capture() as cap:
             split = CondensedTraffic.from_phases([ph]).l1_split(L1_BYTES)
             assert (split.accesses, split.misses) == (want, want)
-            assert cap.delta() == {FALLBACK_COUNTER: 1}
+            assert counter_delta(cap) == {FALLBACK_COUNTER: 1}
             for criterion in (L1Split.smooth_l2, L1Split.sharp_l2):
                 misses, writebacks = criterion(split, [MB, 4 * MB])
                 assert misses.tolist() == writebacks.tolist() == [want, want]
-            assert cap.delta() == {FALLBACK_COUNTER: 5}
+            assert counter_delta(cap) == {FALLBACK_COUNTER: 5}
         h = evaluate_hierarchy([ph], L1_BYTES, MB)
         assert (h.l1.accesses, h.l1.misses, h.l2.misses,
                 h.l2.writebacks) == (want,) * 4
@@ -146,10 +147,10 @@ class TestForcedFallback:
         ph = PhaseModel("t")
         ph.add_traffic("loads", 1000.25, COLD)
         ph.add_traffic("store", 2.5, COLD, is_store=True, region=8.0 * MB)
-        with COUNTERS.capture() as cap:
+        with METRICS.capture() as cap:
             split = CondensedTraffic.from_phases([ph]).l1_split(L1_BYTES)
             misses, writebacks = split.smooth_l2([16 * MB, 4 * MB, 32 * MB])
-        assert cap.delta() == {FALLBACK_COUNTER: 1}
+        assert counter_delta(cap) == {FALLBACK_COUNTER: 1}
         assert split.accesses == split.misses == 1003
         assert misses.tolist() == [1003, 1003, 1003]
         assert writebacks.tolist() == [0, 2, 0]
@@ -158,7 +159,7 @@ class TestForcedFallback:
         ph = PhaseModel("t")
         ph.add_traffic("cold", np.array([2.25, 1e9 + 0.75]), COLD,
                        is_store=True, repeat=3)
-        with COUNTERS.capture() as cap:
+        with METRICS.capture() as cap:
             split = CondensedTraffic.from_phases([ph]).l1_split(L1_BYTES)
             for criterion in (L1Split.smooth_l2, L1Split.sharp_l2):
                 misses, _ = criterion(split, [MB])
@@ -183,11 +184,11 @@ class TestNoLayout:
             raise AssertionError("a per-class array was laid out")
 
         monkeypatch.setattr(traffic, "_tiled", spy)
-        with COUNTERS.capture() as cap:
+        with METRICS.capture() as cap:
             points, _ = evaluate_column(net, build(), vlen, PAPER_L2_MBS,
                                         mode=mode)
         assert len(points) == len(PAPER_L2_MBS)
-        assert cap.delta().get(FALLBACK_COUNTER, 0) == 0
+        assert counter_delta(cap).get(FALLBACK_COUNTER, 0) == 0
         assert tiled == []
 
     def test_fallback_lays_out_only_on_demand(self):

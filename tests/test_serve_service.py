@@ -11,13 +11,14 @@ import asyncio
 import http.client
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.codesign import SweepResult, codesign_sweep
 from repro.errors import ConfigError
 from repro.nets import vgg16_layers
-from repro.obs import COUNTERS, MemorySink, parse_exposition
+from repro.obs import METRICS, MemorySink, parse_exposition
 from repro.obs.analytics import load_trace
 from repro.serve import (
     CodesignService,
@@ -28,6 +29,7 @@ from repro.serve import (
     stream_query,
 )
 from repro.serve import service as service_mod
+from tests.metrics_delta import counter_delta
 
 pytestmark = pytest.mark.serve
 
@@ -68,19 +70,18 @@ class TestEndToEnd:
 
         async def main():
             await server.start()
-            before = COUNTERS.snapshot()
 
             def client(tag):
                 events = list(stream_query(
                     "127.0.0.1", server.port, PAYLOAD, timeout=300))
                 outcomes[tag] = events
 
-            await _drive_threads(
-                [threading.Thread(target=client, args=(i,))
-                 for i in range(3)])
-            outcomes["computed"] = (
-                COUNTERS.get("serve.points_computed")
-                - before.get("serve.points_computed", 0))
+            with METRICS.capture() as cap:
+                await _drive_threads(
+                    [threading.Thread(target=client, args=(i,))
+                     for i in range(3)])
+            outcomes["computed"] = counter_delta(cap).get(
+                "serve.points.computed", 0)
 
             # Repeat query: answered entirely from the store — prove it
             # by making any executor call blow up.
@@ -149,10 +150,9 @@ class TestEndToEnd:
             return await asyncio.gather(*(
                 service.handle_query(query, sink) for sink in sinks))
 
-        before = COUNTERS.snapshot()
-        results = _run(main())
-        computed = (COUNTERS.get("serve.points_computed")
-                    - before.get("serve.points_computed", 0))
+        with METRICS.capture() as cap:
+            results = _run(main())
+        computed = counter_delta(cap).get("serve.points.computed", 0)
         assert computed == 2
         assert results[0] == results[1] == results[2]
         sources = [e["source"] for sink in sinks for e in sink.events
@@ -175,6 +175,71 @@ class TestEndToEnd:
         assert manifest["query_id"] == "qtest"
         assert manifest["identity"] == query_identity(query)
         assert manifest["backend"] == "fast"
+
+
+#: A two-layer Darknet cfg, served under more than one network name.
+CFG_TEXT = """
+[net]
+height=8
+width=8
+channels=3
+[convolutional]
+filters=4
+size=3
+stride=1
+pad=1
+[convolutional]
+filters=4
+size=1
+stride=1
+pad=1
+"""
+
+
+def _cfg_query(name):
+    return Query.from_payload({"cfg": CFG_TEXT, "name": name, "vlens": [512],
+                               "l2_mbs": [1, 16], "mode": "fast"})
+
+
+def _direct(query):
+    return codesign_sweep(query.network, list(query.layers),
+                          vlens=query.vlens, l2_mbs=query.l2_mbs,
+                          mode=query.mode).to_dict()
+
+
+class TestLabels:
+    """Store keys leave labels out, so one stored point answers every
+    network with the same layers; each answer still carries its own
+    query's labels, exactly as a direct sweep of that network would."""
+
+    def test_store_hit_carries_the_querys_names(self):
+        service = CodesignService(ResultStore(max_bytes=1 << 22), workers=1)
+        first, second = _cfg_query("netA"), _cfg_query("netB")
+        renamed = replace(second, network="netC", layers=tuple(
+            replace(layer, name=f"c_{layer.name}") for layer in second.layers))
+        for query in (first, second, renamed):
+            sink = MemorySink()
+            sweep = _run(service.handle_query(query, sink))
+            assert sweep.to_dict() == _direct(query), query.network
+            assert sink.events[-1]["sweep"] == _direct(query)
+        sources = [e["source"] for e in sink.events if e["event"] == "point"]
+        assert sources == ["store", "store"]
+
+    def test_coalesced_point_carries_the_querys_names(self):
+        service = CodesignService(ResultStore(max_bytes=1 << 22), workers=1)
+        first, second = _cfg_query("netA"), _cfg_query("netB")
+        sinks = [MemorySink(), MemorySink()]
+
+        async def main():
+            return await asyncio.gather(
+                service.handle_query(first, sinks[0]),
+                service.handle_query(second, sinks[1]))
+
+        sweeps = _run(main())
+        assert [e["source"] for e in sinks[1].events
+                if e["event"] == "point"] == ["coalesced", "coalesced"]
+        for query, sweep in zip((first, second), sweeps):
+            assert sweep.to_dict() == _direct(query), query.network
 
 
 class TestHttpSurface:
@@ -286,6 +351,16 @@ class TestTelemetry:
         assert bounds[-1] == float("inf")
         assert families["repro_serve_query_seconds"].value(
             "_count") == cum[-1]
+
+    def test_one_hot_point_moves_exactly_its_counters(self):
+        service = CodesignService(ResultStore(max_bytes=1 << 22), workers=1)
+        query = Query.from_payload(
+            dict(PAYLOAD, mode="fast", vlens=[512], l2_mbs=[1]))
+        _run(service.handle_query(query, MemorySink()))  # lands in the store
+        with METRICS.capture() as cap:
+            _run(service.handle_query(query, MemorySink()))
+        assert counter_delta(cap) == {
+            "serve.queries": 1, "serve.points.store": 1, "store.hits": 1}
 
     def test_stats_carries_latency_and_pool_blocks(self):
         service = CodesignService(ResultStore(max_bytes=1 << 22), workers=3)

@@ -18,6 +18,7 @@ from repro.codesign.executor import CHECKPOINT_VERSION
 from repro.errors import ConfigError
 from repro.model.layer_model import NetworkResult
 from repro.nets import vgg16_layers
+from repro.obs import METRICS
 from repro.serve import Query, ResultStore, network_hash, point_key
 from repro.serve.store import (
     SOURCE_COALESCED,
@@ -25,6 +26,7 @@ from repro.serve.store import (
     SOURCE_STORE,
 )
 from repro.sim import SystemConfig
+from tests.metrics_delta import counter_delta
 
 pytestmark = pytest.mark.serve
 
@@ -175,13 +177,13 @@ class TestStoreBasics:
     def test_get_put_roundtrip_and_counting(self):
         store = ResultStore(max_bytes=1 << 20)
         key = "k:fast:v512:l2mb1"
-        assert store.get(key) is None
-        store.put(key, _payload())
-        assert store.get(key) == _payload()
+        with METRICS.capture() as cap:
+            assert store.get(key) is None
+            store.put(key, _payload())
+            assert store.get(key) == _payload()
         assert key in store
         assert len(store) == 1
-        assert store.stats().misses == 1
-        assert store.stats().hits == 1
+        assert counter_delta(cap) == {"store.misses": 1, "store.hits": 1}
 
     def test_put_validates_schema(self):
         store = ResultStore(max_bytes=1 << 20)
@@ -194,11 +196,12 @@ class TestStoreBasics:
         filler = "x" * 200
         size = len(json.dumps(_payload(filler=filler)).encode())
         store = ResultStore(max_bytes=3 * size)
-        for i in range(5):
-            store.put(f"k{i}", _payload(l2_mb=i, filler=filler))
-            assert store.stats().bytes <= store.max_bytes
+        with METRICS.capture() as cap:
+            for i in range(5):
+                store.put(f"k{i}", _payload(l2_mb=i, filler=filler))
+                assert store.snapshot()["bytes"] <= store.max_bytes
         assert len(store) == 3
-        assert store.stats().evictions == 2
+        assert counter_delta(cap) == {"store.evictions": 2}
         # LRU: the two oldest are gone, the three newest remain.
         assert store.get("k0") is None and store.get("k1") is None
         for i in (2, 3, 4):
@@ -219,7 +222,7 @@ class TestStoreBasics:
         store = ResultStore(max_bytes=64)
         store.put("big", _payload(filler="x" * 500))
         assert len(store) == 0
-        assert store.stats().bytes == 0
+        assert store.snapshot()["bytes"] == 0
 
 
 class TestExactlyOnce:
@@ -242,17 +245,19 @@ class TestExactlyOnce:
                 sources.append((payload, source))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        with METRICS.capture() as cap:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
         assert len(computes) == 1
         assert all(p == _payload() for p, _ in sources)
         counts = {s: sum(1 for _, src in sources if src == s)
                   for s in (SOURCE_COMPUTED, SOURCE_COALESCED, SOURCE_STORE)}
         assert counts[SOURCE_COMPUTED] == 1
         assert counts[SOURCE_COALESCED] + counts[SOURCE_STORE] == 7
-        assert store.stats().coalesced == counts[SOURCE_COALESCED]
+        assert counter_delta(cap).get("store.coalesced", 0) == (
+            counts[SOURCE_COALESCED])
 
     def test_failed_compute_propagates_and_leaves_key_absent(self):
         store = ResultStore(max_bytes=1 << 20)
@@ -284,18 +289,23 @@ class TestDurableTier:
         store = ResultStore(max_bytes=1 << 20, directory=tmp_path)
         store.put("k", _payload())
         reborn = ResultStore(max_bytes=1 << 20, directory=tmp_path)
-        assert reborn.get("k") == _payload()
-        assert reborn.stats().disk_hits == 1
+        with METRICS.capture() as cap:
+            assert reborn.get("k") == _payload()
+        assert counter_delta(cap) == {"store.hits": 1, "store.disk_hits": 1}
 
     def test_eviction_keeps_disk_copy(self, tmp_path):
         filler = "x" * 200
         size = len(json.dumps(_payload(filler=filler)).encode())
         store = ResultStore(max_bytes=size, directory=tmp_path)
-        store.put("a", _payload(l2_mb=1, filler=filler))
-        store.put("b", _payload(l2_mb=2, filler=filler))  # evicts a
-        assert store.stats().evictions == 1
-        assert store.get("a") == _payload(l2_mb=1, filler=filler)
-        assert store.stats().disk_hits == 1
+        with METRICS.capture() as cap:
+            store.put("a", _payload(l2_mb=1, filler=filler))
+            store.put("b", _payload(l2_mb=2, filler=filler))  # evicts a
+        assert counter_delta(cap) == {"store.evictions": 1}
+        with METRICS.capture() as cap:
+            assert store.get("a") == _payload(l2_mb=1, filler=filler)
+        # Re-admitting "a" from disk evicts "b" from memory.
+        assert counter_delta(cap) == {
+            "store.hits": 1, "store.disk_hits": 1, "store.evictions": 1}
 
     def test_torn_disk_entry_is_never_trusted(self, tmp_path):
         store = ResultStore(max_bytes=1 << 20, directory=tmp_path)

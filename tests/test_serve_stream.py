@@ -28,7 +28,7 @@ import time
 import pytest
 
 from repro.errors import ObsError
-from repro.obs import COUNTERS, MemorySink
+from repro.obs import METRICS, MemorySink
 from repro.serve import (
     CodesignService,
     Query,
@@ -37,6 +37,7 @@ from repro.serve import (
     iter_ndjson,
 )
 from repro.serve.service import MAX_BODY_BYTES
+from tests.metrics_delta import counter_delta
 
 pytestmark = pytest.mark.serve
 
@@ -228,12 +229,11 @@ class TestHttpHardening:
                 await asyncio.sleep(0.01)
             out["stored"] = len(store)
 
-            before = COUNTERS.snapshot()
             sink = MemorySink()
-            await service.handle_query(Query.from_payload(PAYLOAD), sink)
-            out["recomputed"] = (
-                COUNTERS.get("serve.points_computed")
-                - before.get("serve.points_computed", 0))
+            with METRICS.capture() as cap:
+                await service.handle_query(Query.from_payload(PAYLOAD), sink)
+            out["recomputed"] = counter_delta(cap).get(
+                "serve.points.computed", 0)
             out["sources"] = [e["source"] for e in sink.events
                               if e["event"] == "point"]
             await server.stop()
