@@ -14,7 +14,6 @@ miss-rate deltas.
 from repro.codesign.executor import (
     SweepProgress,
     evaluate_column,
-    evaluate_point,
     run_sweep,
 )
 from repro.codesign.report import (
@@ -54,7 +53,6 @@ __all__ = [
     "validate_codesign_sweep",
     "run_sweep",
     "evaluate_column",
-    "evaluate_point",
     "MISS_RATE_BOUND",
     "SweepProgress",
     "SweepResult",

@@ -24,7 +24,8 @@ properties a long sweep needs in production:
   and ETA), warning-level ``checkpoint_corrupt`` and ``pool_degraded``
   events, and a closing ``sweep_end`` summary.  The ``on_progress``
   callback is a *rendering* of that stream — each tick event is also
-  delivered as a :class:`SweepProgress` — and warning events are
+  delivered as a :class:`SweepProgress`; ticks are built only when a
+  sink or callback listens — and warning events are
   additionally raised as Python :class:`RuntimeWarning`\\ s so a plain
   CLI run is never silent about degradation or dropped data.  When an
   ambient tracer is installed (:func:`repro.obs.tracing`), the sweep
@@ -41,8 +42,11 @@ recording is replayed across the column's whole L2 axis in one call
 under the backend's (``mode``) L2 criterion — the exact backend's is
 bit-identical to a fresh
 :func:`~repro.nets.inference.simulate_inference` call at every point,
-the fast backend's is the sharp Mattson threshold.  Every checkpoint
-records which backend produced it.
+the fast backend's is the sharp Mattson threshold.  The replay is a
+:class:`~repro.nets.inference.ColumnResult`, arrays plus one template
+per layer; checkpoints, the bench recorder and the returned
+:class:`~repro.codesign.sweep.SweepResult` read it without building
+per-point objects.  Every checkpoint records which backend produced it.
 
 Results are bit-identical between the serial and parallel paths: each
 point is evaluated by the same pure record/replay functions and
@@ -69,11 +73,17 @@ from typing import Any, Callable, Mapping, Sequence
 # profile_network: a former name of record_inference, still resolvable
 # here (see repro.codesign.fastpath).
 from repro.codesign.fastpath import profile_network  # noqa: F401
-from repro.codesign.sweep import BACKEND_EXACT, BACKENDS, SweepResult
+from repro.codesign.sweep import (
+    BACKEND_EXACT,
+    BACKENDS,
+    PointEntry,
+    SweepPoints,
+    SweepResult,
+)
 from repro.errors import ConfigError
 from repro.kernels.tuple_mult import SLIDEUP
 from repro.model.layer_model import NetworkResult
-from repro.nets.inference import grid_axis, record_inference
+from repro.nets.inference import ColumnResult, grid_axis, record_inference
 from repro.nets.layers import LayerSpec
 from repro.obs import (
     LEVEL_WARNING,
@@ -163,6 +173,7 @@ class _SweepTelemetry:
     Every progress tick, warning and summary is built here as a
     structured event, delivered to the optional sink, and — for ticks —
     re-rendered as a :class:`SweepProgress` for the legacy callback.
+    With neither a sink nor a callback, ticks only count.
     Warning-level events are also raised as :class:`RuntimeWarning` so
     degradation is visible even with no sink attached.
     """
@@ -223,6 +234,8 @@ class _SweepTelemetry:
             self._compute_start = time.perf_counter()
 
     def _tick(self, kind: str, vlen: int, l2_mb: int, secs: float) -> None:
+        if self.sink is None and self.on_progress is None:
+            return  # no listener: skip building the event and its ETA
         ev = event(
             kind, vlen=vlen, l2_mb=l2_mb,
             done=self.done, total=self.total, point_seconds=secs,
@@ -285,59 +298,58 @@ def _evaluate_vlen(
     mode: str,
     collect: bool = False,
     span_attrs: Mapping[str, Any] | None = None,
-) -> tuple[list[tuple[int, NetworkResult, float]], dict]:
+) -> tuple[ColumnResult, list[float], dict]:
     """Evaluate one VLEN column of the grid under ``mode``'s L2 criterion.
 
     The layer phase models depend on the configuration only through
     the vector length, so one recording pass
     (:func:`~repro.nets.inference.record_inference`) answers the whole
     L2 axis, replayed in one call (under ``exact``, bit-identical to a
-    fresh ``simulate_inference`` call at every point).  Each point's
-    seconds are an even share of the replay's wall time, and the
-    first point also carries the recording's, so per-point seconds
-    still sum to the column's true cost.  With ``collect`` the
+    fresh ``simulate_inference`` call at every point) into a
+    :class:`~repro.nets.inference.ColumnResult`, which stays arrays.
+    Each point's seconds are an even share of the replay's wall time,
+    and the first point also carries the recording's, so per-point
+    seconds still sum to the column's true cost.  With ``collect`` the
     column's span subtree is recorded into a local tracer and returned
     picklable in ``extras["span"]``, so a caller running it off the
     ambient tracer's thread or process can graft it into its trace; the
     serial path leaves it False and records into the ambient tracer
     directly.
     """
-    def column() -> list[tuple[int, NetworkResult, float]]:
+    def column() -> tuple[ColumnResult, list[float]]:
         t0 = time.perf_counter()
         cfg = base_config.with_(vlen_bits=vlen)
         recording = record_inference(
             name, layers, cfg, hybrid=hybrid, variant=variant
         )
         t1 = time.perf_counter()
-        results = recording.evaluate(l2_mbs, mode)
+        result = recording.evaluate(l2_mbs, mode)
         share = (time.perf_counter() - t1) / len(l2_mbs)
-        return [
-            (l2_mb, result, share + (t1 - t0 if i == 0 else 0.0))
-            for i, (l2_mb, result) in enumerate(zip(l2_mbs, results))
-        ]
+        seconds = [share] * len(l2_mbs)
+        seconds[0] += t1 - t0
+        return result, seconds
 
     if not collect:
-        return column(), {}
+        return (*column(), {})
     local = Tracer()
     with tracing(local), local.span(
         "sweep_worker", vlen=vlen, l2_mbs=list(l2_mbs), **dict(span_attrs or {})
     ):
         out = column()
-    return out, {"span": local.root.to_dict()}
+    return (*out, {"span": local.root.to_dict()})
 
 
-def _pooled_vlen(
-    *args: Any,
-) -> tuple[list[tuple[int, NetworkResult, float]], dict]:
+def _pooled_vlen(*args: Any) -> tuple[ColumnResult, list[float], dict]:
     """:func:`_evaluate_vlen` in a pool worker process.
 
-    Processes share no registry, so the worker also ships the metrics
-    delta its column produced (``extras["metrics"]``) for the parent to
-    merge into :data:`~repro.obs.METRICS`.
+    The column travels home as its arrays and templates, not as per-point
+    objects.  Processes share no registry, so the worker also ships the
+    metrics delta its column produced (``extras["metrics"]``) for the
+    parent to merge into :data:`~repro.obs.METRICS`.
     """
     with METRICS.capture() as cap:
-        column, extras = _evaluate_vlen(*args)
-    return column, {**extras, "metrics": cap.delta()}
+        result, seconds, extras = _evaluate_vlen(*args)
+    return result, seconds, {**extras, "metrics": cap.delta()}
 
 
 def evaluate_column(
@@ -351,18 +363,19 @@ def evaluate_column(
     mode: str = BACKEND_EXACT,
     collect: bool = False,
     span_attrs: Mapping[str, Any] | None = None,
-) -> tuple[list[tuple[int, NetworkResult, float]], dict]:
+) -> tuple[ColumnResult, list[float], dict]:
     """Evaluate one VLEN column of the co-design grid — the executor's
     reusable unit of work.
 
     This is the API the sweep pool *and* the serve layer
     (:mod:`repro.serve`) schedule: one call amortizes the per-VLEN
-    recording over every requested L2 size and returns
-    ``([(l2_mb, result, seconds), ...], extras)``, where ``extras``
-    carries the picklable span subtree when ``collect`` is set (see
-    :func:`_evaluate_vlen`).  Results are bit-identical to the same
-    point evaluated alone, however the L2 axis was batched (and, under
-    ``exact``, to a fresh
+    recording over every requested L2 size and returns ``(column,
+    seconds, extras)``: the :class:`~repro.nets.inference.ColumnResult`
+    (point ``i`` answers ``column.l2_mbs[i]``), each point's wall-time
+    share, and ``extras``, which carries the picklable span subtree
+    when ``collect`` is set (see :func:`_evaluate_vlen`).  Results are
+    bit-identical to the same point evaluated alone, however the L2
+    axis was batched (and, under ``exact``, to a fresh
     :func:`~repro.nets.inference.simulate_inference`).
     """
     if mode not in BACKENDS:
@@ -376,29 +389,6 @@ def evaluate_column(
         name, layers, vlen_bits, axis,
         hybrid, variant, base, mode, collect, span_attrs,
     )
-
-
-def evaluate_point(
-    name: str,
-    layers: list[LayerSpec],
-    vlen: int,
-    l2_mb: int,
-    hybrid: bool = True,
-    variant: str = SLIDEUP,
-    base_config: SystemConfig | None = None,
-    mode: str = BACKEND_EXACT,
-) -> NetworkResult:
-    """Evaluate a single (VLEN, L2) grid point.
-
-    A one-point :func:`evaluate_column`; bit-identical to the same
-    point of any sweep over a grid containing it.
-    """
-    column, _ = evaluate_column(
-        name, layers, vlen, (l2_mb,), hybrid=hybrid, variant=variant,
-        base_config=base_config, mode=mode,
-    )
-    (_, result, _), = column
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -575,14 +565,16 @@ def _load_point(
 
 
 def _save_point(
-    path: Path, vlen: int, l2_mb: int, result: NetworkResult, backend: str
+    path: Path, vlen: int, l2_mb: int, result: dict, backend: str
 ) -> None:
+    """Checkpoint one computed point; ``result`` is its
+    ``NetworkResult.to_dict()`` form."""
     _write_json_atomic(path, {
         "version": CHECKPOINT_VERSION,
         "backend": backend,
         "vlen": vlen,
         "l2_mb": l2_mb,
-        "result": result.to_dict(),
+        "result": result,
     })
 
 
@@ -636,7 +628,9 @@ def run_sweep(
 
     telemetry = _SweepTelemetry(total=total, sink=sink,
                                 on_progress=on_progress)
-    results: dict[tuple[int, int], NetworkResult] = {}
+    # Restored points are objects; computed ones stay (column, index)
+    # until a caller of the SweepResult asks for them.
+    results: dict[tuple[int, int], PointEntry] = {}
 
     with span("run_sweep", network=name, backend=mode,
               workers=workers, total_points=total):
@@ -666,14 +660,16 @@ def run_sweep(
             if tracer is not None and extras.get("span"):
                 tracer.attach(Span.from_dict(extras["span"]))
 
-        def finish(v: int, l: int, result: NetworkResult, secs: float) -> None:
-            results[(v, l)] = result
-            if recorder is not None:
-                recorder.add(bench_key(name, v, l), result.cycles,
-                             wall_seconds=secs)
-            if directory is not None:
-                _save_point(_point_path(directory, v, l), v, l, result, mode)
-            telemetry.point_finished(v, l, secs)
+        def finish(v: int, column: ColumnResult, seconds: list[float]) -> None:
+            for i, (l, secs) in enumerate(zip(column.l2_mbs, seconds)):
+                results[(v, l)] = (column, i)
+                if recorder is not None:
+                    recorder.add(bench_key(name, v, l), column.cycles(i),
+                                 wall_seconds=secs)
+                if directory is not None:
+                    _save_point(_point_path(directory, v, l), v, l,
+                                column.point_dict(i), mode)
+                telemetry.point_finished(v, l, secs)
 
         # Phase 2: evaluate the remaining work, pooled or serial.  A
         # pool that cannot actually run (fork blocked, workers killed)
@@ -707,11 +703,9 @@ def run_sweep(
                             pending, return_when=FIRST_COMPLETED
                         )
                         for fut in finished:
-                            v = futures[fut]
-                            column, extras = fut.result()
+                            column, seconds, extras = fut.result()
                             absorb(extras)
-                            for l, result, secs in column:
-                                finish(v, l, result, secs)
+                            finish(futures[fut], column, seconds)
             except (OSError, BrokenProcessPool) as e:
                 telemetry.pool_degraded(
                     f"process pool broke ({type(e).__name__}: {e})"
@@ -719,11 +713,10 @@ def run_sweep(
         for v, l2s in columns.items():
             missing = tuple(l for l in l2s if (v, l) not in results)
             if missing:
-                column, _ = _evaluate_vlen(
+                column, seconds, _ = _evaluate_vlen(
                     name, layers, v, missing, hybrid, variant, base, mode
                 )
-                for l, result, secs in column:
-                    finish(v, l, result, secs)
+                finish(v, column, seconds)
 
         run_info = telemetry.sweep_end()
         if directory is not None:
@@ -733,8 +726,9 @@ def run_sweep(
             )
 
     return SweepResult(
-        name=name, vlens=grid_vlens, l2_mbs=grid_l2s, results=results,
-        backend=mode, degraded=telemetry.degraded,
+        name=name, vlens=grid_vlens, l2_mbs=grid_l2s,
+        results=SweepPoints(results), backend=mode,
+        degraded=telemetry.degraded,
     )
 
 

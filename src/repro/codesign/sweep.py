@@ -12,14 +12,20 @@ smallest configuration, and L2 miss-rate tables.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from repro.errors import ConfigError
 from repro.kernels.tuple_mult import SLIDEUP
 from repro.model.layer_model import NetworkResult
-from repro.nets.inference import BACKEND_EXACT, BACKEND_FAST, BACKENDS
+from repro.nets.inference import (
+    BACKEND_EXACT,
+    BACKEND_FAST,
+    BACKENDS,
+    ColumnResult,
+)
 from repro.nets.layers import LayerSpec
 from repro.sim.system import SystemConfig
 
@@ -63,6 +69,57 @@ MISS_RATE_BOUND = 0.15
 MODES = (BACKEND_EXACT, BACKEND_FAST, "validate")
 
 
+#: One grid point as a :class:`SweepPoints` holds it: a
+#: :class:`NetworkResult`, or point ``i`` of a computed column.
+PointEntry = Union[NetworkResult, tuple[ColumnResult, int]]
+
+
+class SweepPoints(Mapping[tuple[int, int], NetworkResult]):
+    """A sweep's points keyed ``(vlen, l2_mb)``.
+
+    Restored and decoded points are :class:`NetworkResult` objects;
+    computed ones stay point ``i`` of their
+    :class:`~repro.nets.inference.ColumnResult` until looked up, when
+    the point is built once and cached.  :meth:`point_dict` writes a
+    point's ``to_dict()`` form without building it.
+    """
+
+    def __init__(self, entries: Mapping[tuple[int, int], PointEntry]) -> None:
+        self._entries: dict[tuple[int, int], PointEntry] = dict(entries)
+
+    def __repr__(self) -> str:
+        return f"SweepPoints({dict(self)!r})"
+
+    def __getitem__(self, key: tuple[int, int]) -> NetworkResult:
+        entry = self._entries[key]
+        if isinstance(entry, tuple):
+            column, i = entry
+            entry = self._entries[key] = column.point(i)
+        return entry
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._entries
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def point_dict(self, key: tuple[int, int]) -> dict:
+        """``self[key].to_dict()``, straight from the column while the
+        point has not been built."""
+        entry = self._entries[key]
+        if isinstance(entry, tuple):
+            column, i = entry
+            return column.point_dict(i)
+        return entry.to_dict()
+
+    def merged(self, other: "SweepPoints") -> "SweepPoints":
+        """Both maps' points; where both hold a key, this map's wins."""
+        return SweepPoints({**other._entries, **self._entries})
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Results of one network over the (VLEN x L2) grid.
@@ -71,7 +128,10 @@ class SweepResult:
     axes read smallest-to-largest regardless of the order the caller
     listed them in.  ``results`` may cover only part of the grid while
     a checkpointed run is being resumed; :meth:`merge` combines such
-    partial results and :attr:`is_complete` tells the two apart.
+    partial results and :attr:`is_complete` tells the two apart.  It is
+    always a :class:`SweepPoints` (a plain mapping is wrapped), so
+    computed columns stay arrays until a point is looked up, and
+    :meth:`to_dict` writes unbuilt points straight from the arrays.
 
     ``backend`` records which backend produced the points — the exact
     smoothed L2 criterion or the fast sharp one (see
@@ -92,13 +152,15 @@ class SweepResult:
     name: str
     vlens: tuple[int, ...]
     l2_mbs: tuple[int, ...]
-    results: dict[tuple[int, int], NetworkResult]
+    results: Mapping[tuple[int, int], NetworkResult]
     backend: str = BACKEND_EXACT
     degraded: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vlens", tuple(sorted(set(self.vlens))))
         object.__setattr__(self, "l2_mbs", tuple(sorted(set(self.l2_mbs))))
+        if not isinstance(self.results, SweepPoints):
+            object.__setattr__(self, "results", SweepPoints(self.results))
         if self.backend not in BACKENDS:
             raise ConfigError(
                 f"unknown sweep backend {self.backend!r} "
@@ -110,6 +172,11 @@ class SweepResult:
                     f"result point ({v} bits, {l} MB) is outside the "
                     f"sweep grid"
                 )
+
+    @property
+    def _points(self) -> SweepPoints:
+        assert isinstance(self.results, SweepPoints)  # see __post_init__
+        return self.results
 
     @property
     def points(self) -> tuple[tuple[int, int], ...]:
@@ -183,13 +250,11 @@ class SweepResult:
                 f"{self.backend!r}-backend sweep: the backends apply "
                 f"different L2 criteria, so mixed grids are not comparable"
             )
-        results = dict(other.results)
-        results.update(self.results)
         return SweepResult(
             name=self.name,
             vlens=self.vlens + other.vlens,
             l2_mbs=self.l2_mbs + other.l2_mbs,
-            results=results,
+            results=self._points.merged(other._points),
             backend=self.backend,
             degraded=self.degraded or other.degraded,
         )
@@ -207,8 +272,9 @@ class SweepResult:
             "vlens": list(self.vlens),
             "l2_mbs": list(self.l2_mbs),
             "results": [
-                {"vlen": v, "l2_mb": l, "network": r.to_dict()}
-                for (v, l), r in sorted(self.results.items())
+                {"vlen": v, "l2_mb": l,
+                 "network": self._points.point_dict((v, l))}
+                for v, l in sorted(self.results)
             ],
         }
         if self.degraded:

@@ -783,11 +783,6 @@ def stats_from_model(
     )
 
 
-def lines_of(nbytes: float, line_bytes: int = LINE) -> float:
-    """Expected distinct cache lines covering ``nbytes`` of data."""
-    return nbytes / line_bytes
-
-
 def lines_per_access(elems: int, stride_bytes: int, line_bytes: int = LINE) -> float:
     """Expected lines touched by one vector access of ``elems`` elements.
 

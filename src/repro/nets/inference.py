@@ -15,14 +15,21 @@ under either sweep backend's L2 criterion.  Under ``exact`` the
 results are bit-identical to a fresh :func:`simulate_inference` call;
 ``fast`` applies the sharp Mattson threshold.  Both sweep backends
 record one column and replay it across the L2 axis.
+
+The replay is a :class:`ColumnResult`: the layer templates once plus
+per-size arrays of L2 misses, writebacks and DRAM stall cycles.  It
+builds a point's :class:`NetworkResult` (``point(i)``) or writes that
+point's ``to_dict()`` form (``point_dict(i)``) only on demand, so a
+column that is only checkpointed or serialised never builds per-point
+objects.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
-from typing import Sequence
 
 import numpy as np
 
@@ -164,28 +171,146 @@ def positive_int(value: object, field: str) -> int:
     return int(value)
 
 
-def _at_l2(
+def _stats_dict(
     template: SimStats, misses: int, writebacks: int, dram_stall: float
-) -> SimStats:
-    """A fresh copy of ``template`` completed with one L2 size's
-    misses, writebacks and DRAM stall cycles."""
-    l1, l2 = template.hierarchy.l1, template.hierarchy.l2
-    return SimStats(
-        freq_ghz=template.freq_ghz,
-        issue_cycles=template.issue_cycles,
-        l2_stall_cycles=template.l2_stall_cycles,
-        dram_stall_cycles=dram_stall,
-        instrs=dict(template.instrs),
-        elems=dict(template.elems),
-        flops=template.flops,
-        hierarchy=HierarchyStats(
-            l1=CacheStats(accesses=l1.accesses, misses=l1.misses),
-            l2=CacheStats(accesses=l2.accesses, misses=misses,
-                          writebacks=writebacks),
-            line_bytes=template.hierarchy.line_bytes,
+) -> dict:
+    """``SimStats.to_dict()`` of ``template`` completed with one L2
+    size's misses, writebacks and DRAM stall cycles, without building
+    the stats: every derived value is the expression of the
+    ``SimStats``/``HierarchyStats``/``CacheStats`` property it stands
+    for, evaluated in the same order, so the floats are bit-identical.
+    The completed stats have no evictions and no L1 writebacks."""
+    h = template.hierarchy
+    l1, l2 = h.l1, h.l2
+    cycles = template.issue_cycles + template.l2_stall_cycles + dram_stall
+    seconds = cycles / (template.freq_ghz * 1e9)
+    dram_bytes = (misses + writebacks) * h.line_bytes
+    return {
+        "label": template.label,
+        "freq_ghz": template.freq_ghz,
+        "cycles": cycles,
+        "seconds": seconds,
+        "issue_cycles": template.issue_cycles,
+        "l2_stall_cycles": template.l2_stall_cycles,
+        "dram_stall_cycles": dram_stall,
+        "instructions": dict(template.instrs),
+        "elems": dict(template.elems),
+        "flops": template.flops,
+        "gflops": template.flops / seconds / 1e9 if cycles else 0.0,
+        "l1_accesses": l1.accesses,
+        "l1_misses": l1.misses,
+        "l2_accesses": l2.accesses,
+        "l2_misses": misses,
+        "l2_miss_rate": misses / l2.accesses if l2.accesses else 0.0,
+        "dram_bytes": dram_bytes,
+        "arithmetic_intensity": (
+            None if dram_bytes == 0 else template.flops / dram_bytes
         ),
-        label=template.label,
-    )
+        "hierarchy": {
+            "l1": {"accesses": l1.accesses, "misses": l1.misses,
+                   "evictions": 0, "writebacks": 0},
+            "l2": {"accesses": l2.accesses, "misses": misses,
+                   "evictions": 0, "writebacks": writebacks},
+            "line_bytes": h.line_bytes,
+        },
+    }
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnResult(Sequence[NetworkResult]):
+    """One replayed VLEN column: a network's results at every size of
+    an L2 axis, held as arrays until a caller asks for a point.
+
+    ``templates`` holds each layer's L2-independent :class:`SimStats`,
+    then the network total's.  ``misses``, ``writebacks`` (``int64``)
+    and ``dram_stall`` (``float64``) are shaped (layers + 1) x sizes,
+    the last row being the network total; column ``i`` answers
+    ``l2_mbs[i]``.
+
+    :meth:`point` builds the ``i``-th :class:`NetworkResult` (fresh
+    objects on every call) and :meth:`point_dict` its ``to_dict()``
+    without building it.  As a sequence the column reads like the list
+    of points it replaces: indexing, iterating and comparing with a
+    list materialise points.
+    """
+
+    name: str
+    l2_mbs: tuple[int, ...]
+    templates: tuple[SimStats, ...]
+    misses: np.ndarray
+    writebacks: np.ndarray
+    dram_stall: np.ndarray
+
+    @cached_property
+    def _rows(self) -> tuple[list, list, list]:
+        """The arrays as nested Python lists (ints and floats, never
+        NumPy scalars), converted once per column."""
+        return (self.misses.tolist(), self.writebacks.tolist(),
+                self.dram_stall.tolist())
+
+    def __getstate__(self) -> dict:
+        # A pickled column ships its arrays, not their list copies.
+        state = dict(self.__dict__)
+        state.pop("_rows", None)
+        return state
+
+    def __len__(self) -> int:
+        return len(self.l2_mbs)
+
+    def __getitem__(self, i):  # type: ignore[override]
+        if isinstance(i, slice):
+            return [self.point(j) for j in range(len(self))[i]]
+        return self.point(range(len(self))[i])
+
+    def __iter__(self) -> Iterator[NetworkResult]:
+        return (self.point(i) for i in range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (ColumnResult, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def cycles(self, i: int) -> float:
+        """Network-total cycles at ``l2_mbs[i]``; equals
+        ``point(i).cycles``."""
+        total = self.templates[-1]
+        return (total.issue_cycles + total.l2_stall_cycles
+                + self._rows[2][-1][i])
+
+    def point(self, i: int) -> NetworkResult:
+        """The result at ``l2_mbs[i]`` as fresh objects; the only place
+        a replayed point's :class:`SimStats` are built."""
+        stats = []
+        for t, m, w, d in zip(self.templates, *self._rows):
+            l1, l2 = t.hierarchy.l1, t.hierarchy.l2
+            stats.append(SimStats(
+                freq_ghz=t.freq_ghz,
+                issue_cycles=t.issue_cycles,
+                l2_stall_cycles=t.l2_stall_cycles,
+                dram_stall_cycles=d[i],
+                instrs=dict(t.instrs),
+                elems=dict(t.elems),
+                flops=t.flops,
+                hierarchy=HierarchyStats(
+                    l1=CacheStats(accesses=l1.accesses, misses=l1.misses),
+                    l2=CacheStats(accesses=l2.accesses, misses=m[i],
+                                  writebacks=w[i]),
+                    line_bytes=t.hierarchy.line_bytes,
+                ),
+                label=t.label,
+            ))
+        *per_layer, total = stats
+        return NetworkResult(name=self.name, per_layer=tuple(per_layer),
+                             total=total)
+
+    def point_dict(self, i: int) -> dict:
+        """``point(i).to_dict()``, written straight from the arrays;
+        the returned dict owns every nested dict."""
+        *per_layer, total = (
+            _stats_dict(t, m[i], w[i], d[i])
+            for t, m, w, d in zip(self.templates, *self._rows)
+        )
+        return {"name": self.name, "per_layer": per_layer, "total": total}
 
 
 @dataclass(frozen=True)
@@ -207,18 +332,20 @@ class NetworkRecording:
 
     def evaluate(
         self, l2_mbs: Sequence[int], mode: str = BACKEND_EXACT
-    ) -> list[NetworkResult]:
+    ) -> ColumnResult:
         """Replay the recording at every L2 size of ``l2_mbs`` (in MB,
         any order, duplicates allowed) under the ``mode`` backend's L2
-        criterion; one result per size, in input order.  Under
-        ``exact`` each is bit-identical to ``simulate_inference(name,
+        criterion; one point per size, in input order.  Under ``exact``
+        each point is bit-identical to ``simulate_inference(name,
         layers, config.with_(l2_mb=l2_mb), ...)``.
 
         Each layer answers the whole axis in one criterion call.  The
         L2-independent part of the network total is merged once, in
         layer order; per size only the L2 misses, writebacks and DRAM
         stall cycles accumulate, in the same order, so every total
-        equals a per-point ``SimStats.merge`` chain exactly.
+        equals a per-point ``SimStats.merge`` chain exactly.  The
+        result stays arrays (:class:`ColumnResult`); untraced, no
+        per-point object is built here.
         """
         if mode not in BACKENDS:
             raise ConfigError(
@@ -229,31 +356,26 @@ class NetworkRecording:
         timings = self.config.memory_timings()
         l2_bytes = [mb * 1024 * 1024 for mb in axis]
         base = SimStats(freq_ghz=self.config.freq_ghz, label=f"{self.name} total")
-        total_misses = np.zeros(len(axis), dtype=np.int64)
-        total_writebacks = np.zeros(len(axis), dtype=np.int64)
-        total_dram = np.zeros(len(axis))
-        columns = []
-        for rec in self.layers:
-            misses, writebacks = criterion(rec.split, l2_bytes)
-            dram = timings.dram_stall_cycles(misses, writebacks)
+        shape = (len(self.layers) + 1, len(axis))
+        misses = np.zeros(shape, dtype=np.int64)
+        writebacks = np.zeros(shape, dtype=np.int64)
+        dram = np.zeros(shape)
+        for k, rec in enumerate(self.layers):
+            misses[k], writebacks[k] = criterion(rec.split, l2_bytes)
+            dram[k] = timings.dram_stall_cycles(misses[k], writebacks[k])
             base.merge(rec.template)
-            total_misses += misses
-            total_writebacks += writebacks
-            total_dram += dram
-            columns.append((rec.template, misses.tolist(),
-                            writebacks.tolist(), dram.tolist()))
-        columns.append((base, total_misses.tolist(),
-                        total_writebacks.tolist(), total_dram.tolist()))
-        results = []
-        for i in range(len(axis)):
-            *per_layer, total = (_at_l2(t, m[i], w[i], d[i])
-                                 for t, m, w, d in columns)
-            results.append(NetworkResult(
-                name=self.name, per_layer=tuple(per_layer), total=total))
+            misses[-1] += misses[k]
+            writebacks[-1] += writebacks[k]
+            dram[-1] += dram[k]
+        column = ColumnResult(
+            name=self.name, l2_mbs=tuple(axis),
+            templates=tuple(rec.template for rec in self.layers) + (base,),
+            misses=misses, writebacks=writebacks, dram_stall=dram,
+        )
         if current_tracer() is not None:
-            for l2_mb, result in zip(axis, results):
-                self._trace(l2_mb, result)
-        return results
+            for i, l2_mb in enumerate(axis):
+                self._trace(l2_mb, column.point(i))
+        return column
 
     def _trace(self, l2_mb: int, result: NetworkResult) -> None:
         """Emit one replayed point's ``simulate_inference`` span tree.

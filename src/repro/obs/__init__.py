@@ -114,7 +114,6 @@ from repro.obs.manifest import (
     write_manifest,
 )
 from repro.obs.render import (
-    render_counters,
     render_trace_json,
     render_trace_text,
     span_cycles,
@@ -173,7 +172,6 @@ __all__ = [
     "RUN_MANIFEST_NAME",
     "render_trace_text",
     "render_trace_json",
-    "render_counters",
     "span_cycles",
     "trace_payload",
     "TracePayload",

@@ -3,8 +3,7 @@
 ``repro profile`` prints :func:`render_trace_text` (an indented span
 tree with wall time and the headline counters) or, with ``--json``,
 :func:`trace_payload` — the span tree plus its manifest in one
-document.  :func:`render_counters` tabulates a counter-registry
-snapshot the same way for any command.
+document.
 """
 
 from __future__ import annotations
@@ -139,15 +138,3 @@ def trace_payload(span: Span, manifest: Mapping | None = None) -> dict:
 
 def render_trace_json(span: Span, manifest: Mapping | None = None) -> str:
     return json.dumps(trace_payload(span, manifest), indent=2)
-
-
-def render_counters(snapshot: Mapping[str, float], title: str = "") -> str:
-    """Tabulate a counter-registry snapshot, widest column first."""
-    rows = [title] if title else []
-    if not snapshot:
-        rows.append("(no counters recorded)")
-        return "\n".join(rows)
-    width = max(len(k) for k in snapshot)
-    for k in sorted(snapshot):
-        rows.append(f"{k:<{width}}  {_fmt_count(snapshot[k]):>12}")
-    return "\n".join(rows)

@@ -61,6 +61,7 @@ from repro.codesign.executor import CHECKPOINT_VERSION, evaluate_column
 from repro.codesign.sweep import SweepResult
 from repro.errors import ConfigError, ReproError
 from repro.model.layer_model import NetworkResult
+from repro.nets.inference import ColumnResult
 from repro.nets.layers import LayerSpec
 from repro.obs.events import (
     LEVEL_WARNING,
@@ -133,7 +134,7 @@ def _column_worker(
     l2_mbs: tuple[int, ...],
     collect: bool = False,
     query_id: str | None = None,
-) -> tuple[list[tuple[int, NetworkResult, float]], dict[str, Any]]:
+) -> tuple[ColumnResult, list[float], dict[str, Any]]:
     """Evaluate one VLEN column (runs on a worker thread).
 
     With ``collect`` the column's ``sweep_worker`` span subtree comes
@@ -143,14 +144,13 @@ def _column_worker(
     the worker threads bump the process registry directly.
     """
     layers: list[LayerSpec] = list(query.layers)
-    column, extras = evaluate_column(
+    return evaluate_column(
         query.network, layers, vlen, l2_mbs,
         hybrid=query.hybrid, variant=query.variant,
         base_config=query.config, mode=query.mode,
         collect=collect,
         span_attrs={"query_id": query_id} if query_id is not None else None,
     )
-    return column, extras
 
 
 def _point_result(query: Query, payload: dict[str, Any]) -> NetworkResult:
@@ -170,16 +170,17 @@ def _point_result(query: Query, payload: dict[str, Any]) -> NetworkResult:
 
 
 def _point_payload(
-    query: Query, vlen: int, l2_mb: int, result: NetworkResult
+    query: Query, vlen: int, l2_mb: int, result: dict[str, Any]
 ) -> dict[str, Any]:
     """One computed point in the checkpoint point schema (what the
-    store holds and what ``--checkpoint-dir`` would have written)."""
+    store holds and what ``--checkpoint-dir`` would have written);
+    ``result`` is the point's ``NetworkResult.to_dict()`` form."""
     return {
         "version": CHECKPOINT_VERSION,
         "backend": query.mode,
         "vlen": int(vlen),
         "l2_mb": int(l2_mb),
-        "result": result.to_dict(),
+        "result": result,
     }
 
 
@@ -468,7 +469,7 @@ class CodesignService:
                 _H_QUEUE.observe(time.perf_counter() - enqueued)
                 _G_BUSY.inc()
                 try:
-                    column, extras = await loop.run_in_executor(
+                    column, seconds, extras = await loop.run_in_executor(
                         self._ensure_pool(), _column_worker, query, vlen,
                         l2_mbs, tracer is not None, query_id,
                     )
@@ -481,14 +482,15 @@ class CodesignService:
                 # span (the scheduling query's root is still open: it
                 # is awaiting these very futures).
                 tracer.attach(Span.from_dict(extras["span"]))
-            for l2_mb, result, seconds in column:
-                payload = _point_payload(query, vlen, l2_mb, result)
+            for i, (l2_mb, secs) in enumerate(zip(column.l2_mbs, seconds)):
+                payload = _point_payload(query, vlen, l2_mb,
+                                         column.point_dict(i))
                 self.store.put(keys[l2_mb], payload)
                 _M_POINTS_COMPUTED.inc()
                 self._inflight.pop(keys[l2_mb], None)
                 fut = futs[l2_mb]
                 if not fut.done():
-                    fut.set_result((payload, seconds))
+                    fut.set_result((payload, secs))
             _G_INFLIGHT.set(len(self._inflight))
         except BaseException as e:
             for l2_mb, fut in futs.items():

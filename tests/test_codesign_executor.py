@@ -507,3 +507,25 @@ class TestEventStream:
                        l2_mbs=L2_MBS, sink=sink, on_progress=ticks.append)
         finished = sink.of_kind("point_finished")
         assert [SweepProgress.from_event(e) for e in finished] == ticks
+
+    def test_ticks_are_built_only_for_a_listener(self, layers, monkeypatch):
+        """With no sink and no ``on_progress`` a sweep builds no tick
+        event (nor its ETA); the summary is still built and counted."""
+        built = []
+        real_event = executor.event
+
+        def spy(kind, **fields):
+            ev = real_event(kind, **fields)
+            built.append(ev)
+            return ev
+
+        monkeypatch.setattr(executor, "event", spy)
+        codesign_sweep("vgg-head", layers, vlens=VLENS, l2_mbs=L2_MBS)
+        assert [e["event"] for e in built] == ["sweep_start", "sweep_end"]
+        assert built[-1]["computed"] == 4 and built[-1]["restored"] == 0
+        built.clear()
+        ticks = []
+        codesign_sweep("vgg-head", layers, vlens=VLENS, l2_mbs=L2_MBS,
+                       on_progress=ticks.append)
+        assert [e["event"] for e in built].count("point_finished") == 4
+        assert [t.done for t in ticks] == [1, 2, 3, 4]

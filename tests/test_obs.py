@@ -28,7 +28,6 @@ from repro.obs import (
     current_tracer,
     event,
     read_jsonl,
-    render_counters,
     render_trace_text,
     run_manifest,
     seed_state,
@@ -459,12 +458,6 @@ class TestRender:
         payload = trace_payload(root, {"command": "profile"})
         assert payload["manifest"] == {"command": "profile"}
         assert payload["trace"]["name"] == "simulate_inference"
-
-    def test_render_counters(self):
-        out = render_counters({"cache.l1.accesses": 12345678}, title="t")
-        assert out.splitlines()[0] == "t"
-        assert "cache.l1.accesses" in out
-        assert render_counters({}) == "(no counters recorded)"
 
 
 # ----------------------------------------------------------------------

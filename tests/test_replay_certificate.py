@@ -185,8 +185,8 @@ class TestNoLayout:
 
         monkeypatch.setattr(traffic, "_tiled", spy)
         with METRICS.capture() as cap:
-            points, _ = evaluate_column(net, build(), vlen, PAPER_L2_MBS,
-                                        mode=mode)
+            points, _, _ = evaluate_column(net, build(), vlen, PAPER_L2_MBS,
+                                           mode=mode)
         assert len(points) == len(PAPER_L2_MBS)
         assert counter_delta(cap).get(FALLBACK_COUNTER, 0) == 0
         assert tiled == []
