@@ -115,6 +115,24 @@ class SweepPoints(Mapping[tuple[int, int], NetworkResult]):
             return column.point_dict(i)
         return entry.to_dict()
 
+    def seconds(self, key: tuple[int, int]) -> float:
+        """``self[key].total.seconds``, straight from the column while
+        the point has not been built."""
+        entry = self._entries[key]
+        if isinstance(entry, tuple):
+            column, i = entry
+            return column.seconds(i)
+        return entry.total.seconds
+
+    def l2_miss_rate(self, key: tuple[int, int]) -> float:
+        """``self[key].total.l2_miss_rate``, straight from the column
+        while the point has not been built."""
+        entry = self._entries[key]
+        if isinstance(entry, tuple):
+            column, i = entry
+            return column.l2_miss_rate(i)
+        return entry.total.l2_miss_rate
+
     def merged(self, other: "SweepPoints") -> "SweepPoints":
         """Both maps' points; where both hold a key, this map's wins."""
         return SweepPoints({**other._entries, **self._entries})
@@ -191,16 +209,24 @@ class SweepResult:
     def is_complete(self) -> bool:
         return not self.missing_points()
 
-    def at(self, vlen: int, l2_mb: int) -> NetworkResult:
-        try:
-            return self.results[(vlen, l2_mb)]
-        except KeyError:
+    def _key(self, vlen: int, l2_mb: int) -> tuple[int, int]:
+        if (vlen, l2_mb) not in self.results:
             raise ConfigError(
                 f"({vlen} bits, {l2_mb} MB) was not part of the sweep"
-            ) from None
+            )
+        return (vlen, l2_mb)
+
+    def at(self, vlen: int, l2_mb: int) -> NetworkResult:
+        return self.results[self._key(vlen, l2_mb)]
 
     def seconds(self, vlen: int, l2_mb: int) -> float:
-        return self.at(vlen, l2_mb).total.seconds
+        """Network-total seconds at one point (no point is built)."""
+        return self._points.seconds(self._key(vlen, l2_mb))
+
+    def l2_miss_rate(self, vlen: int, l2_mb: int) -> float:
+        """Network-total L2 miss rate at one point (no point is
+        built)."""
+        return self._points.l2_miss_rate(self._key(vlen, l2_mb))
 
     def speedup(
         self, vlen: int, l2_mb: int,
@@ -214,9 +240,7 @@ class SweepResult:
 
     def miss_rate_table(self, l2_mb: int) -> dict[int, float]:
         """L2 miss rate per vector length at one L2 size (Tables 1/2)."""
-        return {
-            v: self.at(v, l2_mb).total.l2_miss_rate for v in self.vlens
-        }
+        return {v: self.l2_miss_rate(v, l2_mb) for v in self.vlens}
 
     def runtime_grid(self) -> dict[int, dict[int, float]]:
         """Seconds, keyed [vlen][l2_mb] (the Figure 3/4 series)."""
@@ -229,9 +253,7 @@ class SweepResult:
         """The fastest configuration of the grid."""
         if not self.results:
             raise ConfigError("sweep has no results yet")
-        return min(
-            self.results, key=lambda k: self.results[k].total.seconds
-        )
+        return min(self.results, key=self._points.seconds)
 
     def merge(self, other: "SweepResult") -> "SweepResult":
         """Union of two (possibly partial) sweeps of the same network.
@@ -397,8 +419,7 @@ class SweepValidation:
         """|fast - exact| total L2 miss rate per grid point."""
         return {
             (v, l): abs(
-                self.fast.at(v, l).total.l2_miss_rate
-                - self.exact.at(v, l).total.l2_miss_rate
+                self.fast.l2_miss_rate(v, l) - self.exact.l2_miss_rate(v, l)
             )
             for v, l in self.exact.points
         }
@@ -422,8 +443,8 @@ class SweepValidation:
         ]
         deltas = self.miss_rate_deltas
         for v, l in self.exact.points:
-            e = self.exact.at(v, l).total.l2_miss_rate
-            f = self.fast.at(v, l).total.l2_miss_rate
+            e = self.exact.l2_miss_rate(v, l)
+            f = self.fast.l2_miss_rate(v, l)
             rows.append(
                 f"{f'{v}b/{l}MB':<18}{100 * e:>13.2f}%{100 * f:>12.2f}%"
                 f"{100 * deltas[(v, l)]:>8.2f}%"

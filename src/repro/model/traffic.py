@@ -18,7 +18,7 @@ this package therefore describe each kernel phase as
   one validating :meth:`PhaseModel.add_traffic`; its ``repeat`` count
   appends a loop's per-iteration pattern of classes once per iteration
   (the GEMM model's per-panel blocks, the Winograd models' k-panels and
-  channel blocks) while validating and condensing only the pattern.
+  channel blocks) while validating and storing only the pattern.
 
 The classical stack-distance criterion (Mattson et al.; the same one
 :mod:`repro.sim.stackdist` measures empirically) then decides, for any
@@ -36,9 +36,10 @@ path of the co-design sweep: it reproduces the reference's rounded
 counters in two halves (the L1 once, then the L2 across an axis of
 capacities).  A layer has hundreds of thousands of classes but at most
 a few dozen distinct effective distances and a few regions, so each
-append keeps its own sorted distinct set, condensation merges those
-small sets instead of sorting the classes, and the counters are
-summed from per-(distance, store, region) group totals.  A rigorous
+append keeps only its validated pattern, condensation takes the
+distinct distances of all patterns at once instead of sorting the
+classes, and the counters are summed from per-(distance, store, region)
+group totals.  A rigorous
 floating-point error bound certifies that each rounded count equals
 ``rint`` of the reference's class-by-class sum; a count the bound
 cannot settle falls back to that sum over the laid-out classes.
@@ -130,32 +131,32 @@ def _tiled(
     return _frozen(out)
 
 
+_DTYPES = (np.float64, np.float64, bool, np.float64, np.float64)
+
+
 class _Run(NamedTuple):
     """One append of traffic classes, validated and without zero-access
-    rows, that repeats ``repeat`` times in a row; ``eff_unique`` holds
-    the sorted distinct effective distances ``distance * dilution`` of
-    ``cols`` and ``eff_index`` each row's position in it."""
+    rows, that repeats ``repeat`` times in a row.  Its pattern has
+    ``size`` classes; each of its ``fields`` (in :class:`TrafficColumns`
+    order) is a read-only array of ``size`` values, or one value that
+    every class of the pattern shares."""
 
-    cols: TrafficColumns
-    eff_unique: FloatArray
-    eff_index: IndexArray
+    fields: tuple[Any, ...]
+    size: int
     repeat: int
 
-    @classmethod
-    def of(cls, cols: TrafficColumns, repeat: int = 1) -> _Run:
-        eff = cols.distance * cols.dilution
-        eff_unique = np.unique(eff)
-        return cls(cols, _frozen(eff_unique),
-                   _frozen(np.searchsorted(eff_unique, eff)), repeat)
-
-
-_DTYPES = (np.float64, np.float64, bool, np.float64, np.float64)
+    def pattern(self, i: int) -> npt.NDArray[Any]:
+        """Field ``i`` of the pattern as an array of ``size`` values."""
+        value = self.fields[i]
+        if isinstance(value, np.ndarray):
+            return value
+        return np.full(self.size, value, dtype=_DTYPES[i])
 
 
 def _column(runs: Sequence[_Run], i: int) -> npt.NDArray[Any]:
     """Column ``i`` of :class:`TrafficColumns` over the classes of
     ``runs``, each run repeated, in order."""
-    return _tiled([(r.cols[i], r.repeat) for r in runs], _DTYPES[i])
+    return _tiled([(r.pattern(i), r.repeat) for r in runs], _DTYPES[i])
 
 
 def _laid_out(runs: Sequence[_Run]) -> TrafficColumns:
@@ -163,30 +164,44 @@ def _laid_out(runs: Sequence[_Run]) -> TrafficColumns:
     return TrafficColumns(*(_column(runs, i) for i in range(len(_DTYPES))))
 
 
-def _merged_unique(runs: Sequence[_Run]) -> FloatArray:
-    """The sorted distinct effective distances of ``runs``: the merge
-    of the runs' small sorted sets, without sorting any class."""
-    return _frozen(np.unique(np.concatenate(
-        [r.eff_unique for r in runs] or [np.empty(0, dtype=np.float64)])))
+def _patterns(
+    runs: Sequence[_Run], values: Sequence[Any], dtype: npt.DTypeLike,
+) -> npt.NDArray[Any]:
+    """One row per pattern class of ``runs`` (each pattern once, runs in
+    order), run ``k``'s rows holding ``values[k]``: an array of the
+    run's ``size`` values or one value for all of them."""
+    if values and all(isinstance(v, np.ndarray) for v in values):
+        return np.concatenate(values, dtype=dtype)
+    out = np.empty(sum(r.size for r in runs), dtype=dtype)
+    start = 0
+    for r, value in zip(runs, values):
+        out[start:start + r.size] = value
+        start += r.size
+    return out
 
 
-def _pattern_indices(
-    eff_unique: FloatArray, runs: Sequence[_Run],
-) -> list[IndexArray]:
-    """Each run's pattern rows as positions in ``eff_unique``, mapped
-    through a ``searchsorted`` table of the run's own distinct set."""
-    return [np.searchsorted(eff_unique, r.eff_unique)[r.eff_index]
-            for r in runs]
+def _pattern_eff(runs: Sequence[_Run]) -> tuple[FloatArray, IndexArray]:
+    """The sorted distinct effective distances ``distance * dilution``
+    of ``runs`` and each pattern row's position among them: one
+    ``np.unique`` over the patterns, never over the repeated classes."""
+    eff = (_patterns(runs, [r.fields[1] for r in runs], np.float64)
+           * _patterns(runs, [r.fields[4] for r in runs], np.float64))
+    eff_unique = _frozen(np.unique(eff))
+    return eff_unique, np.searchsorted(eff_unique, eff)
 
 
-def _merged_eff(runs: Sequence[_Run]) -> tuple[FloatArray, IndexArray]:
-    """``np.unique(eff, return_inverse=True)`` of the effective
-    distances of ``runs`` laid out in order, without sorting them."""
-    eff_unique = _merged_unique(runs)
-    return eff_unique, _tiled(
-        [(index, r.repeat)
-         for index, r in zip(_pattern_indices(eff_unique, runs), runs)],
-        np.intp)
+def _lowest(values: Values) -> float:
+    """The least of a field's values; NaN if any is NaN."""
+    if isinstance(values, np.ndarray):
+        return np.minimum.reduce(values)
+    return values
+
+
+def _highest(values: Values) -> float:
+    """The greatest of a field's values; NaN if any is NaN."""
+    if isinstance(values, np.ndarray):
+        return np.maximum.reduce(values)
+    return values
 
 
 #: One scalar-appended traffic class, pending conversion to columns.
@@ -201,7 +216,8 @@ class PhaseModel:
     :attr:`traffic` columns.  Scalar appends are buffered as rows and
     converted to columns on the next array append or read, so models
     that append class by class stay cheap; array appends are kept as
-    runs, each condensed on its own, and laid out only when read.
+    runs (their scalar fields as one value each), condensed together by
+    :meth:`CondensedTraffic.from_phases` and laid out only when read.
     """
 
     name: str
@@ -230,15 +246,16 @@ class PhaseModel:
 
         Scalars append one class.  If any field is a 1-D array, the
         fields are broadcast together and append one class per element,
-        in order.  The classes are appended ``repeat`` times in a row;
-        validation, dropping and condensation run once, on the single
-        copy.  ``name`` labels the classes in error messages.  Classes
-        without accesses are dropped; NaN, infinite or negative
-        accesses, NaN or negative distances, NaN regions, NaN, infinite
-        or non-positive dilutions, and a ``repeat`` below 1 raise
-        :class:`ConfigError` naming the field.  A ``-0.0``
-        distance is stored as ``+0.0``, so the distinct distances do not
-        depend on the order of appends.
+        in order (fields of other lengths raise :class:`ConfigError`).
+        The classes are appended ``repeat`` times in a row; validation
+        and dropping run once, on the single copy, and only the array
+        fields are stored as arrays.  ``name`` labels the classes in
+        error messages.  Classes without accesses are dropped; NaN,
+        infinite or negative accesses, NaN or negative distances, NaN
+        regions, NaN, infinite or non-positive dilutions, and a
+        ``repeat`` below 1 raise :class:`ConfigError` naming the field,
+        at the append.  A ``-0.0`` distance is stored as ``+0.0``, so
+        the distinct distances do not depend on the order of appends.
         """
         if repeat < 1:
             raise ConfigError(
@@ -260,33 +277,48 @@ class PhaseModel:
                 # other value.
                 self._rows.append((acc, dist + 0.0, bool(is_store), reg, dil))
             return
-        acc_a, dist_a, store_a, region_a, dil_a = np.atleast_1d(
-            *np.broadcast_arrays(
-                np.asarray(accesses, dtype=np.float64),
-                np.asarray(distance, dtype=np.float64),
-                np.asarray(is_store, dtype=bool),
-                np.asarray(region, dtype=np.float64),
-                np.asarray(dilution, dtype=np.float64),
-            ))
-        if acc_a.ndim > 1:
-            raise ConfigError(
-                f"traffic class {name!r} in phase {self.name!r}: fields "
-                f"must be scalars or 1-D arrays, got shape {acc_a.shape}")
-        if acc_a.size == 0:
+        # A run.  Its array fields give the pattern's length (a
+        # one-element array broadcasts); every other field stays one
+        # value that all of the pattern's classes share.
+        fields: list[Any] = [accesses, distance, is_store, region, dilution]
+        size = 1
+        for v in fields:
+            if isinstance(v, np.ndarray):
+                if v.ndim > 1 or (v.size not in (1, size) and size != 1):
+                    raise ConfigError(
+                        f"traffic class {name!r} in phase {self.name!r}: "
+                        f"fields must be scalars or 1-D arrays of one "
+                        f"length, got shape {v.shape}")
+                if v.size != 1:
+                    size = v.size
+        if size == 0:
             return
+        for i, (v, dtype) in enumerate(zip(fields, _DTYPES)):
+            if isinstance(v, np.ndarray):
+                v = np.asarray(v, dtype=dtype)
+                fields[i] = v.reshape(size) if v.size == size else v.item()
+            else:
+                fields[i] = bool(v) if dtype is bool else float(v)
+        acc, dist, store, reg, dil = fields
+        acc_lo = _lowest(acc)
         # The reductions propagate NaN, which fails every comparison.
-        lo, hi = np.minimum.reduce, np.maximum.reduce
-        if not (0.0 <= lo(acc_a) and hi(acc_a) < math.inf
-                and lo(dist_a) >= 0.0 and not math.isnan(lo(region_a))
-                and 0.0 < lo(dil_a) and hi(dil_a) < math.inf):
-            raise self._invalid(name, acc_a, dist_a, region_a, dil_a)
-        keep = acc_a > 0.0
-        if keep.any():
-            self._flush_rows()
-            self._runs.append(_Run.of(TrafficColumns(*(
-                _frozen(col[keep])
-                for col in (acc_a, dist_a + 0.0, store_a, region_a, dil_a))),
-                repeat))
+        if not (0.0 <= acc_lo and _highest(acc) < math.inf
+                and _lowest(dist) >= 0.0 and not math.isnan(_lowest(reg))
+                and 0.0 < _lowest(dil) and _highest(dil) < math.inf):
+            raise self._invalid(name, acc, dist, reg, dil)
+        keep: BoolArray | None = None
+        if acc_lo == 0.0:
+            if not isinstance(acc, np.ndarray):
+                return
+            keep = acc > 0.0
+            size = int(np.count_nonzero(keep))
+            if not size:
+                return
+        self._flush_rows()
+        self._runs.append(_Run(tuple(
+            _frozen(v[keep] if keep is not None else v.copy())
+            if isinstance(v, np.ndarray) else v
+            for v in (acc, dist + 0.0, store, reg, dil)), size, repeat))
 
     def _invalid(
         self, name: str, accesses: Values, distance: Values, region: Values,
@@ -312,14 +344,10 @@ class PhaseModel:
 
     def _flush_rows(self) -> None:
         if self._rows:
-            acc, dist, store, region, dil = zip(*self._rows)
-            self._runs.append(_Run.of(TrafficColumns(
-                _frozen(np.array(acc, dtype=np.float64)),
-                _frozen(np.array(dist, dtype=np.float64)),
-                _frozen(np.array(store, dtype=bool)),
-                _frozen(np.array(region, dtype=np.float64)),
-                _frozen(np.array(dil, dtype=np.float64)),
-            )))
+            self._runs.append(_Run(tuple(
+                _frozen(np.array(col, dtype=dtype))
+                for col, dtype in zip(zip(*self._rows), _DTYPES)),
+                len(self._rows), 1))
             self._rows.clear()
 
     def _flushed_runs(self) -> list[_Run]:
@@ -330,9 +358,11 @@ class PhaseModel:
     def traffic(self) -> TrafficColumns:
         """All traffic classes appended so far, in append order."""
         runs = self._flushed_runs()
-        if len(runs) != 1 or runs[0].repeat != 1:
-            runs[:] = [_Run(_laid_out(runs), *_merged_eff(runs), 1)]
-        return runs[0].cols
+        if (len(runs) != 1 or runs[0].repeat != 1
+                or not all(isinstance(v, np.ndarray) for v in runs[0].fields)):
+            cols = _laid_out(runs)
+            runs[:] = [_Run(tuple(cols), cols.accesses.size, 1)]
+        return TrafficColumns(*runs[0].fields)
 
     @property
     def flops(self) -> int:
@@ -478,10 +508,11 @@ class CondensedTraffic:
     YOLOv3 and at most 6 regions, so at most a few hundred groups.
     ``totals[u, s, r]`` sums the accesses of the classes at distance
     ``eff_unique[u]``, store flag ``s`` and region ``region_unique[r]``.
-    :meth:`from_phases` forms it with one ``bincount`` over the
-    appends' patterns (each class weighted by its append's ``repeat``),
-    so condensation costs O(patterns), not O(classes); the distinct
-    distances are the merge of the appends' own small sorted sets.
+    :meth:`from_phases` forms it in one pass over the appends' patterns
+    (each class once, weighted by its append's ``repeat``): one
+    concatenation per field, one ``np.unique`` of the pattern distances
+    and one ``bincount``, so condensation costs O(patterns), not
+    O(classes).
 
     Every criterion is linear in the accesses and takes one scalar per
     distance (the hit probability, or the sharp threshold) and exact
@@ -506,26 +537,28 @@ class CondensedTraffic:
     @classmethod
     def from_phases(cls, phases: list[PhaseModel]) -> CondensedTraffic:
         runs = tuple(run for ph in phases for run in ph._flushed_runs())
-        eff_unique = _merged_unique(runs)
         if not runs:
             empty = _frozen(np.empty(0, dtype=np.float64))
-            return cls(runs, eff_unique, empty,
+            return cls(runs, empty, empty,
                        _frozen(np.zeros((0, 2, 0), dtype=np.float64)))
-        region = np.concatenate([r.cols.region for r in runs])
+        eff_unique, eff_index = _pattern_eff(runs)
+        region = _patterns(runs, [r.fields[3] for r in runs], np.float64)
         region_unique = np.unique(region)
         shape = (eff_unique.size, 2, region_unique.size)
         # The flat index of each pattern row's (distance, store, region).
-        group = ((np.concatenate(_pattern_indices(eff_unique, runs)) * 2
-                  + np.concatenate([r.cols.is_store for r in runs]))
+        group = ((eff_index * 2
+                  + _patterns(runs, [r.fields[2] for r in runs], np.intp))
                  * region_unique.size + np.searchsorted(region_unique, region))
-        weights = np.concatenate([r.cols.accesses * r.repeat for r in runs])
+        weights = _patterns(
+            runs, [r.fields[0] if r.repeat == 1 else r.fields[0] * r.repeat
+                   for r in runs], np.float64)
         totals = np.bincount(group, weights=weights,
                              minlength=math.prod(shape)).reshape(shape)
         return cls(runs, eff_unique, _frozen(region_unique), _frozen(totals))
 
     @property
     def n_classes(self) -> int:
-        return sum(r.cols.accesses.size * r.repeat for r in self.runs)
+        return sum(r.size * r.repeat for r in self.runs)
 
     @cached_property
     def accesses(self) -> FloatArray:
@@ -541,7 +574,13 @@ class CondensedTraffic:
 
     @cached_property
     def eff_index(self) -> IndexArray:
-        return _merged_eff(self.runs)[1]
+        positions = _pattern_eff(self.runs)[1]
+        parts: list[tuple[IndexArray, int]] = []
+        start = 0
+        for r in self.runs:
+            parts.append((positions[start:start + r.size], r.repeat))
+            start += r.size
+        return _tiled(parts, np.intp)
 
     @cached_property
     def _eff_list(self) -> list[float]:

@@ -9,9 +9,15 @@ layers exactly as Darknet's ``parse_network_cfg`` does.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
+from types import MappingProxyType
+
 from repro.conv.layer import ConvLayerSpec
 from repro.errors import ConfigError
 from repro.nets.layers import LayerSpec, MaxPoolSpec, ShortcutSpec
+
+#: Parsed cfg sections as :func:`build_layers` reads them.
+Sections = Sequence[tuple[str, Mapping[str, str]]]
 
 
 def parse_cfg(text: str) -> list[tuple[str, dict[str, str]]]:
@@ -43,8 +49,15 @@ def parse_cfg(text: str) -> list[tuple[str, dict[str, str]]]:
     return sections
 
 
+def frozen_sections(text: str) -> tuple[tuple[str, Mapping[str, str]], ...]:
+    """``parse_cfg(text)`` as read-only sections: what a network
+    builder keeps when it parses a constant cfg once per process."""
+    return tuple((name, MappingProxyType(opts))
+                 for name, opts in parse_cfg(text))
+
+
 def build_layers(
-    text: str,
+    text: str | Sections,
     height: int | None = None,
     width: int | None = None,
     channels: int | None = None,
@@ -55,7 +68,7 @@ def build_layers(
 
     Args:
         text: Darknet cfg contents (must start with a [net]/[network]
-            section).
+            section), or its sections as :func:`parse_cfg` returns them.
         height/width/channels: input geometry overrides (the paper runs
             768x576 RGB regardless of the cfg's defaults).
         max_layers: keep only the first N non-[net] layers (the paper
@@ -68,7 +81,7 @@ def build_layers(
         before ``max_layers`` is reached, since their semantics would
         change downstream shapes.
     """
-    sections = parse_cfg(text)
+    sections = parse_cfg(text) if isinstance(text, str) else text
     net_name, net_opts = sections[0]
     if net_name not in ("net", "network"):
         raise ConfigError(f"cfg must start with [net], got [{net_name}]")

@@ -9,9 +9,11 @@ Record/replay: building the phase models is the dominant cost of
 :func:`simulate_inference` and depends on the configuration only
 through the vector length.  :func:`record_inference` captures the
 L2-independent state of every layer once — counts, issue and L2-stall
-cycles, condensed traffic and the L1 split; the resulting
-:class:`NetworkRecording` then answers a whole L2 axis in one pass
-under either sweep backend's L2 criterion.  Under ``exact`` the
+cycles, condensed traffic and the L1 split — and models each distinct
+layer geometry once per call: layers that differ only in their names
+share one L1 split, and the replay answers each distinct split once.
+The resulting :class:`NetworkRecording` then answers a whole L2 axis in
+one pass under either sweep backend's L2 criterion.  Under ``exact`` the
 results are bit-identical to a fresh :func:`simulate_inference` call;
 ``fast`` applies the sharp Mattson threshold.  Both sweep backends
 record one column and replay it across the L2 axis.
@@ -27,7 +29,7 @@ objects.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from numbers import Integral
 
@@ -277,6 +279,17 @@ class ColumnResult(Sequence[NetworkResult]):
         return (total.issue_cycles + total.l2_stall_cycles
                 + self._rows[2][-1][i])
 
+    def seconds(self, i: int) -> float:
+        """Network-total seconds at ``l2_mbs[i]``; equals
+        ``point(i).total.seconds``."""
+        return self.cycles(i) / (self.templates[-1].freq_ghz * 1e9)
+
+    def l2_miss_rate(self, i: int) -> float:
+        """Network-total L2 miss rate at ``l2_mbs[i]``; equals
+        ``point(i).total.l2_miss_rate``."""
+        accesses = self.templates[-1].hierarchy.l2.accesses
+        return self._rows[0][-1][i] / accesses if accesses else 0.0
+
     def point(self, i: int) -> NetworkResult:
         """The result at ``l2_mbs[i]`` as fresh objects; the only place
         a replayed point's :class:`SimStats` are built."""
@@ -322,6 +335,9 @@ class NetworkRecording:
     emits per size the same ``simulate_inference`` / per-``layer`` span
     structure (with identical counters) as the live simulation, so
     traces of replayed and fresh runs are indistinguishable.
+    ``total`` is the L2-independent part of the network total: the
+    layer templates merged in layer order.  Layers recorded from one
+    geometry share one :class:`L1Split` object.
     """
 
     name: str
@@ -329,6 +345,7 @@ class NetworkRecording:
     hybrid: bool
     variant: str
     layers: tuple[LayerRecording, ...]
+    total: SimStats
 
     def evaluate(
         self, l2_mbs: Sequence[int], mode: str = BACKEND_EXACT
@@ -339,12 +356,13 @@ class NetworkRecording:
         each point is bit-identical to ``simulate_inference(name,
         layers, config.with_(l2_mb=l2_mb), ...)``.
 
-        Each layer answers the whole axis in one criterion call.  The
-        L2-independent part of the network total is merged once, in
-        layer order; per size only the L2 misses, writebacks and DRAM
-        stall cycles accumulate, in the same order, so every total
-        equals a per-point ``SimStats.merge`` chain exactly.  The
-        result stays arrays (:class:`ColumnResult`); untraced, no
+        Each distinct split answers the whole axis in one criterion
+        call, and a layer sharing an earlier layer's split copies that
+        layer's rows.  The L2-independent part of the network total is
+        the recording's ``total``; per size only the L2 misses,
+        writebacks and DRAM stall cycles accumulate, in layer order, so
+        every total equals a per-point ``SimStats.merge`` chain exactly.
+        The result stays arrays (:class:`ColumnResult`); untraced, no
         per-point object is built here.
         """
         if mode not in BACKENDS:
@@ -355,21 +373,27 @@ class NetworkRecording:
         criterion = L1Split.sharp_l2 if mode == BACKEND_FAST else L1Split.smooth_l2
         timings = self.config.memory_timings()
         l2_bytes = [mb * 1024 * 1024 for mb in axis]
-        base = SimStats(freq_ghz=self.config.freq_ghz, label=f"{self.name} total")
         shape = (len(self.layers) + 1, len(axis))
         misses = np.zeros(shape, dtype=np.int64)
         writebacks = np.zeros(shape, dtype=np.int64)
         dram = np.zeros(shape)
+        # The row of the first layer holding each split.
+        first_row: dict[int, int] = {}
         for k, rec in enumerate(self.layers):
-            misses[k], writebacks[k] = criterion(rec.split, l2_bytes)
-            dram[k] = timings.dram_stall_cycles(misses[k], writebacks[k])
-            base.merge(rec.template)
+            j = first_row.setdefault(id(rec.split), k)
+            if j == k:
+                misses[k], writebacks[k] = criterion(rec.split, l2_bytes)
+                dram[k] = timings.dram_stall_cycles(misses[k], writebacks[k])
+            else:
+                misses[k], writebacks[k], dram[k] = (
+                    misses[j], writebacks[j], dram[j])
             misses[-1] += misses[k]
             writebacks[-1] += writebacks[k]
             dram[-1] += dram[k]
         column = ColumnResult(
             name=self.name, l2_mbs=tuple(axis),
-            templates=tuple(rec.template for rec in self.layers) + (base,),
+            templates=tuple(rec.template for rec in self.layers)
+            + (self.total,),
             misses=misses, writebacks=writebacks, dram_stall=dram,
         )
         if current_tracer() is not None:
@@ -395,21 +419,21 @@ class NetworkRecording:
             net_span.add_counters(**counters_from_stats(result.total))
 
 
-def _record_layer(
-    label: str, phases: list[PhaseModel], traffic: CondensedTraffic,
-    config: SystemConfig,
-) -> LayerRecording:
+def _template(
+    label: str, counts: tuple[float, dict[str, int], dict[str, int], int],
+    split: L1Split, config: SystemConfig,
+) -> SimStats:
     """The L2-independent half of ``stats_from_model(phases, config,
-    label)``: its counts, issue and L2-stall cycles, and the L1 split of
-    ``evaluate_hierarchy``."""
-    issue, instrs, elems, flops = model_counts(phases, config)
-    split = traffic.l1_split(config.l1_kb * 1024, config.line_bytes)
-    template = SimStats(
+    label)`` from the phases' ``model_counts`` and their L1 split of
+    ``evaluate_hierarchy``: its counts, issue and L2-stall cycles and L1
+    counters, in fresh objects."""
+    issue, instrs, elems, flops = counts
+    return SimStats(
         freq_ghz=config.freq_ghz,
         issue_cycles=issue,
         l2_stall_cycles=config.memory_timings().l2_stall_cycles(split.misses),
-        instrs=instrs,
-        elems=elems,
+        instrs=dict(instrs),
+        elems=dict(elems),
         flops=flops,
         hierarchy=HierarchyStats(
             l1=CacheStats(accesses=split.accesses, misses=split.misses),
@@ -418,7 +442,6 @@ def _record_layer(
         ),
         label=label,
     )
-    return LayerRecording(template=template, split=split)
 
 
 def record_inference(
@@ -436,26 +459,50 @@ def record_inference(
     by ``config``, so a recording made at any L2 size evaluates
     bit-identically at every other:
     ``record_inference(name, layers, cfg).evaluate([l2])[0]`` equals
-    ``simulate_inference(name, layers, cfg.with_(l2_mb=l2))``.  Each
-    layer opens a ``record_layer`` span with ``phase_models`` and
-    ``condense`` children.
+    ``simulate_inference(name, layers, cfg.with_(l2_mb=l2))``.
+
+    Layers that differ only in their names (VGG16's repeated 3x3
+    convolutions, YOLOv3's residual blocks) are modelled once per call:
+    a later such layer shares the first one's immutable
+    :class:`~repro.model.traffic.L1Split` and gets its own template,
+    labelled with its own name.  Each layer opens a ``record_layer``
+    span with the same label and counters either way; the first of a
+    geometry has ``phase_models`` and ``condense`` children, a later
+    one the attribute ``reused_from`` (the first one's name) instead.
+    The network total's template is merged once here, in layer order.
     """
     if not layers:
         raise ConfigError("network has no layers")
     recs: list[LayerRecording] = []
+    total = SimStats(freq_ghz=config.freq_ghz, label=f"{name} total")
+    # Per label-free layer: the first such layer's name, the label's
+    # "[algorithm]" tag, the model counts and the L1 split.
+    seen: dict[LayerSpec | None, tuple[str, str, tuple, L1Split]] = {}
     with span("record_inference", network=name,
               vlen_bits=config.vlen_bits, hybrid=hybrid, variant=variant):
         for layer in layers:
+            # An unknown layer type has no key; layer_phase_models
+            # rejects it before anything is stored under None.
+            key = replace(layer, name="") if isinstance(layer, LayerSpec) else None
             with span("record_layer", label=layer.name) as layer_span:
-                with span("phase_models"):
-                    label, phases = layer_phase_models(
-                        layer, config, hybrid=hybrid, variant=variant
-                    )
-                with span("condense"):
-                    traffic = CondensedTraffic.from_phases(phases)
-                rec = _record_layer(label, phases, traffic, config)
-                t = rec.template
-                layer_span.set_attrs(label=label)
+                first = seen.get(key)
+                if first is None:
+                    with span("phase_models"):
+                        label, phases = layer_phase_models(
+                            layer, config, hybrid=hybrid, variant=variant
+                        )
+                    with span("condense"):
+                        traffic = CondensedTraffic.from_phases(phases)
+                    first = seen[key] = (
+                        layer.name, label[len(layer.name):],
+                        model_counts(phases, config),
+                        traffic.l1_split(config.l1_kb * 1024,
+                                         config.line_bytes))
+                else:
+                    layer_span.set_attrs(reused_from=first[0])
+                _, tag, counts, split = first
+                t = _template(layer.name + tag, counts, split, config)
+                layer_span.set_attrs(label=t.label)
                 layer_span.add_counters(
                     instrs=t.total_instrs,
                     flops=t.flops,
@@ -463,10 +510,11 @@ def record_inference(
                     l1_accesses=t.hierarchy.l1.accesses,
                     l1_misses=t.hierarchy.l1.misses,
                 )
-            recs.append(rec)
+            recs.append(LayerRecording(template=t, split=split))
+            total.merge(t)
     return NetworkRecording(
         name=name, config=config, hybrid=hybrid, variant=variant,
-        layers=tuple(recs),
+        layers=tuple(recs), total=total,
     )
 
 

@@ -10,8 +10,15 @@ concerns the convolutional layers.)
 
 from __future__ import annotations
 
+from functools import cache
+
 from repro.conv.layer import ConvLayerSpec
-from repro.nets.darknet_cfg import build_layers, conv_layers
+from repro.nets.darknet_cfg import (
+    Sections,
+    build_layers,
+    conv_layers,
+    frozen_sections,
+)
 from repro.nets.layers import LayerSpec
 
 #: Darknet vgg-16.cfg, convolutional trunk.
@@ -134,9 +141,16 @@ stride=2
 """
 
 
+@cache
+def _sections() -> Sections:
+    """:data:`VGG16_CFG`, parsed on first use, once per process."""
+    return frozen_sections(VGG16_CFG)
+
+
 def vgg16_layers(height: int = 576, width: int = 768) -> list[LayerSpec]:
     """All VGG16 trunk layers (convolutions + pools) at the paper's input."""
-    return build_layers(VGG16_CFG, height=height, width=width, name_prefix="vgg.")
+    return build_layers(_sections(), height=height, width=width,
+                        name_prefix="vgg.")
 
 
 def vgg16_conv_layers(height: int = 576, width: int = 768) -> list[ConvLayerSpec]:

@@ -17,8 +17,15 @@ im2col+GEMM.  The test suite asserts this census against the paper.
 
 from __future__ import annotations
 
+from functools import cache
+
 from repro.conv.layer import ConvLayerSpec
-from repro.nets.darknet_cfg import build_layers, conv_layers
+from repro.nets.darknet_cfg import (
+    Sections,
+    build_layers,
+    conv_layers,
+    frozen_sections,
+)
 from repro.nets.layers import LayerSpec
 
 #: Darknet yolov3.cfg, first 20 layers.
@@ -327,6 +334,12 @@ activation=linear
 MAX_EMBEDDED_LAYERS = 37
 
 
+@cache
+def _sections() -> Sections:
+    """:data:`YOLOV3_CFG_HEAD`, parsed on first use, once per process."""
+    return frozen_sections(YOLOV3_CFG_HEAD)
+
+
 def yolov3_layers(
     height: int = 576, width: int = 768, max_layers: int = 20
 ) -> list[LayerSpec]:
@@ -336,7 +349,7 @@ def yolov3_layers(
     :data:`MAX_EMBEDDED_LAYERS` is supported.
     """
     return build_layers(
-        YOLOV3_CFG_HEAD, height=height, width=width,
+        _sections(), height=height, width=width,
         max_layers=max_layers, name_prefix="yolo.",
     )
 

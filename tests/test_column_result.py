@@ -189,3 +189,34 @@ class TestNoPerPointObjects:
         monkeypatch.undo()
         assert len(payload["results"]) == len(FINE_AXIS)
         assert len(built) <= 2 * (len(layers) + 1), len(built)
+
+    def test_sweep_summaries_build_no_point_stats(self, monkeypatch):
+        """``best()``, ``runtime_grid()``, ``miss_rate_table()`` and
+        ``speedup()`` read the column arrays: O(layers) ``SimStats`` for
+        a 2 x 48 sweep, not one per point and layer, and the same
+        values as the built points."""
+        layers = vgg16_layers()
+        sweep = codesign_sweep("vgg16", layers, vlens=(512, 2048),
+                               l2_mbs=FINE_AXIS, mode="fast")
+        built = []
+        real_init = SimStats.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("label", ""))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimStats, "__init__", spy)
+        best = sweep.best()
+        grid = sweep.runtime_grid()
+        tables = {l: sweep.miss_rate_table(l) for l in (1, 48)}
+        speedup = sweep.speedup(2048, 48)
+        monkeypatch.undo()
+        assert len(built) <= len(layers) + 1, len(built)
+        totals = {k: sweep.at(*k).total for k in sweep.points}
+        assert best == min(totals, key=lambda k: totals[k].seconds)
+        assert grid == {v: {l: totals[(v, l)].seconds for l in FINE_AXIS}
+                        for v in (512, 2048)}
+        assert tables == {l: {v: totals[(v, l)].l2_miss_rate
+                              for v in (512, 2048)} for l in (1, 48)}
+        assert speedup == (totals[(512, 1)].seconds
+                           / totals[(2048, 48)].seconds)

@@ -6,10 +6,12 @@ scalar references.
   per-panel scalar loops they replaced are kept here as the oracle, and
   the two must agree bit for bit: instruction and element counts in
   value and key order, every traffic column in its bytes.
-- :meth:`CondensedTraffic.from_phases` merges the small per-append sets
-  of distinct effective distances instead of sorting every class; a
-  hypothesis campaign checks it against ``np.unique`` over the laid-out
-  classes, byte for byte.
+- :meth:`CondensedTraffic.from_phases` takes the distinct effective
+  distances of the appends' patterns in one ``np.unique`` instead of
+  sorting every class; a hypothesis campaign checks it against
+  ``np.unique`` over the laid-out classes, byte for byte, and another
+  checks that how a class sequence is split into appends does not
+  change the condensed form.
 """
 
 import math
@@ -454,3 +456,73 @@ class TestSignedZeroDistance:
         assert ct.eff_unique.tobytes() == np.array([0.0, COLD]).tobytes()
         assert not np.signbit(ph.traffic.distance).any()
         _replay_matches_reference([ph])
+
+
+#: Line counts in quarters below 2**10: every sum of a few dozen of them
+#: is exact, so condensed totals compare byte for byte in any order.
+_EXACT_ACCESSES = st.integers(min_value=0, max_value=4096).map(lambda q: q / 4)
+_PATTERN = st.lists(
+    st.tuples(_EXACT_ACCESSES, _DISTANCES, st.booleans(), _REGIONS, _DILUTIONS),
+    min_size=1, max_size=8)
+_MODES = ("scalar", "array", "shared fields")
+
+
+def _append(ph, classes, mode, repeat):
+    """Append ``classes`` ``repeat`` times in a row: as one scalar append
+    per class, as one array append, or as an array append whose fields
+    that all classes share are passed as one value."""
+    if mode == "scalar":
+        alone = len(classes) == 1
+        for _ in range(1 if alone else repeat):
+            for acc, dist, store, region, dil in classes:
+                ph.add_traffic("s", acc, dist, is_store=store, region=region,
+                               dilution=dil, repeat=repeat if alone else 1)
+        return
+    fields = [np.array(c) for c in zip(*classes)]
+    if mode == "shared fields":
+        # Accesses stay an array, so this is a run, never a scalar row.
+        fields[1:] = [f[0].item() if (f == f[0]).all() else f
+                      for f in fields[1:]]
+    acc, dist, store, region, dil = fields
+    ph.add_traffic("a", acc, dist, is_store=store, region=region,
+                   dilution=dil, repeat=repeat)
+
+
+class TestAppendSplitInvariance:
+    """The same class sequence condenses to the same arrays however it
+    was split into scalar and array appends, with or without
+    ``repeat``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pattern=_PATTERN, outer=st.integers(min_value=1, max_value=3),
+           inner=st.integers(min_value=1, max_value=4), data=st.data())
+    def test_any_split_condenses_like_one_append(
+            self, pattern, outer, inner, data):
+        one = PhaseModel("one")
+        _append(one, pattern, "array", outer * inner)
+        cuts = sorted(data.draw(st.sets(
+            st.integers(min_value=1, max_value=len(pattern) - 1)))
+            if len(pattern) > 1 else ())
+        chunks = [pattern[a:b]
+                  for a, b in zip([0, *cuts], [*cuts, len(pattern)])]
+        modes = data.draw(st.lists(st.sampled_from(_MODES),
+                                   min_size=len(chunks), max_size=len(chunks)))
+        # Split over two phases at a drawn outer iteration.
+        phases = [PhaseModel("first"), PhaseModel("second")]
+        move = data.draw(st.integers(min_value=0, max_value=outer))
+        for i in range(outer):
+            ph = phases[i >= move]
+            if len(chunks) == 1:
+                _append(ph, chunks[0], modes[0], inner)
+                continue
+            for _ in range(inner):
+                for chunk, mode in zip(chunks, modes):
+                    _append(ph, chunk, mode, 1)
+        want = CondensedTraffic.from_phases([one])
+        got = CondensedTraffic.from_phases(phases)
+        assert got.n_classes == want.n_classes
+        for name in ("eff_unique", "region_unique", "totals", "accesses",
+                     "eff_index", "store_mask", "region"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name

@@ -139,6 +139,60 @@ class TestCfgParser:
         assert len(layers) == 1
 
 
+class TestEmbeddedCfgParsedOnce:
+    """The embedded VGG16 and YOLOv3 cfgs are parsed on first use, once
+    per process; cfg text a caller passes is parsed on every call."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        from repro.nets import darknet_cfg, vgg16, yolov3
+
+        texts = []
+        real = darknet_cfg.parse_cfg
+
+        def spy(text):
+            texts.append(text)
+            return real(text)
+
+        monkeypatch.setattr(darknet_cfg, "parse_cfg", spy)
+        for module in (vgg16, yolov3):
+            module._sections.cache_clear()
+        yield texts
+        for module in (vgg16, yolov3):
+            module._sections.cache_clear()
+
+    def test_each_network_parses_its_cfg_once(self, parses):
+        from repro.nets.vgg16 import VGG16_CFG
+        from repro.nets.yolov3 import YOLOV3_CFG_HEAD
+
+        assert vgg16_layers(64, 96) == vgg16_layers(64, 96)
+        assert yolov3_layers(64, 96) != yolov3_layers(96, 64)
+        vgg16_conv_layers()
+        yolov3_conv_layers()
+        assert parses == [VGG16_CFG, YOLOV3_CFG_HEAD]
+        assert vgg16_layers() == build_layers(
+            VGG16_CFG, height=576, width=768, name_prefix="vgg.")
+
+    def test_caller_cfg_text_is_parsed_every_call(self, parses):
+        from repro.nets.vgg16 import VGG16_CFG
+
+        build_layers(VGG16_CFG, height=64, width=64)
+        build_layers(VGG16_CFG, height=64, width=64)
+        assert parses == [VGG16_CFG, VGG16_CFG]
+
+    def test_parse_cfg_returns_fresh_mutable_sections(self):
+        from repro.nets import vgg16
+        from repro.nets.vgg16 import VGG16_CFG
+
+        first = parse_cfg(VGG16_CFG)
+        first[0][1]["height"] = "8"
+        first.append(("maxpool", {}))
+        again = parse_cfg(VGG16_CFG)
+        assert again[0][1]["height"] == "576" and len(again) == len(first) - 1
+        with pytest.raises(TypeError):
+            vgg16._sections()[0][1]["height"] = "8"  # type: ignore[index]
+
+
 class TestVgg16:
     def test_thirteen_convolutions(self):
         convs = vgg16_conv_layers()

@@ -34,6 +34,7 @@ COVERAGE_TESTS = [
     "tests/test_axis_replay.py",
     "tests/test_replay_certificate.py",
     "tests/test_column_result.py",
+    "tests/test_layer_memo.py",
     "tests/test_codesign_executor.py",
     "tests/test_golden_sweep.py",
     "tests/test_sim_cache.py",
