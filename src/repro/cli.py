@@ -34,8 +34,9 @@ workflow:
                    ``--reconcile`` machine-checks bit-exactly against
                    concrete traced runs;
 - ``tune``         per-layer schedule search over the kernel DSL:
-                   surrogate-rank the space, exactly simulate the
-                   top-k, report the best schedule with provenance;
+                   rank the space with the sweep's phase models,
+                   exactly simulate the top-k, report the best
+                   schedule with provenance;
 - ``info``         describe a system configuration.
 """
 
@@ -1119,9 +1120,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "tune",
-        help="per-layer schedule search: surrogate-rank the DSL's "
-             "schedule space, exactly simulate the top-k on proxy "
-             "problems, report the best schedule per layer")
+        help="per-layer schedule search: rank the DSL's schedule "
+             "space with the sweep's phase models, exactly simulate "
+             "the top-k on proxy problems, report the best schedule "
+             "per layer")
     p.add_argument("network", choices=["vgg16", "yolov3"])
     _add_system_args(p)
     p.add_argument("--layers", type=int, default=None, metavar="N",
@@ -1130,10 +1132,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rng seed for space sampling and test data "
                         "(results are a pure function of the seed)")
     p.add_argument("--budget", type=int, default=24,
-                   help="candidate schedules surrogate-ranked per layer "
+                   help="candidate schedules model-ranked per layer "
                         "(default 24; 0 = the whole space)")
     p.add_argument("--top-k", type=int, default=3, dest="top_k",
-                   help="surrogate leaders re-ranked by exact "
+                   help="model leaders re-ranked by exact "
                         "simulation (the default schedule is always "
                         "included; default 3)")
     p.add_argument("--max-pixels", type=int, default=1024,
@@ -1143,7 +1145,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="proxy cap on c_in/c_out (default 64)")
     p.add_argument("--exhaustive", action="store_true",
                    help="exactly simulate every sampled candidate "
-                        "(slow; for surrogate validation)")
+                        "(slow; for model-ranking validation)")
     p.add_argument("--json", action="store_true",
                    help="emit the full tuning report as JSON")
     p.add_argument("--out", default=None, metavar="DIR",

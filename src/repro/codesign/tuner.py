@@ -1,12 +1,14 @@
 """Per-layer schedule search behind ``repro tune``.
 
 For each convolutional layer the tuner enumerates the DSL's schedule
-space (:mod:`repro.schedule.space`), ranks every candidate with the
-cheap surrogate (:mod:`repro.schedule.cost` — exact issue cycles,
-stack-distance-style stall estimate), then *exactly* simulates the
-top-k by running the generated kernels on the functional RVV machine
-and replaying the captured trace through the timing model — the same
-trace-exact path the kernel microbenchmarks use.
+space (:mod:`repro.schedule.space`), ranks every candidate by the
+cycles of the co-design sweep's own phase models
+(:func:`repro.model.layer_model.layer_phases` with the candidate as the
+GEMM schedule: instruction counts exact, traffic under the sweep's L1
+and L2 criteria), then *exactly* simulates the top-k by running the
+generated kernels on the functional RVV machine and replaying the
+captured trace through the timing model — the same trace-exact path
+the kernel microbenchmarks use.
 
 Trust gate: an exactly-simulated candidate is only reportable if its
 machine output is bit-identical to the fp32 reference
@@ -28,17 +30,17 @@ from typing import Any
 
 import numpy as np
 
-from repro.conv.layer import ConvLayerSpec
+from repro.conv.layer import ConvAlgorithm, ConvLayerSpec
 from repro.conv.reference import gemm_fp32
 from repro.errors import ConfigError
 from repro.kernels.buffers import GemmBuffers, Im2colBuffers
 from repro.kernels.common import GemmGeometry, Im2colGeometry
 from repro.kernels.gemm import gemm_kernel
 from repro.kernels.im2col import im2col_kernel
+from repro.model.layer_model import layer_phases
+from repro.model.traffic import CondensedTraffic, model_counts
 from repro.rvv import Memory, RvvMachine, Tracer
-from repro.schedule.algorithms import CopyAlgorithm, MatmulAlgorithm
-from repro.schedule.cost import copy_surrogate, matmul_surrogate
-from repro.schedule.ir import Schedule, default_copy_schedule
+from repro.schedule.ir import Schedule
 from repro.schedule.space import matmul_space, sample_space
 from repro.sim.system import Simulator, SystemConfig
 
@@ -48,10 +50,10 @@ _ARENA_BYTES = 1 << 28
 
 @dataclass
 class TunedCandidate:
-    """One schedule point with its surrogate (and maybe exact) cost."""
+    """One schedule point with its modelled (and maybe exact) cost."""
 
     schedule: Schedule
-    surrogate_cycles: float
+    model_cycles: float
     exact_cycles: float | None = None
     validated: bool | None = None
 
@@ -59,7 +61,7 @@ class TunedCandidate:
         return {
             "schedule": self.schedule.describe(),
             "label": self.schedule.label(),
-            "surrogate_cycles": self.surrogate_cycles,
+            "model_cycles": self.model_cycles,
             "exact_cycles": self.exact_cycles,
             "validated": self.validated,
         }
@@ -81,7 +83,7 @@ class LayerTuning:
 
     @property
     def best(self) -> TunedCandidate:
-        return min(self.evaluated, key=lambda c: (c.exact_cycles, c.surrogate_cycles))
+        return min(self.evaluated, key=lambda c: (c.exact_cycles, c.model_cycles))
 
     @property
     def speedup(self) -> float:
@@ -216,6 +218,23 @@ def _exact_cycles(
     return stats.cycles, ok
 
 
+def _model_cycles(layer: ConvLayerSpec, config: SystemConfig,
+                  schedule: Schedule) -> float:
+    """``stats_from_model(layer_phases(layer, config, IM2COL_GEMM,
+    gemm_schedule=schedule), config).cycles``, with the hierarchy
+    counted the way the exact sweep backend counts it: from the
+    condensed traffic's group totals, certified equal to the per-class
+    reference."""
+    phases = layer_phases(layer, config, ConvAlgorithm.IM2COL_GEMM,
+                          gemm_schedule=schedule)
+    split = CondensedTraffic.from_phases(phases).l1_split(
+        config.l1_kb * 1024, config.line_bytes)
+    (l2_misses,), (writebacks,) = split.smooth_l2([config.l2_mb * 1024 * 1024])
+    l2_stall, dram_stall = config.memory_timings().stall_cycles(
+        split.misses, int(l2_misses), int(writebacks))
+    return model_counts(phases, config)[0] + l2_stall + dram_stall
+
+
 def tune_layer(
     layer: ConvLayerSpec,
     config: SystemConfig,
@@ -226,32 +245,25 @@ def tune_layer(
 ) -> LayerTuning:
     """Search the GEMM-stage schedule space of one (proxy) layer.
 
-    Surrogate-ranks the sampled space, exactly simulates the top-k
-    plus the default schedule (or everything when ``exhaustive``),
-    and differentially validates every exactly-simulated candidate
-    against the fp32 reference.  The default schedule (candidate 0,
-    the shipped kernel) is the baseline.
+    Ranks the sampled space by modelled cycles, exactly simulates the
+    top-k plus the default schedule (or everything when
+    ``exhaustive``), and differentially validates every
+    exactly-simulated candidate against the fp32 reference.  The
+    default schedule (candidate 0, the shipped kernel) is the baseline.
     """
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
     ig = Im2colGeometry(c_in=layer.c_in, h=layer.h_in, w=layer.w_in,
                         ksize=layer.ksize, stride=layer.stride,
                         pad=layer.pad)
-    alg = MatmulAlgorithm(
-        name="gemm", m=layer.c_out, n=ig.cols, kd=ig.rows,
-        a_row_stride=ig.rows, b_row_stride=ig.cols, c_row_stride=ig.cols)
-    space = sample_space(matmul_space(alg.m, alg.kd), budget, seed)
-    copy_cost = copy_surrogate(
-        CopyAlgorithm(ig), default_copy_schedule(), config).cycles
+    space = sample_space(matmul_space(layer.c_out, ig.rows), budget, seed)
 
     candidates = [
-        TunedCandidate(
-            schedule=s,
-            surrogate_cycles=copy_cost + matmul_surrogate(alg, s, config).cycles)
+        TunedCandidate(schedule=s, model_cycles=_model_cycles(layer, config, s))
         for s in space
     ]
     ranked = sorted(range(len(candidates)),
-                    key=lambda i: (candidates[i].surrogate_cycles, i))
+                    key=lambda i: (candidates[i].model_cycles, i))
     if exhaustive:
         chosen = list(range(len(candidates)))
     else:
@@ -273,7 +285,7 @@ def tune_layer(
 
     return LayerTuning(
         layer=layer.name,
-        problem={"m": alg.m, "n": alg.n, "kd": alg.kd,
+        problem={"m": layer.c_out, "n": ig.cols, "kd": ig.rows,
                  "c_in": layer.c_in, "h_in": layer.h_in,
                  "w_in": layer.w_in, "ksize": layer.ksize,
                  "stride": layer.stride, "pad": layer.pad,

@@ -37,9 +37,9 @@ def gemm_kernel(
 ) -> None:
     """C = A @ B with the blocked VLA microkernel.
 
-    ``sched`` defaults to :func:`repro.schedule.default_matmul_schedule`,
-    whose loop structure :func:`repro.model.gemm_model.gemm_model`
-    mirrors exactly:
+    ``sched`` defaults to :func:`repro.schedule.default_matmul_schedule`;
+    :func:`repro.model.gemm_model.gemm_model` counts any schedule's
+    instructions exactly.  The default loop structure:
 
     for each N panel (vl = columns in panel):
       for each M block (mr rows):

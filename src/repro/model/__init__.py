@@ -12,7 +12,6 @@ from repro.model.layer_model import (
     NetworkResult,
     layer_phases,
     simulate_layer,
-    simulate_network,
 )
 from repro.model.traffic import (
     COLD,
@@ -43,6 +42,5 @@ __all__ = [
     "direct1x1_model",
     "layer_phases",
     "simulate_layer",
-    "simulate_network",
     "NetworkResult",
 ]

@@ -1,9 +1,11 @@
-"""Per-layer and per-network simulation via the analytical models.
+"""Per-layer simulation via the analytical models.
 
-This is the experiment driver equivalent of running a layer (or a whole
-network inference) through gem5: it picks the algorithm per layer (the
-paper's hybrid policy), builds the phase models, and evaluates them on
-a :class:`~repro.sim.SystemConfig`.
+This is the experiment driver equivalent of running a layer through
+gem5: it picks the layer's algorithm (the paper's hybrid policy),
+builds the phase models, and evaluates them on a
+:class:`~repro.sim.SystemConfig`.  Whole networks run through
+:func:`repro.nets.inference.simulate_inference`, which returns the
+:class:`NetworkResult` defined here.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.model.gemm_model import gemm_model, im2col_model_for
 from repro.model.traffic import PhaseModel, stats_from_model
 from repro.model.winograd_model import winograd_layer_model
 from repro.obs import counters_from_stats, span
+from repro.schedule.ir import Schedule
 from repro.sim.stats import SimStats
 from repro.sim.system import SystemConfig
 
@@ -33,8 +36,14 @@ def layer_phases(
     config: SystemConfig,
     algorithm: ConvAlgorithm | None = None,
     variant: str = SLIDEUP,
+    gemm_schedule: Schedule | None = None,
 ) -> list[PhaseModel]:
-    """Phase models for one convolutional layer on one configuration."""
+    """Phase models for one convolutional layer on one configuration.
+
+    ``gemm_schedule`` is the GEMM stage's matmul schedule under
+    im2col+GEMM (``None``: the shipped kernel's); the other stages
+    model their shipped kernels.
+    """
     algo = algorithm if algorithm is not None else choose_algorithm(spec)
     lanes = config.lanes
     if algo is ConvAlgorithm.WINOGRAD:
@@ -54,7 +63,7 @@ def layer_phases(
         cols_bytes = ig.cols_size * 4.0
         return [
             im2col_model_for(ig, lanes),
-            gemm_model(gg, cols_distance=cols_bytes),
+            gemm_model(gg, cols_distance=cols_bytes, schedule=gemm_schedule),
         ]
     if algo is ConvAlgorithm.DIRECT:
         if spec.ksize != 1:
@@ -121,32 +130,3 @@ class NetworkResult:
             ),
             total=SimStats.from_dict(d["total"]),
         )
-
-
-def simulate_network(
-    name: str,
-    specs: list[ConvLayerSpec],
-    config: SystemConfig,
-    hybrid: bool = True,
-    variant: str = SLIDEUP,
-) -> NetworkResult:
-    """Simulate a sequence of convolutional layers.
-
-    Args:
-        hybrid: when True, the paper's hybrid policy picks Winograd for
-            eligible layers; when False, every layer runs im2col+GEMM
-            (the paper's baseline).
-    """
-    per_layer: list[SimStats] = []
-    total = SimStats(freq_ghz=config.freq_ghz, label=f"{name} total")
-    with span("simulate_network", network=name,
-              vlen_bits=config.vlen_bits, l2_mb=config.l2_mb,
-              freq_ghz=config.freq_ghz) as net_span:
-        for spec in specs:
-            algo = choose_algorithm(spec, hybrid=hybrid)
-            stats = simulate_layer(spec, config, algorithm=algo,
-                                   variant=variant)
-            per_layer.append(stats)
-            total.merge(stats)
-        net_span.add_counters(**counters_from_stats(total))
-    return NetworkResult(name=name, per_layer=tuple(per_layer), total=total)

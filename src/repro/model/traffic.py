@@ -214,10 +214,12 @@ class PhaseModel:
 
     Traffic is appended through :meth:`add_traffic` and read back as
     :attr:`traffic` columns.  Scalar appends are buffered as rows and
-    converted to columns on the next array append or read, so models
-    that append class by class stay cheap; array appends are kept as
-    runs (their scalar fields as one value each), condensed together by
+    converted to one run on the next array append, so models that
+    append class by class stay cheap; array appends are kept as runs
+    (their scalar fields as one value each), condensed together by
     :meth:`CondensedTraffic.from_phases` and laid out only when read.
+    Reading changes nothing: the columns are laid out afresh on each
+    read, and condensation sees the same runs either way.
     """
 
     name: str
@@ -342,27 +344,27 @@ class PhaseModel:
                     f"must be {need}, got {arr[~ok][0]}")
         return ConfigError(f"invalid traffic class {name!r} in phase {self.name!r}")
 
+    def _rows_run(self) -> _Run:
+        """The buffered scalar appends as one run."""
+        return _Run(tuple(
+            _frozen(np.array(col, dtype=dtype))
+            for col, dtype in zip(zip(*self._rows), _DTYPES)),
+            len(self._rows), 1)
+
     def _flush_rows(self) -> None:
         if self._rows:
-            self._runs.append(_Run(tuple(
-                _frozen(np.array(col, dtype=dtype))
-                for col, dtype in zip(zip(*self._rows), _DTYPES)),
-                len(self._rows), 1))
+            self._runs.append(self._rows_run())
             self._rows.clear()
 
-    def _flushed_runs(self) -> list[_Run]:
-        self._flush_rows()
-        return self._runs
+    def _all_runs(self) -> list[_Run]:
+        """Every run appended so far, the buffered scalar appends as the
+        last, without changing the phase."""
+        return self._runs + [self._rows_run()] if self._rows else self._runs
 
     @property
     def traffic(self) -> TrafficColumns:
         """All traffic classes appended so far, in append order."""
-        runs = self._flushed_runs()
-        if (len(runs) != 1 or runs[0].repeat != 1
-                or not all(isinstance(v, np.ndarray) for v in runs[0].fields)):
-            cols = _laid_out(runs)
-            runs[:] = [_Run(tuple(cols), cols.accesses.size, 1)]
-        return TrafficColumns(*runs[0].fields)
+        return _laid_out(self._all_runs())
 
     @property
     def flops(self) -> int:
@@ -424,7 +426,7 @@ def evaluate_hierarchy(
     l2 = CacheStats()
     wb = 0.0
     l1_acc = l1_miss = l2_acc = l2_miss = 0.0
-    cols = _laid_out([r for ph in phases for r in ph._flushed_runs()])
+    cols = _laid_out([r for ph in phases for r in ph._all_runs()])
     for accesses, distance, is_store, region, dilution in zip(
         *(col.tolist() for col in cols)
     ):
@@ -536,7 +538,7 @@ class CondensedTraffic:
 
     @classmethod
     def from_phases(cls, phases: list[PhaseModel]) -> CondensedTraffic:
-        runs = tuple(run for ph in phases for run in ph._flushed_runs())
+        runs = tuple(run for ph in phases for run in ph._all_runs())
         if not runs:
             empty = _frozen(np.empty(0, dtype=np.float64))
             return cls(runs, empty, empty,

@@ -84,7 +84,11 @@ def layer_phase_models(
         return f"{layer.name}[shortcut]", [shortcut_model(layer, config.lanes)]
     if isinstance(layer, MaxPoolSpec):
         return f"{layer.name}[maxpool]", [maxpool_model(layer, config.lanes)]
-    raise ConfigError(f"unknown layer type {type(layer).__name__}")
+    raise _unknown(layer)
+
+
+def _unknown(layer: object) -> ConfigError:
+    return ConfigError(f"unknown layer type {type(layer).__name__}")
 
 
 def simulate_inference(
@@ -116,6 +120,8 @@ def simulate_inference(
               freq_ghz=config.freq_ghz,
               hybrid=hybrid, variant=variant) as net_span:
         for layer in layers:
+            if not isinstance(layer, LayerSpec):
+                raise _unknown(layer)
             with span("layer", label=layer.name) as layer_span:
                 label, phases = layer_phase_models(
                     layer, config, hybrid=hybrid, variant=variant
@@ -477,13 +483,13 @@ def record_inference(
     total = SimStats(freq_ghz=config.freq_ghz, label=f"{name} total")
     # Per label-free layer: the first such layer's name, the label's
     # "[algorithm]" tag, the model counts and the L1 split.
-    seen: dict[LayerSpec | None, tuple[str, str, tuple, L1Split]] = {}
+    seen: dict[LayerSpec, tuple[str, str, tuple, L1Split]] = {}
     with span("record_inference", network=name,
               vlen_bits=config.vlen_bits, hybrid=hybrid, variant=variant):
         for layer in layers:
-            # An unknown layer type has no key; layer_phase_models
-            # rejects it before anything is stored under None.
-            key = replace(layer, name="") if isinstance(layer, LayerSpec) else None
+            if not isinstance(layer, LayerSpec):
+                raise _unknown(layer)
+            key = replace(layer, name="")
             with span("record_layer", label=layer.name) as layer_span:
                 first = seen.get(key)
                 if first is None:

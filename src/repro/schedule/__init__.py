@@ -22,7 +22,6 @@ from repro.schedule.algorithms import (
     MatmulAlgorithm,
     MatmulOperands,
 )
-from repro.schedule.cost import SurrogateCost, copy_surrogate, matmul_surrogate
 from repro.schedule.ir import (
     VL,
     Schedule,
@@ -53,7 +52,4 @@ __all__ = [
     "matmul_space",
     "copy_space",
     "sample_space",
-    "matmul_surrogate",
-    "copy_surrogate",
-    "SurrogateCost",
 ]

@@ -295,12 +295,13 @@ def default_matmul_schedule(mr: int = 8) -> Schedule:
 
     Tile j by one vector grant, vectorize at LMUL=1, tile i by ``mr``
     and unroll it, panels outermost, ``vsetvl`` per block — what
-    :func:`repro.kernels.gemm.gemm_kernel` lowers by default.
+    :func:`repro.kernels.gemm.gemm_kernel` lowers by default.  Built as
+    the value that primitive chain composes, without its five copies:
+    the GEMM model asks for it once per layer.
     """
-    return (matmul_schedule()
-            .tile("j", VL).vectorize("j", lmul=1)
-            .tile("i", mr).unroll("i")
-            .reorder("j", "i", "k"))
+    return Schedule(kind="matmul", tiles={"j": VL, "i": mr},
+                    order=("j", "i", "k"), vector_axis="j", lmul=1,
+                    unrolled="i")
 
 
 def default_direct_schedule(mr: int = 8) -> Schedule:

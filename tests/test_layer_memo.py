@@ -118,10 +118,13 @@ class TestMemoEquivalence:
 
 
     def test_unknown_layer_types_still_raise_config_error(self):
-        # Unhashable, so it cannot be a memo key either.
-        layers = [*_net("vgg16", 32, 32)[:2], SimpleNamespace(name="odd")]
-        with pytest.raises(ConfigError, match="unknown layer type"):
-            record_inference("net", layers, SystemConfig())
+        # An unhashable one cannot be a memo key either; a nameless one
+        # has no name for the layer's span.
+        for odd in (SimpleNamespace(name="odd"), object()):
+            layers = [*_net("vgg16", 32, 32)[:2], odd]
+            for run in (record_inference, simulate_inference):
+                with pytest.raises(ConfigError, match="unknown layer type"):
+                    run("net", layers, SystemConfig())
 
 
 def _vgg16_small() -> list:

@@ -43,14 +43,15 @@ from repro.model import (
     input_transform_model,
     output_transform_model,
     simulate_layer,
-    simulate_network,
     stats_from_model,
     tuple_mult_model,
     winograd_layer_model,
 )
 from repro.model.traffic import CondensedTraffic, lines_per_access
 from repro.conv import ConvLayerSpec
+from repro.nets import simulate_inference
 from repro.rvv import Memory, RvvMachine, Tracer, assert_counts_match
+from repro.schedule import VL, matmul_schedule, matmul_space
 from repro.sim import Simulator, SystemConfig
 
 
@@ -125,6 +126,23 @@ class TestInstructionCountValidation:
         assert_counts_match(
             model_counts(gemm_model(geom)), m.tracer.counts(), "gemm"
         )
+
+    @pytest.mark.parametrize("vlen", [512, 2048])
+    @pytest.mark.parametrize("M,K,N", [(6, 27, 64), (13, 9, 77), (8, 6, 64)])
+    def test_gemm_every_schedule(self, M, K, N, vlen):
+        """Instruction and element counts equal the trace for every
+        schedule the tuner searches (mr, LMUL, loop order, reduction
+        tile, vsetvl placement)."""
+        geom = GemmGeometry(m=M, kd=K, n=N, vlen_elems=vlen // 32)
+        for sched in matmul_space(M, K):
+            m = RvvMachine(vlen, memory=Memory(1 << 20), tracer=Tracer())
+            gemm_kernel(m, geom, GemmBuffers.allocate(m, geom), sched)
+            ph = gemm_model(geom, schedule=sched)
+            assert_counts_match(model_counts(ph), m.tracer.counts(),
+                                f"gemm[{sched.label()}]")
+            assert {c.value: e for c, e in ph.elems.items() if e} == {
+                c.value: st.elems for c, st in m.tracer.by_class.items()
+            }, sched.label()
 
     def test_flops_match_winograd_mathematics(self):
         """Tuple-mult FMA flops = 2 * 64 * (4K lanes) * TB * C per panel
@@ -405,6 +423,30 @@ class TestTrafficColumns:
         with pytest.raises(ConfigError, match="1-D"):
             ph.add_traffic("grid", np.ones((2, 2)), 64.0)
 
+    @pytest.mark.parametrize("appends", ["empty", "mixed", "scalars"])
+    def test_reading_the_columns_leaves_the_phase_as_it_is(self, appends):
+        """Condensation sees the same runs, so the same certificate,
+        whether or not ``traffic`` was read first."""
+        def build() -> PhaseModel:
+            ph = PhaseModel("t")
+            if appends != "empty":
+                ph.add_traffic("s", 2.0, 512.0)
+            if appends == "mixed":
+                ph.add_traffic("run", np.ones(3), np.array([64.0, 128.0, 256.0]),
+                               repeat=4)
+                ph.add_traffic("s2", 5.0, COLD, is_store=True)
+            return ph
+
+        untouched, read = build(), build()
+        first = _columns(read)
+        for got, want in zip(_columns(read), first):  # a second read
+            assert got.tobytes() == want.tobytes()
+        a = CondensedTraffic.from_phases([untouched])
+        b = CondensedTraffic.from_phases([read])
+        assert len(b.runs) == len(a.runs)
+        assert b.error_factor == a.error_factor
+        assert b.totals.tobytes() == a.totals.tobytes()
+
     def test_mixed_appends_condense_bit_identically(self):
         """The scalar reference and the condensed L1 split + smoothed L2
         agree exactly on a phase built from scalar and array appends."""
@@ -498,6 +540,53 @@ class TestGemmModelDifferential:
             assert got.tobytes() == want.tobytes()
 
 
+def _matmul(order=("j", "i", "k"), mr=8, lmul=1, ktile=None, hoist=False):
+    sched = (matmul_schedule().tile("j", VL).vectorize("j", lmul=lmul)
+             .tile("i", mr).unroll("i").reorder(*order))
+    if ktile is not None:
+        sched = sched.tile("k", ktile).place("acc", "memory")
+    return sched.hoist_setvl(hoist)
+
+
+class TestGemmModelSchedules:
+    """The traffic classes of non-default schedules follow their loop
+    order (the counts are pinned against the trace above)."""
+
+    GEOM = GemmGeometry(m=20, kd=9, n=40, vlen_elems=16)  # 3 M blocks, tail panel
+
+    def test_vsetvl_placement_moves_no_traffic(self):
+        plain = gemm_model(self.GEOM, 1e4, schedule=_matmul())
+        hoisted = gemm_model(self.GEOM, 1e4, schedule=_matmul(hoist=True))
+        for got, want in zip(_columns(hoisted), _columns(plain), strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert hoisted.instrs[OpClass.VSETVL] == 3  # one per panel
+        assert plain.instrs[OpClass.VSETVL] == 3 * 3  # one per block
+
+    def test_rows_outermost_reuses_b_after_a_whole_row_pass(self):
+        g = self.GEOM
+        t = gemm_model(g, 1e4, schedule=_matmul(order=("i", "j", "k"))).traffic
+        b_dist = t.distance[~t.is_store]
+        # Per panel width (two full panels, then the tail), one B read
+        # per M block: the first at the cross-kernel distance, then
+        # after every panel of one M block.
+        for rows, d in zip((8, 4), (b_dist[1], b_dist[2])):
+            assert d == g.kd * (g.n * 4 + rows * 3 / 4) + rows * g.n * 4
+        assert b_dist[0] == 1e4 and b_dist.tolist()[3:] == b_dist.tolist()[:3] * 2
+
+    def test_tiled_reduction_reloads_c_rows(self):
+        g = self.GEOM
+        ph = gemm_model(g, 1e4, schedule=_matmul(ktile=4))  # k blocks 4, 4, 1
+        t = ph.traffic
+        loads, stores = t.accesses[~t.is_store], t.accesses[t.is_store]
+        b_lines = lines_per_access(16, 4) * 2 + lines_per_access(8, 4)
+        # B once per M block and C once per reduction block; the rows
+        # of every block after the first are reloaded.
+        assert math.isclose(loads.sum(), (g.kd * 3 + g.m * 2) * b_lines)
+        assert math.isclose(stores.sum(), g.m * 3 * b_lines)
+        assert (t.distance[t.is_store] == COLD).sum() == 3 * 3  # first k block
+        assert ph.instrs[OpClass.VSTORE_UNIT] == g.m * 3 * 3
+
+
 class TestLayerModel:
     def spec(self, **kw):
         base = dict(
@@ -527,7 +616,7 @@ class TestLayerModel:
     def test_network_totals_are_sums(self):
         specs = [self.spec(name="a"), self.spec(name="b", ksize=1, pad=0)]
         cfg = SystemConfig()
-        result = simulate_network("net", specs, cfg)
+        result = simulate_inference("net", specs, cfg)
         assert len(result.per_layer) == 2
         assert result.total.flops == sum(s.flops for s in result.per_layer)
         assert result.cycles == pytest.approx(
@@ -537,8 +626,8 @@ class TestLayerModel:
     def test_hybrid_false_forces_gemm(self):
         specs = [self.spec()]
         cfg = SystemConfig()
-        hybrid = simulate_network("h", specs, cfg, hybrid=True)
-        pure = simulate_network("p", specs, cfg, hybrid=False)
+        hybrid = simulate_inference("h", specs, cfg, hybrid=True)
+        pure = simulate_inference("p", specs, cfg, hybrid=False)
         assert "winograd" in hybrid.per_layer[0].label
         assert "im2col" in pure.per_layer[0].label
 

@@ -25,7 +25,7 @@ from repro.kernels import gemm_kernel, im2col_kernel
 from repro.kernels.buffers import GemmBuffers, Im2colBuffers
 from repro.kernels.common import GemmGeometry, Im2colGeometry
 from repro.rvv import Memory, RvvMachine, Tracer
-from repro.schedule import VL, matmul_schedule
+from repro.schedule import VL, default_matmul_schedule, matmul_schedule
 from repro.schedule.space import copy_space, matmul_space
 
 pytestmark = pytest.mark.dsl
@@ -163,6 +163,16 @@ def test_illegal_schedules_raise_without_emitting(name, sched):
         gemm_kernel(machine, geom, bufs, sched)
     assert machine.tracer.events == []
     assert machine.tracer.by_class == {}
+
+
+@pytest.mark.parametrize("mr", [1, 4, 8, 16])
+def test_default_schedule_is_the_primitive_chain(mr):
+    chain = (matmul_schedule()
+             .tile("j", VL).vectorize("j", lmul=1)
+             .tile("i", mr).unroll("i")
+             .reorder("j", "i", "k"))
+    assert default_matmul_schedule(mr) == chain.validate()
+    assert default_matmul_schedule(mr) is not default_matmul_schedule(mr)
 
 
 def test_illegal_primitive_compositions_raise():

@@ -1,14 +1,15 @@
 """Tuner regressions: determinism, the never-worse guarantee, and
-surrogate fidelity.
+model ranking fidelity.
 
 ``repro tune`` is only trustworthy if (a) a report is a pure function
 of (net, config, seed) — no hidden global state, (b) its winner never
 loses to the shipped kernels (the default schedule is always in the
 exactly-simulated set, and its generated trace *is* the shipped
-im2col+GEMM driver's trace), and (c) the cheap surrogate ranking is good
-enough that the exact re-rank of the top-k finds the true optimum —
-checked here by exhaustively exact-simulating a whole schedule space
-and asserting the surrogate's leaders contain the exact best.
+im2col+GEMM driver's trace), and (c) the sweep's phase models rank the
+space well enough that the exact re-rank of the top-k finds the true
+optimum — checked here by exhaustively exact-simulating a whole
+schedule space and asserting the model's leaders contain the exact
+best.
 """
 
 import json
@@ -18,8 +19,10 @@ import pytest
 
 from repro.cli import main
 from repro.codesign.tuner import proxy_layer, tune_layer, tune_network
-from repro.conv.layer import ConvLayerSpec
+from repro.conv.layer import ConvAlgorithm, ConvLayerSpec
 from repro.kernels import im2col_gemm_conv2d_sim
+from repro.model.layer_model import layer_phases
+from repro.model.traffic import stats_from_model
 from repro.rvv import Memory, RvvMachine, Tracer
 from repro.sim.system import Simulator, SystemConfig
 
@@ -76,16 +79,27 @@ def test_top1_never_loses_to_the_handwritten_baseline():
 
 
 @pytest.mark.parametrize("layer", NET, ids=[lay.name for lay in NET])
-def test_surrogate_topk_contains_the_exact_best(layer):
+def test_model_topk_contains_the_exact_best(layer):
     """Exhaustively exact-simulate the space; the true optimum must be
-    reachable through the surrogate's top-k."""
+    reachable through the model's top-k."""
     tuning = tune_layer(layer, CONFIG, seed=0, budget=None, top_k=3,
                         exhaustive=True)
     assert len(tuning.evaluated) == len(tuning.candidates)
     exact_best = tuning.best.exact_cycles
     ranked = sorted(tuning.candidates,
-                    key=lambda c: c.surrogate_cycles)[:tuning.top_k]
+                    key=lambda c: c.model_cycles)[:tuning.top_k]
     assert min(c.exact_cycles for c in ranked) == exact_best
+
+
+@pytest.mark.parametrize("layer", NET, ids=[lay.name for lay in NET])
+def test_model_cycles_are_the_reference_cycles(layer):
+    """Every candidate is priced exactly as ``stats_from_model`` prices
+    the sweep's phase models with that GEMM schedule."""
+    tuning = tune_layer(layer, CONFIG, seed=0, budget=None, top_k=1)
+    for c in tuning.candidates:
+        phases = layer_phases(layer, CONFIG, ConvAlgorithm.IM2COL_GEMM,
+                              gemm_schedule=c.schedule)
+        assert c.model_cycles == stats_from_model(phases, CONFIG).cycles
 
 
 def test_proxy_layer_caps_pixels_and_channels():
