@@ -418,8 +418,8 @@ def _point_path(directory: Path, vlen: int, l2_mb: int) -> Path:
     return directory / f"point_v{vlen}_l2mb{l2_mb}.json"
 
 
-def _materialize_json(path: Path, payload: dict) -> str:
-    """Write ``payload`` to a *uniquely named* sibling temp file,
+def _materialize_text(path: Path, text: str) -> str:
+    """Write ``text`` to a *uniquely named* sibling temp file,
     flushed and fsynced; returns the temp path, ready to publish.
 
     The unique name (``tempfile.mkstemp``) is what makes concurrent
@@ -436,7 +436,7 @@ def _materialize_json(path: Path, payload: dict) -> str:
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
     except BaseException:
@@ -449,6 +449,12 @@ def _materialize_json(path: Path, payload: dict) -> str:
 
 
 def _write_json_atomic(path: Path, payload: dict) -> None:
+    """Atomically (re)write ``path`` with ``json.dumps(payload)`` (see
+    :func:`_write_text_atomic`)."""
+    _write_text_atomic(path, json.dumps(payload))
+
+
+def _write_text_atomic(path: Path, text: str) -> None:
     """Atomically (re)write ``path`` — safe against kills *and*
     concurrent writers.
 
@@ -457,7 +463,7 @@ def _write_json_atomic(path: Path, payload: dict) -> None:
     resume); concurrent writers each publish a complete file and the
     last ``os.replace`` wins.
     """
-    tmp = _materialize_json(path, payload)
+    tmp = _materialize_text(path, text)
     try:
         os.replace(tmp, path)
     except BaseException:
@@ -477,7 +483,7 @@ def _create_json_excl(path: Path, payload: dict) -> bool:
     winner's file is complete the instant it is observable; the loser
     can immediately read and validate it.
     """
-    tmp = _materialize_json(path, payload)
+    tmp = _materialize_text(path, json.dumps(payload))
     try:
         os.link(tmp, path)
     except FileExistsError:

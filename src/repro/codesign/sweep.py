@@ -12,6 +12,7 @@ smallest configuration, and L2 miss-rate tables.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,8 +71,10 @@ MODES = (BACKEND_EXACT, BACKEND_FAST, "validate")
 
 
 #: One grid point as a :class:`SweepPoints` holds it: a
-#: :class:`NetworkResult`, or point ``i`` of a computed column.
-PointEntry = Union[NetworkResult, tuple[ColumnResult, int]]
+#: :class:`NetworkResult`, point ``i`` of a computed column, or the
+#: point's ``to_dict()`` JSON text (a served point, spliced from stored
+#: bytes).
+PointEntry = Union[NetworkResult, tuple[ColumnResult, int], str]
 
 
 class SweepPoints(Mapping[tuple[int, int], NetworkResult]):
@@ -79,9 +82,10 @@ class SweepPoints(Mapping[tuple[int, int], NetworkResult]):
 
     Restored and decoded points are :class:`NetworkResult` objects;
     computed ones stay point ``i`` of their
-    :class:`~repro.nets.inference.ColumnResult` until looked up, when
-    the point is built once and cached.  :meth:`point_dict` writes a
-    point's ``to_dict()`` form without building it.
+    :class:`~repro.nets.inference.ColumnResult`, and served ones their
+    JSON text, until looked up, when the point is built once and
+    cached.  :meth:`point_dict` writes a point's ``to_dict()`` form, and
+    :meth:`point_json` its text, without building it.
     """
 
     def __init__(self, entries: Mapping[tuple[int, int], PointEntry]) -> None:
@@ -95,6 +99,9 @@ class SweepPoints(Mapping[tuple[int, int], NetworkResult]):
         if isinstance(entry, tuple):
             column, i = entry
             entry = self._entries[key] = column.point(i)
+        elif isinstance(entry, str):
+            entry = self._entries[key] = NetworkResult.from_dict(
+                json.loads(entry))
         return entry
 
     def __contains__(self, key: object) -> bool:
@@ -113,7 +120,16 @@ class SweepPoints(Mapping[tuple[int, int], NetworkResult]):
         if isinstance(entry, tuple):
             column, i = entry
             return column.point_dict(i)
+        if isinstance(entry, str):
+            return json.loads(entry)
         return entry.to_dict()
+
+    def point_json(self, key: tuple[int, int]) -> str:
+        """``json.dumps(self.point_dict(key))``; a served point's text as
+        it is."""
+        entry = self._entries[key]
+        return entry if isinstance(entry, str) else json.dumps(
+            self.point_dict(key))
 
     def seconds(self, key: tuple[int, int]) -> float:
         """``self[key].total.seconds``, straight from the column while
@@ -122,7 +138,7 @@ class SweepPoints(Mapping[tuple[int, int], NetworkResult]):
         if isinstance(entry, tuple):
             column, i = entry
             return column.seconds(i)
-        return entry.total.seconds
+        return self[key].total.seconds
 
     def l2_miss_rate(self, key: tuple[int, int]) -> float:
         """``self[key].total.l2_miss_rate``, straight from the column
@@ -131,7 +147,7 @@ class SweepPoints(Mapping[tuple[int, int], NetworkResult]):
         if isinstance(entry, tuple):
             column, i = entry
             return column.l2_miss_rate(i)
-        return entry.total.l2_miss_rate
+        return self[key].total.l2_miss_rate
 
     def merged(self, other: "SweepPoints") -> "SweepPoints":
         """Both maps' points; where both hold a key, this map's wins."""
@@ -302,6 +318,20 @@ class SweepResult:
         if self.degraded:
             d["degraded"] = True
         return d
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict())``, with each point's text from
+        :meth:`SweepPoints.point_json` (served points are not encoded
+        again)."""
+        head = json.dumps({"name": self.name, "backend": self.backend,
+                           "vlens": list(self.vlens),
+                           "l2_mbs": list(self.l2_mbs)})
+        results = ", ".join(
+            f'{{"vlen": {v}, "l2_mb": {l}, '
+            f'"network": {self._points.point_json((v, l))}}}'
+            for v, l in sorted(self.results))
+        tail = ', "degraded": true}' if self.degraded else "}"
+        return f'{head[:-1]}, "results": [{results}]{tail}'
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepResult":

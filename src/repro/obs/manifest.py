@@ -49,16 +49,21 @@ def git_rev(cwd: str | Path | None = None) -> str | None:
     return rev if out.returncode == 0 and rev else None
 
 
+@lru_cache(maxsize=4)
+def _state_digest(state: tuple) -> str:
+    # Keyed by the state itself: a served process stamps a manifest on
+    # every query, and the repr of the 625-word state costs more than
+    # the rest of the manifest together.
+    return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+
+
 def seed_state(seed: int | None = None) -> dict:
     """The RNG state block: the explicit seed (when the command took
     one) plus a digest of the stdlib RNG state and ``PYTHONHASHSEED``,
     enough to notice two "identical" runs that actually diverged."""
-    digest = hashlib.sha256(
-        repr(random.getstate()).encode()
-    ).hexdigest()[:16]
     return {
         "seed": seed,
-        "random_state_digest": digest,
+        "random_state_digest": _state_digest(random.getstate()),
         "pythonhashseed": os.environ.get("PYTHONHASHSEED"),
     }
 

@@ -44,6 +44,7 @@ import bisect
 import math
 import re
 import threading
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -181,7 +182,8 @@ class Histogram:
         self._counts = [0] * (len(bounds) + 1)  # last slot is +Inf
         self._sum = 0.0
         self._count = 0
-        self._samples: list[float] = []
+        # Packed doubles: a full reservoir is 0.5 MB, not 2 MB of floats.
+        self._samples = array("d")
         self._dropped = 0
         if sample_cap is None:
             sample_cap = env_int(
@@ -302,7 +304,7 @@ class Histogram:
             self._counts = [0] * len(self._counts)
             self._sum = 0.0
             self._count = 0
-            self._samples = []
+            self._samples = array("d")
             self._dropped = 0
 
 

@@ -63,6 +63,26 @@ def _require(cond: bool, message: str) -> None:
         raise ScheduleError(message)
 
 
+class Tiles(dict[str, "int | str"]):
+    """An immutable axis -> tile size map: a ``dict`` (same equality,
+    order and repr) that refuses mutation and hashes by its items, so a
+    :class:`Schedule` is a hashable value."""
+
+    __slots__ = ()
+
+    def _immutable(self, *args: object, **kwargs: object) -> None:
+        raise TypeError("schedule tiles are immutable; use Schedule.tile")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable  # type: ignore[assignment]
+    clear = pop = popitem = setdefault = update = _immutable  # type: ignore[assignment]
+
+    def __hash__(self) -> int:  # type: ignore[override]
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self) -> tuple[type["Tiles"], tuple[dict[str, int | str]]]:
+        return (Tiles, (dict(self),))
+
+
 @dataclass(frozen=True)
 class Schedule:
     """One point of the scheduling space for one statement kind.
@@ -76,7 +96,8 @@ class Schedule:
 
     Attributes:
         kind: statement kind (``matmul`` or ``copy``).
-        tiles: axis -> tile size (int elements, or :data:`VL`).
+        tiles: axis -> tile size (int elements, or :data:`VL`), held
+            as an immutable :class:`Tiles` whatever mapping was given.
         order: loop order of the *outer* (block) loops, a permutation
             of the kind's axes.  The reduction axis' position only
             matters when it is tiled (untiled reductions always run
@@ -96,7 +117,7 @@ class Schedule:
     """
 
     kind: str
-    tiles: Mapping[str, int | str] = field(default_factory=dict)
+    tiles: Mapping[str, int | str] = field(default_factory=Tiles)
     order: tuple[str, ...] = ()
     vector_axis: str | None = None
     lmul: int = 1
@@ -106,6 +127,8 @@ class Schedule:
 
     def __post_init__(self) -> None:
         _require(self.kind in AXES, f"unknown statement kind {self.kind!r}")
+        if type(self.tiles) is not Tiles:
+            object.__setattr__(self, "tiles", Tiles(self.tiles))
         if not self.order:
             object.__setattr__(self, "order", AXES[self.kind])
 
@@ -142,9 +165,7 @@ class Schedule:
                      and size >= 1,
                      f"tile size must be a positive int or {VL!r}, "
                      f"got {size!r}")
-        tiles = dict(self.tiles)
-        tiles[axis] = size
-        return replace(self, tiles=tiles)
+        return replace(self, tiles={**self.tiles, axis: size})
 
     def reorder(self, *axes: str) -> "Schedule":
         """Set the nesting order of the outer block loops."""

@@ -50,7 +50,7 @@ def matmul_space(
     mr_default: int = 8,
 ) -> list[Schedule]:
     """Every legal matmul schedule point; the default comes first."""
-    out = [default_matmul_schedule(mr_default)]
+    out = {default_matmul_schedule(mr_default): None}  # ordered set
     for lmul in LMUL_CHOICES:
         for mr in MR_CHOICES:
             if mr + 1 > NUM_VREGS // lmul:
@@ -70,10 +70,8 @@ def matmul_space(
                     if kt is not None:
                         sched = sched.tile("k", kt).place("acc", "memory")
                     sched = sched.hoist_setvl()
-                    sched.validate()
-                    if sched not in out:
-                        out.append(sched)
-    return out
+                    out.setdefault(sched.validate())
+    return list(out)
 
 
 def copy_space() -> list[Schedule]:

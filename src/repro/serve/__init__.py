@@ -10,6 +10,10 @@ stdlib-only:
   darknet cfg text, VLEN/L2 grid, backend mode), the content address
   that keys results (network hash x backend x grid point), NDJSON
   framing, and the blocking client used by ``repro query``;
+- :mod:`repro.serve.codec` — a stored point's form: its canonical JSON
+  text cut at the label slots, spliced under each query's labels, and
+  the strict reader that accepts a point from disk only as its own
+  canonical encoding;
 - :mod:`repro.serve.store` — the content-addressed result store: a
   thread-safe LRU with a byte budget, exactly-once get-or-compute
   coalescing, optional disk persistence, and ingestion of
@@ -29,9 +33,9 @@ stdlib-only:
   a saturation sweep over client counts.
 
 Results served from the store are bit-identical to a direct
-:func:`repro.codesign.codesign_sweep` call: points round-trip through
-the same shortest-repr JSON as sweep checkpoints, which preserves every
-float exactly.
+:func:`repro.codesign.codesign_sweep` call: a point is stored as the
+same shortest-repr JSON a sweep checkpoint holds, which preserves every
+float exactly, and a hit splices those bytes into the answer.
 """
 
 from repro.serve.protocol import (

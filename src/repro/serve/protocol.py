@@ -40,7 +40,9 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass, fields
+from functools import cache, cached_property, lru_cache
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.codesign.sweep import BACKEND_EXACT, BACKENDS
@@ -50,6 +52,7 @@ from repro.kernels.tuple_mult import SLIDEUP, VARIANTS
 from repro.nets import build_layers, vgg16_layers, yolov3_layers
 from repro.nets.inference import grid_axis, positive_int
 from repro.nets.layers import LayerSpec, MaxPoolSpec, ShortcutSpec
+from repro.sim.core import CONSTANT, THROUGHPUT
 from repro.sim.system import SystemConfig
 
 #: Version of the query/event wire schema.
@@ -79,6 +82,7 @@ class Query:
     config: SystemConfig = SystemConfig()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise ConfigError("query resolves to an empty network")
         if self.mode not in BACKENDS:
@@ -103,6 +107,38 @@ class Query:
         """Every (vlen, l2_mb) point of the query grid, row-major."""
         return tuple((v, l) for v in self.vlens for l in self.l2_mbs)
 
+    # The fields are frozen, so the content address is looked up once
+    # per query, not once per point.
+    @cached_property
+    def _address(self) -> tuple[dict[str, Any], str]:
+        return _content_address(self.layers, self.hybrid, self.variant,
+                                self.config)
+
+    @property
+    def identity(self) -> dict[str, Any]:
+        """:func:`query_identity` (shared; do not mutate)."""
+        return self._address[0]
+
+    @property
+    def network_hash(self) -> str:
+        """:func:`network_hash`."""
+        return self._address[1]
+
+    @cached_property
+    def config_dict(self) -> dict[str, Any]:
+        """``dataclasses.asdict(self.config)``, computed once (do not
+        mutate)."""
+        return _flat_dict(self.config)
+
+    @cached_property
+    def json_labels(self) -> tuple[str, ...]:
+        """The JSON-escaped label slots of this query's answers: the
+        network name, each layer's name and the total's label (see
+        :class:`repro.serve.codec.StoredPoint`)."""
+        name = json.dumps(self.network)[1:-1]
+        return (name, *(json.dumps(layer.name)[1:-1]
+                         for layer in self.layers), name + " total")
+
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "Query":
         """Validate and resolve a JSON query payload.
@@ -125,7 +161,7 @@ class Query:
         config = _resolve_config(payload.get("config"))
         return cls(
             network=name,
-            layers=tuple(layers),
+            layers=layers,
             vlens=payload.get("vlens"),
             l2_mbs=payload.get("l2_mbs"),
             mode=str(payload.get("mode", BACKEND_EXACT)),
@@ -137,7 +173,7 @@ class Query:
 
 def _resolve_network(
     payload: Mapping[str, Any]
-) -> tuple[str, list[LayerSpec]]:
+) -> tuple[str, tuple[LayerSpec, ...]]:
     cfg_text = payload.get("cfg")
     named = payload.get("network")
     if (cfg_text is None) == (named is None):
@@ -147,7 +183,7 @@ def _resolve_network(
         )
     max_layers = _opt_int(payload, "max_layers")
     if named is not None:
-        if named not in NAMED_NETWORKS:
+        if not isinstance(named, str) or named not in NAMED_NETWORKS:
             raise ConfigError(
                 f"unknown network {named!r} (available: "
                 f"{', '.join(sorted(NAMED_NETWORKS))}; submit custom "
@@ -160,18 +196,59 @@ def _resolve_network(
                 f"{', '.join(cfg_only)} only apply to 'cfg' queries; "
                 f"named networks fix their input geometry"
             )
-        layers = NAMED_NETWORKS[str(named)]()
-        if max_layers is not None:
-            layers = layers[:max_layers]
-        return str(named), layers
-    layers = build_layers(
+        return named, _named_layers(named, max_layers)
+    layers = _cfg_layers(
         str(cfg_text),
-        height=_opt_int(payload, "height"),
-        width=_opt_int(payload, "width"),
-        channels=_opt_int(payload, "channels"),
-        max_layers=max_layers,
+        _opt_int(payload, "height"),
+        _opt_int(payload, "width"),
+        _opt_int(payload, "channels"),
+        max_layers,
     )
     return str(payload.get("name", "custom")), layers
+
+
+# Resolved networks are immutable (frozen layer specs in a tuple), so a
+# repeated query shares its network's resolution and content address.
+@lru_cache(maxsize=64)
+def _named_layers(named: str, max_layers: int | None) -> tuple[LayerSpec, ...]:
+    return tuple(NAMED_NETWORKS[named]()[:max_layers])
+
+
+@lru_cache(maxsize=64)
+def _cfg_layers(
+    cfg_text: str, height: int | None, width: int | None,
+    channels: int | None, max_layers: int | None,
+) -> tuple[LayerSpec, ...]:
+    return tuple(build_layers(cfg_text, height=height, width=width,
+                              channels=channels, max_layers=max_layers))
+
+
+#: Float config fields that may be zero (a free per-element cost); the
+#: other float fields must be positive.
+_ZERO_FLOATS = frozenset({"gather_per_elem", "strided_per_elem"})
+_LATENCY_MODES = (CONSTANT, THROUGHPUT)
+
+
+def _config_value(name: str, value: Any) -> Any:
+    """One config override, type-checked and in its field's canonical
+    type, so equal configurations hash equal (``2`` and ``2.0`` GHz are
+    one address).  Integers go through :func:`positive_int`."""
+    kind = _CONFIG_TYPES[name]
+    if kind == "str":
+        if not isinstance(value, str) or value not in _LATENCY_MODES:
+            raise ConfigError(
+                f"{name} takes one of {_LATENCY_MODES}, got {value!r}")
+        return value
+    if kind == "int":
+        return positive_int(value, name)
+    zero_ok = name in _ZERO_FLOATS
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value < 0
+            or (value == 0 and not zero_ok)):
+        raise ConfigError(
+            f"{name} takes {'non-negative' if zero_ok else 'positive'} "
+            f"numbers only, got {value!r}")
+    return float(value)
 
 
 def _resolve_config(overrides: Any) -> SystemConfig:
@@ -185,13 +262,13 @@ def _resolve_config(overrides: Any) -> SystemConfig:
             f"query config must not set {', '.join(bad_axes)}: the grid "
             f"axes are given by 'vlens'/'l2_mbs'"
         )
-    valid = set(asdict(SystemConfig()))
-    unknown = set(map(str, overrides)) - valid
+    unknown = set(map(str, overrides)) - set(_CONFIG_TYPES)
     if unknown:
         raise ConfigError(
             f"unknown config field(s): {', '.join(sorted(unknown))}"
         )
-    return SystemConfig(**{str(k): v for k, v in overrides.items()})
+    return SystemConfig(**{str(k): _config_value(str(k), v)
+                           for k, v in overrides.items()})
 
 
 def _opt_int(payload: Mapping[str, Any], field: str) -> int | None:
@@ -202,15 +279,31 @@ def _opt_int(payload: Mapping[str, Any], field: str) -> int | None:
 # ----------------------------------------------------------------------
 # Content addressing.
 # ----------------------------------------------------------------------
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _flat_dict(obj: Any, skip: tuple[str, ...] = ()) -> dict[str, Any]:
+    """``dataclasses.asdict`` of a dataclass whose fields are plain
+    values (the layer specs and :class:`SystemConfig`), without its
+    recursion and copying; ``skip`` fields are left out."""
+    return {name: getattr(obj, name) for name in _field_names(type(obj))
+            if name not in skip}
+
+
+#: Each config field's annotated type name (``int``, ``float``, ``str``).
+_CONFIG_TYPES = {f.name: str(f.type) for f in fields(SystemConfig)}
+
+_LAYER_KINDS = {ConvLayerSpec: "conv", MaxPoolSpec: "maxpool",
+                ShortcutSpec: "shortcut"}
+
+
 def _layer_dict(layer: LayerSpec) -> dict[str, Any]:
-    """Type-tagged canonical dict of one layer spec."""
-    kind = {
-        ConvLayerSpec: "conv", MaxPoolSpec: "maxpool",
-        ShortcutSpec: "shortcut",
-    }[type(layer)]
-    d = asdict(layer)
-    d.pop("name", None)  # labels are presentation, not identity
-    return {"kind": kind, **d}
+    """Type-tagged canonical dict of one layer spec (its name left out:
+    labels are presentation, not identity)."""
+    return {"kind": _LAYER_KINDS[type(layer)],
+            **_flat_dict(layer, skip=("name",))}
 
 
 def query_identity(query: Query) -> dict[str, Any]:
@@ -220,38 +313,65 @@ def query_identity(query: Query) -> dict[str, Any]:
     geometry, algorithm policy, base configuration — and nothing that
     does not (network labels, the grid extents, who asked).  The grid
     axes (``vlen_bits``/``l2_mb``) are stripped from the configuration:
-    :func:`point_key` carries the coordinates.
+    :func:`point_key` carries the coordinates.  The returned dict is
+    shared by every query with the same identity; do not mutate it.
     """
-    config = asdict(query.config)
-    for axis in _AXIS_FIELDS:
-        config.pop(axis)
-    return {
-        "schema": PROTOCOL_VERSION,
-        "layers": [_layer_dict(layer) for layer in query.layers],
-        "hybrid": query.hybrid,
-        "variant": query.variant,
-        "config": config,
-    }
+    return query.identity
 
 
 def network_hash(query: Query) -> str:
-    """Content address of the query's network x policy x base config."""
-    canonical = json.dumps(query_identity(query), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
+    """Content address of the query's network x policy x base config:
+    the first 32 hex digits of the SHA-256 of its
+    :func:`query_identity` (sorted keys, compact separators)."""
+    return query.network_hash
+
+
+@lru_cache(maxsize=256)
+def _content_address(
+    layers: tuple[LayerSpec, ...], hybrid: bool, variant: str,
+    config: SystemConfig,
+) -> tuple[dict[str, Any], str]:
+    """:func:`query_identity` and :func:`network_hash`, computed once per
+    distinct network, policy and base configuration."""
+    identity = {
+        "schema": PROTOCOL_VERSION,
+        "layers": [_layer_dict(layer) for layer in layers],
+        "hybrid": hybrid,
+        "variant": variant,
+        "config": _flat_dict(config, skip=_AXIS_FIELDS),
+    }
+    canonical = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
+    return identity, digest
 
 
 def point_key(query: Query, vlen: int, l2_mb: int) -> str:
     """The store key of one grid point: network hash x backend x point."""
-    return f"{network_hash(query)}:{query.mode}:v{int(vlen)}:l2mb{int(l2_mb)}"
+    return f"{query.network_hash}:{query.mode}:v{int(vlen)}:l2mb{int(l2_mb)}"
 
 
 # ----------------------------------------------------------------------
 # NDJSON framing and the blocking client.
 # ----------------------------------------------------------------------
+class JsonText(str):
+    """A value that is already JSON text: :func:`encode_event` splices
+    it verbatim instead of encoding it again."""
+
+    __slots__ = ()
+
+
 def encode_event(ev: Mapping[str, Any]) -> bytes:
-    """One event as an NDJSON line (the wire framing)."""
-    return (json.dumps(dict(ev)) + "\n").encode("utf-8")
+    """One event as an NDJSON line (the wire framing).
+
+    Byte-identical to ``json.dumps`` of the event with every
+    :class:`JsonText` value decoded.
+    """
+    if JsonText not in map(type, ev.values()):
+        return (json.dumps(dict(ev)) + "\n").encode("utf-8")
+    body = ", ".join(
+        f"{json.dumps(k)}: {v if type(v) is JsonText else json.dumps(v)}"
+        for k, v in ev.items())
+    return ("{" + body + "}\n").encode("utf-8")
 
 
 def iter_ndjson(stream: Iterable[bytes]) -> Iterator[dict[str, Any]]:

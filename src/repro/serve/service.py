@@ -53,14 +53,12 @@ import json
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.codesign.executor import CHECKPOINT_VERSION, evaluate_column
 from repro.codesign.sweep import SweepResult
 from repro.errors import ConfigError, ReproError
-from repro.model.layer_model import NetworkResult
 from repro.nets.inference import ColumnResult
 from repro.nets.layers import LayerSpec
 from repro.obs.events import (
@@ -74,11 +72,12 @@ from repro.obs.manifest import query_manifest, write_manifest
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, METRICS, render_prometheus
 from repro.obs.render import trace_payload
 from repro.obs.trace import Span, Tracer
+from repro.serve.codec import StoredPoint
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
+    JsonText,
     Query,
     encode_event,
-    network_hash,
     point_key,
     query_identity,
 )
@@ -90,7 +89,7 @@ from repro.serve.store import (
 )
 
 #: What a resolved in-flight point future carries.
-_PointValue = tuple[dict[str, Any], float]
+_PointValue = tuple[StoredPoint, float]
 
 # Typed serve-path metrics (see repro.obs.metrics).  Module-level
 # handles: creation is get-or-create on the process registry, and
@@ -153,27 +152,11 @@ def _column_worker(
     )
 
 
-def _point_result(query: Query, payload: dict[str, Any]) -> NetworkResult:
-    """Decode a stored point under ``query``'s own labels.
-
-    Store keys leave labels out (:func:`~repro.serve.protocol.
-    query_identity`), so a payload may have been computed for another
-    network with the same layers; its network name, total label and
-    per-layer labels (``<layer name>[<algorithm>]``) are renamed to
-    this query's, exactly what a direct sweep of it would carry.
-    """
-    result = NetworkResult.from_dict(payload["result"])
-    result.total.label = f"{query.network} total"
-    for layer, stats in zip(query.layers, result.per_layer):
-        stats.label = layer.name + stats.label[stats.label.rindex("["):]
-    return replace(result, name=query.network)
-
-
 def _point_payload(
     query: Query, vlen: int, l2_mb: int, result: dict[str, Any]
 ) -> dict[str, Any]:
     """One computed point in the checkpoint point schema (what the
-    store holds and what ``--checkpoint-dir`` would have written);
+    store encodes and what ``--checkpoint-dir`` would have written);
     ``result`` is the point's ``NetworkResult.to_dict()`` form."""
     return {
         "version": CHECKPOINT_VERSION,
@@ -182,6 +165,19 @@ def _point_payload(
         "l2_mb": int(l2_mb),
         "result": result,
     }
+
+
+class NdjsonSink(CallbackSink):
+    """The wire writer: each event framed by :func:`encode_event` and
+    handed to ``write`` as one NDJSON line.
+
+    The service hands this sink the ``query_result`` sweep as
+    :class:`~repro.serve.protocol.JsonText`, spliced from the stored
+    points' bytes; every other sink gets the same sweep as a dict.
+    """
+
+    def __init__(self, write: Callable[[bytes], None]) -> None:
+        super().__init__(lambda ev: write(encode_event(ev)))
 
 
 class CodesignService:
@@ -275,11 +271,13 @@ class CodesignService:
     ) -> SweepResult:
         """Answer one query, streaming progress events into ``sink``.
 
-        Store hits are answered immediately; cold points are batched by
-        VLEN column onto the worker pool (or coalesced onto another
-        query's in-flight computation).  Returns the assembled
+        Store hits are answered immediately, their stored bytes spliced
+        under this query's labels; cold points are batched by VLEN
+        column onto the worker pool (or coalesced onto another query's
+        in-flight computation).  Returns the assembled
         :class:`~repro.codesign.SweepResult`, bit-identical to a direct
-        :func:`~repro.codesign.codesign_sweep` over the same grid.
+        :func:`~repro.codesign.codesign_sweep` over the same grid; its
+        points are decoded only when looked up.
         """
         if self._draining:
             _M_REFUSED.inc()
@@ -290,7 +288,8 @@ class CodesignService:
         self.open_queries += 1
         _G_OPEN.set(self.open_queries)
         started = time.perf_counter()
-        nh = network_hash(query)
+        nh = query.network_hash
+        spliced = isinstance(sink, NdjsonSink)
         served = {SOURCE_STORE: 0, SOURCE_COMPUTED: 0, SOURCE_COALESCED: 0}
         tracer = Tracer() if self.trace_dir is not None else None
         status = "ok"
@@ -301,9 +300,10 @@ class CodesignService:
                     network_hash=nh, backend=query.mode,
                 ):
                     return await self._answer(
-                        query, scoped, qid, started, nh, served, tracer)
+                        query, scoped, qid, started, nh, served, tracer,
+                        spliced)
             return await self._answer(
-                query, scoped, qid, started, nh, served, None)
+                query, scoped, qid, started, nh, served, None, spliced)
         except BaseException:
             status = "error"
             _M_QUERIES_FAILED.inc()
@@ -339,8 +339,8 @@ class CodesignService:
         qdir = self.trace_dir / f"query_{qid}"
         qdir.mkdir(parents=True, exist_ok=True)
         manifest = query_manifest(
-            qid, query_identity(query),
-            config=asdict(query.config), backend=query.mode,
+            qid, query_identity(query), config=query.config_dict,
+            backend=query.mode,
         )
         write_manifest(qdir, manifest)
         (qdir / "trace.json").write_text(
@@ -357,6 +357,7 @@ class CodesignService:
         nh: str,
         served: dict[str, int],
         tracer: Tracer | None,
+        spliced: bool,
     ) -> SweepResult:
         total = len(query.points)
         sink.emit(event(
@@ -365,11 +366,13 @@ class CodesignService:
             vlens=list(query.vlens), l2_mbs=list(query.l2_mbs), points=total,
         ))
         sink.emit(event("query_manifest", manifest=query_manifest(
-            qid, query_identity(query),
-            config=asdict(query.config), backend=query.mode,
+            qid, query_identity(query), config=query.config_dict,
+            backend=query.mode,
         )))
 
-        results: dict[tuple[int, int], NetworkResult] = {}
+        # Each point is its JSON text under this query's labels.
+        labels = query.json_labels
+        results: dict[tuple[int, int], str] = {}
         waits: list[
             tuple[int, int, "asyncio.Future[_PointValue]", str]
         ] = []
@@ -377,12 +380,11 @@ class CodesignService:
         for vlen, l2_mb in query.points:
             key = point_key(query, vlen, l2_mb)
             t0 = time.perf_counter()
-            payload = self.store.get(key)
-            if payload is not None:
+            stored = self.store.get(key)
+            if stored is not None:
                 lookup = time.perf_counter() - t0
-                results[(vlen, l2_mb)] = _point_result(query, payload)
+                results[(vlen, l2_mb)] = stored.result_json(labels)
                 served[SOURCE_STORE] += 1
-                _M_POINTS_STORE.inc()
                 _H_POINT.observe(lookup)
                 sink.emit(event(
                     "point", vlen=vlen, l2_mb=l2_mb, source=SOURCE_STORE,
@@ -394,6 +396,8 @@ class CodesignService:
                 waits.append((vlen, l2_mb, inflight, SOURCE_COALESCED))
             else:
                 cold.setdefault(vlen, []).append(l2_mb)
+        if served[SOURCE_STORE]:  # bumped once per query, not per point
+            _M_POINTS_STORE.inc(served[SOURCE_STORE])
 
         loop = asyncio.get_running_loop()
         for vlen, l2s in sorted(cold.items()):
@@ -426,16 +430,16 @@ class CodesignService:
                 if failure is None:
                     failure = outcome
                 continue
-            payload, seconds = outcome
-            results[(vlen, l2_mb)] = _point_result(query, payload)
+            stored, seconds = outcome
+            results[(vlen, l2_mb)] = stored.result_json(labels)
             served[source] += 1
-            if source == SOURCE_COALESCED:
-                _M_POINTS_COALESCED.inc()
             _H_POINT.observe(seconds)
             sink.emit(event(
                 "point", vlen=vlen, l2_mb=l2_mb, source=source,
                 seconds=round(seconds, 6), done=len(results), total=total,
             ))
+        if served[SOURCE_COALESCED]:
+            _M_POINTS_COALESCED.inc(served[SOURCE_COALESCED])
         if failure is not None:
             raise failure
 
@@ -447,7 +451,8 @@ class CodesignService:
             "query_end", seconds=round(time.perf_counter() - started, 6),
             served=dict(served),
         ))
-        sink.emit(event("query_result", sweep=sweep.to_dict()))
+        sink.emit(event("query_result", sweep=(
+            JsonText(sweep.to_json()) if spliced else sweep.to_dict())))
         self.queries_served += 1
         return sweep
 
@@ -483,14 +488,13 @@ class CodesignService:
                 # is awaiting these very futures).
                 tracer.attach(Span.from_dict(extras["span"]))
             for i, (l2_mb, secs) in enumerate(zip(column.l2_mbs, seconds)):
-                payload = _point_payload(query, vlen, l2_mb,
-                                         column.point_dict(i))
-                self.store.put(keys[l2_mb], payload)
+                stored = self.store.put(keys[l2_mb], _point_payload(
+                    query, vlen, l2_mb, column.point_dict(i)))
                 _M_POINTS_COMPUTED.inc()
                 self._inflight.pop(keys[l2_mb], None)
                 fut = futs[l2_mb]
                 if not fut.done():
-                    fut.set_result((payload, secs))
+                    fut.set_result((stored, secs))
             _G_INFLIGHT.set(len(self._inflight))
         except BaseException as e:
             for l2_mb, fut in futs.items():
@@ -720,11 +724,11 @@ class ServeServer:
         # of buffered onto a dead transport — the computation itself
         # keeps running (its futures may be shared with other queries)
         # and its points still land in the store.
-        def _emit(ev: dict[str, Any]) -> None:
+        def _write(line: bytes) -> None:
             if not writer.is_closing():
-                writer.write(encode_event(ev))
+                writer.write(line)
 
-        sink = CallbackSink(_emit)
+        sink = NdjsonSink(_write)
         try:
             await self.service.handle_query(query, sink)
         except ReproError as e:

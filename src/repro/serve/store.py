@@ -2,12 +2,14 @@
 
 One entry per answered grid point, keyed by
 :func:`repro.serve.protocol.point_key` (network hash x backend x grid
-point) and holding the *checkpoint point schema verbatim* —
+point) and holding a point in the *checkpoint point schema* —
 ``{"version", "backend", "vlen", "l2_mb", "result"}``, exactly what
 :mod:`repro.codesign.executor` writes under ``--checkpoint-dir`` — so
 a sweep's checkpoint directory can be ingested as a warm cache
-(:meth:`ResultStore.ingest_checkpoint_dir`) and a stored point restores
-through the same validation path as a resume.
+(:meth:`ResultStore.ingest_checkpoint_dir`).  An entry is held encoded,
+once: a :class:`~repro.serve.codec.StoredPoint`, the point's canonical
+JSON text cut at its label slots, which the service splices into its
+answers and the durable tier writes as is.
 
 Consistency guarantees:
 
@@ -17,22 +19,29 @@ Consistency guarantees:
   result; a failed compute propagates to every waiter and leaves the
   key absent (the next caller retries).
 - **bounded memory** — entries are LRU-evicted once the resident
-  payloads exceed ``max_bytes`` (sized by their canonical JSON text,
-  the same bytes persistence writes).  An entry larger than the whole
-  budget is stored nowhere and served pass-through.
+  encoded points exceed ``max_bytes`` (each counted by the length of
+  its canonical JSON text, which is what it holds).  An entry larger
+  than the whole budget is stored nowhere and served pass-through.
 - **durable tier** — with ``directory`` set, every ``put`` also
   persists the entry atomically (unique temp + fsync + rename, the
   checkpoint writer's discipline), eviction drops only the memory
   copy, and a ``get`` miss falls back to disk; a service killed
   mid-run therefore restarts warm, losing at most the point that was
   in flight.
+- **strict on read** — an entry file, or an ingested checkpoint point,
+  is accepted only if it is byte for byte the canonical encoding of
+  the point it decodes to, with no negative or non-finite number
+  (:func:`repro.serve.codec.read_point`).  A rejected entry file is a
+  miss (the point is recomputed and rewritten); a rejected checkpoint
+  point is skipped with a ``checkpoint_corrupt`` warning.  Both count
+  in ``store.rejected``.
 
-Observability: the ``store.{hits,misses,coalesced,evictions,disk_hits}``
-counters on the process-global :data:`repro.obs.METRICS` registry
-(``GET /metrics``).  :meth:`ResultStore.snapshot` is the ``/v1/stats``
-view: occupancy (``entries``, ``bytes``) copied under the store's lock
-plus the registry's counter values, which are process-wide — the same
-thing for the one store a served process runs.
+Observability: the ``store.{hits,misses,coalesced,evictions,disk_hits,
+rejected}`` counters on the process-global :data:`repro.obs.METRICS`
+registry (``GET /metrics``).  :meth:`ResultStore.snapshot` is the
+``/v1/stats`` view: occupancy (``entries``, ``bytes``) copied under the
+store's lock plus the registry's counter values, which are process-wide
+— the same thing for the one store a served process runs.
 """
 
 from __future__ import annotations
@@ -41,20 +50,22 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
+from collections.abc import Mapping
 from concurrent.futures import Future
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Union
 
 from repro.codesign.executor import (
     CHECKPOINT_VERSION,
     MANIFEST_NAME,
-    _load_point,
     _manifest_identity,
-    _write_json_atomic,
+    _point_path,
+    _write_text_atomic,
 )
 from repro.errors import ConfigError
+from repro.obs.events import LEVEL_WARNING, EventSink, event
 from repro.obs.metrics import METRICS
+from repro.serve.codec import StoredPoint, encode_point, read_point
 from repro.serve.protocol import Query, point_key
 
 #: Default in-memory budget in MB.
@@ -72,6 +83,9 @@ _M_COALESCED = METRICS.counter(
 )
 _M_EVICTIONS = METRICS.counter("store.evictions", "entries LRU-evicted over the byte budget")
 _M_DISK_HITS = METRICS.counter("store.disk_hits", "hits served by reading the durable tier")
+_M_REJECTED = METRICS.counter(
+    "store.rejected", "entry files and checkpoint points refused on read (not canonical)"
+)
 _G_ENTRIES = METRICS.gauge("store.entries", "resident store entries")
 _G_BYTES = METRICS.gauge("store.bytes", "resident store payload bytes")
 
@@ -79,22 +93,20 @@ _G_BYTES = METRICS.gauge("store.bytes", "resident store payload bytes")
 _STORE_TOTALS = {
     "hits": _M_HITS, "misses": _M_MISSES, "coalesced": _M_COALESCED,
     "evictions": _M_EVICTIONS, "disk_hits": _M_DISK_HITS,
+    "rejected": _M_REJECTED,
 }
 
-
-@dataclass
-class _Entry:
-    payload: dict[str, Any]
-    nbytes: int = field(default=0)
+#: What ``put`` and a compute hand the store: a payload dict, or one
+#: already encoded.
+PointPayload = Union[Mapping[str, Any], StoredPoint]
 
 
-def _payload_bytes(payload: dict[str, Any]) -> int:
-    return len(json.dumps(payload).encode("utf-8"))
-
-
-def _validate_point_payload(payload: Any) -> dict[str, Any]:
-    """Schema-check one stored point (the checkpoint point schema)."""
-    if not isinstance(payload, dict):
+def _stored(payload: Any) -> StoredPoint:
+    """Schema-check one point payload (the checkpoint point schema's
+    envelope) and encode it, unless it already is."""
+    if isinstance(payload, StoredPoint):
+        return payload
+    if not isinstance(payload, Mapping):
         raise ConfigError("store payload is not a JSON object")
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
@@ -105,7 +117,7 @@ def _validate_point_payload(payload: Any) -> dict[str, Any]:
     for required in ("backend", "vlen", "l2_mb", "result"):
         if required not in payload:
             raise ConfigError(f"store payload missing {required!r}")
-    return payload
+    return encode_point(payload)
 
 
 class ResultStore:
@@ -124,9 +136,9 @@ class ResultStore:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        self._inflight: dict[str, Future[dict[str, Any]]] = {}
-        #: Resident payload bytes, the LRU's budget measure.
+        self._entries: "OrderedDict[str, StoredPoint]" = OrderedDict()
+        self._inflight: dict[str, Future[StoredPoint]] = {}
+        #: Resident encoded bytes, the LRU's budget measure.
         self._bytes = 0
 
     # ------------------------------------------------------------------
@@ -159,14 +171,14 @@ class ResultStore:
         with self._lock:
             return key in self._entries
 
-    def get(self, key: str) -> dict[str, Any] | None:
-        """The stored payload for ``key``, or ``None`` (counted)."""
+    def get(self, key: str) -> StoredPoint | None:
+        """The stored point for ``key``, or ``None`` (counted)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 _M_HITS.inc()
-                return entry.payload
+                return entry
         payload = self._disk_get(key)
         if payload is not None:
             with self._lock:
@@ -177,18 +189,20 @@ class ResultStore:
         _M_MISSES.inc()
         return None
 
-    def put(self, key: str, payload: dict[str, Any]) -> None:
-        """Insert (or refresh) one point payload under its key."""
-        _validate_point_payload(payload)
+    def put(self, key: str, payload: PointPayload) -> StoredPoint:
+        """Insert (or refresh) one point payload under its key; returns
+        it encoded."""
+        payload = _stored(payload)
         with self._lock:
             self._admit_locked(key, payload)
         self._disk_put(key, payload)
+        return payload
 
     def get_or_compute(
         self,
         key: str,
-        compute: Callable[[], dict[str, Any]],
-    ) -> tuple[dict[str, Any], str]:
+        compute: Callable[[], PointPayload],
+    ) -> tuple[StoredPoint, str]:
         """Answer ``key`` from the store, or compute it exactly once.
 
         Returns ``(payload, source)`` where ``source`` is
@@ -199,13 +213,13 @@ class ResultStore:
         exactly once.
         """
         owner = False
-        fut: Future[dict[str, Any]]
+        fut: Future[StoredPoint]
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 _M_HITS.inc()
-                return entry.payload, SOURCE_STORE
+                return entry, SOURCE_STORE
             existing = self._inflight.get(key)
             if existing is None:
                 fut = Future()
@@ -228,7 +242,7 @@ class ResultStore:
             fut.set_result(disk)
             return disk, SOURCE_STORE
         try:
-            payload = _validate_point_payload(compute())
+            payload = _stored(compute())
         except BaseException as e:
             with self._lock:
                 self._inflight.pop(key, None)
@@ -243,9 +257,9 @@ class ResultStore:
         return payload, SOURCE_COMPUTED
 
     # ------------------------------------------------------------------
-    def _admit_locked(self, key: str, payload: dict[str, Any]) -> None:
+    def _admit_locked(self, key: str, payload: StoredPoint) -> None:
         """Insert under the held lock, LRU-evicting to the byte budget."""
-        nbytes = _payload_bytes(payload)
+        nbytes = payload.nbytes
         old = self._entries.pop(key, None)
         if old is not None:
             self._bytes -= old.nbytes
@@ -255,7 +269,7 @@ class ResultStore:
             _, dropped = self._entries.popitem(last=False)
             self._bytes -= dropped.nbytes
             _M_EVICTIONS.inc()
-        self._entries[key] = _Entry(payload, nbytes)
+        self._entries[key] = payload
         self._bytes += nbytes
 
     # ------------------------------------------------------------------
@@ -267,41 +281,44 @@ class ResultStore:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:40]
         return self.directory / f"entry_{digest}.json"
 
-    def _disk_get(self, key: str) -> dict[str, Any] | None:
+    def _disk_get(self, key: str) -> StoredPoint | None:
         path = self._disk_path(key)
         if path is None:
             return None
         try:
-            wrapped = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None  # absent or torn: recompute, never trust
-        if not isinstance(wrapped, dict) or wrapped.get("key") != key:
-            return None
+            text = path.read_text(encoding="utf-8")
+        except OSError:
+            return None  # absent or unreadable: recompute
         try:
-            return _validate_point_payload(wrapped.get("point"))
+            return read_point(text, key)
         except ConfigError:
+            _M_REJECTED.inc()  # torn, foreign or not canonical: never trust
             return None
 
-    def _disk_put(self, key: str, payload: dict[str, Any]) -> None:
+    def _disk_put(self, key: str, payload: StoredPoint) -> None:
         path = self._disk_path(key)
         if path is None:
             return
-        _write_json_atomic(path, {"key": key, "point": payload})
+        _write_text_atomic(path, payload.entry_json(key))
 
     # ------------------------------------------------------------------
     # Checkpoint-directory ingestion (sweep -> serve round trip).
     # ------------------------------------------------------------------
     def ingest_checkpoint_dir(
-        self, directory: str | Path, query: Query
+        self, directory: str | Path, query: Query,
+        sink: EventSink | None = None,
     ) -> int:
         """Warm the store from a ``repro sweep --checkpoint-dir``.
 
         The directory's manifest must match the query's identity the
         same way a resume would check it (name, backend, policy, base
-        config); every readable point file then lands under its
-        content-addressed key.  Returns the number of points ingested;
-        torn or cross-backend files are skipped exactly as a resume
-        would drop them.
+        config); every point file then lands under its
+        content-addressed key.  Returns the number of points ingested.
+        A point file is read strictly (:func:`~repro.serve.codec.
+        read_point`) and must also belong to the query — its backend,
+        file name and layer count; any other file is skipped, counted
+        in ``store.rejected`` and reported as a ``checkpoint_corrupt``
+        warning event into ``sink`` naming the file and the reason.
         """
         directory = Path(directory)
         mpath = directory / MANIFEST_NAME
@@ -321,7 +338,7 @@ class ResultStore:
                 ("backend", query.mode),
                 ("hybrid", query.hybrid),
                 ("variant", query.variant),
-                ("config", asdict(query.config)),
+                ("config", query.config_dict),
             )
             if identity.get(field_) != expected
         ]
@@ -332,12 +349,28 @@ class ResultStore:
             )
         ingested = 0
         for path in sorted(directory.glob("point_v*_l2mb*.json")):
-            result, reason = _load_point(path, query.mode)
-            if result is None or reason is not None:
+            try:
+                point = read_point(path.read_text(encoding="utf-8"))
+                payload = point.payload()
+                vlen, l2_mb = payload["vlen"], payload["l2_mb"]
+                if payload["backend"] != query.mode:
+                    raise ConfigError(
+                        f"produced by backend {payload['backend']!r}, the "
+                        f"query runs {query.mode!r}")
+                if path.name != _point_path(directory, vlen, l2_mb).name:
+                    raise ConfigError(
+                        f"holds point ({vlen}, {l2_mb}), not the one its "
+                        f"name says")
+                if len(point.labels) != len(query.json_labels):
+                    raise ConfigError(
+                        f"has {len(point.labels) - 2} layers, the query "
+                        f"{len(query.layers)}")
+            except (OSError, ConfigError) as e:
+                _M_REJECTED.inc()
+                if sink is not None:
+                    sink.emit(event("checkpoint_corrupt", level=LEVEL_WARNING,
+                                    file=str(path), reason=str(e)))
                 continue
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            vlen = int(payload["vlen"])
-            l2_mb = int(payload["l2_mb"])
-            self.put(point_key(query, vlen, l2_mb), payload)
+            self.put(point_key(query, vlen, l2_mb), point)
             ingested += 1
         return ingested

@@ -153,6 +153,31 @@ class TestSweepPoints:
         assert merged.to_dict()["results"][0] == a.to_dict()["results"][0]
         assert merged.at(1024, 1) == b.at(1024, 1)
 
+    def test_to_json_splices_served_points(self):
+        """A served point is held as its JSON text; ``to_json`` splices
+        it verbatim, equal to ``json.dumps(to_dict())``, and the point is
+        decoded only when looked up."""
+        layers = list(_layers("vgg16", 5))
+        sweep = codesign_sweep("n", layers, vlens=(512, 1024),
+                               l2_mbs=(1, 16))
+        texts = {p: json.dumps(sweep.results.point_dict(p))
+                 for p in sweep.points}
+        mixed = SweepResult(name="n", vlens=sweep.vlens,
+                            l2_mbs=sweep.l2_mbs, results={
+                                (512, 1): texts[(512, 1)],
+                                (512, 16): sweep.at(512, 16),
+                                (1024, 1): texts[(1024, 1)],
+                                (1024, 16): texts[(1024, 16)]})
+        assert mixed.to_json() == json.dumps(sweep.to_dict())
+        assert mixed.to_dict() == sweep.to_dict()
+        assert mixed.results.point_json((512, 1)) is texts[(512, 1)]
+        assert mixed.seconds(1024, 16) == sweep.seconds(1024, 16)
+        assert mixed.at(1024, 1) == sweep.at(1024, 1)
+        degraded = SweepResult(name="n", vlens=(512,), l2_mbs=(1,),
+                               results={(512, 1): texts[(512, 1)]},
+                               degraded=True)
+        assert degraded.to_json() == json.dumps(degraded.to_dict())
+
     def test_plain_mapping_is_wrapped(self):
         sweep = codesign_sweep("n", list(_layers("vgg16", 1)),
                                vlens=(512,), l2_mbs=(1,))

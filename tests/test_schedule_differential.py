@@ -15,6 +15,8 @@ raise :class:`ScheduleError` *before* a single instruction is emitted
 — the tracer stays empty.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +175,30 @@ def test_default_schedule_is_the_primitive_chain(mr):
              .reorder("j", "i", "k"))
     assert default_matmul_schedule(mr) == chain.validate()
     assert default_matmul_schedule(mr) is not default_matmul_schedule(mr)
+
+
+def test_schedules_are_hashable_immutable_values():
+    sched = default_matmul_schedule()
+    chain = (matmul_schedule()
+             .tile("i", 8).tile("j", VL).vectorize("j", lmul=1)
+             .unroll("i"))
+    assert chain == sched and hash(chain) == hash(sched)
+    assert list(chain.tiles) == ["i", "j"]  # insertion order is kept
+    assert len({sched, chain, default_matmul_schedule(4)}) == 2
+    with pytest.raises(TypeError):
+        sched.tiles["j"] = 4  # type: ignore[index]
+    with pytest.raises(TypeError):
+        sched.tiles.update(k=8)  # type: ignore[attr-defined]
+    assert sched.tile("k", 8).tiles == {"j": VL, "i": 8, "k": 8}
+    assert sched.tiles == {"j": VL, "i": 8}
+    assert pickle.loads(pickle.dumps(sched)) == sched
+    assert repr(sched.tiles) == "{'j': 'vl', 'i': 8}"
+
+
+def test_matmul_space_is_duplicate_free_default_first():
+    space = matmul_space(6, 27)
+    assert space[0] == default_matmul_schedule()
+    assert len(set(space)) == len(space)
 
 
 def test_illegal_primitive_compositions_raise():

@@ -17,6 +17,7 @@ import pytest
 
 from repro.codesign import SweepResult, codesign_sweep
 from repro.errors import ConfigError
+from repro.model.layer_model import NetworkResult
 from repro.nets import vgg16_layers
 from repro.obs import METRICS, MemorySink, parse_exposition
 from repro.obs.analytics import load_trace
@@ -28,7 +29,9 @@ from repro.serve import (
     query_identity,
     stream_query,
 )
+from repro.serve import point_key
 from repro.serve import service as service_mod
+from repro.serve.service import NdjsonSink
 from tests.metrics_delta import counter_delta
 
 pytestmark = pytest.mark.serve
@@ -242,6 +245,115 @@ class TestLabels:
             assert sweep.to_dict() == _direct(query), query.network
 
 
+#: A small darknet network with every layer kind the models know.
+MIXED_CFG = """
+[net]
+height=16
+width=16
+channels=3
+[convolutional]
+filters=8
+size=3
+stride=1
+pad=1
+[convolutional]
+filters=16
+size=3
+stride=2
+pad=1
+[convolutional]
+filters=8
+size=1
+stride=1
+pad=1
+[convolutional]
+filters=16
+size=3
+stride=1
+pad=1
+[shortcut]
+from=-3
+[maxpool]
+size=2
+stride=2
+[convolutional]
+filters=24
+size=1
+stride=1
+pad=1
+"""
+
+
+def _old_sweep_dict(store, query):
+    """The answer as the decode/relabel/re-encode path builds it: each
+    stored point through ``NetworkResult.from_dict``, renamed to the
+    query's labels, and the grid through ``SweepResult.to_dict``.  Kept
+    only as the oracle of the spliced path."""
+    results = {}
+    for vlen, l2_mb in query.points:
+        payload = store.get(point_key(query, vlen, l2_mb)).payload()
+        result = NetworkResult.from_dict(payload["result"])
+        result.total.label = f"{query.network} total"
+        for layer, stats in zip(query.layers, result.per_layer):
+            stats.label = layer.name + stats.label[stats.label.rindex("["):]
+        results[(vlen, l2_mb)] = replace(result, name=query.network)
+    return SweepResult(name=query.network, vlens=query.vlens,
+                       l2_mbs=query.l2_mbs, results=results,
+                       backend=query.mode).to_dict()
+
+
+class TestSplicedAnswers:
+    def test_hot_answers_equal_the_decode_and_reencode_path(self):
+        """Over a pool-like mix (named and cfg networks, both backends,
+        a config override, one network under several names), every hot
+        answer's wire line is byte for byte ``json.dumps`` of the old
+        path's sweep, and in-process sinks get that same dict."""
+        cfg = {"cfg": MIXED_CFG, "vlens": [512, 2048], "l2_mbs": [1, 4, 256]}
+        payloads = [
+            {"network": "vgg16", "max_layers": 3, "vlens": [512, 1024],
+             "l2_mbs": [1, 16], "mode": "exact"},
+            {"network": "vgg16", "max_layers": 3, "vlens": [1024],
+             "l2_mbs": [16, 64], "mode": "fast"},
+            {"network": "yolov3", "max_layers": 5, "vlens": [2048],
+             "l2_mbs": [2, 8], "mode": "exact"},
+            {**cfg, "name": "cfgA", "mode": "fast"},
+            {**cfg, "name": "cfgA", "mode": "exact", "hybrid": False},
+            {**cfg, "name": 'n\u00e9t "B"', "mode": "fast",
+             "vlens": [2048], "l2_mbs": [4]},
+            {**cfg, "name": "cfgC", "mode": "fast",
+             "config": {"dram_gbs": 26, "l2_assoc": 8}},
+        ]
+        queries = [Query.from_payload(p) for p in payloads]
+        cfg_b = queries[5]
+        queries.append(replace(cfg_b, network="renamed", layers=tuple(
+            replace(layer, name=f"r[{i}]\u00f6") for i, layer in enumerate(
+                cfg_b.layers))))
+        service = CodesignService(ResultStore(max_bytes=1 << 24), workers=1)
+
+        async def warm():
+            for query in queries:
+                await service.handle_query(query, MemorySink())
+
+        _run(warm())
+        for i, query in enumerate(queries):
+            lines = []
+            memory = MemorySink()
+            with METRICS.capture() as cap:
+                returned = _run(service.handle_query(
+                    query, NdjsonSink(lines.append), query_id=f"q{i}"))
+                _run(service.handle_query(query, memory, query_id=f"q{i}"))
+            assert "serve.points.computed" not in counter_delta(cap)
+            oracle = _old_sweep_dict(service.store, query)
+            assert lines[-1] == (json.dumps({
+                "event": "query_result", "level": "info", "sweep": oracle,
+                "query_id": f"q{i}", "seq": len(lines) - 1,
+            }) + "\n").encode("utf-8"), query.network
+            assert memory.events[-1]["sweep"] == oracle
+            assert returned.to_dict() == oracle
+            assert returned.at(*query.points[0]) == SweepResult.from_dict(
+                oracle).at(*query.points[0])
+
+
 class TestHttpSurface:
     def _request(self, port, method, target, body=None):
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
@@ -273,6 +385,11 @@ class TestHttpSurface:
                     server.port, "POST", "/v1/query",
                     json.dumps({"network": "alexnet", "vlens": [512],
                                 "l2_mbs": [1]}).encode())
+                results["bad_config"] = self._request(
+                    server.port, "POST", "/v1/query",
+                    json.dumps({"network": "vgg16", "vlens": [512],
+                                "l2_mbs": [1],
+                                "config": {"l1_kb": "64"}}).encode())
 
             await _drive_threads([threading.Thread(target=client)])
             await server.stop()
@@ -286,12 +403,13 @@ class TestHttpSurface:
         assert "store" in stats
         assert results["missing"][0] == 404
         # Malformed queries: a one-line JSON error, never a traceback.
-        for tag in ("bad_json", "bad_query"):
+        for tag in ("bad_json", "bad_query", "bad_config"):
             status, body = results[tag]
             assert status == 400
             assert "error" in json.loads(body)
             assert "Traceback" not in body
         assert "alexnet" in json.loads(results["bad_query"][1])["error"]
+        assert "l1_kb" in json.loads(results["bad_config"][1])["error"]
 
 
 class TestTelemetry:

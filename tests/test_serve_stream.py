@@ -36,6 +36,7 @@ from repro.serve import (
     ServeServer,
     iter_ndjson,
 )
+from repro.serve.protocol import JsonText, encode_event
 from repro.serve.service import MAX_BODY_BYTES
 from tests.metrics_delta import counter_delta
 
@@ -43,6 +44,17 @@ pytestmark = pytest.mark.serve
 
 PAYLOAD = {"network": "vgg16", "max_layers": 2,
            "vlens": [512], "l2_mbs": [1, 16], "mode": "fast"}
+
+
+class TestEncodeEvent:
+    def test_json_text_values_are_spliced_verbatim(self):
+        value = {"name": "n\u00e9t", "xs": [1, 2.5, None], "ok": True}
+        ev = {"event": "query_result", "level": "info",
+              "sweep": JsonText(json.dumps(value)), "query_id": "q", "seq": 3}
+        plain = {**ev, "sweep": value}
+        assert encode_event(ev) == (json.dumps(plain) + "\n").encode()
+        assert encode_event(plain) == encode_event(ev)
+        assert list(iter_ndjson([encode_event(ev)])) == [plain]
 
 
 class TestIterNdjson:
