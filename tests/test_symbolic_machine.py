@@ -23,7 +23,8 @@ from repro.rvv import Memory, Tracer
 
 #: (kernel, flavor, concrete VLEN) triples covering every access shape:
 #: unit/strided/indexed memory, slides, gathers, LMUL>1 groups, whilelt
-#: configuration, and the rvv+ tuple ISA extension.
+#: configuration, and the rvv+ tuple ISA extension.  Every ``fast``
+#: registry spec appears at least once.
 CASES = [
     ("gemm", "rvv", 512),
     ("gemm", "sve", 4096),
@@ -33,6 +34,20 @@ CASES = [
     ("tuple_mult/slideup", "rvv", 2048),
     ("streaming/axpy@lmul2", "rvv", 512),
     ("winograd/input_transform", "sve", 1024),
+    ("tuple_mult/indexed", "sve", 512),
+    ("tuple_mult/slideup_log", "rvv", 512),
+    ("tuple_mult/native", "rvv+", 512),
+    ("transpose4/strided", "sve", 1024),
+    ("winograd/filter_transform", "rvv", 512),
+    ("winograd/output_transform", "rvv", 2048),
+    ("direct1x1", "rvv", 512),
+    ("direct1x1@s2", "sve", 1024),
+    ("streaming/memcpy", "sve", 512),
+    ("streaming/axpy", "rvv", 1024),
+    ("streaming/dot", "rvv", 512),
+    ("sched/gemm@ijk-lmul4", "rvv", 1024),
+    ("sched/gemm@ktile", "sve", 512),
+    ("sched/im2col@yrx-xtile", "rvv", 512),
 ]
 
 
