@@ -38,6 +38,9 @@ PAYLOAD = {"network": "vgg16", "max_layers": 2,
            "vlens": [512, 1024], "l2_mbs": [1, 16], "mode": "fast"}
 REPEATS = 200
 
+#: Interleaved rounds per arm of the metrics-overhead comparison.
+OVERHEAD_ROUNDS = 8
+
 
 def test_hot_query_is_store_bound(benchmark):
     query = Query.from_payload(PAYLOAD)
@@ -94,8 +97,10 @@ def test_metrics_overhead_on_hot_path_is_bounded(benchmark):
     The same hot repeat-query loop is timed with the process metrics
     registry enabled and disabled (``METRICS.disable()`` turns every
     mutation into a no-op on the same code path); the instrumented run
-    must stay within 10% of the uninstrumented one.  Best-of-3 per arm,
-    interleaved, to keep scheduler noise out of the ratio.
+    must stay within 10% of the uninstrumented one.  Best-of-N per arm
+    over :data:`OVERHEAD_ROUNDS` interleaved rounds, the arm that runs
+    first alternating between rounds, to keep scheduler noise and
+    warm-up order out of the ratio.
     """
     query = Query.from_payload(PAYLOAD)
     service = CodesignService(ResultStore(max_bytes=1 << 22), workers=2)
@@ -109,15 +114,15 @@ def test_metrics_overhead_on_hot_path_is_bounded(benchmark):
     asyncio.run(drive(1))  # warm: the grid lands in the store
     asyncio.run(drive(20))  # warm the loop itself
 
-    enabled_s, disabled_s = [], []
+    times: dict[bool, list[float]] = {True: [], False: []}
     try:
-        for _ in range(3):
-            METRICS.enable()
-            enabled_s.append(asyncio.run(drive(REPEATS)))
-            METRICS.disable()
-            disabled_s.append(asyncio.run(drive(REPEATS)))
+        for r in range(OVERHEAD_ROUNDS):
+            for enabled in ((True, False) if r % 2 == 0 else (False, True)):
+                (METRICS.enable if enabled else METRICS.disable)()
+                times[enabled].append(asyncio.run(drive(REPEATS)))
     finally:
         METRICS.enable()
+    enabled_s, disabled_s = times[True], times[False]
 
     on_ms = min(enabled_s) / REPEATS * 1e3
     off_ms = min(disabled_s) / REPEATS * 1e3

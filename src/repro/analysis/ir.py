@@ -1,12 +1,12 @@
 """The lifted instruction IR the analysis passes run over.
 
-A captured :class:`~repro.rvv.tracer.Tracer` is a flat list of retired
-:class:`~repro.rvv.tracer.InstrEvent` objects.  :func:`lift` folds the
-vsetvl/whilelt configuration dataflow over that list, producing a
-:class:`LiftedProgram` in which every instruction knows the vector
-configuration it retired under — which is exactly the state the
-spec-conformance passes need and that the raw trace only carries
-implicitly.
+A captured :class:`~repro.rvv.tracer.Tracer` interns every retired
+instruction's signature, and each signature already knows the vsetvl/
+whilelt configuration it retired under.  :func:`lift` lays the trace
+out as a :class:`LiftedProgram` in which every instruction carries that
+configuration — exactly the state the spec-conformance passes need.
+The abstract machines of :mod:`repro.analysis.symbolic` record the same
+trace type, so the same function lifts their parametric programs.
 
 The IR is deliberately trace-shaped rather than CFG-shaped: the
 machines execute straight-line dynamic instruction streams (loops are
@@ -117,16 +117,9 @@ def lift(
     """
     if not tracer.capture:
         raise ValueError("lift needs a Tracer(capture=True)")
-    instrs: list[LiftedInstr] = []
-    vl: int | None = None
-    sew: int | None = None
-    cfg_lmul: int | None = None
-    for i, ev in enumerate(tracer.events):
-        is_cfg = ev.opclass is OpClass.VSETVL or (
-            ev.opclass is OpClass.VMASK and ev.ops is not None
-            and ev.ops.avl is not None
-        )
-        if is_cfg:
-            vl, sew, cfg_lmul = ev.elems, ev.eew, ev.lmul
-        instrs.append(LiftedInstr(i, ev, vl, sew, cfg_lmul))
-    return LiftedProgram(tuple(instrs), vlen_bits, tuple(extents))
+    sigs = tracer.sigs
+    instrs = tuple(
+        LiftedInstr(i, ev, s.vl, s.sew, s.cfg_lmul)
+        for i, (ev, s) in enumerate(zip(tracer.events,
+                                        map(sigs.__getitem__, tracer.sig_ids))))
+    return LiftedProgram(instrs, vlen_bits, tuple(extents))

@@ -11,8 +11,9 @@ Layering:
 
 - :mod:`.affine` — the exact affine algebra closed forms live in
 - :mod:`.core` — finite-domain relational integers (SymInt/SymContext)
-- :mod:`.strace` — compact signature-interned symbolic traces
-- :mod:`.machine` — abstract RVV/RVV+/SVE machines
+- :mod:`.machine` — abstract RVV/RVV+/SVE machines, recording into the
+  same signature-interned :class:`~repro.rvv.tracer.Tracer` as the
+  concrete machines
 - :mod:`.fold` — register-shaped passes folded per signature
 - :mod:`.passes` — symbolic memory-safety and VLA passes
 - :mod:`.audit` — the regime-splitting driver and static audit
@@ -46,7 +47,6 @@ from .machine import (
     AbstractSveMachine,
     SymMemAccess,
 )
-from .strace import Sig, SymTrace
 
 __all__ = [
     "ABSTRACT_FLAVORS",
@@ -60,12 +60,10 @@ __all__ = [
     "CostForm",
     "NonAffineError",
     "Regime",
-    "Sig",
     "StaticCostModel",
     "SymContext",
     "SymInt",
     "SymMemAccess",
-    "SymTrace",
     "SymbolicError",
     "SymbolicKernelAudit",
     "analyze_strace",

@@ -31,17 +31,17 @@ from typing import Iterable
 
 from repro.analysis.audit import KernelSpec
 from repro.analysis.findings import Finding, KernelAuditReport, dedupe_findings
-from repro.analysis.ir import LiftedProgram
+from repro.analysis.ir import LiftedProgram, lift
 from repro.analysis.pipeline import PASS_IDS, PERF_PASS_IDS, analyze_perf
 from repro.errors import ConfigError, ReproError
 from repro.isa import VLEN_CHOICES
 from repro.rvv.memory import Extent
+from repro.rvv.tracer import Tracer
 
 from .core import SymContext
 from .fold import analyze_strace
 from .machine import ABSTRACT_FLAVORS
 from .passes import check_memsafety, check_vla
-from .strace import SymTrace
 
 __all__ = [
     "Regime",
@@ -58,20 +58,21 @@ class Regime:
 
     ``vlens`` are the VLENs proven structurally identical; ``ctx`` is
     the (sealed) context whose active points cover those VLENs;
-    ``strace`` the compact symbolic trace the interpretation recorded
-    and ``extents`` the abstract memory's declared buffer extents.
+    ``strace`` the symbolic trace the interpretation recorded (the same
+    :class:`~repro.rvv.tracer.Tracer` type a concrete capture run
+    fills, with SymInt values where VLEN matters) and ``extents`` the abstract memory's declared buffer extents.
     ``program`` materializes the full parametric lifted program on
     first use (and caches it).
     """
 
     vlens: tuple[int, ...]
     ctx: SymContext
-    strace: SymTrace
+    strace: Tracer
     extents: tuple[Extent, ...]
 
     @cached_property
     def program(self) -> LiftedProgram:
-        return self.strace.lift(vlen_bits=None, extents=self.extents)
+        return lift(self.strace, extents=self.extents)
 
     def point_index(self, vlen: int) -> int:
         return self.ctx.points.index((vlen,))
@@ -130,7 +131,7 @@ def interpret_kernel(
         ctx.seal()
         covered = _covered(ctx, remaining)
         audit.regimes.append(Regime(
-            covered, ctx, machine.trace,
+            covered, ctx, machine.tracer,
             tuple(machine.memory.allocations)))
         remaining -= set(covered)
     audit.regimes.sort(key=lambda rg: rg.vlens[0])

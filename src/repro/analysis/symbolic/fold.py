@@ -2,7 +2,7 @@
 
 The concrete register passes (:mod:`repro.analysis.passes.overlap`,
 ``vtype``, ``defuse``) walk one materialized instruction at a time.  On
-a :class:`~.strace.SymTrace` that walk is redundant: every occurrence
+an interned :class:`~repro.rvv.tracer.Tracer` that walk is redundant: every occurrence
 of an interned signature has identical registers, configuration and
 LMUL, so a per-*signature* check reaches the same verdict as a
 per-*instruction* check — and a clean kernel is judged in O(#signatures)
@@ -41,8 +41,7 @@ from repro.analysis.passes import defuse as _defuse
 from repro.analysis.passes import overlap as _overlap
 from repro.analysis.passes import vtype as _vtype
 from repro.isa import OpClass
-
-from .strace import SymTrace
+from repro.rvv.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .audit import Regime
@@ -53,7 +52,7 @@ _SLIDEUP_LIKE = _overlap._SLIDEUP_LIKE
 _GATHER_LIKE = _overlap._GATHER_LIKE
 
 
-def _emit(findings: list[Finding], strace: SymTrace, sid: int, count: int,
+def _emit(findings: list[Finding], strace: Tracer, sid: int, count: int,
           pass_id: str, severity: Severity, message: str) -> None:
     """Emit one folded finding, occurrence-expanded for memory sigs.
 
@@ -79,11 +78,10 @@ def _emit(findings: list[Finding], strace: SymTrace, sid: int, count: int,
 # ----------------------------------------------------------------------
 # Pass 1 — register-group overlap, folded per signature
 # ----------------------------------------------------------------------
-def check_overlap(strace: SymTrace) -> list[Finding]:
+def check_overlap(strace: Tracer) -> list[Finding]:
     findings: list[Finding] = []
-    sigs = strace.sigs
-    for sid, c in strace.counts().items():
-        s = sigs[sid]
+    for s in strace.live_sigs():
+        sid, c = s.sid, s.count
         ops = s.ops
         if ops is None or s.opclass is OpClass.SCALAR:
             continue
@@ -123,11 +121,10 @@ def check_overlap(strace: SymTrace) -> list[Finding]:
 # ----------------------------------------------------------------------
 # Pass 2 — vtype configuration dataflow, folded per signature
 # ----------------------------------------------------------------------
-def check_vtype(strace: SymTrace) -> list[Finding]:
+def check_vtype(strace: Tracer) -> list[Finding]:
     findings: list[Finding] = []
-    sigs = strace.sigs
-    for sid, c in strace.counts().items():
-        s = sigs[sid]
+    for s in strace.live_sigs():
+        sid, c = s.sid, s.count
         if s.opclass is OpClass.SCALAR or s.is_config:
             continue
         if s.vl is None:
@@ -157,7 +154,7 @@ def check_vtype(strace: SymTrace) -> list[Finding]:
 # ----------------------------------------------------------------------
 # Pass 3 — def-use dataflow with periodic loop skipping
 # ----------------------------------------------------------------------
-def check_defuse(strace: SymTrace) -> list[Finding]:
+def check_defuse(strace: Tracer) -> list[Finding]:
     findings: list[Finding] = []
     sigs = strace.sigs
     ids = strace.sig_ids

@@ -18,11 +18,12 @@ override every execution primitive with a recording-only version:
   :class:`~repro.rvv.Memory` evaluated pointwise, handing out symbolic
   addresses and recording symbolic extents, but backed by no bytes.
 
-Recording goes to a :class:`~.strace.SymTrace` rather than an eager
-event list: each override interns its static signature once (mnemonic,
-registers, configuration) and appends one integer per dynamic op, with
-only the genuinely varying data (memory bases, AVLs, index contents)
-kept per occurrence.  The compact trace materializes on demand to a
+Recording goes to the same signature-interned
+:class:`~repro.rvv.tracer.Tracer` the concrete machines use, through the
+same primitive declarations (:mod:`repro.rvv.prims`): each signature is
+interned once and each dynamic op appends one integer, with only the
+genuinely varying data (memory bases, AVLs, index contents) kept per
+occurrence.  Lifting the trace gives a
 :class:`~repro.analysis.ir.LiftedProgram` that is *bit-identical*
 (mnemonics, registers, grants, addresses, ``seq`` stamps) to lifting a
 concrete capture trace at any concrete VLEN — the equivalence and
@@ -31,7 +32,6 @@ cost-reconcile tests enforce this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -42,18 +42,17 @@ from repro.errors import (
     IllegalInstructionError,
     VectorStateError,
 )
-from repro.isa import OpClass
 from repro.isa.encoding import VType
 from repro.kernels.common import QUAD
 from repro.rvv.machine import RvvMachine
 from repro.rvv.memory import LINE_BYTES, Extent
+from repro.rvv.prims import retires
 from repro.rvv.proposed import RvvPlusMachine
 from repro.rvv.registers import RegAlloc
-from repro.rvv.tracer import MemAccess, Operands
+from repro.rvv.tracer import SymMemAccess, Tracer
 from repro.sve.machine import SveMachine
 
 from .core import IntLike, SymContext, SymbolicError
-from .strace import Sig, SymTrace, sig_key_part as _k
 
 __all__ = [
     "AbstractMemory",
@@ -63,20 +62,6 @@ __all__ = [
     "SymMemAccess",
     "ABSTRACT_FLAVORS",
 ]
-
-
-@dataclass(frozen=True)
-class SymMemAccess(MemAccess):
-    """A memory-access descriptor with symbolic fields.
-
-    ``base``/``elems`` may be SymInt (typed loosely on the base class);
-    ``offsets`` is always None — indexed-access footprints live in
-    ``sym_offsets`` instead, as the abstract index-register content at
-    the time of the access (see :class:`IndexContent`), resolvable per
-    domain point.
-    """
-
-    sym_offsets: Any = None
 
 
 class IndexContent:
@@ -209,18 +194,15 @@ class AbstractMemory:
 
 
 class AbstractCore:
-    """Recording-only override of every VectorEngine execution primitive.
+    """Data-free override of every VectorEngine execution primitive.
 
     Mixed in *before* a concrete machine class so the concrete mnemonic
     surface (``vle32``/``fmla``/``vrep4_vi``/...) is inherited while all
-    data movement funnels into these overrides.  Each override's
-    recording is three steps — signature-key lookup, intern on miss,
-    id append — so the per-op cost stays near a dict access (the whole
-    point of :class:`~.strace.SymTrace`).
+    data movement funnels into these overrides.  An override keeps only
+    the symbolic work — the vl grant and the index-register contents —
+    and is decorated with :func:`~repro.rvv.prims.retires` like its
+    concrete counterpart, so both record the same signatures.
     """
-
-    #: Mnemonic recorded by load_index_u32 (flavor hook).
-    _INDEX_LOAD_MN = "vle32.v"
 
     def __init__(self, ctx: SymContext,
                  memory: AbstractMemory | None = None) -> None:
@@ -228,12 +210,12 @@ class AbstractCore:
         self.vlen_bits = ctx.symbol("VLEN")
         self.vlen_bytes = self.vlen_bits // 8
         self.memory = memory if memory is not None else AbstractMemory(ctx)
-        self.trace = SymTrace(ctx)
+        self.tracer = Tracer(capture=True)
         self.strict = False
         self.alloc = RegAlloc()
         self.vtype = VType(sew=32, lmul=1)
         self.vl: IntLike = 0
-        self._cfg: Sig | None = None
+        self._configured = False
         self._index_scratch: IntLike = 0
         self._index_scratch_cap: IntLike = 0
         self._index_contents: dict[int, IndexContent | None] = {}
@@ -256,29 +238,10 @@ class AbstractCore:
         raise SymbolicError("abstract machines cannot write register data")
 
     # -- configuration -------------------------------------------------
-    def _set_vl(self, avl: IntLike, sew: int, lmul: int,
-                mn: str = "vsetvli") -> IntLike:
-        ctx = self.ctx
-        self.vtype = VType(sew=sew, lmul=lmul)
-        if ctx.exists(lambda v: v < 0, avl):
+    def _grant(self, avl: IntLike) -> IntLike:
+        if self.ctx.exists(lambda v: v < 0, avl):
             raise VectorStateError(f"AVL must be non-negative, got {avl}")
-        self.vl = ctx.pointwise_min(avl, self.vlmax)
-        tr = self.trace
-        key = ("cfg", mn, sew, lmul, _k(self.vl))
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_config(key, OpClass.VSETVL, mn, self.vl, sew, lmul)
-        tr.sig_ids.append(sid)
-        cfg = tr.sigs[sid]
-        cfg.payload.append(avl)  # type: ignore[union-attr]
-        self._cfg = cfg
-        return self.vl
-
-    def _require_vl(self) -> IntLike:
-        if self._cfg is None:
-            raise VectorStateError(
-                "vector operation before vsetvl: configure vl first")
-        return self.vl
+        return self.ctx.pointwise_min(avl, self.vlmax)
 
     # -- index-register content tracking -------------------------------
     def _content(self, reg: int) -> IndexContent | None:
@@ -290,238 +253,95 @@ class AbstractCore:
         else:
             self._index_contents[reg] = content
 
+    def _clobber(self, vd: int) -> None:
+        """``vd`` is written with data: its index content is unknown."""
+        self._require_vl()
+        self._index_contents.pop(vd, None)
+
     # -- memory primitives ---------------------------------------------
-    def _ld_unit(self, vd: int, addr: IntLike, mn: str = "vle32.v") -> None:
-        cfg = self._cfg
-        if cfg is None:
-            self._require_vl()
-        self._index_contents.pop(vd, None)
-        tr = self.trace
-        key = (mn, vd, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VLOAD_UNIT, Operands(mn, vd=vd),
-                            cfg, lmul=self.vtype.lmul, kind="unit", stride=4)
-        tr.sig_ids.append(sid)
-        tr.sigs[sid].payload.append(addr)  # type: ignore[union-attr]
+    @retires
+    def _ld_unit(self, vd: int, addr: IntLike) -> None:
+        self._clobber(vd)
 
-    def _st_unit(self, vs: int, addr: IntLike, mn: str = "vse32.v") -> None:
-        cfg = self._cfg
-        if cfg is None:
-            self._require_vl()
-        tr = self.trace
-        key = (mn, vs, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VSTORE_UNIT, Operands(mn, vs=(vs,)),
-                            cfg, lmul=self.vtype.lmul, kind="unit", stride=4,
-                            is_load=False)
-        tr.sig_ids.append(sid)
-        tr.sigs[sid].payload.append(addr)  # type: ignore[union-attr]
+    @retires
+    def _st_unit(self, vs: int, addr: IntLike) -> None:
+        self._require_vl()
 
-    def _ld_strided(self, vd: int, addr: IntLike, stride_bytes: int,
-                    mn: str = "vlse32.v") -> None:
-        cfg = self._cfg
-        if cfg is None:
-            self._require_vl()
-        self._index_contents.pop(vd, None)
-        tr = self.trace
-        key = (mn, vd, _k(stride_bytes), cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VLOAD_STRIDED,
-                            Operands(mn, vd=vd, imm=stride_bytes), cfg,
-                            lmul=self.vtype.lmul, kind="strided",
-                            stride=stride_bytes)
-        tr.sig_ids.append(sid)
-        tr.sigs[sid].payload.append(addr)  # type: ignore[union-attr]
+    @retires
+    def _ld_strided(self, vd: int, addr: IntLike, stride_bytes: IntLike) -> None:
+        self._clobber(vd)
 
-    def _st_strided(self, vs: int, addr: IntLike, stride_bytes: int,
-                    mn: str = "vsse32.v") -> None:
-        cfg = self._cfg
-        if cfg is None:
-            self._require_vl()
-        tr = self.trace
-        key = (mn, vs, _k(stride_bytes), cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VSTORE_STRIDED,
-                            Operands(mn, vs=(vs,), imm=stride_bytes), cfg,
-                            lmul=self.vtype.lmul, kind="strided",
-                            stride=stride_bytes, is_load=False)
-        tr.sig_ids.append(sid)
-        tr.sigs[sid].payload.append(addr)  # type: ignore[union-attr]
+    @retires
+    def _st_strided(self, vs: int, addr: IntLike, stride_bytes: IntLike) -> None:
+        self._require_vl()
 
-    def _ld_indexed(self, vd: int, base: IntLike, vidx: int,
-                    mn: str = "vluxei32.v") -> None:
-        cfg = self._cfg
-        if cfg is None:
-            self._require_vl()
-        content = self._index_contents.get(vidx)
-        self._index_contents.pop(vd, None)
-        tr = self.trace
-        key = (mn, vd, vidx, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VLOAD_INDEXED,
-                            Operands(mn, vd=vd, vidx=vidx), cfg,
-                            lmul=self.vtype.lmul, kind="indexed", stride=4,
-                            indexed=True)
-        tr.sig_ids.append(sid)
-        tr.sigs[sid].payload.append((base, content))  # type: ignore[union-attr]
+    @retires
+    def _ld_indexed(self, vd: int, base: IntLike,
+                    vidx: int) -> IndexContent | None:
+        content = self._content(vidx)
+        self._clobber(vd)
+        return content
 
-    def _st_indexed(self, vs: int, base: IntLike, vidx: int,
-                    mn: str = "vsuxei32.v") -> None:
-        cfg = self._cfg
-        if cfg is None:
-            self._require_vl()
-        content = self._index_contents.get(vidx)
-        tr = self.trace
-        key = (mn, vs, vidx, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VSTORE_INDEXED,
-                            Operands(mn, vs=(vs,), vidx=vidx), cfg,
-                            lmul=self.vtype.lmul, kind="indexed", stride=4,
-                            indexed=True, is_load=False)
-        tr.sig_ids.append(sid)
-        tr.sigs[sid].payload.append((base, content))  # type: ignore[union-attr]
+    @retires
+    def _st_indexed(self, vs: int, base: IntLike,
+                    vidx: int) -> IndexContent | None:
+        self._require_vl()
+        return self._content(vidx)
 
     # -- arithmetic primitives -----------------------------------------
-    def _fma(self, vd: int, vs1: int, vs2: int, mn: str = "vfmacc.vv") -> None:
-        cfg = self._cfg
-        if cfg is None:
-            self._require_vl()
-        self._index_contents.pop(vd, None)
-        tr = self.trace
-        key = (mn, vd, vs1, vs2, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VFMA,
-                            Operands(mn, vd=vd, vs=(vs1, vs2), merges=True),
-                            cfg, lmul=self.vtype.lmul)
-        tr.sig_ids.append(sid)
+    @retires
+    def _fma(self, vd: int, vs1: int, vs2: int) -> None:
+        self._clobber(vd)
 
-    def _fma_f(self, vd: int, f: float, vs: int,
-               mn: str = "vfmacc.vf") -> None:
-        cfg = self._cfg
-        if cfg is None:
-            self._require_vl()
-        self._index_contents.pop(vd, None)
-        tr = self.trace
-        key = (mn, vd, vs, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VFMA,
-                            Operands(mn, vd=vd, vs=(vs,), merges=True),
-                            cfg, lmul=self.vtype.lmul)
-        tr.sig_ids.append(sid)
+    @retires
+    def _fma_f(self, vd: int, f: float, vs: int) -> None:
+        self._clobber(vd)
 
-    def _nfms_f(self, vd: int, f: float, vs: int,
-                mn: str = "vfnmsac.vf") -> None:
-        self._fma_f(vd, f, vs, mn)
+    @retires
+    def _nfms_f(self, vd: int, f: float, vs: int) -> None:
+        self._clobber(vd)
 
-    def _arith(self, op: str, vd: int, vs1: int, vs2: int,
-               mn: str | None = None) -> None:
-        cfg = self._cfg
-        if cfg is None:
-            self._require_vl()
-        self._index_contents.pop(vd, None)
-        mn = mn or f"vf{op}.vv"
-        tr = self.trace
-        key = (mn, vd, vs1, vs2, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VFARITH,
-                            Operands(mn, vd=vd, vs=(vs1, vs2)), cfg,
-                            lmul=self.vtype.lmul)
-        tr.sig_ids.append(sid)
+    @retires
+    def _arith(self, op: str, vd: int, vs1: int, vs2: int) -> None:
+        self._clobber(vd)
 
-    def _arith_f(self, op: str, vd: int, vs: int, f: float,
-                 mn: str | None = None) -> None:
-        cfg = self._cfg
-        if cfg is None:
-            self._require_vl()
-        self._index_contents.pop(vd, None)
-        mn = mn or f"vf{op}.vf"
-        tr = self.trace
-        key = (mn, vd, vs, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VFARITH,
-                            Operands(mn, vd=vd, vs=(vs,)), cfg,
-                            lmul=self.vtype.lmul)
-        tr.sig_ids.append(sid)
+    @retires
+    def _arith_f(self, op: str, vd: int, vs: int, f: float) -> None:
+        self._clobber(vd)
 
-    def _splat_f(self, vd: int, f: float, mn: str = "vfmv.v.f") -> None:
-        cfg = self._cfg
-        if cfg is None:
-            self._require_vl()
-        self._index_contents.pop(vd, None)
-        tr = self.trace
-        key = (mn, vd, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VMOVE, Operands(mn, vd=vd), cfg,
-                            lmul=self.vtype.lmul)
-        tr.sig_ids.append(sid)
+    @retires
+    def _splat_f(self, vd: int, f: float) -> None:
+        self._clobber(vd)
 
-    def _mov(self, vd: int, vs: int, mn: str = "vmv.v.v") -> None:
-        cfg = self._cfg
-        if cfg is None:
-            self._require_vl()
+    @retires
+    def _mov(self, vd: int, vs: int) -> None:
+        self._require_vl()
         self._set_content(vd, self._content(vs))
-        tr = self.trace
-        key = (mn, vd, vs, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VMOVE,
-                            Operands(mn, vd=vd, vs=(vs,)), cfg,
-                            lmul=self.vtype.lmul)
-        tr.sig_ids.append(sid)
 
-    def _iota(self, vd: int, mn: str = "vid.v") -> None:
+    @retires
+    def _iota(self, vd: int) -> None:
         vl = self._require_vl()
         self._set_content(vd, IndexContent(self.ctx, "lin", vl,
                                            start=0, step=1))
-        cfg = self._cfg
-        tr = self.trace
-        key = (mn, vd, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VMOVE, Operands(mn, vd=vd), cfg,
-                            lmul=self.vtype.lmul)
-        tr.sig_ids.append(sid)
 
     def _ix_transform(self, vd: int, vs: int,
                       fn_start: Callable[[int], int],
                       fn_step: Callable[[int], int]) -> None:
+        self._require_vl()
         src = self._content(vs)
         self._set_content(
             vd, src.map_lin(fn_start, fn_step) if src is not None else None)
 
-    def _irec(self, mn: str, vd: int, vs: int, x: int) -> None:
-        cfg = self._cfg
-        tr = self.trace
-        key = (mn, vd, vs, x, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VIARITH,
-                            Operands(mn, vd=vd, vs=(vs,), imm=x), cfg,
-                            lmul=self.vtype.lmul)
-        tr.sig_ids.append(sid)
-
-    def _iadd_x(self, vd: int, vs: int, x: int, mn: str = "vadd.vx") -> None:
-        self._require_vl()
+    @retires
+    def _iadd_x(self, vd: int, vs: int, x: int) -> None:
         self._ix_transform(vd, vs, lambda s: s + x, lambda d: d)
-        self._irec(mn, vd, vs, x)
 
-    def _imul_x(self, vd: int, vs: int, x: int, mn: str = "vmul.vx") -> None:
-        self._require_vl()
+    @retires
+    def _imul_x(self, vd: int, vs: int, x: int) -> None:
         self._ix_transform(vd, vs, lambda s: s * x, lambda d: d * x)
-        self._irec(mn, vd, vs, x)
 
-    def _iand_x(self, vd: int, vs: int, x: int, mn: str = "vand.vx") -> None:
+    @retires
+    def _iand_x(self, vd: int, vs: int, x: int) -> None:
         self._require_vl()
         src = self._content(vs)
         out: IndexContent | None = None
@@ -529,115 +349,42 @@ class AbstractCore:
             out = IndexContent(self.ctx, "lin", src.vl, start=src.start,
                                step=src.step, mask=x)
         self._set_content(vd, out)
-        self._irec(mn, vd, vs, x)
 
-    def _redsum(self, vs: int, mn: str = "vfredusum.vs") -> float:
-        cfg = self._cfg
-        if cfg is None:
-            self._require_vl()
-        tr = self.trace
-        key = (mn, vs, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VREDUCE, Operands(mn, vs=(vs,)),
-                            cfg, lmul=self.vtype.lmul)
-        tr.sig_ids.append(sid)
+    @retires
+    def _redsum(self, vs: int) -> float:
+        self._require_vl()
         return 0.0
 
     # -- register movement ---------------------------------------------
-    def _slideup(self, vd: int, vs: int, offset: IntLike,
-                 mn: str = "vslideup.vx") -> None:
+    @retires
+    def _slideup(self, vd: int, vs: int, offset: IntLike) -> None:
+        self._slide(vd, offset)
+
+    @retires
+    def _slidedown(self, vd: int, vs: int, offset: IntLike) -> None:
+        self._slide(vd, offset)
+
+    def _slide(self, vd: int, offset: IntLike) -> None:
         self._require_vl()
         if offset < 0:
             raise IllegalInstructionError(
                 f"slide offset must be >= 0, got {offset}")
         self._index_contents.pop(vd, None)
-        cfg = self._cfg
-        tr = self.trace
-        key = (mn, vd, vs, _k(offset), cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VSLIDE,
-                            Operands(mn, vd=vd, vs=(vs,), imm=offset,
-                                     merges=True),
-                            cfg, lmul=self.vtype.lmul)
-        tr.sig_ids.append(sid)
 
-    def _slidedown(self, vd: int, vs: int, offset: IntLike,
-                   mn: str = "vslidedown.vx") -> None:
-        self._require_vl()
-        if offset < 0:
-            raise IllegalInstructionError(
-                f"slide offset must be >= 0, got {offset}")
-        self._index_contents.pop(vd, None)
-        cfg = self._cfg
-        tr = self.trace
-        key = (mn, vd, vs, _k(offset), cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VSLIDE,
-                            Operands(mn, vd=vd, vs=(vs,), imm=offset),
-                            cfg, lmul=self.vtype.lmul)
-        tr.sig_ids.append(sid)
-
-    def _gather_reg(self, vd: int, vs: int, vidx: int,
-                    mn: str = "vrgather.vv") -> None:
-        cfg = self._cfg
-        if cfg is None:
-            self._require_vl()
-        self._index_contents.pop(vd, None)
-        tr = self.trace
-        key = (mn, vd, vs, vidx, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VPERMUTE,
-                            Operands(mn, vd=vd, vs=(vs,), vidx=vidx), cfg,
-                            lmul=self.vtype.lmul)
-        tr.sig_ids.append(sid)
+    @retires
+    def _gather_reg(self, vd: int, vs: int, vidx: int) -> None:
+        self._clobber(vd)
 
     # -- misc -----------------------------------------------------------
-    def scalar_ops(self, n: int = 1) -> None:
-        cfg = self._cfg
-        tr = self.trace
-        key = ("sc", cfg.sid if cfg is not None else None)
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.SCALAR, None, cfg, eew=64)
-        if n == 1:
-            tr.sig_ids.append(sid)
-        else:
-            tr.sig_ids.extend([sid] * n)
-
-    def _index_scratch_request(self) -> tuple[IntLike, IntLike]:
-        """(bytes to allocate, resulting capacity) — RVV sizing."""
-        return self.vlen_bits, self.vlen_bits // 4
-
     def load_index_u32(self, vd: int, offsets: np.ndarray) -> None:
         vl = self._require_vl()
         offs = np.ascontiguousarray(offsets, dtype=np.uint32)
         if offs.size < vl:
             raise VectorStateError(
                 f"index array has {offs.size} entries but vl={vl}")
-        if self._index_scratch_cap < vl:
-            nbytes, cap = self._index_scratch_request()
-            self._index_scratch = self.memory.alloc(
-                nbytes, label="index_scratch")
-            self._index_scratch_cap = cap
+        self.vle32(vd, self._index_scratch_for(vl))  # type: ignore[attr-defined]
         self._set_content(vd, IndexContent(self.ctx, "arr", vl,
                                            arr=offs.astype(np.int64)))
-        # Recorded exactly like a unit-stride load of the scratch region
-        # (the concrete machines do the same), so the signature may be
-        # shared with plain _ld_unit occurrences — the events coincide.
-        mn = self._INDEX_LOAD_MN
-        cfg = self._cfg
-        tr = self.trace
-        key = (mn, vd, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VLOAD_UNIT, Operands(mn, vd=vd),
-                            cfg, lmul=self.vtype.lmul, kind="unit", stride=4)
-        tr.sig_ids.append(sid)
-        tr.sigs[sid].payload.append(self._index_scratch)  # type: ignore[union-attr]
 
 
 class AbstractRvvMachine(AbstractCore, RvvMachine):
@@ -647,92 +394,31 @@ class AbstractRvvMachine(AbstractCore, RvvMachine):
 class AbstractRvvPlusMachine(AbstractCore, RvvPlusMachine):
     """Abstract machine with the paper's proposed extensions."""
 
+    @retires
     def vrep4_vi(self, vd: int, vs: int, q: int) -> None:
-        self._require_vl()
-        if vd == vs:
-            raise IllegalInstructionError(
-                "vrep4 destination cannot overlap its source")
-        if q < 0 or QUAD * q + QUAD > self.vlmax:
-            raise IllegalInstructionError(
-                f"vrep4 quad index {q} out of range for VLMAX={self.vlmax}")
+        self._check_vrep4(vd, vs, q)
         self._index_contents.pop(vd, None)
-        cfg = self._cfg
-        tr = self.trace
-        key = ("vrep4.vi", vd, vs, q, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VPERMUTE,
-                            Operands("vrep4.vi", vd=vd, vs=(vs,), imm=q),
-                            cfg, lmul=self.vtype.lmul)
-        tr.sig_ids.append(sid)
 
     def vtrn4_vv(
         self, vd: tuple[int, int, int, int], vs: tuple[int, int, int, int]
     ) -> None:
-        vl = self._require_vl()
-        if vl % QUAD:
-            raise IllegalInstructionError(
-                f"vtrn4 requires vl divisible by 4, got {vl}")
-        if set(vd) & set(vs) or len(set(vd)) != QUAD or len(set(vs)) != QUAD:
-            raise IllegalInstructionError(
-                "vtrn4 needs four distinct destinations disjoint from sources")
-        cfg = self._cfg
-        tr = self.trace
+        self._check_vtrn4(vd, vs)
         for g in range(QUAD):
-            self._index_contents.pop(vd[g], None)
-            key = ("vtrn4.vv", vd[g], vs, cfg.sid)  # type: ignore[union-attr]
-            sid = tr._map.get(key)
-            if sid is None:
-                sid = tr.new_op(key, OpClass.VPERMUTE,
-                                Operands("vtrn4.vv", vd=vd[g], vs=vs),
-                                cfg, lmul=self.vtype.lmul)
-            tr.sig_ids.append(sid)
+            self._vtrn4_row(vd[g], vs, None)
+
+    @retires
+    def _vtrn4_row(self, vd: int, vs: tuple[int, ...], row: None) -> None:
+        self._index_contents.pop(vd, None)
 
 
 class AbstractSveMachine(AbstractCore, SveMachine):
     """Abstract SVE machine: whilelt configuration, gather adapters."""
 
-    _INDEX_LOAD_MN = "ld1w"
-
-    def whilelt(self, i: IntLike, n: IntLike) -> IntLike:
-        if i > n:
-            raise VectorStateError(f"whilelt with i={i} > n={n}")
-        ctx = self.ctx
-        self.vtype = VType(sew=32, lmul=1)
-        avl = ctx.pointwise(lambda a, b: a - b, n, i)
-        if ctx.exists(lambda v: v < 0, avl):
-            raise VectorStateError(f"AVL must be non-negative, got {avl}")
-        self.vl = ctx.pointwise_min(avl, self.vlmax)
-        tr = self.trace
-        key = ("cfg", "whilelt", _k(self.vl))
-        sid = tr._map.get(key)
-        if sid is None:
-            # The concrete flavor records whilelt without an lmul stamp
-            # (whilelt configurations are always LMUL=1); mirror it.
-            sid = tr.new_config(key, OpClass.VMASK, "whilelt",
-                                self.vl, 32, 1)
-        tr.sig_ids.append(sid)
-        cfg = tr.sigs[sid]
-        cfg.payload.append(avl)  # type: ignore[union-attr]
-        self._cfg = cfg
-        return self.vl
-
+    @retires
     def index_u32(self, vd: int, start: int, step: int) -> None:
         vl = self._require_vl()
         self._set_content(vd, IndexContent(self.ctx, "lin", vl,
                                            start=start, step=step))
-        cfg = self._cfg
-        tr = self.trace
-        key = ("index", vd, start, step, cfg.sid)  # type: ignore[union-attr]
-        sid = tr._map.get(key)
-        if sid is None:
-            sid = tr.new_op(key, OpClass.VIARITH,
-                            Operands("index", vd=vd, imm=step), cfg)
-        tr.sig_ids.append(sid)
-
-    def _index_scratch_request(self) -> tuple[IntLike, IntLike]:
-        """SVE sizes the scratch at 4*VLMAX bytes (LMUL=1 fp32 lanes)."""
-        return 4 * self.vlmax, self.vlmax
 
 
 #: Abstract counterpart of repro.analysis.audit.MACHINE_FLAVORS.

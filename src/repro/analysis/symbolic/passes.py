@@ -31,9 +31,9 @@ from repro.analysis.passes import memsafety as _memsafety
 from repro.analysis.passes import vla as _vla
 from repro.isa import IS_STORE, OpClass
 from repro.isa.encoding import vsetvl
+from repro.rvv.tracer import Sig
 
 from .core import SymInt
-from .strace import Sig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .audit import Regime
@@ -70,7 +70,7 @@ def check_memsafety(regime: "Regime") -> list[Finding]:
     for s in mem_sigs:
         occ = strace.occurrences(s.sid)
         assert s.payload is not None
-        if s.indexed:
+        if s.kind == "indexed":
             batches.append((s, occ, None, None, None))
             continue
         base_mat = np.empty((len(s.payload), npts), dtype=np.int64)
@@ -170,7 +170,7 @@ def check_memsafety(regime: "Regime") -> list[Finding]:
         for pos, bi, r in sorted(suspects):
             s, occ, base_mat, ev, sv = batches[bi]
             assert s.payload is not None
-            if s.indexed:
+            if s.kind == "indexed":
                 base, content = s.payload[r]
                 addrs = ctx.value_at(base, pi) + content.at(pi)
             else:

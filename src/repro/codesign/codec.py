@@ -1,8 +1,9 @@
-"""The stored form of a served grid point: its canonical bytes, cut at
-the label slots.
+"""The checkpoint point schema and the stored form of a grid point: its
+canonical bytes, cut at the label slots.
 
-A store entry is one point in the checkpoint point schema
-(``{"version", "backend", "vlen", "l2_mb", "result"}``).  The store
+A sweep checkpoint file and a store entry are one point in the
+checkpoint point schema (``{"version", "backend", "vlen", "l2_mb",
+"result"}``).  The serving store
 keeps it as a :class:`StoredPoint`: the text ``json.dumps`` writes for
 it, cut at its *label slots* — the network name, the name part of each
 layer's ``<layer name>[<algorithm>]`` label, and the total's label.
@@ -12,9 +13,9 @@ same layers.  :meth:`StoredPoint.result_json` splices that query's
 labels into the stored text, so a hit neither decodes nor re-encodes
 the point.
 
-Reading a point from outside the process (a durable-tier entry, an
-ingested checkpoint) is strict, because its bytes are then served
-verbatim: :func:`read_point` accepts a text only if it is the canonical
+Reading a point from outside the process (a resumed checkpoint, a
+durable-tier entry, an ingested checkpoint) is strict, because its
+bytes are then trusted or served verbatim: :func:`read_point` accepts a text only if it is the canonical
 encoding of the point it decodes to and every number in it is finite
 and non-negative.  Anything else raises :class:`ConfigError` naming the
 first offending field.
@@ -28,11 +29,14 @@ from collections.abc import Mapping
 from itertools import chain
 from typing import Any, Iterator, Sequence
 
-from repro.codesign.executor import CHECKPOINT_VERSION
 from repro.errors import ConfigError
 from repro.model.layer_model import NetworkResult
 from repro.nets.inference import BACKENDS, positive_int
 from repro.sim.stats import SimStats
+
+#: Checkpoint schema version; bumped on incompatible layout changes
+#: (v2 added backend provenance to the manifest and every point).
+CHECKPOINT_VERSION = 2
 
 #: The checkpoint point schema's keys, in the order its writer emits them.
 POINT_KEYS = ("version", "backend", "vlen", "l2_mb", "result")

@@ -80,6 +80,7 @@ from repro.codesign.sweep import (
     SweepPoints,
     SweepResult,
 )
+from repro.codesign.codec import CHECKPOINT_VERSION, read_point
 from repro.errors import ConfigError
 from repro.kernels.tuple_mult import SLIDEUP
 from repro.model.layer_model import NetworkResult
@@ -99,10 +100,6 @@ from repro.obs import (
     tracing,
 )
 from repro.sim.system import SystemConfig
-
-#: Checkpoint schema version; bumped on incompatible layout changes
-#: (v2 added backend provenance to the manifest and every point).
-CHECKPOINT_VERSION = 2
 
 #: Manifest file name inside a checkpoint directory.
 MANIFEST_NAME = "manifest.json"
@@ -527,18 +524,22 @@ def _open_checkpoint_dir(
 
 
 def _load_point(
-    path: Path, backend: str
+    path: Path, backend: str, vlen: int, l2_mb: int
 ) -> tuple[NetworkResult | None, str | None]:
     """Restore one checkpointed point.
+
+    The file is read as strictly as the serving store reads it
+    (:func:`~repro.codesign.codec.read_point`): only the canonical
+    encoding of a complete point is trusted, and the point must be the
+    one this sweep asked for (backend and grid coordinates).
 
     Returns ``(result, None)`` on success, ``(None, None)`` when the
     file simply does not exist, and ``(None, reason)`` when a file *was*
     there but had to be dropped — torn, unreadable, from an older
-    schema, or produced by a different backend (the manifest already
-    hard-rejects cross-backend directories; this is the per-file belt
-    to that suspender).  Dropped files are never silent: the executor
-    turns every reason into a ``checkpoint_corrupt`` warning event and
-    counts it in the manifest's run section.
+    schema, not canonical (the reason names the field), or produced for
+    another backend or grid point.  Dropped files are never silent: the
+    executor turns every reason into a ``checkpoint_corrupt`` warning
+    event and counts it in the manifest's run section.
     """
     try:
         text = path.read_text()
@@ -547,27 +548,20 @@ def _load_point(
     except OSError as e:
         return None, f"unreadable: {e}"
     try:
-        payload = json.loads(text)
-    except ValueError as e:
-        return None, f"invalid JSON: {e}"
-    if not isinstance(payload, dict):
-        return None, "payload is not a JSON object"
-    version = payload.get("version")
-    if version != CHECKPOINT_VERSION:
+        payload = read_point(text).payload()
+    except ConfigError as e:
+        return None, str(e)
+    if payload["backend"] != backend:
         return None, (
-            f"checkpoint schema v{version!r} (this executor writes "
-            f"v{CHECKPOINT_VERSION})"
-        )
-    point_backend = payload.get("backend")
-    if point_backend != backend:
-        return None, (
-            f"produced by backend {point_backend!r}, this sweep runs "
+            f"produced by backend {payload['backend']!r}, this sweep runs "
             f"{backend!r}"
         )
-    try:
-        return NetworkResult.from_dict(payload["result"]), None
-    except (ValueError, KeyError, TypeError) as e:
-        return None, f"malformed result payload ({type(e).__name__}: {e})"
+    if (payload["vlen"], payload["l2_mb"]) != (vlen, l2_mb):
+        return None, (
+            f"holds point {payload['vlen']}b/{payload['l2_mb']}MB, not "
+            f"{vlen}b/{l2_mb}MB"
+        )
+    return NetworkResult.from_dict(payload["result"]), None
 
 
 def _save_point(
@@ -648,7 +642,7 @@ def run_sweep(
             restored: NetworkResult | None = None
             if directory is not None:
                 path = _point_path(directory, v, l)
-                restored, corrupt_reason = _load_point(path, mode)
+                restored, corrupt_reason = _load_point(path, mode, v, l)
                 if corrupt_reason is not None:
                     telemetry.checkpoint_corrupt(path, corrupt_reason)
             if restored is not None:

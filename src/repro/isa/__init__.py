@@ -22,6 +22,7 @@ from repro.isa.opcodes import (
     IS_MEM,
     IS_STORE,
     IS_VECTOR,
+    MEM_KIND,
     OpClass,
 )
 
@@ -36,5 +37,6 @@ __all__ = [
     "IS_LOAD",
     "IS_STORE",
     "IS_VECTOR",
+    "MEM_KIND",
     "FLOPS_PER_ELEM",
 ]

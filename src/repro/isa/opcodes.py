@@ -52,17 +52,18 @@ class OpClass(str, Enum):
     SCALAR = "scalar"
 
 
+#: Access pattern of each class that references memory.
+MEM_KIND = {
+    OpClass.VLOAD_UNIT: "unit",
+    OpClass.VLOAD_STRIDED: "strided",
+    OpClass.VLOAD_INDEXED: "indexed",
+    OpClass.VSTORE_UNIT: "unit",
+    OpClass.VSTORE_STRIDED: "strided",
+    OpClass.VSTORE_INDEXED: "indexed",
+}
+
 #: Classes that reference memory.
-IS_MEM = frozenset(
-    {
-        OpClass.VLOAD_UNIT,
-        OpClass.VLOAD_STRIDED,
-        OpClass.VLOAD_INDEXED,
-        OpClass.VSTORE_UNIT,
-        OpClass.VSTORE_STRIDED,
-        OpClass.VSTORE_INDEXED,
-    }
-)
+IS_MEM = frozenset(MEM_KIND)
 
 #: Classes that read memory.
 IS_LOAD = frozenset(

@@ -5,8 +5,10 @@ Public surface:
 - :class:`RvvMachine` — executes RVV 1.0 / EPI-style intrinsics with full
   architectural semantics over a simulated flat memory.
 - :class:`Memory` — byte-addressed memory with a bump allocator.
-- :class:`Tracer` / :class:`MemAccess` / :class:`InstrEvent` — dynamic
-  instruction accounting and address-stream capture.
+- :class:`Tracer` / :class:`MemAccess` / :class:`InstrEvent` — the one
+  signature-interned instruction trace (accounting and address-stream
+  capture) that every machine retires into; the primitives it records
+  are declared once in :mod:`repro.rvv.prims`.
 - :class:`RegAlloc` / :class:`VRegFile` — the 32-entry architectural
   vector register file and a spill-detecting allocator.
 """

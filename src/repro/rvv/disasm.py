@@ -23,27 +23,21 @@ from typing import Iterator
 
 from repro.errors import ConfigError
 from repro.isa import OpClass
+from repro.rvv.prims import PRIMS
 from repro.rvv.tracer import InstrEvent, Operands, Tracer
 
-#: Mnemonics per opcode class (EEW-32 forms; the kernels are fp32).
-_MNEMONIC = {
-    OpClass.VSETVL: "vsetvli",
-    OpClass.VLOAD_UNIT: "vle32.v",
-    OpClass.VLOAD_STRIDED: "vlse32.v",
-    OpClass.VLOAD_INDEXED: "vluxei32.v",
-    OpClass.VSTORE_UNIT: "vse32.v",
-    OpClass.VSTORE_STRIDED: "vsse32.v",
-    OpClass.VSTORE_INDEXED: "vsuxei32.v",
-    OpClass.VFMA: "vfmacc.vf/vv",
-    OpClass.VFARITH: "vfadd/vfsub/vfmul",
-    OpClass.VIARITH: "vadd/vmul (int)",
-    OpClass.VREDUCE: "vfredusum.vs",
-    OpClass.VSLIDE: "vslideup/down.vx",
-    OpClass.VPERMUTE: "vrgather.vv",
-    OpClass.VMOVE: "vmv/vfmv",
-    OpClass.VMASK: "vmset/whilelt",
-    OpClass.SCALAR: "(scalar)",
-}
+def _class_mnemonics() -> dict[OpClass, str]:
+    """Each opcode class's default mnemonics, joined (``vf*.vv`` stands
+    for the whole ``vf{op}.vv`` family)."""
+    names: dict[OpClass, list[str]] = {OpClass.SCALAR: ["(scalar)"]}
+    for prim in PRIMS.values():
+        if prim.mnemonic is not None:
+            names.setdefault(prim.opclass, []).append(prim.mnemonic.format(op="*"))
+    return {c: "/".join(dict.fromkeys(ms)) for c, ms in names.items()}
+
+
+#: Mnemonics per opcode class, for events without operand metadata.
+_MNEMONIC = _class_mnemonics()
 
 
 def _operand_str(ops: Operands) -> str:

@@ -24,11 +24,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import IllegalInstructionError, VectorStateError
-from repro.isa import OpClass, vsetvl as isa_vsetvl
+from repro.isa import vsetvl as isa_vsetvl
 from repro.isa.encoding import VType, validate_vlen
 from repro.rvv.memory import Memory
+from repro.rvv.prims import PRIMS, retires
 from repro.rvv.registers import RegAlloc, VRegFile
-from repro.rvv.tracer import MemAccess, Tracer, intern_operands
+from repro.rvv.tracer import Tracer
+
+_SET_VL = PRIMS["_set_vl"]
 
 _F32, _U32, _I32 = np.float32, np.uint32, np.int32
 
@@ -92,13 +95,16 @@ class VectorEngine:
         return self.vl
 
     def _set_vl(self, avl: int, sew: int, lmul: int,
-                mn: str = "vsetvli") -> int:
+                mn: str | None = None) -> int:
         self.vtype = VType(sew=sew, lmul=lmul)
-        self.vl = isa_vsetvl(avl, self.vlen_bits, sew, lmul)
+        self.vl = self._grant(avl)
         self._configured = True
-        self.tracer.record(OpClass.VSETVL, self.vl, sew, lmul=lmul,
-                           ops=intern_operands(mn, avl=avl))
+        self.tracer.configure(_SET_VL, mn, self.vl, sew, lmul, avl)
         return self.vl
+
+    def _grant(self, avl: int) -> int:
+        """The ``vl`` granted for ``avl`` under the current vtype."""
+        return isa_vsetvl(avl, self.vlen_bits, self.vtype.sew, self.vtype.lmul)
 
     def _group_overlaps(self, a: int, b: int) -> bool:
         """True when register groups starting at ``a`` and ``b`` share
@@ -135,94 +141,63 @@ class VectorEngine:
     # ------------------------------------------------------------------
     # Memory semantics (shared by both ISAs)
     # ------------------------------------------------------------------
-    def _mem_desc(self, kind: str, base: int, elems: int, *, stride: int = 4,
-                  offsets: np.ndarray | None = None, is_load: bool = True) -> MemAccess:
-        offs = None
-        if offsets is not None and self.tracer.capture:
-            offs = tuple(offsets.tolist())
-        return MemAccess(kind=kind, base=base, elems=elems, ebytes=4,
-                         stride=stride, offsets=offs, is_load=is_load)
-
-    def _ld_unit(self, vd: int, addr: int, mn: str = "vle32.v") -> None:
+    @retires
+    def _ld_unit(self, vd: int, addr: int) -> None:
         vl = self._require_vl()
         self._f32(vd)[:vl] = self.memory.view(addr, vl, np.float32)
-        self.tracer.record(OpClass.VLOAD_UNIT, vl, 32,
-                           self._mem_desc("unit", addr, vl),
-                           lmul=self.vtype.lmul, ops=intern_operands(mn, vd=vd))
 
-    def _st_unit(self, vs: int, addr: int, mn: str = "vse32.v") -> None:
+    @retires
+    def _st_unit(self, vs: int, addr: int) -> None:
         vl = self._require_vl()
         self.memory.view(addr, vl, np.float32)[:] = self._f32(vs)[:vl]
-        self.tracer.record(OpClass.VSTORE_UNIT, vl, 32,
-                           self._mem_desc("unit", addr, vl, is_load=False),
-                           lmul=self.vtype.lmul, ops=intern_operands(mn, vs=(vs,)))
 
-    def _ld_strided(self, vd: int, addr: int, stride_bytes: int,
-                    mn: str = "vlse32.v") -> None:
+    @retires
+    def _ld_strided(self, vd: int, addr: int, stride_bytes: int) -> None:
         vl = self._require_vl()
         self._f32(vd)[:vl] = self.memory.strided_view_f32(addr, vl, stride_bytes)
-        self.tracer.record(OpClass.VLOAD_STRIDED, vl, 32,
-                           self._mem_desc("strided", addr, vl, stride=stride_bytes),
-                           lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vd=vd, imm=stride_bytes))
 
-    def _st_strided(self, vs: int, addr: int, stride_bytes: int,
-                    mn: str = "vsse32.v") -> None:
+    @retires
+    def _st_strided(self, vs: int, addr: int, stride_bytes: int) -> None:
         vl = self._require_vl()
         self.memory.strided_view_f32(addr, vl, stride_bytes)[:] = self._f32(vs)[:vl]
-        self.tracer.record(OpClass.VSTORE_STRIDED, vl, 32,
-                           self._mem_desc("strided", addr, vl, stride=stride_bytes,
-                                          is_load=False),
-                           lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vs=(vs,), imm=stride_bytes))
 
-    def _ld_indexed(self, vd: int, base: int, vidx: int,
-                    mn: str = "vluxei32.v") -> None:
+    @retires
+    def _ld_indexed(self, vd: int, base: int, vidx: int) -> np.ndarray:
         vl = self._require_vl()
         offsets = self._u32(vidx)[:vl].astype(np.int64)
         self._f32(vd)[:vl] = self.memory.gather_f32(base, offsets)
-        self.tracer.record(OpClass.VLOAD_INDEXED, vl, 32,
-                           self._mem_desc("indexed", base, vl, offsets=offsets),
-                           lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vd=vd, vidx=vidx))
+        return offsets
 
-    def _st_indexed(self, vs: int, base: int, vidx: int,
-                    mn: str = "vsuxei32.v") -> None:
+    @retires
+    def _st_indexed(self, vs: int, base: int, vidx: int) -> np.ndarray:
         vl = self._require_vl()
         offsets = self._u32(vidx)[:vl].astype(np.int64)
         self.memory.scatter_f32(base, offsets, self._f32(vs)[:vl])
-        self.tracer.record(OpClass.VSTORE_INDEXED, vl, 32,
-                           self._mem_desc("indexed", base, vl, offsets=offsets,
-                                          is_load=False),
-                           lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vs=(vs,), vidx=vidx))
+        return offsets
 
     # ------------------------------------------------------------------
     # Arithmetic semantics
     # ------------------------------------------------------------------
-    def _fma(self, vd: int, vs1: int, vs2: int, mn: str = "vfmacc.vv") -> None:
+    @retires
+    def _fma(self, vd: int, vs1: int, vs2: int) -> None:
         """vd[i] += vs1[i] * vs2[i]  (vfmacc.vv)."""
         vl = self._require_vl()
         d = self._f32(vd)
         d[:vl] += self._f32(vs1)[:vl] * self._f32(vs2)[:vl]
-        self.tracer.record(OpClass.VFMA, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vd=vd, vs=(vs1, vs2), merges=True))
 
-    def _fma_f(self, vd: int, f: float, vs: int, mn: str = "vfmacc.vf") -> None:
+    @retires
+    def _fma_f(self, vd: int, f: float, vs: int) -> None:
         """vd[i] += f * vs[i]  (vfmacc.vf)."""
         vl = self._require_vl()
         d = self._f32(vd)
         d[:vl] += np.float32(f) * self._f32(vs)[:vl]
-        self.tracer.record(OpClass.VFMA, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vd=vd, vs=(vs,), merges=True))
 
-    def _nfms_f(self, vd: int, f: float, vs: int, mn: str = "vfnmsac.vf") -> None:
+    @retires
+    def _nfms_f(self, vd: int, f: float, vs: int) -> None:
         """vd[i] -= f * vs[i]  (vfnmsac.vf)."""
         vl = self._require_vl()
         d = self._f32(vd)
         d[:vl] -= np.float32(f) * self._f32(vs)[:vl]
-        self.tracer.record(OpClass.VFMA, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vd=vd, vs=(vs,), merges=True))
 
     _ARITH = {
         "add": np.add,
@@ -230,71 +205,58 @@ class VectorEngine:
         "mul": np.multiply,
     }
 
-    def _arith(self, op: str, vd: int, vs1: int, vs2: int,
-               mn: str | None = None) -> None:
+    @retires
+    def _arith(self, op: str, vd: int, vs1: int, vs2: int) -> None:
         vl = self._require_vl()
         fn = self._ARITH[op]
         self._f32(vd)[:vl] = fn(self._f32(vs1)[:vl], self._f32(vs2)[:vl])
-        self.tracer.record(OpClass.VFARITH, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands(mn or f"vf{op}.vv", vd=vd,
-                                        vs=(vs1, vs2)))
 
-    def _arith_f(self, op: str, vd: int, vs: int, f: float,
-                 mn: str | None = None) -> None:
+    @retires
+    def _arith_f(self, op: str, vd: int, vs: int, f: float) -> None:
         vl = self._require_vl()
         fn = self._ARITH[op]
         self._f32(vd)[:vl] = fn(self._f32(vs)[:vl], np.float32(f))
-        self.tracer.record(OpClass.VFARITH, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands(mn or f"vf{op}.vf", vd=vd, vs=(vs,)))
 
-    def _splat_f(self, vd: int, f: float, mn: str = "vfmv.v.f") -> None:
+    @retires
+    def _splat_f(self, vd: int, f: float) -> None:
         vl = self._require_vl()
         self._f32(vd)[:vl] = np.float32(f)
-        self.tracer.record(OpClass.VMOVE, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vd=vd))
 
-    def _mov(self, vd: int, vs: int, mn: str = "vmv.v.v") -> None:
+    @retires
+    def _mov(self, vd: int, vs: int) -> None:
         vl = self._require_vl()
         self._f32(vd)[:vl] = self._f32(vs)[:vl]
-        self.tracer.record(OpClass.VMOVE, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vd=vd, vs=(vs,)))
 
-    def _iota(self, vd: int, mn: str = "vid.v") -> None:
+    @retires
+    def _iota(self, vd: int) -> None:
         vl = self._require_vl()
         self._u32(vd)[:vl] = np.arange(vl, dtype=np.uint32)
-        self.tracer.record(OpClass.VMOVE, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vd=vd))
 
-    def _iadd_x(self, vd: int, vs: int, x: int, mn: str = "vadd.vx") -> None:
+    @retires
+    def _iadd_x(self, vd: int, vs: int, x: int) -> None:
         vl = self._require_vl()
         self._u32(vd)[:vl] = self._u32(vs)[:vl] + np.uint32(x)
-        self.tracer.record(OpClass.VIARITH, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vd=vd, vs=(vs,), imm=x))
 
-    def _imul_x(self, vd: int, vs: int, x: int, mn: str = "vmul.vx") -> None:
+    @retires
+    def _imul_x(self, vd: int, vs: int, x: int) -> None:
         vl = self._require_vl()
         self._u32(vd)[:vl] = self._u32(vs)[:vl] * np.uint32(x)
-        self.tracer.record(OpClass.VIARITH, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vd=vd, vs=(vs,), imm=x))
 
-    def _iand_x(self, vd: int, vs: int, x: int, mn: str = "vand.vx") -> None:
+    @retires
+    def _iand_x(self, vd: int, vs: int, x: int) -> None:
         vl = self._require_vl()
         self._u32(vd)[:vl] = self._u32(vs)[:vl] & np.uint32(x)
-        self.tracer.record(OpClass.VIARITH, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vd=vd, vs=(vs,), imm=x))
 
-    def _redsum(self, vs: int, mn: str = "vfredusum.vs") -> float:
+    @retires
+    def _redsum(self, vs: int) -> float:
         vl = self._require_vl()
-        total = float(np.sum(self._f32(vs)[:vl], dtype=np.float64))
-        self.tracer.record(OpClass.VREDUCE, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vs=(vs,)))
-        return total
+        return float(np.sum(self._f32(vs)[:vl], dtype=np.float64))
 
     # ------------------------------------------------------------------
     # Register movement semantics
     # ------------------------------------------------------------------
-    def _slideup(self, vd: int, vs: int, offset: int,
-                 mn: str = "vslideup.vx") -> None:
+    @retires
+    def _slideup(self, vd: int, vs: int, offset: int) -> None:
         """vd[i] = vs[i - offset] for offset <= i < vl; lower lanes kept.
 
         RVV 1.0 reserves overlapping source/destination groups for
@@ -318,12 +280,9 @@ class VectorEngine:
             s = s[:vl].copy()
         if offset < vl:
             d[offset:vl] = s[: vl - offset]
-        self.tracer.record(OpClass.VSLIDE, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vd=vd, vs=(vs,), imm=offset,
-                                        merges=True))
 
-    def _slidedown(self, vd: int, vs: int, offset: int,
-                   mn: str = "vslidedown.vx") -> None:
+    @retires
+    def _slidedown(self, vd: int, vs: int, offset: int) -> None:
         """vd[i] = vs[i + offset], zero beyond VLMAX."""
         vl = self._require_vl()
         if offset < 0:
@@ -334,11 +293,9 @@ class VectorEngine:
         out = np.zeros(vl, dtype=np.float32)
         out[:take] = s[offset : offset + take]
         d[:vl] = out
-        self.tracer.record(OpClass.VSLIDE, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vd=vd, vs=(vs,), imm=offset))
 
-    def _gather_reg(self, vd: int, vs: int, vidx: int,
-                    mn: str = "vrgather.vv") -> None:
+    @retires
+    def _gather_reg(self, vd: int, vs: int, vidx: int) -> None:
         """vd[i] = vs[vidx[i]] (vrgather.vv / SVE TBL); OOB lanes read 0."""
         vl = self._require_vl()
         if self.strict and (self._group_overlaps(vd, vs)
@@ -353,14 +310,56 @@ class VectorEngine:
         ok = idx < self.vlmax
         out[ok] = src[idx[ok]]
         self._f32(vd)[:vl] = out
-        self.tracer.record(OpClass.VPERMUTE, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands(mn, vd=vd, vs=(vs,), vidx=vidx))
 
     # ------------------------------------------------------------------
+    @retires
+    def _scalar(self) -> None:
+        """One scalar bookkeeping instruction (no vector semantics)."""
+
     def scalar_ops(self, n: int = 1) -> None:
         """Account ``n`` scalar bookkeeping instructions (optional)."""
         for _ in range(n):
-            self.tracer.record(OpClass.SCALAR, 1, 64)
+            self._scalar()
+
+    def load_index_u32(self, vd: int, offsets: np.ndarray) -> None:
+        """Load precomputed uint32 byte offsets into an index register.
+
+        Models the paper's pattern of materializing an index array in
+        memory and loading it (Algorithm 1 lines 5-12 + line 15): the
+        index array is staged in a scratch region of simulated memory
+        and loaded with the flavor's unit-stride load.
+        """
+        vl = self._require_vl()
+        offs = np.ascontiguousarray(offsets, dtype=np.uint32)
+        if offs.size < vl:
+            raise VectorStateError(
+                f"index array has {offs.size} entries but vl={vl}"
+            )
+        addr = self._index_scratch_for(vl)
+        self.memory.view(addr, vl, np.uint32)[:] = offs[:vl]
+        self.vle32(vd, addr)
+
+    def _index_scratch_for(self, vl: int) -> int:
+        """The index scratch region, allocated on first use."""
+        if self._index_scratch_cap < vl:
+            nbytes, cap = self._index_scratch_request()
+            self._index_scratch = self.memory.alloc(nbytes, label="index_scratch")
+            self._index_scratch_cap = cap
+        return self._index_scratch
+
+    def _index_scratch_request(self) -> tuple[int, int]:
+        """(bytes to allocate, resulting capacity in entries).
+
+        Sized at the architectural maximum — vlmax at LMUL=8 over 32-bit
+        elements, i.e. ``vlen_bits // 4`` entries — so the region is
+        never regrown (the bump allocator cannot free, and regrowth
+        would leak the previous region).
+        """
+        return self.vlen_bits, self.vlen_bits // 4
+
+    def vle32(self, vd: int, addr: int) -> None:
+        """Unit-stride vector load of fp32 elements."""
+        self._ld_unit(vd, addr)
 
 
 class RvvMachine(VectorEngine):
@@ -378,10 +377,6 @@ class RvvMachine(VectorEngine):
         return self._set_vl(avl, sew, lmul)
 
     # --- memory ---------------------------------------------------------
-    def vle32(self, vd: int, addr: int) -> None:
-        """Unit-stride vector load of fp32 elements."""
-        self._ld_unit(vd, addr)
-
     def vse32(self, vs: int, addr: int) -> None:
         """Unit-stride vector store of fp32 elements."""
         self._st_unit(vs, addr)
@@ -455,38 +450,6 @@ class RvvMachine(VectorEngine):
 
     def vand_vx(self, vd: int, vs: int, x: int) -> None:
         self._iand_x(vd, vs, x)
-
-    def load_index_u32(self, vd: int, offsets: np.ndarray) -> None:
-        """Load precomputed uint32 byte offsets into an index register.
-
-        Models the paper's pattern of materializing an index array in
-        memory and loading it (Algorithm 1 lines 5-12 + line 15): the
-        index array is placed in simulated memory once and the load is a
-        unit-stride vector load.
-        """
-        vl = self._require_vl()
-        offs = np.ascontiguousarray(offsets, dtype=np.uint32)
-        if offs.size < vl:
-            raise VectorStateError(
-                f"index array has {offs.size} entries but vl={vl}"
-            )
-        if self._index_scratch_cap < vl:
-            # First use: allocate once at the architectural maximum —
-            # vlmax at LMUL=8 over 32-bit elements, 4 bytes each, i.e.
-            # vlen_bits // 4 entries.  ``vl`` can never exceed that, so
-            # the region is never regrown (the bump allocator cannot
-            # free, and regrowth would leak the previous region).
-            self._index_scratch = self.memory.alloc(
-                self.vlen_bits, label="index_scratch"
-            )
-            self._index_scratch_cap = self.vlen_bits // 4
-        self.memory.view(self._index_scratch, vl, np.uint32)[:] = offs[:vl]
-        self._u32(vd)[:vl] = offs[:vl]
-        self.tracer.record(
-            OpClass.VLOAD_UNIT, vl, 32,
-            self._mem_desc("unit", self._index_scratch, vl),
-            lmul=self.vtype.lmul, ops=intern_operands("vle32.v", vd=vd),
-        )
 
     # --- register movement ------------------------------------------------
     def vslideup_vx(self, vd: int, vs: int, offset: int) -> None:

@@ -28,10 +28,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import IllegalInstructionError
-from repro.isa import OpClass
 from repro.kernels.common import QUAD
 from repro.rvv.machine import RvvMachine
-from repro.rvv.tracer import intern_operands
+from repro.rvv.prims import retires
 
 
 class RvvPlusMachine(RvvMachine):
@@ -40,6 +39,7 @@ class RvvPlusMachine(RvvMachine):
     #: Capability flag kernels test for.
     HAS_PROPOSED_EXTENSIONS = True
 
+    @retires
     def vrep4_vi(self, vd: int, vs: int, q: int) -> None:
         """Proposed: replicate quad ``q`` of ``vs`` across all lanes.
 
@@ -47,6 +47,12 @@ class RvvPlusMachine(RvvMachine):
         (indexed load) and 2 (slide chain) emulate.  One in-register
         permute; no memory access.
         """
+        vl = self._check_vrep4(vd, vs, q)
+        s = self._f32(vs)
+        quad = s[QUAD * q : QUAD * q + QUAD]
+        self._f32(vd)[:vl] = np.tile(quad, -(-vl // QUAD))[:vl]
+
+    def _check_vrep4(self, vd: int, vs: int, q: int) -> int:
         vl = self._require_vl()
         if vd == vs:
             raise IllegalInstructionError(
@@ -56,11 +62,7 @@ class RvvPlusMachine(RvvMachine):
             raise IllegalInstructionError(
                 f"vrep4 quad index {q} out of range for VLMAX={self.vlmax}"
             )
-        s = self._f32(vs)
-        quad = s[QUAD * q : QUAD * q + QUAD]
-        self._f32(vd)[:vl] = np.tile(quad, -(-vl // QUAD))[:vl]
-        self.tracer.record(OpClass.VPERMUTE, vl, 32, lmul=self.vtype.lmul,
-                           ops=intern_operands("vrep4.vi", vd=vd, vs=(vs,), imm=q))
+        return vl
 
     def vtrn4_vv(
         self, vd: tuple[int, int, int, int], vs: tuple[int, int, int, int]
@@ -71,6 +73,17 @@ class RvvPlusMachine(RvvMachine):
         emulate with buffer round-trips.  Issues four register-permute
         instructions (one per destination), zero memory operations.
         """
+        vl = self._check_vtrn4(vd, vs)
+        src = np.stack([self._f32(r)[:vl].copy() for r in vs])
+        out = (
+            src.reshape(QUAD, QUAD, vl // QUAD)
+            .transpose(1, 2, 0)
+            .reshape(QUAD, vl)
+        )
+        for g in range(QUAD):
+            self._vtrn4_row(vd[g], vs, out[g])
+
+    def _check_vtrn4(self, vd: tuple[int, ...], vs: tuple[int, ...]) -> int:
         vl = self._require_vl()
         if vl % QUAD:
             raise IllegalInstructionError(
@@ -80,16 +93,12 @@ class RvvPlusMachine(RvvMachine):
             raise IllegalInstructionError(
                 "vtrn4 needs four distinct destinations disjoint from sources"
             )
-        src = np.stack([self._f32(r)[:vl].copy() for r in vs])
-        out = (
-            src.reshape(QUAD, QUAD, vl // QUAD)
-            .transpose(1, 2, 0)
-            .reshape(QUAD, vl)
-        )
-        for g in range(QUAD):
-            self._f32(vd[g])[:vl] = out[g]
-            self.tracer.record(OpClass.VPERMUTE, vl, 32, lmul=self.vtype.lmul,
-                               ops=intern_operands("vtrn4.vv", vd=vd[g], vs=vs))
+        return vl
+
+    @retires
+    def _vtrn4_row(self, vd: int, vs: tuple[int, ...], row: np.ndarray) -> None:
+        """Write one destination of a ``vtrn4``."""
+        self._f32(vd)[: row.size] = row
 
 
 def has_proposed_extensions(machine) -> bool:

@@ -31,7 +31,9 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigError
-from repro.isa import OpClass
+from repro.isa import IS_LOAD, IS_MEM, MEM_KIND, OpClass
+from repro.isa.encoding import LMUL_CHOICES
+from repro.rvv.registers import NUM_VREGS
 from repro.rvv.tracer import MemAccess, Operands, Tracer
 
 #: Format version written in the header line.
@@ -97,10 +99,15 @@ def load_trace(path: str | Path) -> Tracer:
 
     Raises:
         ConfigError: naming ``file:line`` for a bad header or any event
-            that does not follow the format above (unknown opclass or
-            access kind, non-integer or negative sizes, an element width
-            that is not a positive multiple of 8, or an indexed access
-            without exactly one integer offset per element).
+            that does not follow the format above: an unknown opclass or
+            access kind; non-integer or negative sizes; an element width
+            that is not a positive multiple of 8; an LMUL outside
+            :data:`~repro.isa.encoding.LMUL_CHOICES`; memory fields on a
+            non-memory opclass, or none on a memory one; an access kind
+            or ``l`` flag that disagrees with the opclass; a sequence
+            number, SEW or LMUL stamp that disagrees with the event; a
+            register field that is not an architectural register; or an
+            indexed access without exactly one integer offset per element.
     """
     p = Path(path)
     tracer = Tracer(capture=True)
@@ -129,36 +136,18 @@ def load_trace(path: str | Path) -> Tracer:
                     raise ValueError(
                         f"element width {eew} is not a positive multiple of 8")
                 lmul = _int(rec, "m", 1)
-                mem = None
-                if "k" in rec:
-                    mem = MemAccess(
-                        kind=_kind(rec),
-                        base=_int(rec, "b"),
-                        elems=elems,
-                        ebytes=eew // 8,
-                        stride=_int(rec, "s", 0),
-                        offsets=_offsets(rec, elems),
-                        is_load=bool(rec.get("l", True)),
-                        seq=_int(rec, "q", -1),
-                        sew=_int(rec, "ms", eew),
-                        lmul=_int(rec, "ml", lmul),
-                    )
-                ops = None
-                if "op" in rec:
-                    op = rec["op"]
-                    ops = Operands(
-                        mnemonic=str(op["mn"]),
-                        vd=int(op["vd"]) if "vd" in op else None,
-                        vs=tuple(int(r) for r in op.get("vs", ())),
-                        vidx=int(op["vi"]) if "vi" in op else None,
-                        imm=int(op["im"]) if "im" in op else None,
-                        merges=bool(op.get("mg", False)),
-                        avl=int(op["a"]) if "a" in op else None,
-                    )
+                if lmul not in LMUL_CHOICES:
+                    raise ValueError(f"LMUL {lmul} is not one of {LMUL_CHOICES}")
+                mem = _mem(rec, opclass, elems, eew, lmul, len(tracer))
+                ops = _ops(rec["op"]) if "op" in rec else None
                 tracer.record(opclass, elems, eew, mem, lmul=lmul, ops=ops)
             except (KeyError, ValueError, TypeError) as exc:
                 raise ConfigError(f"{p}:{lineno}: malformed event: {exc}") from exc
     return tracer
+
+
+#: Event fields that describe a memory access.
+_MEM_FIELDS = frozenset({"k", "b", "s", "l", "x", "q", "ms", "ml"})
 
 
 def _int(rec: dict[str, Any], key: str, default: int | None = None) -> int:
@@ -169,11 +158,34 @@ def _int(rec: dict[str, Any], key: str, default: int | None = None) -> int:
     return value
 
 
-def _kind(rec: dict[str, Any]) -> str:
+def _mem(rec: dict[str, Any], opclass: OpClass, elems: int, eew: int,
+         lmul: int, seq: int) -> MemAccess | None:
+    """The memory access of event number ``seq``; None for the classes
+    that do not reference memory."""
+    if opclass not in IS_MEM:
+        extra = sorted(_MEM_FIELDS & rec.keys())
+        if extra:
+            raise ValueError(f"{opclass.value} event carries memory fields {extra}")
+        return None
+    if "k" not in rec:
+        raise ValueError(f"{opclass.value} event without an access kind 'k'")
     kind = rec["k"]
     if kind not in ("unit", "strided", "indexed"):
         raise ValueError(f"unknown access kind {kind!r}")
-    return kind
+    if kind != MEM_KIND[opclass]:
+        raise ValueError(f"{kind} access on a {opclass.value} event")
+    is_load = opclass in IS_LOAD
+    flag = rec.get("l", is_load)
+    if type(flag) is not bool:
+        raise ValueError(f"field 'l' must be a boolean, got {flag!r}")
+    if flag != is_load:
+        raise ValueError(f"'l': {json.dumps(flag)} on a {opclass.value} event")
+    for key, want in (("q", seq), ("ms", eew), ("ml", lmul)):
+        if key in rec and _int(rec, key) != want:
+            raise ValueError(f"field {key!r} is {rec[key]}, the event's is {want}")
+    return MemAccess(kind=kind, base=_int(rec, "b"), elems=elems,
+                     ebytes=eew // 8, stride=_int(rec, "s", 0),
+                     offsets=_offsets(rec, elems), is_load=is_load)
 
 
 def _offsets(rec: dict[str, Any], elems: int) -> tuple[int, ...] | None:
@@ -190,3 +202,38 @@ def _offsets(rec: dict[str, Any], elems: int) -> tuple[int, ...] | None:
     if len(offsets) != elems:
         raise ValueError(f"{len(offsets)} offsets for {elems} elements")
     return tuple(offsets)
+
+
+def _ops(op: Any) -> Operands:
+    """The operand metadata of an event."""
+    if not isinstance(op, dict):
+        raise ValueError(f"field 'op' must be an object, got {op!r}")
+    mn = op["mn"]
+    if not isinstance(mn, str):
+        raise ValueError(f"mnemonic must be a string, got {mn!r}")
+    vs = op.get("vs", [])
+    if not isinstance(vs, list):
+        raise ValueError(f"field 'vs' must be a list of registers, got {vs!r}")
+    merges = op.get("mg", False)
+    if type(merges) is not bool:
+        raise ValueError(f"field 'mg' must be a boolean, got {merges!r}")
+    avl = _int(op, "a") if "a" in op else None
+    if avl is not None and avl < 0:
+        raise ValueError(f"negative AVL {avl}")
+    return Operands(
+        mnemonic=mn,
+        vd=_reg(op.get("vd")),
+        vs=tuple(_reg(r) for r in vs),
+        vidx=_reg(op.get("vi")),
+        imm=_int(op, "im") if "im" in op else None,
+        merges=merges,
+        avl=avl,
+    )
+
+
+def _reg(value: Any) -> Any:
+    """An architectural vector register number (None passes through)."""
+    if value is not None and (type(value) is not int
+                              or not 0 <= value < NUM_VREGS):
+        raise ValueError(f"register {value!r} is not one of v0..v{NUM_VREGS - 1}")
+    return value

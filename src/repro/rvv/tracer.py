@@ -1,48 +1,54 @@
-"""Instruction tracing and accounting for the functional simulators.
+"""The one instruction trace of the functional and abstract machines.
 
-Every intrinsic executed on :class:`repro.rvv.RvvMachine` or
-:class:`repro.sve.SveMachine` reports one dynamic instruction to the
-machine's :class:`Tracer`.  The tracer plays the role Spike's commit log
-and gem5's statistics play in the paper's toolchain:
+Every instruction a machine retires is reported to its :class:`Tracer`.
+The tracer plays the role Spike's commit log and gem5's statistics play
+in the paper's toolchain: it yields the per-:class:`~repro.isa.OpClass`
+counts (:class:`OpStats`) the analytical models are validated against
+and, in *capture* mode, the full instruction stream with the address
+of every memory access, which the exact cache simulator replays.
 
-- it accumulates per-:class:`~repro.isa.OpClass` instruction, element,
-  flop and byte counts (:class:`OpStats`), which the analytical stream
-  models of :mod:`repro.model` are validated against; and
-- in *capture* mode it keeps every instruction, including the memory
-  access descriptor of each memory instruction, so the exact cache
-  simulator can replay the address stream of a functional run.
+A dynamic instruction stream is a loop unrolling: almost every
+instruction repeats an earlier one with the same *signature* —
+mnemonic, registers, vector configuration, stride — and differs at
+most in its memory base address, its index offsets or its requested
+AVL.  So the tracer interns each distinct signature once as a
+:class:`Sig` and records the stream as one signature id per
+instruction, plus a per-signature list of per-occurrence payloads:
 
-Recording sits on the hot path of every functional run, so
-:meth:`Tracer.record` only appends one row ``(opclass, elems, eew, mem,
-lmul, ops)``.  Everything else is derived from the rows when read:
+- memory signatures keep the base address of each occurrence (with the
+  byte offsets of an indexed access);
+- configuration signatures (vsetvl, whilelt) keep the requested AVL;
+- every other signature is the instruction itself.
 
-- :attr:`Tracer.by_class` folds the rows not yet counted into the
-  per-class :class:`OpStats`;
-- :attr:`Tracer.events` builds the :class:`InstrEvent` list on first
-  access (disassembly, analysis, trace export) and caches it;
-- :meth:`Tracer.mem_events` yields the stamped :class:`MemAccess` of
-  each memory row without building events; and
-- :meth:`Tracer.line_stream` computes the cache-line stream a replay
-  needs in bulk, over bounded chunks of memory events.
+The concrete machines record integers; the abstract machines of
+:mod:`repro.analysis.symbolic` record into the same signatures with
+:class:`~repro.analysis.symbolic.core.SymInt` values where a quantity
+varies with VLEN.  The machines retire through the primitive table of
+:mod:`repro.rvv.prims` (:meth:`Tracer.retire`, :meth:`Tracer.configure`);
+hand-built and loaded instructions go through :meth:`Tracer.record`.
+
+Everything else is read off the signatures:
+
+- :meth:`Tracer.stats_at` / :attr:`Tracer.by_class` fold the counts per
+  signature, at one domain point for symbolic traces;
+- :attr:`Tracer.events`, :meth:`Tracer.mem_events` and
+  :meth:`Tracer.instr_at` materialize instructions in program order,
+  each memory access stamped with its sequence number and vtype;
+- :meth:`Tracer.line_stream` expands each memory signature's payloads
+  through its fixed access pattern into the replayed cache-line stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.isa import FLOPS_PER_ELEM, OpClass
-
-#: Records a tracer buffers between two folds into its per-class counts
-#: (a counting tracer then drops them).
-FOLD_ROWS = 4096
 
 #: Elements per chunk of memory events in :meth:`Tracer.line_stream`.
 LINE_CHUNK_ELEMS = 1 << 16
@@ -74,12 +80,6 @@ class Operands:
     avl: int | None = None
 
 
-#: :class:`Operands` constructor that hands out shared instances.  The
-#: machines retire one operand set per instruction but a kernel uses only
-#: a few hundred distinct ones, and the objects are immutable.
-intern_operands = lru_cache(maxsize=1024, typed=True)(Operands)
-
-
 @dataclass(frozen=True)
 class MemAccess:
     """A compact descriptor of one vector memory instruction's footprint.
@@ -88,10 +88,9 @@ class MemAccess:
     accesses the elements are at ``base + i*stride`` for ``i in
     range(elems)``; for indexed accesses they are at ``base + offsets[i]``.
 
-    ``seq``, ``sew`` and ``lmul`` are stamped by the tracer in capture
-    mode: the event's sequence number in program order and the vtype
-    active when the access retired, so the cache replay and the analysis
-    IR share one source of truth.
+    ``seq``, ``sew`` and ``lmul`` are the access's position in program
+    order and the vtype active when it retired, so the cache replay and
+    the analysis IR share one source of truth.
     """
 
     kind: str
@@ -135,12 +134,26 @@ class MemAccess:
 
 
 @dataclass(frozen=True)
+class SymMemAccess(MemAccess):
+    """An indexed access of a symbolic trace.
+
+    ``base``/``elems`` may be SymInt (typed loosely on the base class);
+    ``offsets`` is None and the footprint lives in ``sym_offsets``
+    instead: the abstract index-register content at the time of the
+    access, resolvable per domain point.
+    """
+
+    sym_offsets: Any = None
+
+
+@dataclass(frozen=True)
 class InstrEvent:
     """One dynamic instruction, as reported by a machine.
 
     ``lmul`` is the register-group multiplier active at retirement and
-    ``ops`` the operand metadata (None for legacy traces loaded from
-    version-1 files, which predate operand capture).
+    ``ops`` the operand metadata (None for scalar bookkeeping and for
+    legacy traces loaded from version-1 files, which predate operand
+    capture).
     """
 
     opclass: OpClass
@@ -149,10 +162,6 @@ class InstrEvent:
     mem: MemAccess | None = None
     lmul: int = 1
     ops: Operands | None = None
-
-
-#: One recorded instruction: ``(opclass, elems, eew, mem, lmul, ops)``.
-_Row = tuple[OpClass, int, int, MemAccess | None, int, Operands | None]
 
 
 @dataclass
@@ -173,28 +182,174 @@ class OpStats:
         self.bytes_stored += other.bytes_stored
 
 
+class Sig:
+    """One interned instruction signature.
+
+    ``elems`` is the (possibly symbolic) element count every occurrence
+    retires; ``vl``/``sew``/``cfg_lmul`` the configuration it retired
+    under (for a configuration signature: the values it establishes;
+    None before any configuration).  ``kind``/``ebytes``/``stride``/
+    ``is_load`` are the memory pattern (``kind`` None for non-memory
+    signatures).  ``payload`` holds the per-occurrence data (see the
+    module docstring) or is None when the signature is the whole
+    instruction; ``count`` counts occurrences and ``first`` is the
+    stream position of the first one.
+    """
+
+    __slots__ = ("sid", "key", "opclass", "mn", "ops", "eew", "lmul",
+                 "elems", "vl", "sew", "cfg_lmul", "is_config", "kind",
+                 "ebytes", "stride", "is_load", "payload", "first", "count",
+                 "_event", "_mem")
+
+    def __init__(self, sid: int, key: Any, opclass: OpClass, mn: str,
+                 ops: Operands | None, eew: int, lmul: int, elems: Any,
+                 cfg: "Sig | None", is_config: bool, kind: str | None,
+                 ebytes: int, stride: Any, is_load: bool,
+                 payload: list[Any] | None, first: int) -> None:
+        self.sid = sid
+        self.key = key
+        self.opclass = opclass
+        self.mn = mn
+        self.ops = ops
+        self.eew = eew
+        self.lmul = lmul
+        self.elems = elems
+        if is_config:
+            self.vl, self.sew, self.cfg_lmul = elems, eew, lmul
+        elif cfg is None:
+            self.vl = self.sew = self.cfg_lmul = None
+        else:
+            self.vl, self.sew, self.cfg_lmul = cfg.vl, cfg.sew, cfg.cfg_lmul
+        self.is_config = is_config
+        self.kind = kind
+        self.ebytes = ebytes
+        self.stride = stride
+        self.is_load = is_load
+        self.payload = payload
+        self.first = first
+        self.count = 0
+        self._event: InstrEvent | None = None
+        self._mem = None if kind is None else dict(
+            kind=kind, elems=elems, ebytes=ebytes, stride=stride, offsets=None,
+            is_load=is_load, sew=eew, lmul=lmul)
+
+    @property
+    def event(self) -> InstrEvent:
+        """The instruction of a payload-free signature (shared)."""
+        if self._event is None:
+            self._event = InstrEvent(self.opclass, self.elems, self.eew, None,
+                                     self.lmul, self.ops)
+        return self._event
+
+    def event_at(self, item: Any, seq: int) -> InstrEvent:
+        """The occurrence with payload ``item`` at stream position ``seq``."""
+        if self.payload is None:
+            return self.event
+        if self.kind is None:
+            return InstrEvent(self.opclass, self.elems, self.eew, None,
+                              self.lmul, Operands(self.mn, avl=item))
+        return InstrEvent(self.opclass, self.elems, self.eew,
+                          self.mem_at(item, seq), self.lmul, self.ops)
+
+    def mem_at(self, item: Any, seq: int) -> MemAccess:
+        """The memory access of the occurrence with payload ``item``."""
+        if self.kind != "indexed":
+            return _frozen(MemAccess, self._mem, base=item, seq=seq)
+        base, offs = item
+        if offs is None or isinstance(offs, np.ndarray):
+            return _frozen(MemAccess, self._mem, base=base, seq=seq,
+                           offsets=None if offs is None else tuple(offs.tolist()))
+        return _frozen(SymMemAccess, self._mem, base=base, seq=seq,
+                       sym_offsets=offs)
+
+
+def _frozen(cls: type, fields: dict[str, Any], **varying: Any) -> Any:
+    """A frozen dataclass ``cls`` from its field values, without running
+    its ``__init__`` (one per memory access read back, so it matters)."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields, **varying)
+    return obj
+
+
+def _hashable(x: Any) -> Any:
+    """A signature-key component for a possibly symbolic value.
+
+    SymInt is deliberately unhashable (its ``__eq__`` is a domain
+    guard), so symbolic values key by their per-point value tuple,
+    which is stable for the whole run.
+    """
+    if isinstance(x, tuple):
+        return tuple(map(_hashable, x))
+    return getattr(x, "values", x)
+
+
 class Tracer:
-    """Accumulates instruction statistics and, optionally, the full trace.
+    """The signature-interned instruction trace (see the module docstring).
 
     Args:
-        capture: when True, every recorded instruction (including its
-            :class:`MemAccess`) is kept, so :attr:`events`,
-            :meth:`mem_events` and :meth:`line_stream` can replay the
-            address stream through a cache model.  Leave False for long
-            runs where only counts are needed: such a tracer folds its
-            buffer into the counts every :data:`FOLD_ROWS` records and
-            drops it.
+        capture: when True the tracer keeps the instruction stream and
+            every payload, so :attr:`events`, :meth:`mem_events` and
+            :meth:`line_stream` can replay it.  A counting tracer keeps
+            only the per-signature counts, whatever the run length.
     """
 
     def __init__(self, capture: bool = False) -> None:
         self.capture = capture
-        self._rows: list[_Row] = []
-        self._folded = 0  # rows already counted in _stats
-        self._fold_at = FOLD_ROWS
-        self._stats: dict[OpClass, OpStats] = {}
+        self.sigs: list[Sig] = []
+        #: The signature id of every instruction, in program order
+        #: (empty unless capturing).
+        self.sig_ids: list[int] = []
+        self._map: dict[Any, Sig] = {}
+        self._cfg: Sig | None = None
+        self._n = 0
         self._events: list[InstrEvent] = []
+        self._cursors: list[int] = []
+        self._ids: npt.NDArray[np.int64] | None = None
+
+    def __len__(self) -> int:
+        """Instructions recorded."""
+        return self._n
 
     # ------------------------------------------------------------------
+    # Recording
+    # ------------------------------------------------------------------
+    def retire(self, prim: Any, mn: str | None, key: Any, args: tuple,
+               item: Any = None) -> None:
+        """Record one instruction of a :class:`~repro.rvv.prims.Prim`.
+
+        ``key`` is the signature part of the call's arguments ``args``
+        and ``item`` its payload (memory primitives only).
+        """
+        k = (prim, mn, key, self._cfg)
+        try:
+            sig = self._map.get(k)
+        except TypeError:  # a symbolic operand
+            k = (prim, mn, _hashable(key), self._cfg)
+            sig = self._map.get(k)
+        if sig is None:
+            sig = self._intern_prim(k, prim, mn, args)
+        sig.count += 1
+        self._n += 1
+        if self.capture:
+            self.sig_ids.append(sig.sid)
+            if sig.payload is not None:
+                sig.payload.append(item)
+
+    def configure(self, prim: Any, mn: str | None, vl: Any, sew: int,
+                  lmul: int, avl: Any) -> None:
+        """Record a configuration instruction granting ``vl`` for ``avl``."""
+        k = (prim, mn, sew, lmul, vl)
+        try:
+            sig = self._map.get(k)
+        except TypeError:
+            k = (prim, mn, sew, lmul, _hashable(vl))
+            sig = self._map.get(k)
+        if sig is None:
+            sig = self._new(k, prim.opclass, mn or prim.mnemonic, None, sew,
+                            lmul, vl, True, None, 0, 0, True, True)
+        self._occur(sig, avl)
+        self._cfg = sig
+
     def record(
         self,
         opclass: OpClass,
@@ -205,79 +360,150 @@ class Tracer:
         lmul: int = 1,
         ops: Operands | None = None,
     ) -> None:
-        """Account one dynamic instruction."""
-        rows = self._rows
-        rows.append((opclass, elems, eew, mem, lmul, ops))
-        if len(rows) >= self._fold_at:
-            self._fold()
+        """Record one hand-built instruction (loaded traces, tests).
 
-    def _fold(self) -> None:
-        """Add the rows not yet counted to the per-class statistics.
+        The access's position, SEW and LMUL are those of the instruction;
+        any ``seq``/``sew``/``lmul`` already on ``mem`` is not kept.
 
-        Classes enter :attr:`by_class` in the order they were first
-        recorded, as they did when every record updated it directly.
+        Raises:
+            ValueError: if ``mem`` covers a different number of elements
+                than the instruction, or an indexed access carries a
+                different number of offsets.
         """
-        rows = self._rows
-        acc: dict[OpClass, list[int]] = {}
-        for opclass, elems, _eew, mem, _lmul, _ops in rows[self._folded:]:
-            a = acc.get(opclass)
-            if a is None:
-                a = acc[opclass] = [0, 0, 0, 0]
-            a[0] += 1
-            a[1] += elems
-            if mem is not None:
-                a[2 if mem.is_load else 3] += mem.bytes
-        stats = self._stats
-        for opclass, (instrs, elems, loaded, stored) in acc.items():
-            st = stats.get(opclass)
-            if st is None:
-                st = stats[opclass] = OpStats()
-            st.instrs += instrs
-            st.elems += elems
-            st.flops += FLOPS_PER_ELEM.get(opclass, 0) * elems
-            st.bytes_loaded += loaded
-            st.bytes_stored += stored
-        if self.capture:
-            self._folded = len(rows)
-            self._fold_at = len(rows) + FOLD_ROWS
+        is_config = opclass is OpClass.VSETVL or (
+            opclass is OpClass.VMASK and ops is not None and ops.avl is not None)
+        cfg = None if is_config else self._cfg
+        item: Any = None
+        pattern = None
+        if mem is not None:
+            if mem.elems != elems:
+                raise ValueError(
+                    f"memory access of {mem.elems} elements on an "
+                    f"instruction of {elems}")
+            pattern = (mem.kind, mem.ebytes, mem.stride, mem.is_load)
+            item = mem.base
+            if mem.kind == "indexed":
+                offs = mem.offsets
+                if offs is not None:
+                    if len(offs) != elems:
+                        raise ValueError(f"{len(offs)} offsets for {elems} elements")
+                    offs = np.asarray(offs, dtype=np.int64)
+                item = (mem.base, offs)
+        k = (opclass, elems, eew, lmul, ops, pattern, cfg)
+        sig = self._map.get(k)
+        if sig is None:
+            kind, ebytes, stride, is_load = pattern or (None, 0, 0, True)
+            sig = self._new(k, opclass, ops.mnemonic if ops else "", ops, eew,
+                            lmul, elems, is_config, kind, ebytes, stride,
+                            is_load, kind is not None)
+        self._occur(sig, item)
+        if is_config:
+            self._cfg = sig
+
+    def _intern_prim(self, k: Any, prim: Any, mn: str | None,
+                     args: tuple) -> Sig:
+        ops = prim.operands(mn, args)
+        cfg = self._cfg
+        if cfg is None or prim.opclass is OpClass.SCALAR:
+            elems, lmul = 1, 1
         else:
-            rows.clear()
+            elems, lmul = cfg.elems, cfg.lmul
+        kind = prim.kind
+        stride = ops.imm if kind == "strided" else prim.eew // 8
+        return self._new(k, prim.opclass, ops.mnemonic if ops else "", ops,
+                         prim.eew, lmul, elems, False, kind, prim.eew // 8,
+                         stride, prim.is_load, kind is not None)
+
+    def _new(self, k: Any, opclass: OpClass, mn: str, ops: Operands | None,
+             eew: int, lmul: int, elems: Any, is_config: bool,
+             kind: str | None, ebytes: int, stride: Any, is_load: bool,
+             keeps_payload: bool) -> Sig:
+        sig = Sig(len(self.sigs), k, opclass, mn, ops, eew, lmul, elems,
+                  self._cfg, is_config, kind, ebytes, stride, is_load,
+                  [] if keeps_payload and self.capture else None, self._n)
+        self.sigs.append(sig)
+        self._map[k] = sig
+        return sig
+
+    def _occur(self, sig: Sig, item: Any) -> None:
+        if sig.first < 0:
+            sig.first = self._n
+        sig.count += 1
+        self._n += 1
+        if self.capture:
+            self.sig_ids.append(sig.sid)
+            if sig.payload is not None:
+                sig.payload.append(item)
+
+    def reset(self) -> None:
+        """Forget everything recorded so far.
+
+        The active configuration stays in force: instructions recorded
+        after a reset retire under it, as they do on the machine.
+        """
+        cfg = self._cfg
+        self.sigs, self.sig_ids, self._map = [], [], {}
+        self._cfg, self._n, self._ids = None, 0, None
+        self._events, self._cursors = [], []
+        if cfg is not None:
+            self._cfg = self._new(cfg.key, cfg.opclass, cfg.mn, cfg.ops,
+                                  cfg.eew, cfg.lmul, cfg.elems, True, cfg.kind,
+                                  cfg.ebytes, cfg.stride, cfg.is_load,
+                                  cfg.payload is not None)
+            self._cfg.first = -1
 
     # ------------------------------------------------------------------
-    # Views derived from the rows
+    # Counts, folded per signature
     # ------------------------------------------------------------------
+    def live_sigs(self) -> list[Sig]:
+        """The signatures that occurred, in first-occurrence order."""
+        return sorted((s for s in self.sigs if s.count),
+                      key=attrgetter("first"))
+
+    def stats_at(self, point_index: int | None = None) -> dict[OpClass, OpStats]:
+        """Per-opclass counters, classes in first-recorded order.
+
+        ``point_index`` selects the domain point at which the symbolic
+        element counts of an abstract trace are read; concrete traces
+        need none.  O(#signatures): every occurrence of a signature
+        retires the same element count.
+        """
+        out: dict[OpClass, OpStats] = {}
+        for s in self.live_sigs():
+            c = s.count
+            e = s.elems
+            ev = c * (e if isinstance(e, int) else e.values[point_index])
+            st = out.get(s.opclass)
+            if st is None:
+                st = out[s.opclass] = OpStats()
+            st.instrs += c
+            st.elems += ev
+            st.flops += FLOPS_PER_ELEM.get(s.opclass, 0) * ev
+            if s.kind is not None:
+                if s.is_load:
+                    st.bytes_loaded += s.ebytes * ev
+                else:
+                    st.bytes_stored += s.ebytes * ev
+        return out
+
     @property
     def by_class(self) -> Mapping[OpClass, OpStats]:
         """Per-class statistics of everything recorded (read-only)."""
-        if len(self._rows) > self._folded:
-            self._fold()
-        return MappingProxyType(self._stats)
+        return MappingProxyType(self.stats_at())
 
-    @property
-    def events(self) -> list[InstrEvent]:
-        """Every captured instruction in program order (empty unless
-        capturing).
+    def max_grant_at(self, point_index: int) -> int:
+        """The largest vl any configuration instruction granted."""
+        mg = 0
+        for s in self.sigs:
+            if s.is_config and s.count:
+                e = s.elems
+                v = e if isinstance(e, int) else e.values[point_index]
+                mg = max(mg, v)
+        return mg
 
-        Built on first access and cached.  Each memory access is stamped
-        with its event's sequence number and vtype unless it already
-        carries a sequence number (loaded traces keep theirs).
-        """
-        evs = self._events
-        if self.capture:
-            rows = self._rows
-            for seq in range(len(evs), len(rows)):
-                opclass, elems, eew, mem, lmul, ops = rows[seq]
-                if mem is not None and mem.seq < 0:
-                    mem = _stamp(mem, seq, eew, lmul)
-                evs.append(InstrEvent(opclass, elems, eew, mem, lmul, ops))
-        return evs
-
-    # ------------------------------------------------------------------
-    # Aggregates
-    # ------------------------------------------------------------------
     @property
     def total_instrs(self) -> int:
-        return sum(s.instrs for s in self.by_class.values())
+        return self._n
 
     @property
     def total_flops(self) -> int:
@@ -297,8 +523,51 @@ class Tracer:
         """Instruction counts keyed by opclass value, for comparisons."""
         return {c.value: s.instrs for c, s in sorted(self.by_class.items())}
 
+    # ------------------------------------------------------------------
+    # The stream, in program order
+    # ------------------------------------------------------------------
+    def ids_array(self) -> npt.NDArray[np.int64]:
+        """:attr:`sig_ids` as an int64 array (cached until it grows)."""
+        if self._ids is None or self._ids.size != len(self.sig_ids):
+            self._ids = np.asarray(self.sig_ids, dtype=np.int64)
+        return self._ids
+
+    def occurrences(self, sid: int) -> npt.NDArray[np.intp]:
+        """Stream positions of every occurrence of signature ``sid``."""
+        return np.flatnonzero(self.ids_array() == sid)
+
+    @property
+    def events(self) -> list[InstrEvent]:
+        """Every captured instruction in program order (empty unless
+        capturing); built on first access, then extended."""
+        evs = self._events
+        if self.capture and len(evs) < self._n:
+            sigs, ids, cur = self.sigs, self.sig_ids, self._cursors
+            cur.extend([0] * (len(sigs) - len(cur)))
+            for seq in range(len(evs), self._n):
+                s = sigs[ids[seq]]
+                if s.payload is None:
+                    evs.append(s.event)
+                    continue
+                r = cur[s.sid]
+                cur[s.sid] = r + 1
+                evs.append(s.event_at(s.payload[r], seq))
+        return evs
+
+    def instr_at(self, pos: int) -> Any:
+        """The :class:`~repro.analysis.ir.LiftedInstr` at stream position
+        ``pos`` alone — O(pos), for quoting a finding's instruction."""
+        from repro.analysis.ir import LiftedInstr
+
+        sid = self.sig_ids[pos]
+        s = self.sigs[sid]
+        item = None
+        if s.payload is not None:
+            item = s.payload[self.sig_ids[:pos].count(sid)]
+        return LiftedInstr(pos, s.event_at(item, pos), s.vl, s.sew, s.cfg_lmul)
+
     def mem_events(self) -> Iterator[MemAccess]:
-        """All captured memory accesses in program order, stamped as in
+        """All captured memory accesses in program order, as in
         :attr:`events` (which this does not build).
 
         Raises:
@@ -306,9 +575,14 @@ class Tracer:
         """
         if not self.capture:
             raise RuntimeError("tracer was created with capture=False; no events kept")
-        for seq, (_opclass, _elems, eew, mem, lmul, _ops) in enumerate(self._rows):
-            if mem is not None:
-                yield mem if mem.seq >= 0 else _stamp(mem, seq, eew, lmul)
+        sigs = self.sigs
+        cur = [0] * len(sigs)
+        for seq, sid in enumerate(self.sig_ids):
+            s = sigs[sid]
+            if s.kind is not None:
+                r = cur[sid]
+                cur[sid] = r + 1
+                yield s.mem_at(s.payload[r], seq)  # type: ignore[index]
 
     def line_stream(
         self, line_bytes: int = 64
@@ -317,38 +591,78 @@ class Tracer:
 
         Events follow each other in program order; each contributes the
         ascending, deduplicated IDs of the lines it touches, exactly
-        :meth:`MemAccess.line_addresses`.  The IDs are computed in bulk,
-        over chunks of about :data:`LINE_CHUNK_ELEMS` elements so that
-        the temporaries stay small whatever the trace length.
+        :meth:`MemAccess.line_addresses`.  Each memory signature's
+        payloads become one array of bases (and one of offsets), which
+        its fixed pattern expands; the IDs are computed in bulk over
+        chunks of about :data:`LINE_CHUNK_ELEMS` elements, so the
+        temporaries stay small whatever the trace length.
 
         Raises:
             RuntimeError: if the tracer was not created with capture=True.
+            ValueError: for an indexed access recorded without offsets.
         """
         if not self.capture:
             raise RuntimeError("tracer was created with capture=False; no events kept")
-        parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))]
-        chunk: list[MemAccess] = []
-        size = 0
-        for row in self._rows:
-            mem = row[3]
-            if mem is not None:
-                chunk.append(mem)
-                size += mem.elems
-                if size >= LINE_CHUNK_ELEMS:
-                    parts.append(_chunk_lines(chunk, line_bytes))
-                    chunk, size = [], 0
-        if chunk:
-            parts.append(_chunk_lines(chunk, line_bytes))
+        mem = [s for s in self.sigs if s.kind is not None and s.payload]
+        if not mem:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+        n_sigs = len(self.sigs)
+
+        def by_sid(values: list[Any], dtype: type) -> np.ndarray:
+            out = np.zeros(n_sigs, dtype=dtype)
+            out[[s.sid for s in mem]] = values
+            return out
+
+        # Per-signature columns, laid end to end in signature order.
+        bases: list[np.ndarray] = []
+        offsets: list[np.ndarray] = []
+        o_start: list[int] = []
+        n_offs = 0
+        for s in mem:
+            o_start.append(n_offs)
+            if s.kind == "indexed":
+                b, offs = zip(*s.payload)  # type: ignore[misc]
+                if any(o is None for o in offs):
+                    raise ValueError("indexed memory access without offsets")
+                bases.append(np.array(b, dtype=np.int64))
+                offsets.extend(offs)
+                n_offs += len(offs) * s.elems
+            else:
+                bases.append(np.array(s.payload, dtype=np.int64))
+        counts = [len(s.payload) for s in mem]  # type: ignore[arg-type]
+        s_elems = by_sid([s.elems for s in mem], np.int64)
+        s_start = by_sid(np.cumsum(counts) - counts, np.int64)
+        s_ostart = by_sid(o_start, np.int64)
+
+        # Each memory event's place among its signature's occurrences.
+        ids = self.ids_array()
+        ev_sid = ids[by_sid([True] * len(mem), bool)[ids]]
+        order = np.argsort(ev_sid, kind="stable")
+        flat = np.empty(order.size, dtype=np.int64)
+        flat[order] = np.arange(order.size)
+        ev = _MemColumns(
+            base=np.concatenate(bases)[flat],
+            elems=s_elems[ev_sid],
+            ebytes=by_sid([s.ebytes for s in mem], np.int64)[ev_sid],
+            stride=by_sid([s.stride for s in mem], np.int64)[ev_sid],
+            indexed=by_sid([s.kind == "indexed" for s in mem], bool)[ev_sid],
+            is_load=by_sid([s.is_load for s in mem], bool)[ev_sid],
+            o_start=s_ostart[ev_sid] + (flat - s_start[ev_sid]) * s_elems[ev_sid],
+        )
+        x_offs = (np.concatenate(offsets) if offsets
+                  else np.empty(0, dtype=np.int64))
+
+        parts = []
+        csum = np.cumsum(ev.elems)
+        start = 0
+        while start < csum.size:
+            before = csum[start - 1] if start else 0
+            end = int(np.searchsorted(csum, before + LINE_CHUNK_ELEMS)) + 1
+            parts.append(_chunk_lines(ev[start:min(end, csum.size)], x_offs,
+                                      line_bytes))
+            start = end
         lines, stores = zip(*parts)
         return np.concatenate(lines), np.concatenate(stores)
-
-    def reset(self) -> None:
-        """Forget everything recorded so far."""
-        self._rows.clear()
-        self._folded = 0
-        self._fold_at = FOLD_ROWS
-        self._stats.clear()
-        self._events.clear()
 
     # ------------------------------------------------------------------
     def summary(self) -> str:
@@ -366,15 +680,24 @@ class Tracer:
         return "\n".join(rows)
 
 
-def _stamp(mem: MemAccess, seq: int, sew: int, lmul: int) -> MemAccess:
-    """``dataclasses.replace(mem, seq=seq, sew=sew, lmul=lmul)``, minus the
-    cost of re-running the frozen constructor (subclass fields are kept)."""
-    stamped = object.__new__(type(mem))
-    stamped.__dict__.update(mem.__dict__, seq=seq, sew=sew, lmul=lmul)
-    return stamped
+@dataclass
+class _MemColumns:
+    """Per-event columns of a run of memory events, in program order.
 
+    ``o_start`` locates an indexed event's offsets in the flat offsets
+    array (unused for the other kinds).
+    """
 
-_MEM_FIELDS = attrgetter("kind", "base", "elems", "ebytes", "stride", "is_load")
+    base: npt.NDArray[np.int64]
+    elems: npt.NDArray[np.int64]
+    ebytes: npt.NDArray[np.int64]
+    stride: npt.NDArray[np.int64]
+    indexed: npt.NDArray[np.bool_]
+    is_load: npt.NDArray[np.bool_]
+    o_start: npt.NDArray[np.int64]
+
+    def __getitem__(self, sl: slice) -> "_MemColumns":
+        return _MemColumns(*(getattr(self, f)[sl] for f in self.__dataclass_fields__))
 
 
 def _ragged(
@@ -388,7 +711,7 @@ def _ragged(
 
 
 def _chunk_lines(
-    mems: list[MemAccess], line_bytes: int,
+    ev: _MemColumns, x_offs: npt.NDArray[np.int64], line_bytes: int,
 ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.bool_]]:
     """The line IDs and store flags of a run of memory events.
 
@@ -399,14 +722,9 @@ def _chunk_lines(
     which are then sorted and deduplicated per event.
     """
     L = line_bytes
-    kind, base_t, elems_t, ebytes_t, stride_t, is_load_t = zip(*map(_MEM_FIELDS, mems))
-    n = len(mems)
-    base = np.array(base_t, dtype=np.int64)
-    elems = np.array(elems_t, dtype=np.int64)
-    ebytes = np.array(ebytes_t, dtype=np.int64)
-    stride = np.array(stride_t, dtype=np.int64)
-    indexed = np.array(kind) == "indexed"
-    contig = ~indexed & (ebytes >= 1) & (ebytes <= L) & (np.abs(stride) <= ebytes)
+    base, elems, ebytes, stride = ev.base, ev.elems, ev.ebytes, ev.stride
+    n = base.size
+    contig = ~ev.indexed & (ebytes >= 1) & (ebytes <= L) & (np.abs(stride) <= ebytes)
 
     # Contiguous events: one line range each.
     c = np.flatnonzero(contig & (elems > 0))
@@ -416,21 +734,14 @@ def _chunk_lines(
     c_lines = hi - lo + 1
 
     # Other events: the first and last line of every element.
-    s = np.flatnonzero(~contig & ~indexed & (elems > 0))
+    s = np.flatnonzero(~contig & ~ev.indexed & (elems > 0))
     owner, rank = _ragged(elems[s])
     s_ev = s[owner]
     s_addr = base[s_ev] + rank * stride[s_ev]
-    x = np.flatnonzero(indexed)
-    offsets: list[tuple[int, ...]] = []
-    for i in x.tolist():
-        offs = mems[i].offsets
-        if offs is None:
-            raise ValueError("indexed memory access without offsets")
-        offsets.append(offs)
-    x_elems = np.fromiter(map(len, offsets), dtype=np.int64, count=x.size)
-    x_ev = x[np.repeat(np.arange(x.size), x_elems)]
-    x_addr = base[x_ev] + np.fromiter(
-        chain.from_iterable(offsets), dtype=np.int64, count=int(x_elems.sum()))
+    x = np.flatnonzero(ev.indexed)
+    owner, rank = _ragged(elems[x])
+    x_ev = x[owner]
+    x_addr = base[x_ev] + x_offs[ev.o_start[x_ev] + rank]
     e_ev = np.concatenate((s_ev, x_ev))
     e_addr = np.concatenate((s_addr, x_addr))
     p_ev = np.concatenate((e_ev, e_ev))
@@ -451,7 +762,7 @@ def _chunk_lines(
     out[start[c][owner] + rank] = lo[owner] + rank
     p_rank = np.arange(p_ev.size) - (np.cumsum(p_count) - p_count)[p_ev]
     out[start[p_ev] + p_rank] = p_line
-    return out, np.repeat(~np.array(is_load_t, dtype=bool), count)
+    return out, np.repeat(~ev.is_load, count)
 
 
 def assert_counts_match(

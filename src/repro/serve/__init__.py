@@ -10,8 +10,8 @@ stdlib-only:
   darknet cfg text, VLEN/L2 grid, backend mode), the content address
   that keys results (network hash x backend x grid point), NDJSON
   framing, and the blocking client used by ``repro query``;
-- :mod:`repro.serve.codec` — a stored point's form: its canonical JSON
-  text cut at the label slots, spliced under each query's labels, and
+- :mod:`repro.codesign.codec` (shared with the sweep's checkpoint
+  resume) — a stored point's form: its canonical JSON text cut at the label slots, spliced under each query's labels, and
   the strict reader that accepts a point from disk only as its own
   canonical encoding;
 - :mod:`repro.serve.store` — the content-addressed result store: a

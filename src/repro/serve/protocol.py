@@ -134,7 +134,7 @@ class Query:
     def json_labels(self) -> tuple[str, ...]:
         """The JSON-escaped label slots of this query's answers: the
         network name, each layer's name and the total's label (see
-        :class:`repro.serve.codec.StoredPoint`)."""
+        :class:`repro.codesign.codec.StoredPoint`)."""
         name = json.dumps(self.network)[1:-1]
         return (name, *(json.dumps(layer.name)[1:-1]
                          for layer in self.layers), name + " total")

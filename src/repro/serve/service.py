@@ -72,7 +72,7 @@ from repro.obs.manifest import query_manifest, write_manifest
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, METRICS, render_prometheus
 from repro.obs.render import trace_payload
 from repro.obs.trace import Span, Tracer
-from repro.serve.codec import StoredPoint
+from repro.codesign.codec import StoredPoint
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     JsonText,

@@ -7,7 +7,7 @@ point) and holding a point in the *checkpoint point schema* —
 :mod:`repro.codesign.executor` writes under ``--checkpoint-dir`` — so
 a sweep's checkpoint directory can be ingested as a warm cache
 (:meth:`ResultStore.ingest_checkpoint_dir`).  An entry is held encoded,
-once: a :class:`~repro.serve.codec.StoredPoint`, the point's canonical
+once: a :class:`~repro.codesign.codec.StoredPoint`, the point's canonical
 JSON text cut at its label slots, which the service splices into its
 answers and the durable tier writes as is.
 
@@ -31,7 +31,7 @@ Consistency guarantees:
 - **strict on read** — an entry file, or an ingested checkpoint point,
   is accepted only if it is byte for byte the canonical encoding of
   the point it decodes to, with no negative or non-finite number
-  (:func:`repro.serve.codec.read_point`).  A rejected entry file is a
+  (:func:`repro.codesign.codec.read_point`).  A rejected entry file is a
   miss (the point is recomputed and rewritten); a rejected checkpoint
   point is skipped with a ``checkpoint_corrupt`` warning.  Both count
   in ``store.rejected``.
@@ -55,6 +55,7 @@ from concurrent.futures import Future
 from pathlib import Path
 from typing import Any, Callable, Union
 
+from repro.codesign.codec import StoredPoint, encode_point, read_point
 from repro.codesign.executor import (
     CHECKPOINT_VERSION,
     MANIFEST_NAME,
@@ -65,7 +66,6 @@ from repro.codesign.executor import (
 from repro.errors import ConfigError
 from repro.obs.events import LEVEL_WARNING, EventSink, event
 from repro.obs.metrics import METRICS
-from repro.serve.codec import StoredPoint, encode_point, read_point
 from repro.serve.protocol import Query, point_key
 
 #: Default in-memory budget in MB.
@@ -314,7 +314,7 @@ class ResultStore:
         same way a resume would check it (name, backend, policy, base
         config); every point file then lands under its
         content-addressed key.  Returns the number of points ingested.
-        A point file is read strictly (:func:`~repro.serve.codec.
+        A point file is read strictly (:func:`~repro.codesign.codec.
         read_point`) and must also belong to the query — its backend,
         file name and layer count; any other file is skipped, counted
         in ``store.rejected`` and reported as a ``checkpoint_corrupt``

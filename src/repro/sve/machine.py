@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.isa import OpClass
-from repro.isa.encoding import VType
-from repro.isa import vsetvl as isa_vsetvl
-from repro.rvv.machine import VectorEngine
-from repro.rvv.tracer import intern_operands
 from repro.errors import VectorStateError
+from repro.isa.encoding import VType
+from repro.rvv.machine import VectorEngine
+from repro.rvv.prims import PRIMS, retires
+
+_WHILELT = PRIMS["whilelt"]
 
 
 class SveMachine(VectorEngine):
@@ -53,10 +53,10 @@ class SveMachine(VectorEngine):
         if i > n:
             raise VectorStateError(f"whilelt with i={i} > n={n}")
         self.vtype = VType(sew=32, lmul=1)
-        self.vl = isa_vsetvl(n - i, self.vlen_bits, 32, 1)
+        avl = n - i
+        self.vl = self._grant(avl)
         self._configured = True
-        self.tracer.record(OpClass.VMASK, self.vl, 32,
-                           ops=intern_operands("whilelt", avl=n - i))
+        self.tracer.configure(_WHILELT, None, self.vl, 32, 1, avl)
         return self.vl
 
     def ld1w(self, vd: int, addr: int) -> None:
@@ -104,14 +104,13 @@ class SveMachine(VectorEngine):
         """``EXT``-style lane shift used to emulate a slide-up."""
         self._slideup(vd, vs, offset_elems, mn="ext")
 
+    @retires
     def index_u32(self, vd: int, start: int, step: int) -> None:
         """``INDEX``: vd[i] = start + i*step (uint32)."""
         vl = self._require_vl()
         self._u32(vd)[:vl] = (
             np.uint32(start) + np.arange(vl, dtype=np.uint32) * np.uint32(step)
         )
-        self.tracer.record(OpClass.VIARITH, vl, 32,
-                           ops=intern_operands("index", vd=vd, imm=step))
 
     # --- RVV-compatible adapter (single-source kernels) ---------------------
     def setvl(self, avl: int, sew: int = 32, lmul: int = 1) -> int:
@@ -190,30 +189,10 @@ class SveMachine(VectorEngine):
     def vand_vx(self, vd: int, vs: int, x: int) -> None:
         self._iand_x(vd, vs, x, mn="and")
 
-    def load_index_u32(self, vd: int, offsets: np.ndarray) -> None:
-        """Load precomputed byte offsets into an index register.
-
-        SVE kernels materialize index vectors from memory just like the
-        RVV ones do (Algorithm 1); the load is a contiguous ``ld1w``.
-        """
-        vl = self._require_vl()
-        offs = np.ascontiguousarray(offsets, dtype=np.uint32)
-        if offs.size < vl:
-            raise VectorStateError(f"index array has {offs.size} entries but vl={vl}")
-        if not hasattr(self, "_index_scratch") or self._index_scratch_cap < vl:
-            self._index_scratch = self.memory.alloc(4 * self.vlmax,
-                                                    label="index_scratch")
-            self._index_scratch_cap = self.vlmax
-        self.memory.view(self._index_scratch, vl, np.uint32)[:] = offs[:vl]
-        self._u32(vd)[:vl] = offs[:vl]
-        from repro.rvv.tracer import MemAccess
-
-        self.tracer.record(
-            OpClass.VLOAD_UNIT, vl, 32,
-            MemAccess(kind="unit", base=self._index_scratch, elems=vl,
-                      ebytes=4, stride=4, is_load=True),
-            ops=intern_operands("ld1w", vd=vd),
-        )
+    def _index_scratch_request(self) -> tuple[int, int]:
+        """SVE sizes the index scratch at one LMUL=1 register of fp32
+        lanes: ``4 * VLMAX`` bytes."""
+        return 4 * self.vlmax, self.vlmax
 
     def vslideup_vx(self, vd: int, vs: int, offset: int) -> None:
         """Slide-up adapter: SVE expresses this with ``EXT``."""

@@ -1,5 +1,7 @@
 """Tests for the CLI driver and the trace export/import (Vehave role)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,44 @@ class TestTraceIO:
             '{"o": "vload_indexed", "e": 2, "w": 32, "k": "indexed", "b": 4096,'
             ' "x": [0, 4.5]}',
             "offsets must be a list of integers")
+
+    @pytest.mark.parametrize("event,reason", [
+        ('{"o": "vload_unit", "e": 2, "w": 32, "k": "unit", "b": 4096,'
+         ' "s": 4, "l": "false"}', "field 'l' must be a boolean, got 'false'"),
+        ('{"o": "vload_unit", "e": 2, "w": 32, "k": "unit", "b": 4096,'
+         ' "s": 4, "l": false}', "'l': false on a vload_unit event"),
+        ('{"o": "vfma", "e": 2, "w": 32, "k": "unit", "b": 4096, "s": 4}',
+         "vfma event carries memory fields ['b', 'k', 's']"),
+        ('{"o": "vload_unit", "e": 2, "w": 32}',
+         "vload_unit event without an access kind 'k'"),
+        ('{"o": "vload_unit", "e": 2, "w": 32, "k": "strided", "b": 4096,'
+         ' "s": 8}', "strided access on a vload_unit event"),
+        ('{"o": "vload_unit", "e": 2, "w": 32, "k": "unit", "b": 4096,'
+         ' "q": 7}', "field 'q' is 7, the event's is 1"),
+        ('{"o": "vfma", "e": 2, "w": 32, "op": {"mn": "vfmacc.vv", "vd": 2.7}}',
+         "register 2.7 is not one of v0..v31"),
+        ('{"o": "vfma", "e": 2, "w": 32, "op": {"mn": "vfmacc.vv", "vd": 1,'
+         ' "vs": [true, 3]}}', "register True is not one of v0..v31"),
+        ('{"o": "vfma", "e": 2, "w": 32, "op": {"mn": "vfmacc.vv", "vd": -1}}',
+         "register -1 is not one of v0..v31"),
+        ('{"o": "vfma", "e": 2, "w": 32, "m": 3}',
+         "LMUL 3 is not one of (1, 2, 4, 8)"),
+    ])
+    def test_inconsistent_event_rejected(self, tmp_path, event, reason):
+        self._assert_rejected(tmp_path, event, re.escape(reason))
+
+    def test_version_1_trace_loads(self, tmp_path):
+        p = tmp_path / "v1.trace"
+        p.write_text('{"repro_trace": 1}\n'
+                     '{"o": "vsetvl", "e": 4, "w": 32}\n'
+                     '{"o": "vstore_strided", "e": 4, "w": 32, "k": "strided",'
+                     ' "b": 4096, "s": 8, "l": false}\n'
+                     '{"o": "scalar", "e": 1, "w": 64}\n')
+        tracer = load_trace(p)
+        assert tracer.counts() == {"scalar": 1, "vsetvl": 1, "vstore_strided": 1}
+        mem, = tracer.mem_events()
+        assert (mem.is_load, mem.seq, mem.stride) == (False, 1, 8)
+        assert [e.ops for e in tracer.events] == [None, None, None]
 
     def test_valid_indexed_event_loads(self, tmp_path):
         p = self._load_event(

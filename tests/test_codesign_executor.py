@@ -354,6 +354,43 @@ class TestSilentFailureFixes:
         # The repaired point file is valid again.
         assert json.loads(point.read_text())["version"] == CHECKPOINT_VERSION
 
+    def test_incomplete_point_is_recomputed_not_restored_as_zero(
+            self, tmp_path, layers, serial_sweep):
+        """A point the result decoder would fill with defaults (0 cycles)
+        is not canonical: resume drops it, naming the field."""
+        ckpt = tmp_path / "run"
+        codesign_sweep("vgg-head", layers, vlens=(VLENS[0],),
+                       l2_mbs=(L2_MBS[0],), checkpoint_dir=ckpt)
+        point = _point_path(ckpt, VLENS[0], L2_MBS[0])
+        payload = json.loads(point.read_text())
+        payload["result"] = {"name": "x", "total": {"freq_ghz": 2}}
+        point.write_text(json.dumps(payload))
+        sink = MemorySink()
+        events = []
+        with pytest.warns(RuntimeWarning, match="checkpoint_corrupt"):
+            sweep = codesign_sweep("vgg-head", layers, vlens=(VLENS[0],),
+                                   l2_mbs=(L2_MBS[0],), checkpoint_dir=ckpt,
+                                   sink=sink, on_progress=events.append)
+        [ev] = sink.of_kind("checkpoint_corrupt")
+        assert "result.per_layer" in ev["reason"]
+        assert not any(e.from_checkpoint for e in events)
+        key = (VLENS[0], L2_MBS[0])
+        assert sweep.at(*key) == serial_sweep.results[key]
+        assert sweep.at(*key).cycles > 0
+
+    def test_point_of_another_grid_cell_is_dropped(self, tmp_path, layers):
+        ckpt = tmp_path / "run"
+        codesign_sweep("vgg-head", layers, vlens=VLENS, l2_mbs=(L2_MBS[0],),
+                       checkpoint_dir=ckpt)
+        src = _point_path(ckpt, VLENS[0], L2_MBS[0])
+        _point_path(ckpt, VLENS[1], L2_MBS[0]).write_text(src.read_text())
+        sink = MemorySink()
+        with pytest.warns(RuntimeWarning, match="checkpoint_corrupt"):
+            codesign_sweep("vgg-head", layers, vlens=VLENS,
+                           l2_mbs=(L2_MBS[0],), checkpoint_dir=ckpt, sink=sink)
+        [ev] = sink.of_kind("checkpoint_corrupt")
+        assert f"holds point {VLENS[0]}b/{L2_MBS[0]}MB" in ev["reason"]
+
     def test_non_dict_payload_is_dropped_with_reason(
             self, tmp_path, layers, serial_sweep):
         ckpt = tmp_path / "run"

@@ -21,7 +21,7 @@ from repro.model.layer_model import NetworkResult
 from repro.nets import vgg16_layers
 from repro.obs import METRICS, MemorySink
 from repro.serve import Query, ResultStore, network_hash, point_key
-from repro.serve.codec import canonical_point, encode_point, read_point
+from repro.codesign.codec import canonical_point, encode_point, read_point
 from repro.serve.store import (
     SOURCE_COALESCED,
     SOURCE_COMPUTED,

@@ -1,8 +1,10 @@
-"""The row-buffered tracer, the register view cache and bulk line IDs.
+"""The signature-interned tracer, the register view cache and bulk line IDs.
 
-:class:`repro.rvv.Tracer` records one row per instruction and derives
-its per-class counts, its events and the replayed line stream from the
-rows.  These tests hold each derived view to the definition it replaced:
+:class:`repro.rvv.Tracer` interns one signature per distinct
+instruction and derives its per-class counts, its events and the
+replayed line stream from the signatures and their per-occurrence
+payloads.  These tests hold each derived view to the definition it
+replaced:
 
 - :meth:`Tracer.line_stream` against :meth:`MemAccess.line_addresses`
   per event, and :meth:`Simulator.run_trace` against a per-event replay
@@ -37,8 +39,12 @@ from repro.rvv import (
     save_trace,
 )
 from repro.rvv import tracer as tracer_mod
-from repro.rvv.tracer import FOLD_ROWS, Operands
+from repro.rvv.tracer import Operands
+from repro.sve import SveMachine
 from repro.sim import Simulator, SystemConfig
+
+#: Records enough to have crossed the old per-class fold buffer.
+_MANY = 4096
 
 _LOAD = {"unit": OpClass.VLOAD_UNIT, "strided": OpClass.VLOAD_STRIDED,
          "indexed": OpClass.VLOAD_INDEXED}
@@ -151,6 +157,18 @@ class TestLineStream:
         assert stores.tolist() == [False] * 2 + [True] * 6 + [False] * 3
         _assert_stream_matches(tracer, 64)
 
+    @pytest.mark.parametrize("machine", [RvvMachine, SveMachine])
+    def test_machine_trace_equals_per_event_line_addresses(self, machine):
+        """Repeated signatures with varying bases and index offsets."""
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 6, 7)).astype(np.float32)
+        w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
+        m = machine(512, memory=Memory(1 << 24), tracer=Tracer(capture=True))
+        winograd_conv2d_sim(m, x, w, pad=1, variant="indexed")
+        assert len(m.tracer.sigs) < len(m.tracer) / 10
+        with mock.patch.object(tracer_mod, "LINE_CHUNK_ELEMS", 1000):
+            _assert_stream_matches(m.tracer, 64)
+
     def test_empty_traces(self):
         tracer = Tracer(capture=True)
         _assert_stream_matches(tracer, 64)
@@ -197,7 +215,7 @@ _OPCLASSES = [OpClass.VFMA, OpClass.VSETVL, OpClass.VLOAD_UNIT,
               OpClass.VSTORE_STRIDED, OpClass.SCALAR, OpClass.VSLIDE]
 _records = st.tuples(
     st.sampled_from(_OPCLASSES), st.integers(0, 64), st.sampled_from([32, 64]),
-    st.sampled_from([1, 2, 4]), st.booleans(), st.integers(-1, 3))
+    st.sampled_from([1, 2, 4]), st.booleans())
 _actions = st.lists(st.one_of(
     st.tuples(st.just("record"), _records),
     st.sampled_from([("events",), ("by_class",), ("total",), ("mem",),
@@ -205,11 +223,11 @@ _actions = st.lists(st.one_of(
 
 
 def _apply(tracer, model, rec):
-    opclass, elems, eew, lmul, with_mem, seq = rec
+    opclass, elems, eew, lmul, with_mem = rec
     mem = None
     if with_mem:
         mem = MemAccess("unit", 4096 + 64 * elems, elems, eew // 8, eew // 8,
-                        is_load=opclass is not OpClass.VSTORE_STRIDED, seq=seq)
+                        is_load=opclass is not OpClass.VSTORE_STRIDED)
     ops = Operands("vfmacc.vv", vd=lmul, vs=(elems % 32,))
     for t in (tracer, model):
         t.record(opclass, elems, eew, mem, lmul=lmul, ops=ops)
@@ -249,31 +267,11 @@ class TestLazyTracerState:
         assert tracer.events is first and first[0] is head
         assert [e.mem.seq for e in tracer.events if e.mem] == [1]
 
-    def test_preset_sequence_numbers_are_kept(self):
-        tracer = Tracer(capture=True)
-        mem = MemAccess("unit", 4096, 4, 4, 4, seq=41, sew=64, lmul=2)
-        tracer.record(OpClass.VSETVL, 4, 32)
-        tracer.record(OpClass.VLOAD_UNIT, 4, 32, mem)
-        assert next(tracer.mem_events()) is mem
-        assert tracer.events[1].mem is mem
-
-    def test_stamping_keeps_subclass_fields(self):
-        @dataclasses.dataclass(frozen=True)
-        class TaggedAccess(MemAccess):
-            tag: str = ""
-
-        tracer = Tracer(capture=True)
-        tracer.record(OpClass.VLOAD_UNIT, 4, 32,
-                      TaggedAccess("unit", 4096, 4, 4, 4, tag="x"), lmul=2)
-        mem = tracer.events[0].mem
-        assert type(mem) is TaggedAccess
-        assert (mem.tag, mem.seq, mem.sew, mem.lmul) == ("x", 0, 32, 2)
-
     def test_reset(self):
         tracer = Tracer(capture=True)
-        for _ in range(FOLD_ROWS + 3):
+        for _ in range(_MANY + 3):
             tracer.record(OpClass.VFMA, 8, 32)
-        assert len(tracer.events) == FOLD_ROWS + 3
+        assert len(tracer.events) == _MANY + 3
         tracer.reset()
         assert tracer.events == [] and dict(tracer.by_class) == {}
         assert tracer.total_instrs == 0
@@ -281,12 +279,24 @@ class TestLazyTracerState:
         assert next(tracer.mem_events()).seq == 0
         assert tracer.by_class[OpClass.VLOAD_UNIT].bytes_loaded == 16
 
-    def test_counting_tracer_holds_at_most_one_buffer(self):
+    def test_reset_keeps_the_active_configuration(self):
+        m = RvvMachine(512, memory=Memory(1 << 20), tracer=Tracer(capture=True))
+        a = m.memory.alloc_f32(64)
+        m.setvl(8, lmul=2)
+        m.vle32(2, a)
+        m.tracer.reset()
+        m.vle32(4, a)
+        m.setvl(8, lmul=2)
+        assert list(m.tracer.by_class) == [OpClass.VLOAD_UNIT, OpClass.VSETVL]
+        mem = m.tracer.events[0].mem
+        assert (mem.elems, mem.lmul, mem.seq) == (8, 2, 0)
+
+    def test_counting_tracer_keeps_only_signatures(self):
         tracer = Tracer(capture=False)
-        n = 3 * FOLD_ROWS + 5
+        n = 3 * _MANY + 5
         for i in range(n):
             tracer.record(OpClass.VFMA if i % 2 else OpClass.VMOVE, 4, 32)
-            assert len(tracer._rows) < FOLD_ROWS
+        assert len(tracer.sigs) == 2 and tracer.sig_ids == []
         assert tracer.total_instrs == n
         assert tracer.by_class[OpClass.VFMA].flops == 2 * 4 * (n // 2)
         assert tracer.events == []
@@ -295,7 +305,7 @@ class TestLazyTracerState:
 
     def test_classes_keep_first_recorded_order_across_folds(self):
         tracer = Tracer(capture=False)
-        for _ in range(FOLD_ROWS):
+        for _ in range(_MANY):
             tracer.record(OpClass.VFMA, 1, 32)
         tracer.record(OpClass.SCALAR, 1, 64)
         tracer.record(OpClass.VFMA, 1, 32)
