@@ -94,12 +94,11 @@ class VectorEngine:
             )
         return self.vl
 
-    def _set_vl(self, avl: int, sew: int, lmul: int,
-                mn: str | None = None) -> int:
+    def _set_vl(self, avl: int, sew: int, lmul: int) -> int:
         self.vtype = VType(sew=sew, lmul=lmul)
         self.vl = self._grant(avl)
         self._configured = True
-        self.tracer.configure(_SET_VL, mn, self.vl, sew, lmul, avl)
+        self.tracer.configure(_SET_VL, self.vl, sew, lmul, avl)
         return self.vl
 
     def _grant(self, avl: int) -> int:

@@ -196,12 +196,12 @@ class Sig:
     stream position of the first one.
     """
 
-    __slots__ = ("sid", "key", "opclass", "mn", "ops", "eew", "lmul",
+    __slots__ = ("sid", "key", "opclass", "ops", "eew", "lmul",
                  "elems", "vl", "sew", "cfg_lmul", "is_config", "kind",
                  "ebytes", "stride", "is_load", "payload", "first", "count",
                  "_event", "_mem")
 
-    def __init__(self, sid: int, key: Any, opclass: OpClass, mn: str,
+    def __init__(self, sid: int, key: Any, opclass: OpClass,
                  ops: Operands | None, eew: int, lmul: int, elems: Any,
                  cfg: "Sig | None", is_config: bool, kind: str | None,
                  ebytes: int, stride: Any, is_load: bool,
@@ -209,7 +209,6 @@ class Sig:
         self.sid = sid
         self.key = key
         self.opclass = opclass
-        self.mn = mn
         self.ops = ops
         self.eew = eew
         self.lmul = lmul
@@ -245,9 +244,9 @@ class Sig:
         """The occurrence with payload ``item`` at stream position ``seq``."""
         if self.payload is None:
             return self.event
-        if self.kind is None:
+        if self.kind is None:  # a configuration: the payload is its AVL
             return InstrEvent(self.opclass, self.elems, self.eew, None,
-                              self.lmul, Operands(self.mn, avl=item))
+                              self.lmul, Operands(self.ops.mnemonic, avl=item))  # type: ignore[union-attr]
         return InstrEvent(self.opclass, self.elems, self.eew,
                           self.mem_at(item, seq), self.lmul, self.ops)
 
@@ -328,6 +327,7 @@ class Tracer:
             sig = self._map.get(k)
         if sig is None:
             sig = self._intern_prim(k, prim, mn, args)
+        # _occur, inlined: this runs once per retired instruction.
         sig.count += 1
         self._n += 1
         if self.capture:
@@ -335,17 +335,17 @@ class Tracer:
             if sig.payload is not None:
                 sig.payload.append(item)
 
-    def configure(self, prim: Any, mn: str | None, vl: Any, sew: int,
-                  lmul: int, avl: Any) -> None:
+    def configure(self, prim: Any, vl: Any, sew: int, lmul: int,
+                  avl: Any) -> None:
         """Record a configuration instruction granting ``vl`` for ``avl``."""
-        k = (prim, mn, sew, lmul, vl)
+        k = (prim, sew, lmul, vl)
         try:
             sig = self._map.get(k)
         except TypeError:
-            k = (prim, mn, sew, lmul, _hashable(vl))
+            k = (prim, sew, lmul, _hashable(vl))
             sig = self._map.get(k)
         if sig is None:
-            sig = self._new(k, prim.opclass, mn or prim.mnemonic, None, sew,
+            sig = self._new(k, prim.opclass, Operands(prim.mnemonic), sew,
                             lmul, vl, True, None, 0, 0, True, True)
         self._occur(sig, avl)
         self._cfg = sig
@@ -393,9 +393,8 @@ class Tracer:
         sig = self._map.get(k)
         if sig is None:
             kind, ebytes, stride, is_load = pattern or (None, 0, 0, True)
-            sig = self._new(k, opclass, ops.mnemonic if ops else "", ops, eew,
-                            lmul, elems, is_config, kind, ebytes, stride,
-                            is_load, kind is not None)
+            sig = self._new(k, opclass, ops, eew, lmul, elems, is_config,
+                            kind, ebytes, stride, is_load, kind is not None)
         self._occur(sig, item)
         if is_config:
             self._cfg = sig
@@ -410,15 +409,15 @@ class Tracer:
             elems, lmul = cfg.elems, cfg.lmul
         kind = prim.kind
         stride = ops.imm if kind == "strided" else prim.eew // 8
-        return self._new(k, prim.opclass, ops.mnemonic if ops else "", ops,
-                         prim.eew, lmul, elems, False, kind, prim.eew // 8,
-                         stride, prim.is_load, kind is not None)
+        return self._new(k, prim.opclass, ops, prim.eew, lmul, elems, False,
+                         kind, prim.eew // 8, stride, prim.is_load,
+                         kind is not None)
 
-    def _new(self, k: Any, opclass: OpClass, mn: str, ops: Operands | None,
+    def _new(self, k: Any, opclass: OpClass, ops: Operands | None,
              eew: int, lmul: int, elems: Any, is_config: bool,
              kind: str | None, ebytes: int, stride: Any, is_load: bool,
              keeps_payload: bool) -> Sig:
-        sig = Sig(len(self.sigs), k, opclass, mn, ops, eew, lmul, elems,
+        sig = Sig(len(self.sigs), k, opclass, ops, eew, lmul, elems,
                   self._cfg, is_config, kind, ebytes, stride, is_load,
                   [] if keeps_payload and self.capture else None, self._n)
         self.sigs.append(sig)
@@ -446,8 +445,8 @@ class Tracer:
         self._cfg, self._n, self._ids = None, 0, None
         self._events, self._cursors = [], []
         if cfg is not None:
-            self._cfg = self._new(cfg.key, cfg.opclass, cfg.mn, cfg.ops,
-                                  cfg.eew, cfg.lmul, cfg.elems, True, cfg.kind,
+            self._cfg = self._new(cfg.key, cfg.opclass, cfg.ops, cfg.eew,
+                                  cfg.lmul, cfg.elems, True, cfg.kind,
                                   cfg.ebytes, cfg.stride, cfg.is_load,
                                   cfg.payload is not None)
             self._cfg.first = -1

@@ -56,7 +56,7 @@ class SveMachine(VectorEngine):
         avl = n - i
         self.vl = self._grant(avl)
         self._configured = True
-        self.tracer.configure(_WHILELT, None, self.vl, 32, 1, avl)
+        self.tracer.configure(_WHILELT, self.vl, 32, 1, avl)
         return self.vl
 
     def ld1w(self, vd: int, addr: int) -> None:
