@@ -155,11 +155,11 @@ def retires(fn: Callable[..., Any]) -> Callable[..., Any]:
     key = prim.key
     if prim.kind is None:
         @wraps(fn)
-        def op(machine: Any, *args: Any, mn: str | None = None) -> Any:
+        def plain(machine: Any, *args: Any, mn: str | None = None) -> Any:
             out = fn(machine, *args)
             machine.tracer.retire(prim, mn, key(args), args)
             return out
-        return op
+        return plain
     b = prim.roles.index("base")
     if prim.kind == "indexed":
         @wraps(fn)
