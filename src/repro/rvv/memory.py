@@ -59,7 +59,8 @@ class Memory:
         self.size = int(size_bytes)
         self.base = int(base)
         self._buf = np.zeros(self.size, dtype=np.uint8)
-        # Float32 view of the 4-byte-aligned addresses, for gathers.
+        # Float32 view of the 4-byte-aligned addresses: vector accesses
+        # of EEW=32 index it by word.
         self._f32_lead = -self.base % 4
         self._f32_words = self._buf[
             self._f32_lead : self._f32_lead + (self.size - self._f32_lead) // 4 * 4
@@ -138,6 +139,15 @@ class Memory:
         off = self._check(addr, count * dt.itemsize)
         return self._buf[off : off + count * dt.itemsize].view(dt)
 
+    def view_f32(self, addr: int, count: int) -> np.ndarray:
+        """:meth:`view` of ``count`` float32 elements, as a slice of the
+        float32 word view (the unit-stride vector access path)."""
+        if addr % 4:
+            raise AlignmentError(
+                f"address {addr:#x} is not aligned to element size 4")
+        w = (self._check(addr, 4 * count) - self._f32_lead) >> 2
+        return self._f32_words[w : w + count]
+
     def read_f32(self, addr: int, count: int) -> np.ndarray:
         """Copy out ``count`` float32 elements starting at ``addr``."""
         return self.view(addr, count, np.float32).copy()
@@ -164,13 +174,7 @@ class Memory:
         offs = np.asarray(byte_offsets, dtype=np.int64)
         if offs.size == 0:
             return np.empty(0, dtype=np.float32)
-        addrs = base + offs
-        lo, hi = int(addrs.min()), int(addrs.max())
-        self._check(lo, 1)
-        self._check(hi, 4)
-        if np.any(addrs % 4):
-            raise AlignmentError("gather addresses must be 4-byte aligned for EEW=32")
-        return self._f32_words[(addrs - (self.base + self._f32_lead)) >> 2]
+        return self._f32_words[self._word_index(base + offs, "gather")]
 
     def scatter_f32(self, base: int, byte_offsets: np.ndarray, values: np.ndarray) -> None:
         """Element scatter: write float32 values at ``base + off``."""
@@ -182,15 +186,16 @@ class Memory:
             )
         if offs.size == 0:
             return
-        addrs = base + offs
+        self._f32_words[self._word_index(base + offs, "scatter")] = vals
+
+    def _word_index(self, addrs: np.ndarray, what: str) -> np.ndarray:
+        """Float32-word indices of element addresses ``addrs``, each
+        bounds-checked and 4-byte aligned."""
         self._check(int(addrs.min()), 1)
         self._check(int(addrs.max()), 4)
-        if np.any(addrs % 4):
-            raise AlignmentError("scatter addresses must be 4-byte aligned for EEW=32")
-        idx = addrs - self.base
-        raw = vals.view(np.uint8)
-        for k in range(4):
-            self._buf[idx + k] = raw[k::4]
+        if (addrs & 3).any():
+            raise AlignmentError(f"{what} addresses must be 4-byte aligned for EEW=32")
+        return (addrs - (self.base + self._f32_lead)) >> 2
 
     def strided_view_f32(self, addr: int, count: int, stride_bytes: int) -> np.ndarray:
         """A strided float32 view (stride in bytes, may exceed 4).
@@ -205,19 +210,13 @@ class Memory:
             )
         if count == 0:
             return np.empty(0, dtype=np.float32)
-        if stride_bytes >= 0:
-            span = stride_bytes * (count - 1) + 4
-            off = self._check(addr, span)
-        else:
-            span = -stride_bytes * (count - 1) + 4
-            off = self._check(addr + stride_bytes * (count - 1), span)
-            off = addr - self.base
-        f32 = self._buf[off : off + 4].view(np.float32) if count == 1 else None
-        if count == 1:
-            return f32  # type: ignore[return-value]
+        sw = stride_bytes // 4
+        lo = addr + min(stride_bytes, 0) * (count - 1)
+        w = (self._check(lo, abs(stride_bytes) * (count - 1) + 4)
+             - self._f32_lead) >> 2
+        win = self._f32_words[w : w + abs(sw) * (count - 1) + 1]
+        if sw or count == 1:
+            return win[::sw] if sw else win
+        # A zero stride: every element aliases the one word.
         return np.lib.stride_tricks.as_strided(
-            self._buf[off : off + 4].view(np.float32),
-            shape=(count,),
-            strides=(stride_bytes,),
-            writeable=True,
-        )
+            win, shape=(count,), strides=(0,), writeable=True)

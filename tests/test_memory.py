@@ -124,6 +124,16 @@ class TestGatherScatter:
         np.testing.assert_array_equal(m.gather_f32(a, offs), [4, 1, 2, 2, 9])
         with pytest.raises(MemoryError_):
             m.gather_f32(a, np.array([last - a + 4], dtype=np.int64))
+        m.scatter_f32(a, offs[[0, 2, 4]], np.array([7, 8, 6], dtype=np.float32))
+        np.testing.assert_array_equal(m.read_f32(a, 4), [1, 8, 3, 7])
+        np.testing.assert_array_equal(m.read_f32(last, 1), [6])
+        assert m._buf[a - m.base - 2 : a - m.base].tolist() == [0, 0]
+        with pytest.raises(MemoryError_):
+            m.scatter_f32(a, np.array([last - a + 4], dtype=np.int64),
+                          np.ones(1, dtype=np.float32))
+        with pytest.raises(AlignmentError):
+            m.scatter_f32(a, np.array([2], dtype=np.int64),
+                          np.ones(1, dtype=np.float32))
 
     def test_gather_out_of_bounds(self, mem):
         a = mem.alloc_f32(4)
