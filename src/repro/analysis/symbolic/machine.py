@@ -231,13 +231,15 @@ class AbstractCore:
         raise SymbolicError("abstract machines cannot read register data")
 
     _u32 = _f32
-    _i32 = _f32
     read_f32 = _f32  # type: ignore[assignment]
 
     def write_f32(self, idx: int, values: np.ndarray) -> None:
         raise SymbolicError("abstract machines cannot write register data")
 
     # -- configuration -------------------------------------------------
+    def _select_binds(self) -> None:
+        """Abstract machines run every primitive per call: no bindings."""
+
     def _grant(self, avl: IntLike) -> IntLike:
         if self.ctx.exists(lambda v: v < 0, avl):
             raise VectorStateError(f"AVL must be non-negative, got {avl}")
@@ -376,6 +378,10 @@ class AbstractCore:
         self._clobber(vd)
 
     # -- misc -----------------------------------------------------------
+    @retires
+    def _scalar(self) -> None:
+        """One scalar bookkeeping instruction (no vector semantics)."""
+
     def load_index_u32(self, vd: int, offsets: np.ndarray) -> None:
         vl = self._require_vl()
         offs = np.ascontiguousarray(offsets, dtype=np.uint32)

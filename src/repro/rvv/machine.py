@@ -21,19 +21,25 @@ which is how the paper's RVV-vs-SVE parity experiment is reproduced.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.errors import IllegalInstructionError, VectorStateError
 from repro.isa import vsetvl as isa_vsetvl
 from repro.isa.encoding import VType, validate_vlen
 from repro.rvv.memory import Memory
-from repro.rvv.prims import PRIMS, retires
+from repro.rvv.prims import PRIMS, Prim, binds
 from repro.rvv.registers import RegAlloc, VRegFile
 from repro.rvv.tracer import Tracer
 
 _SET_VL = PRIMS["_set_vl"]
 
-_F32, _U32, _I32 = np.float32, np.uint32, np.int32
+_add, _sub, _mul, _copyto = np.add, np.subtract, np.multiply, np.copyto
+
+
+def _nothing() -> None:
+    """The occurrence of a primitive that does nothing."""
 
 
 class VectorEngine:
@@ -67,11 +73,12 @@ class VectorEngine:
         self.tracer = tracer if tracer is not None else Tracer(capture=False)
         self.strict = strict
         self.regs = VRegFile(vlen_bits)
-        self._reg_views = self.regs.views
         self.alloc = RegAlloc()
         self.vtype = VType(sew=32, lmul=1)
         self.vl = 0
         self._configured = False
+        self._binds_at: dict = {}
+        self._select_binds()
         # Scratch backing for load_index_u32.  Allocated lazily (an
         # eager allocation here would shift every subsequent simulated
         # address) but sized at the architectural maximum, so the bump
@@ -95,11 +102,29 @@ class VectorEngine:
         return self.vl
 
     def _set_vl(self, avl: int, sew: int, lmul: int) -> int:
+        return self._configure(_SET_VL, avl, sew, lmul)
+
+    def _configure(self, prim: Prim, avl: int, sew: int, lmul: int) -> int:
+        """Retire configuration ``prim`` requesting ``avl`` elements."""
         self.vtype = VType(sew=sew, lmul=lmul)
         self.vl = self._grant(avl)
         self._configured = True
-        self.tracer.configure(_SET_VL, self.vl, sew, lmul, avl)
+        self._select_binds()
+        self.tracer.configure(prim, self.vl, sew, lmul, avl)
         return self.vl
+
+    def _select_binds(self) -> None:
+        """Make the bindings of the active configuration current.
+
+        A binding (see :func:`~repro.rvv.prims.binds`) holds register
+        slices of the configuration it was made under, so each
+        configuration keeps its own, keyed by signature.
+        """
+        state = (self.vl, self.vtype.sew, self.vtype.lmul) if self._configured else None
+        binds = self._binds_at.get(state)
+        if binds is None:
+            binds = self._binds_at[state] = {}
+        self._binds = binds
 
     def _grant(self, avl: int) -> int:
         """The ``vl`` granted for ``avl`` under the current vtype."""
@@ -114,19 +139,11 @@ class VectorEngine:
     # ------------------------------------------------------------------
     # Register views (fp32 / int32 over the active group)
     # ------------------------------------------------------------------
-    # These read the register file's view cache directly and fall back
-    # to it (which validates the group) only on a miss.
     def _f32(self, idx: int) -> np.ndarray:
-        v = self._reg_views.get((_F32, idx, self.vtype.lmul))
-        return v if v is not None else self.regs.f32(idx, self.vtype.lmul)
+        return self.regs.f32(idx, self.vtype.lmul)
 
     def _u32(self, idx: int) -> np.ndarray:
-        v = self._reg_views.get((_U32, idx, self.vtype.lmul))
-        return v if v is not None else self.regs.u32(idx, self.vtype.lmul)
-
-    def _i32(self, idx: int) -> np.ndarray:
-        v = self._reg_views.get((_I32, idx, self.vtype.lmul))
-        return v if v is not None else self.regs.i32(idx, self.vtype.lmul)
+        return self.regs.u32(idx, self.vtype.lmul)
 
     def read_f32(self, idx: int) -> np.ndarray:
         """Debug/test helper: copy of the active fp32 lanes of ``v[idx]``."""
@@ -140,63 +157,111 @@ class VectorEngine:
     # ------------------------------------------------------------------
     # Memory semantics (shared by both ISAs)
     # ------------------------------------------------------------------
-    @retires
-    def _ld_unit(self, vd: int, addr: int) -> None:
+    # Each primitive below is a binder (see repro.rvv.prims.binds): it
+    # checks and slices what the signature fixes, under the active
+    # configuration, and returns the closure that runs one occurrence.
+    # Memory bounds and alignment are checked by every occurrence.
+    @binds
+    def _ld_unit(self, vd: int) -> Callable[[int], None]:
         vl = self._require_vl()
-        self._f32(vd)[:vl] = self.memory.view(addr, vl, np.float32)
+        d, view = self._f32(vd)[:vl], self.memory.view_f32
 
-    @retires
-    def _st_unit(self, vs: int, addr: int) -> None:
-        vl = self._require_vl()
-        self.memory.view(addr, vl, np.float32)[:] = self._f32(vs)[:vl]
+        def run(addr: int) -> None:
+            d[:] = view(addr, vl)
+        return run
 
-    @retires
-    def _ld_strided(self, vd: int, addr: int, stride_bytes: int) -> None:
+    @binds
+    def _st_unit(self, vs: int) -> Callable[[int], None]:
         vl = self._require_vl()
-        self._f32(vd)[:vl] = self.memory.strided_view_f32(addr, vl, stride_bytes)
+        s, view = self._f32(vs)[:vl], self.memory.view_f32
 
-    @retires
-    def _st_strided(self, vs: int, addr: int, stride_bytes: int) -> None:
-        vl = self._require_vl()
-        self.memory.strided_view_f32(addr, vl, stride_bytes)[:] = self._f32(vs)[:vl]
+        def run(addr: int) -> None:
+            view(addr, vl)[:] = s
+        return run
 
-    @retires
-    def _ld_indexed(self, vd: int, base: int, vidx: int) -> np.ndarray:
+    @binds
+    def _ld_strided(self, vd: int, stride_bytes: int) -> Callable[[int], None]:
         vl = self._require_vl()
-        offsets = self._u32(vidx)[:vl].astype(np.int64)
-        self._f32(vd)[:vl] = self.memory.gather_f32(base, offsets)
-        return offsets
+        d, view = self._f32(vd)[:vl], self.memory.strided_view_f32
 
-    @retires
-    def _st_indexed(self, vs: int, base: int, vidx: int) -> np.ndarray:
+        def run(addr: int) -> None:
+            d[:] = view(addr, vl, stride_bytes)
+        return run
+
+    @binds
+    def _st_strided(self, vs: int, stride_bytes: int) -> Callable[[int], None]:
         vl = self._require_vl()
-        offsets = self._u32(vidx)[:vl].astype(np.int64)
-        self.memory.scatter_f32(base, offsets, self._f32(vs)[:vl])
-        return offsets
+        s, view = self._f32(vs)[:vl], self.memory.strided_view_f32
+
+        def run(addr: int) -> None:
+            view(addr, vl, stride_bytes)[:] = s
+        return run
+
+    @binds
+    def _ld_indexed(self, vd: int, vidx: int) -> Callable[[int], np.ndarray]:
+        vl = self._require_vl()
+        d, ix, gather = self._f32(vd)[:vl], self._u32(vidx)[:vl], self.memory.gather_f32
+
+        def run(base: int) -> np.ndarray:
+            offsets = ix.astype(np.int64)
+            d[:] = gather(base, offsets)
+            return offsets
+        return run
+
+    @binds
+    def _st_indexed(self, vs: int, vidx: int) -> Callable[[int], np.ndarray]:
+        vl = self._require_vl()
+        s, ix, scatter = self._f32(vs)[:vl], self._u32(vidx)[:vl], self.memory.scatter_f32
+
+        def run(base: int) -> np.ndarray:
+            offsets = ix.astype(np.int64)
+            scatter(base, offsets, s)
+            return offsets
+        return run
 
     # ------------------------------------------------------------------
     # Arithmetic semantics
     # ------------------------------------------------------------------
-    @retires
-    def _fma(self, vd: int, vs1: int, vs2: int) -> None:
+    # Scalar operands are rounded to fp32 by filling a scratch register
+    # (``fill`` casts exactly as ``np.float32(f)``), so every operation
+    # runs in fp32 as the instruction does.
+    @binds
+    def _fma(self, vd: int, vs1: int, vs2: int) -> Callable[[], None]:
         """vd[i] += vs1[i] * vs2[i]  (vfmacc.vv)."""
         vl = self._require_vl()
-        d = self._f32(vd)
-        d[:vl] += self._f32(vs1)[:vl] * self._f32(vs2)[:vl]
+        d, a, b = self._f32(vd)[:vl], self._f32(vs1)[:vl], self._f32(vs2)[:vl]
+        t = np.empty(vl, dtype=np.float32)
 
-    @retires
-    def _fma_f(self, vd: int, f: float, vs: int) -> None:
+        def run() -> None:
+            _mul(a, b, t)
+            _add(d, t, d)
+        return run
+
+    @binds
+    def _fma_f(self, vd: int, vs: int) -> Callable[[float], None]:
         """vd[i] += f * vs[i]  (vfmacc.vf)."""
         vl = self._require_vl()
-        d = self._f32(vd)
-        d[:vl] += np.float32(f) * self._f32(vs)[:vl]
+        d, s = self._f32(vd)[:vl], self._f32(vs)[:vl]
+        t = np.empty(vl, dtype=np.float32)
 
-    @retires
-    def _nfms_f(self, vd: int, f: float, vs: int) -> None:
+        def run(f: float) -> None:
+            t.fill(f)
+            _mul(t, s, t)
+            _add(d, t, d)
+        return run
+
+    @binds
+    def _nfms_f(self, vd: int, vs: int) -> Callable[[float], None]:
         """vd[i] -= f * vs[i]  (vfnmsac.vf)."""
         vl = self._require_vl()
-        d = self._f32(vd)
-        d[:vl] -= np.float32(f) * self._f32(vs)[:vl]
+        d, s = self._f32(vd)[:vl], self._f32(vs)[:vl]
+        t = np.empty(vl, dtype=np.float32)
+
+        def run(f: float) -> None:
+            t.fill(f)
+            _mul(t, s, t)
+            _sub(d, t, d)
+        return run
 
     _ARITH = {
         "add": np.add,
@@ -204,58 +269,86 @@ class VectorEngine:
         "mul": np.multiply,
     }
 
-    @retires
-    def _arith(self, op: str, vd: int, vs1: int, vs2: int) -> None:
+    @binds
+    def _arith(self, op: str, vd: int, vs1: int, vs2: int) -> Callable[[], None]:
         vl = self._require_vl()
         fn = self._ARITH[op]
-        self._f32(vd)[:vl] = fn(self._f32(vs1)[:vl], self._f32(vs2)[:vl])
+        d, a, b = self._f32(vd)[:vl], self._f32(vs1)[:vl], self._f32(vs2)[:vl]
 
-    @retires
-    def _arith_f(self, op: str, vd: int, vs: int, f: float) -> None:
+        def run() -> None:
+            fn(a, b, d)
+        return run
+
+    @binds
+    def _arith_f(self, op: str, vd: int, vs: int) -> Callable[[float], None]:
         vl = self._require_vl()
         fn = self._ARITH[op]
-        self._f32(vd)[:vl] = fn(self._f32(vs)[:vl], np.float32(f))
+        d, s = self._f32(vd)[:vl], self._f32(vs)[:vl]
+        t = np.empty(vl, dtype=np.float32)
 
-    @retires
-    def _splat_f(self, vd: int, f: float) -> None:
-        vl = self._require_vl()
-        self._f32(vd)[:vl] = np.float32(f)
+        def run(f: float) -> None:
+            t.fill(f)
+            fn(s, t, d)
+        return run
 
-    @retires
-    def _mov(self, vd: int, vs: int) -> None:
+    @binds
+    def _splat_f(self, vd: int) -> Callable[[float], None]:
         vl = self._require_vl()
-        self._f32(vd)[:vl] = self._f32(vs)[:vl]
+        return self._f32(vd)[:vl].fill
 
-    @retires
-    def _iota(self, vd: int) -> None:
+    @binds
+    def _mov(self, vd: int, vs: int) -> Callable[[], None]:
         vl = self._require_vl()
-        self._u32(vd)[:vl] = np.arange(vl, dtype=np.uint32)
+        d, s = self._f32(vd)[:vl], self._f32(vs)[:vl]
 
-    @retires
-    def _iadd_x(self, vd: int, vs: int, x: int) -> None:
-        vl = self._require_vl()
-        self._u32(vd)[:vl] = self._u32(vs)[:vl] + np.uint32(x)
+        def run() -> None:
+            _copyto(d, s)
+        return run
 
-    @retires
-    def _imul_x(self, vd: int, vs: int, x: int) -> None:
+    @binds
+    def _iota(self, vd: int) -> Callable[[], None]:
         vl = self._require_vl()
-        self._u32(vd)[:vl] = self._u32(vs)[:vl] * np.uint32(x)
+        d, lanes = self._u32(vd)[:vl], np.arange(vl, dtype=np.uint32)
 
-    @retires
-    def _iand_x(self, vd: int, vs: int, x: int) -> None:
-        vl = self._require_vl()
-        self._u32(vd)[:vl] = self._u32(vs)[:vl] & np.uint32(x)
+        def run() -> None:
+            _copyto(d, lanes)
+        return run
 
-    @retires
-    def _redsum(self, vs: int) -> float:
+    def _bind_ix(self, fn: np.ufunc, vd: int, vs: int, x: int) -> Callable[[], None]:
+        """``vd[i] = fn(vs[i], x)`` over uint32 lanes."""
         vl = self._require_vl()
-        return float(np.sum(self._f32(vs)[:vl], dtype=np.float64))
+        d, s, xx = self._u32(vd)[:vl], self._u32(vs)[:vl], np.uint32(x)
+
+        def run() -> None:
+            fn(s, xx, d)
+        return run
+
+    @binds
+    def _iadd_x(self, vd: int, vs: int, x: int) -> Callable[[], None]:
+        return self._bind_ix(np.add, vd, vs, x)
+
+    @binds
+    def _imul_x(self, vd: int, vs: int, x: int) -> Callable[[], None]:
+        return self._bind_ix(np.multiply, vd, vs, x)
+
+    @binds
+    def _iand_x(self, vd: int, vs: int, x: int) -> Callable[[], None]:
+        return self._bind_ix(np.bitwise_and, vd, vs, x)
+
+    @binds
+    def _redsum(self, vs: int) -> Callable[[], float]:
+        vl = self._require_vl()
+        s = self._f32(vs)[:vl]
+
+        def run() -> float:
+            return float(np.sum(s, dtype=np.float64))
+        return run
 
     # ------------------------------------------------------------------
     # Register movement semantics
     # ------------------------------------------------------------------
-    @retires
-    def _slideup(self, vd: int, vs: int, offset: int) -> None:
+    @binds
+    def _slideup(self, vd: int, vs: int, offset: int) -> Callable[[], None]:
         """vd[i] = vs[i - offset] for offset <= i < vl; lower lanes kept.
 
         RVV 1.0 reserves overlapping source/destination groups for
@@ -269,32 +362,43 @@ class VectorEngine:
         vl = self._require_vl()
         if offset < 0:
             raise IllegalInstructionError(f"slide offset must be >= 0, got {offset}")
-        d, s = self._f32(vd), self._f32(vs)
-        if self._group_overlaps(vd, vs):
-            if self.strict:
-                raise VectorStateError(
-                    f"vslideup v{vd}, v{vs}: overlapping source and "
-                    "destination groups are reserved in RVV 1.0"
-                )
-            s = s[:vl].copy()
-        if offset < vl:
-            d[offset:vl] = s[: vl - offset]
+        d, s = self._f32(vd)[offset:vl], self._f32(vs)[: max(vl - offset, 0)]
+        overlaps = self._group_overlaps(vd, vs)
+        if overlaps and self.strict:
+            raise VectorStateError(
+                f"vslideup v{vd}, v{vs}: overlapping source and "
+                "destination groups are reserved in RVV 1.0"
+            )
+        if offset >= vl:
+            return _nothing
+        if not overlaps:
+            def run() -> None:
+                _copyto(d, s)
+            return run
+        snap = np.empty(vl - offset, dtype=np.float32)
 
-    @retires
-    def _slidedown(self, vd: int, vs: int, offset: int) -> None:
+        def through_snapshot() -> None:
+            _copyto(snap, s)
+            _copyto(d, snap)
+        return through_snapshot
+
+    @binds
+    def _slidedown(self, vd: int, vs: int, offset: int) -> Callable[[], None]:
         """vd[i] = vs[i + offset], zero beyond VLMAX."""
         vl = self._require_vl()
         if offset < 0:
             raise IllegalInstructionError(f"slide offset must be >= 0, got {offset}")
-        d, s = self._f32(vd), self._f32(vs)
-        vmax = self.vlmax
-        take = max(0, min(vl, vmax - offset))
+        take = max(0, min(vl, self.vlmax - offset))
+        d, s = self._f32(vd)[:vl], self._f32(vs)[offset : offset + take]
         out = np.zeros(vl, dtype=np.float32)
-        out[:take] = s[offset : offset + take]
-        d[:vl] = out
 
-    @retires
-    def _gather_reg(self, vd: int, vs: int, vidx: int) -> None:
+        def run() -> None:
+            out[:take] = s
+            _copyto(d, out)
+        return run
+
+    @binds
+    def _gather_reg(self, vd: int, vs: int, vidx: int) -> Callable[[], None]:
         """vd[i] = vs[vidx[i]] (vrgather.vv / SVE TBL); OOB lanes read 0."""
         vl = self._require_vl()
         if self.strict and (self._group_overlaps(vd, vs)
@@ -303,17 +407,22 @@ class VectorEngine:
                 f"vrgather v{vd}, v{vs}, v{vidx}: destination overlapping "
                 "a source group is reserved in RVV 1.0"
             )
-        idx = self._u32(vidx)[:vl].astype(np.int64)
-        src = self._f32(vs)[: self.vlmax].copy()
-        out = np.zeros(vl, dtype=np.float32)
-        ok = idx < self.vlmax
-        out[ok] = src[idx[ok]]
-        self._f32(vd)[:vl] = out
+        vmax = self.vlmax
+        d, src, ix = self._f32(vd)[:vl], self._f32(vs)[:vmax], self._u32(vidx)[:vl]
+
+        def run() -> None:
+            idx = ix.astype(np.int64)
+            out = np.zeros(vl, dtype=np.float32)
+            ok = idx < vmax
+            out[ok] = src[idx[ok]]
+            _copyto(d, out)
+        return run
 
     # ------------------------------------------------------------------
-    @retires
-    def _scalar(self) -> None:
+    @binds
+    def _scalar(self) -> Callable[[], None]:
         """One scalar bookkeeping instruction (no vector semantics)."""
+        return _nothing
 
     def scalar_ops(self, n: int = 1) -> None:
         """Account ``n`` scalar bookkeeping instructions (optional)."""

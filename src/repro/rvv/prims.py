@@ -6,14 +6,29 @@ semantics: the default mnemonic, the :class:`~repro.isa.OpClass`, and
 the role of each positional argument.  The memory pattern (unit,
 strided or indexed; load or store) follows from the opclass.
 
-A machine method named after a table entry and decorated with
-:func:`retires` holds only the primitive's semantics.  The decorator
-retires one instruction into the machine's
-:class:`~repro.rvv.tracer.Tracer` after the semantics ran.  The
-concrete machines (:mod:`repro.rvv.machine`, :mod:`repro.rvv.proposed`,
-:mod:`repro.sve`) and the data-free abstract machines of
-:mod:`repro.analysis.symbolic` decorate their own versions of the same
-names, so both record into the same signatures.
+A machine method named after a table entry holds only the primitive's
+semantics, in one of two forms:
+
+- The concrete machines (:mod:`repro.rvv.machine`,
+  :mod:`repro.rvv.proposed`, :mod:`repro.sve`) decorate it with
+  :func:`binds`, which makes the signature the unit of execution.  A
+  kernel's dynamic stream repeats a few hundred signatures a million
+  times, so each call first looks up the instruction's
+  :class:`~repro.rvv.tracer.Sig` in the machine's
+  :class:`~repro.rvv.tracer.Tracer`.  Only the first occurrence of a
+  signature on a machine, under one configuration, runs the method: a
+  *binder* that makes every check the signature fixes (configured
+  state, register groups, slide overlap) and slices the register
+  operands to ``vl`` once.  It returns a closure, which every
+  occurrence runs on its per-occurrence argument (checking memory
+  bounds and alignment) before the instruction retires.
+- The data-free abstract machines of :mod:`repro.analysis.symbolic`,
+  whose signatures may hold SymInts, decorate theirs with
+  :func:`retires`: the semantics run per call, then the instruction
+  retires.
+
+Both record into the same signatures, and an instruction that raises
+records nothing.
 
 Argument roles:
 
@@ -26,6 +41,9 @@ Argument roles:
 - ``base`` — the base address of a memory access, kept per occurrence.
 - ``data`` — a value the listing does not show (a scalar operand, the
   start of an index sequence, the rows of a transpose).
+
+``base`` and ``data`` are the per-occurrence arguments: a bound
+closure takes the one its primitive has, if any.
 
 An indexed access's semantics return the byte offsets it used (an
 array, or the abstract content of the index register); they are kept
@@ -146,7 +164,8 @@ PRIMS: dict[str, Prim] = _table(
 
 
 def retires(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """Retire one instruction of primitive ``fn.__name__`` per call.
+    """Run and retire one instruction of primitive ``fn.__name__`` per
+    call: ``fn`` holds the per-call semantics (the abstract machines).
 
     The wrapped method takes the primitive's arguments plus an optional
     keyword ``mn`` that overrides the default mnemonic (SVE spellings).
@@ -173,3 +192,111 @@ def retires(fn: Callable[..., Any]) -> Callable[..., Any]:
         fn(machine, *args)
         machine.tracer.retire(prim, mn, key(args), args, args[b])
     return access
+
+
+def binds(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """Run and retire one instruction of primitive ``fn.__name__`` per
+    call: ``fn`` is the primitive's *binder* (the concrete machines).
+
+    ``fn`` takes the signature arguments (the ``vd``/``vs``/``vidx``/
+    ``imm``/``op`` roles, in order), makes every check they fix and
+    returns the closure that executes one occurrence from its remaining
+    argument (the ``base`` or ``data`` role; a primitive has at most
+    one).  The wrapped method takes all the arguments plus ``mn``, like
+    a :func:`retires` one.
+
+    Each call looks the instruction's :class:`~repro.rvv.tracer.Sig` up
+    first, under the same key as :meth:`Tracer.retire`.  The closure is
+    cached per signature in the machine's bindings for its active
+    configuration (``machine._binds``), so only the first occurrence of
+    a signature on a machine binds: a binder that raises caches
+    nothing, and an occurrence that raises records nothing.
+    """
+    prim = PRIMS[fn.__name__]
+    key = prim.key
+    nkey = sum(r in _KEY_ROLES for r in prim.roles)
+    occ = [i for i, r in enumerate(prim.roles) if r not in _KEY_ROLES]
+    if len(occ) > 1:
+        raise TypeError(f"{prim}: a bound primitive takes at most one "
+                        "per-occurrence argument")
+    p = occ[0] if occ else None
+    kind = prim.kind
+
+    def first(machine: Any, tr: Any, kv: Any, args: tuple,
+              mn: str | None) -> Any:
+        """Bind, run and retire the first occurrence of a signature."""
+        run = fn(machine, *(kv if nkey > 1 else (kv,) if nkey else ()))
+        out = run() if p is None else run(args[p])
+        item = (None if kind is None else (args[p], out)
+                if kind == "indexed" else args[p])
+        machine._binds[tr.retire(prim, mn, kv, args, item)] = run
+        return None if kind is not None else out
+
+    # One fast path per payload shape.  Each inlines the occurrence
+    # bookkeeping of Tracer.retire (this runs once per instruction).
+    if kind is None and p is None:
+        @wraps(fn)
+        def call(machine: Any, *args: Any, mn: str | None = None) -> Any:
+            tr = machine.tracer
+            kv = key(args)
+            sig = tr._map.get((prim, mn, kv, tr._cfg))
+            run = machine._binds.get(sig)
+            if run is None:
+                return first(machine, tr, kv, args, mn)
+            out = run()
+            sig.count += 1
+            tr._n += 1
+            if tr.capture:
+                tr.sig_ids.append(sig.sid)
+            return out
+    elif kind is None:
+        @wraps(fn)
+        def call(machine: Any, *args: Any, mn: str | None = None) -> Any:
+            tr = machine.tracer
+            kv = key(args)
+            sig = tr._map.get((prim, mn, kv, tr._cfg))
+            run = machine._binds.get(sig)
+            if run is None:
+                return first(machine, tr, kv, args, mn)
+            out = run(args[p])
+            sig.count += 1
+            tr._n += 1
+            if tr.capture:
+                tr.sig_ids.append(sig.sid)
+            return out
+    elif kind == "indexed":
+        @wraps(fn)
+        def call(machine: Any, *args: Any, mn: str | None = None) -> None:
+            tr = machine.tracer
+            kv = key(args)
+            sig = tr._map.get((prim, mn, kv, tr._cfg))
+            run = machine._binds.get(sig)
+            if run is None:
+                return first(machine, tr, kv, args, mn)
+            base = args[p]
+            offsets = run(base)
+            sig.count += 1
+            tr._n += 1
+            if tr.capture:
+                tr.sig_ids.append(sig.sid)
+                if sig.payload is not None:
+                    sig.payload.append((base, offsets))
+    else:
+        @wraps(fn)
+        def call(machine: Any, *args: Any, mn: str | None = None) -> None:
+            tr = machine.tracer
+            kv = key(args)
+            sig = tr._map.get((prim, mn, kv, tr._cfg))
+            run = machine._binds.get(sig)
+            if run is None:
+                return first(machine, tr, kv, args, mn)
+            base = args[p]
+            run(base)
+            sig.count += 1
+            tr._n += 1
+            if tr.capture:
+                tr.sig_ids.append(sig.sid)
+                if sig.payload is not None:
+                    sig.payload.append(base)
+    call.binder = fn  # type: ignore[attr-defined]
+    return call

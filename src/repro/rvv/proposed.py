@@ -25,12 +25,14 @@ explicitly, mirroring how real code would guard on a custom extension.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.errors import IllegalInstructionError
 from repro.kernels.common import QUAD
 from repro.rvv.machine import RvvMachine
-from repro.rvv.prims import retires
+from repro.rvv.prims import binds
 
 
 class RvvPlusMachine(RvvMachine):
@@ -39,8 +41,8 @@ class RvvPlusMachine(RvvMachine):
     #: Capability flag kernels test for.
     HAS_PROPOSED_EXTENSIONS = True
 
-    @retires
-    def vrep4_vi(self, vd: int, vs: int, q: int) -> None:
+    @binds
+    def vrep4_vi(self, vd: int, vs: int, q: int) -> Callable[[], None]:
         """Proposed: replicate quad ``q`` of ``vs`` across all lanes.
 
         ``vd[i] = vs[4q + (i % 4)]`` — the operation Algorithms 1
@@ -48,9 +50,12 @@ class RvvPlusMachine(RvvMachine):
         permute; no memory access.
         """
         vl = self._check_vrep4(vd, vs, q)
-        s = self._f32(vs)
-        quad = s[QUAD * q : QUAD * q + QUAD]
-        self._f32(vd)[:vl] = np.tile(quad, -(-vl // QUAD))[:vl]
+        s, d = self._f32(vs), self._f32(vd)[:vl]
+        lanes = QUAD * q + np.arange(vl) % QUAD
+
+        def run() -> None:
+            np.take(s, lanes, out=d)
+        return run
 
     def _check_vrep4(self, vd: int, vs: int, q: int) -> int:
         vl = self._require_vl()
@@ -95,10 +100,15 @@ class RvvPlusMachine(RvvMachine):
             )
         return vl
 
-    @retires
-    def _vtrn4_row(self, vd: int, vs: tuple[int, ...], row: np.ndarray) -> None:
+    @binds
+    def _vtrn4_row(self, vd: int,
+                   vs: tuple[int, ...]) -> Callable[[np.ndarray], None]:
         """Write one destination of a ``vtrn4``."""
-        self._f32(vd)[: row.size] = row
+        d = self._f32(vd)
+
+        def run(row: np.ndarray) -> None:
+            d[: row.size] = row
+        return run
 
 
 def has_proposed_extensions(machine) -> bool:

@@ -253,20 +253,25 @@ class Sig:
     def mem_at(self, item: Any, seq: int) -> MemAccess:
         """The memory access of the occurrence with payload ``item``."""
         if self.kind != "indexed":
-            return _frozen(MemAccess, self._mem, base=item, seq=seq)
+            return _frozen(MemAccess, self._mem, item, seq)
         base, offs = item
         if offs is None or isinstance(offs, np.ndarray):
-            return _frozen(MemAccess, self._mem, base=base, seq=seq,
+            return _frozen(MemAccess, self._mem, base, seq,
                            offsets=None if offs is None else tuple(offs.tolist()))
-        return _frozen(SymMemAccess, self._mem, base=base, seq=seq,
-                       sym_offsets=offs)
+        return _frozen(SymMemAccess, self._mem, base, seq, sym_offsets=offs)
 
 
-def _frozen(cls: type, fields: dict[str, Any], **varying: Any) -> Any:
+def _frozen(cls: type, fields: dict[str, Any], base: Any, seq: int,
+            **extra: Any) -> Any:
     """A frozen dataclass ``cls`` from its field values, without running
     its ``__init__`` (one per memory access read back, so it matters)."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields, **varying)
+    d = obj.__dict__
+    d.update(fields)
+    d["base"] = base
+    d["seq"] = seq
+    if extra:
+        d.update(extra)
     return obj
 
 
@@ -313,11 +318,12 @@ class Tracer:
     # Recording
     # ------------------------------------------------------------------
     def retire(self, prim: Any, mn: str | None, key: Any, args: tuple,
-               item: Any = None) -> None:
+               item: Any = None) -> Sig:
         """Record one instruction of a :class:`~repro.rvv.prims.Prim`.
 
         ``key`` is the signature part of the call's arguments ``args``
-        and ``item`` its payload (memory primitives only).
+        and ``item`` its payload (memory primitives only).  Returns the
+        instruction's signature.
         """
         k = (prim, mn, key, self._cfg)
         try:
@@ -334,6 +340,7 @@ class Tracer:
             self.sig_ids.append(sig.sid)
             if sig.payload is not None:
                 sig.payload.append(item)
+        return sig
 
     def configure(self, prim: Any, vl: Any, sew: int, lmul: int,
                   avl: Any) -> None:
@@ -567,7 +574,8 @@ class Tracer:
 
     def mem_events(self) -> Iterator[MemAccess]:
         """All captured memory accesses in program order, as in
-        :attr:`events` (which this does not build).
+        :attr:`events` (which this does not build); only the stream
+        positions of memory signatures are visited.
 
         Raises:
             RuntimeError: if the tracer was not created with capture=True.
@@ -575,13 +583,15 @@ class Tracer:
         if not self.capture:
             raise RuntimeError("tracer was created with capture=False; no events kept")
         sigs = self.sigs
+        ids = self.ids_array()
+        is_mem = np.array([s.kind is not None for s in sigs], dtype=bool)
+        pos = np.flatnonzero(is_mem[ids])
         cur = [0] * len(sigs)
-        for seq, sid in enumerate(self.sig_ids):
+        for seq, sid in zip(pos.tolist(), ids[pos].tolist()):
             s = sigs[sid]
-            if s.kind is not None:
-                r = cur[sid]
-                cur[sid] = r + 1
-                yield s.mem_at(s.payload[r], seq)  # type: ignore[index]
+            r = cur[sid]
+            cur[sid] = r + 1
+            yield s.mem_at(s.payload[r], seq)  # type: ignore[index]
 
     def line_stream(
         self, line_bytes: int = 64

@@ -23,12 +23,13 @@ differs exactly where the ISAs differ.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.errors import VectorStateError
-from repro.isa.encoding import VType
 from repro.rvv.machine import VectorEngine
-from repro.rvv.prims import PRIMS, retires
+from repro.rvv.prims import PRIMS, binds
 
 _WHILELT = PRIMS["whilelt"]
 
@@ -52,12 +53,7 @@ class SveMachine(VectorEngine):
         """
         if i > n:
             raise VectorStateError(f"whilelt with i={i} > n={n}")
-        self.vtype = VType(sew=32, lmul=1)
-        avl = n - i
-        self.vl = self._grant(avl)
-        self._configured = True
-        self.tracer.configure(_WHILELT, self.vl, 32, 1, avl)
-        return self.vl
+        return self._configure(_WHILELT, n - i, 32, 1)
 
     def ld1w(self, vd: int, addr: int) -> None:
         """Contiguous predicated load (``ld1w``)."""
@@ -104,13 +100,16 @@ class SveMachine(VectorEngine):
         """``EXT``-style lane shift used to emulate a slide-up."""
         self._slideup(vd, vs, offset_elems, mn="ext")
 
-    @retires
-    def index_u32(self, vd: int, start: int, step: int) -> None:
+    @binds
+    def index_u32(self, vd: int, step: int) -> Callable[[int], None]:
         """``INDEX``: vd[i] = start + i*step (uint32)."""
         vl = self._require_vl()
-        self._u32(vd)[:vl] = (
-            np.uint32(start) + np.arange(vl, dtype=np.uint32) * np.uint32(step)
-        )
+        d = self._u32(vd)[:vl]
+        steps = np.arange(vl, dtype=np.uint32) * np.uint32(step)
+
+        def run(start: int) -> None:
+            np.add(np.uint32(start), steps, d)
+        return run
 
     # --- RVV-compatible adapter (single-source kernels) ---------------------
     def setvl(self, avl: int, sew: int = 32, lmul: int = 1) -> int:

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
+    AlignmentError,
     IllegalInstructionError,
+    MemoryError_,
     RegisterSpillError,
     VectorStateError,
 )
 from repro.isa import OpClass
-from repro.rvv import Memory, RvvMachine, Tracer
+from repro.rvv import Memory, RvvMachine, Tracer, save_trace
 
 
 @pytest.fixture
@@ -381,3 +383,188 @@ class TestIndexScratchAllocation:
         for _ in range(10):
             m.load_index_u32(1, offs)
         assert m.memory.bytes_allocated == footprint
+
+
+# ----------------------------------------------------------------------
+# Execution by signature: what the first occurrence binds, and what
+# every occurrence still checks.
+# ----------------------------------------------------------------------
+def _snapshot(tracer, path):
+    """Everything a retired instruction would change in ``tracer``."""
+    save_trace(tracer, path)
+    return ([(s.sid, s.count, None if s.payload is None else len(s.payload))
+             for s in tracer.sigs],
+            list(tracer.sig_ids), len(tracer), path.read_bytes())
+
+
+def _lanes(m):
+    """The register file as 32 rows of fp32 lanes."""
+    return m.regs.f32(0, 32).reshape(32, -1).copy()
+
+
+_ACCESSES = {
+    "vle32": lambda m, base: m.vle32(1, base),
+    "vse32": lambda m, base: m.vse32(1, base),
+    "vlse32": lambda m, base: m.vlse32(1, base, 8),
+    "vsse32": lambda m, base: m.vsse32(1, base, 8),
+    "vluxei32": lambda m, base: m.vluxei32(1, base, 5),
+    "vsuxei32": lambda m, base: m.vsuxei32(1, base, 5),
+}
+
+
+class TestExecutionBySignature:
+    @pytest.fixture
+    def mm(self):
+        m = RvvMachine(512, memory=Memory(4096), tracer=Tracer(capture=True))
+        m.setvl(16)
+        m.vid_v(5)
+        m.vmul_vx(5, 5, 4)
+        return m
+
+    @pytest.mark.parametrize("op", sorted(_ACCESSES))
+    def test_every_occurrence_checks_its_base(self, mm, op):
+        access = _ACCESSES[op]
+        a = mm.memory.alloc_f32(64)
+        for k in range(3):
+            access(mm, a + 4 * k)
+        end = mm.memory.base + mm.memory.size
+        sig = mm.tracer.sigs[mm.tracer.sig_ids[-1]]
+        for _ in range(2):
+            with pytest.raises(MemoryError_):
+                access(mm, end - 8)
+            with pytest.raises(AlignmentError):
+                access(mm, a + 2)
+        access(mm, a)
+        assert sig.count == 4
+
+    @pytest.mark.parametrize("op", ["vluxei32", "vsuxei32"])
+    def test_every_occurrence_checks_its_index_content(self, mm, op):
+        access = _ACCESSES[op]
+        a = mm.memory.alloc_f32(64)
+        access(mm, a)
+        mm.vadd_vx(5, 5, 2)  # same index register, misaligned offsets
+        with pytest.raises(AlignmentError):
+            access(mm, a)
+        mm.vadd_vx(5, 5, 1 << 16)  # same index register, out of memory
+        with pytest.raises(MemoryError_):
+            access(mm, a)
+
+    def test_strict_overlap_raises_on_every_occurrence(self):
+        m = RvvMachine(512, strict=True, tracer=Tracer(capture=True))
+        m.setvl(16)
+        m.vslideup_vx(2, 1, 4)
+        for _ in range(3):
+            with pytest.raises(VectorStateError):
+                m.vslideup_vx(1, 1, 4)
+            with pytest.raises(VectorStateError):
+                m.vrgather_vv(1, 1, 2)
+        assert m.tracer.counts() == {"vsetvl": 1, "vslide": 1}
+
+    def test_a_raising_instruction_records_nothing(self, mm, tmp_path):
+        a = mm.memory.alloc_f32(64)
+        mm.vle32(1, a)
+        mm.vfmacc_vf(2, 0.5, 1)
+        end = mm.memory.base + mm.memory.size
+        before = _snapshot(mm.tracer, tmp_path / "t")
+        raising = [
+            lambda: mm.vle32(1, end),           # a later occurrence
+            lambda: mm.vle32(9, end),           # a first occurrence
+            lambda: mm.vle32(1, a + 1),
+            lambda: mm.vslideup_vx(3, 2, -1),   # the binder raises
+            lambda: mm.vfmacc_vf(32, 0.5, 1),
+        ]
+        for op in raising * 2:
+            with pytest.raises((MemoryError_, AlignmentError,
+                                IllegalInstructionError, VectorStateError)):
+                op()
+            assert _snapshot(mm.tracer, tmp_path / "t") == before
+
+    def test_same_registers_under_a_new_vl_and_lmul(self):
+        m = RvvMachine(512, tracer=Tracer(capture=True))
+        a = m.memory.alloc_f32(64)
+        b = m.memory.alloc_f32(64)
+        rng = np.random.default_rng(3)
+        fill(m, a, rng.standard_normal(64))
+        fill(m, b, rng.standard_normal(64))
+        want = _lanes(m)
+        for avl, lmul in ((16, 1), (5, 1), (40, 2), (16, 1), (5, 1)):
+            vl = m.setvl(avl, lmul=lmul)
+            m.vle32(2, a)
+            m.vle32(4, b)
+            m.vfmacc_vv(6, 2, 4)
+            m.vslideup_vx(8, 6, 3)
+            flat = want.reshape(-1)
+            for reg, addr in ((2, a), (4, b)):
+                flat[16 * reg: 16 * reg + vl] = m.memory.read_f32(addr, vl)
+            d = slice(96, 96 + vl)
+            flat[d] += flat[32: 32 + vl] * flat[64: 64 + vl]
+            flat[128 + 3: 128 + vl] = flat[96: 96 + vl - 3]
+            np.testing.assert_array_equal(_lanes(m), want)
+
+    def _program(self, m, a):
+        m.vle32(1, a)
+        m.vfmacc_vf(2, 0.5, 1)
+        m.vslideup_vx(3, 2, 2)
+        m.vse32(3, a + 64)
+
+    def _summary(self, tracer):
+        return [(e.opclass, e.elems, e.ops,
+                 None if e.mem is None else e.mem.base) for e in tracer.events]
+
+    def test_tracer_reset_mid_run(self):
+        m = RvvMachine(512, tracer=Tracer(capture=True))
+        ref = RvvMachine(512, tracer=Tracer(capture=True))
+        a = m.memory.alloc_f32(64)
+        assert ref.memory.alloc_f32(64) == a
+        for mach in (m, ref):
+            fill(mach, a, np.arange(64))
+            mach.setvl(16)
+            self._program(mach, a)
+        m.tracer.reset()
+        ref_before = len(ref.tracer)
+        self._program(m, a)
+        self._program(ref, a)
+        assert len(m.tracer) == len(ref.tracer) - ref_before == 4
+        assert self._summary(m.tracer) == self._summary(ref.tracer)[ref_before:]
+        np.testing.assert_array_equal(_lanes(m), _lanes(ref))
+
+    def test_assigning_a_fresh_tracer(self):
+        m = RvvMachine(512, tracer=Tracer(capture=True))
+        ref = RvvMachine(512, tracer=Tracer(capture=True))
+        a = m.memory.alloc_f32(64)
+        assert ref.memory.alloc_f32(64) == a
+        for mach in (m, ref):
+            fill(mach, a, np.arange(64))
+        m.setvl(16)
+        self._program(m, a)
+        first = m.tracer
+        n_first = len(first)
+        m.tracer = Tracer(capture=True)
+        m.setvl(16)
+        self._program(m, a)
+        ref.setvl(16)
+        for _ in range(3):
+            self._program(ref, a)
+        assert len(first) == n_first
+        assert self._summary(m.tracer) == self._summary(ref.tracer)[:5]
+        m.tracer = first
+        self._program(m, a)
+        assert len(first) == n_first + 4
+        assert [s.count for s in first.sigs] == [1, 2, 2, 2, 2]
+        np.testing.assert_array_equal(_lanes(m), _lanes(ref))
+
+    def test_counting_tracer_gives_the_same_counts(self):
+        from repro.kernels import winograd_conv2d_sim
+
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 6, 7)).astype(np.float32)
+        w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
+        runs = []
+        for capture in (True, False):
+            m = RvvMachine(512, memory=Memory(1 << 24),
+                           tracer=Tracer(capture=capture))
+            out = winograd_conv2d_sim(m, x, w, pad=1, variant="indexed")
+            runs.append((out, dict(m.tracer.by_class), len(m.tracer)))
+        (out1, stats1, n1), (out2, stats2, n2) = runs
+        np.testing.assert_array_equal(out1, out2)
+        assert stats1 == stats2 and n1 == n2

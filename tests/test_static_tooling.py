@@ -11,6 +11,8 @@ no dependencies beyond numpy/pytest/hypothesis.  The configuration
 itself lives in pyproject.toml; these tests just keep it honest.
 """
 
+import importlib
+import inspect
 import os
 import shutil
 import subprocess
@@ -231,3 +233,26 @@ def test_ruff_clean_on_serve_layer():
                  str(REPO / "src" / "repro" / "envknobs.py"),
                  str(REPO / "src" / "repro" / "obs" / "metrics.py")])
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_span_targets_resolve(monkeypatch):
+    """Every function the end-to-end benchmark wraps in a span
+    (``benchmarks/e2e/tracing.py``, ``TARGETS``) still exists where the
+    benchmark looks it up; a renamed one would make its per-layer
+    metrics read null."""
+    monkeypatch.syspath_prepend(str(REPO))
+    tracing = importlib.import_module("benchmarks.e2e.tracing")
+    missing = []
+    for module, path, name in tracing.TARGETS:
+        try:
+            owner = importlib.import_module(module)
+            *parents, attr = path.split(".")
+            for part in parents:
+                owner = getattr(owner, part)
+            target = inspect.getattr_static(owner, attr)
+        except (ImportError, AttributeError):
+            missing.append(f"{module}.{path}")
+            continue
+        if not callable(getattr(target, "__func__", target)):
+            missing.append(f"{module}.{path}")
+    assert missing == []

@@ -19,7 +19,9 @@ from repro.analysis import find_spec
 from repro.analysis.audit import MACHINE_FLAVORS, _lift_run
 from repro.analysis.symbolic import interpret_kernel
 from repro.analysis.symbolic.core import SymInt
+from repro.analysis.symbolic.machine import ABSTRACT_FLAVORS
 from repro.rvv import Memory, Tracer
+from repro.rvv.prims import PRIMS
 
 #: (kernel, flavor, concrete VLEN) triples covering every access shape:
 #: unit/strided/indexed memory, slides, gathers, LMUL>1 groups, whilelt
@@ -172,6 +174,16 @@ def test_interpretation_never_touches_registers_or_memory(monkeypatch):
                            ("tuple_mult/native", "rvv+")]:
         audit = interpret_kernel(find_spec(kernel), flavor)
         assert audit.regimes, f"{kernel}[{flavor}] produced no regimes"
+
+
+@pytest.mark.parametrize("flavor", sorted(ABSTRACT_FLAVORS))
+def test_abstract_machines_run_every_primitive_per_call(flavor):
+    """The abstract machines subclass the concrete ones; none of their
+    primitives may resolve to a concrete binder."""
+    cls = ABSTRACT_FLAVORS[flavor]
+    bound = [name for name in PRIMS
+             if getattr(getattr(cls, name, None), "binder", None) is not None]
+    assert bound == []
 
 
 def test_regimes_partition_the_domain():

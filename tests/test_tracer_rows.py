@@ -26,13 +26,14 @@ from hypothesis import strategies as st
 
 from repro.errors import VectorStateError
 from repro.isa import FLOPS_PER_ELEM, OpClass
-from repro.kernels import winograd_conv2d_sim
+from repro.kernels import NATIVE, transpose4_native, winograd_conv2d_sim
 from repro.rvv import (
     InstrEvent,
     MemAccess,
     Memory,
     OpStats,
     RvvMachine,
+    RvvPlusMachine,
     Tracer,
     VRegFile,
     load_trace,
@@ -335,6 +336,104 @@ def test_save_trace_of_a_winograd_kernel_is_unchanged(tmp_path):
     path = tmp_path / "winograd.trace"
     assert save_trace(m.tracer, path) == 10656
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WINOGRAD_TRACE_SHA256
+
+
+def _every_operation(m):
+    """Run every vector operation of the RVV-compatible surface three
+    times (so each signature repeats), with moving bases; returns the
+    reduction results and the memory written."""
+    mem = m.memory
+    a, b = mem.alloc_f32(256), mem.alloc_f32(256)
+    mem.write_f32(a, np.linspace(-3, 5, 256, dtype=np.float32))
+    offs = np.arange(64, dtype=np.uint32)[::-1] * 4
+    lmuls = (1,) if isinstance(m, SveMachine) else (1, 2)
+    sums = []
+    for lmul in lmuls:
+        for avl in (40, 5):
+            m.setvl(avl, lmul=lmul)
+            for it in range(3):
+                src, dst = a + 4 * it, b + 8 * it
+                m.vle32(2, src)
+                m.vlse32(4, src, 8)
+                m.vfmacc_vv(6, 2, 4)
+                m.vfmacc_vf(6, 0.5 + it, 2)
+                m.vfnmsac_vf(6, 0.25, 4)
+                m.vfadd_vv(8, 2, 6)
+                m.vfsub_vv(8, 8, 4)
+                m.vfmul_vv(8, 8, 2)
+                m.vfadd_vf(10, 8, 1.5)
+                m.vfmul_vf(10, 10, -2.0 - it)
+                m.vfmv_v_f(12, 3.25 * it)
+                m.vmv_v_v(14, 10)
+                m.vid_v(16)
+                m.vmul_vx(16, 16, 4)
+                m.vadd_vx(18, 16, 8)
+                m.vand_vx(18, 18, 0xFFF8)
+                m.vluxei32(20, a, 18)
+                m.vslideup_vx(22, 14, 3)
+                m.vslideup_vx(22, 22, 1)
+                m.vslidedown_vx(24, 14, 2)
+                m.vid_v(26)
+                m.vadd_vx(26, 26, 2 * it)
+                m.vrgather_vv(28, 14, 26)
+                sums.append(m.vfredusum(28))
+                m.scalar_ops(2)
+                m.vse32(28, dst)
+                m.vsse32(24, dst, 12)
+                m.vsuxei32(22, b, 16)
+                m.load_index_u32(30, offs)
+                m.vluxei32(20, a, 30)
+                m.vse32(20, b + 512)
+    return sums, mem.read_f32(b, 256)
+
+
+def _kernels(m):
+    """The flavor's Winograd kernels; returns their outputs."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((2, 6, 7)).astype(np.float32)
+    w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
+    if isinstance(m, RvvPlusMachine):
+        outs = [winograd_conv2d_sim(m, x, w, pad=1, variant=NATIVE)]
+        vl = m.setvl(16)
+        m.write_f32(1, np.arange(vl))
+        m.vrep4_vi(2, 1, 3)
+        for r in range(4, 8):
+            m.write_f32(r, rng.standard_normal(vl))
+        transpose4_native(m, [4, 5, 6, 7], [8, 9, 10, 11])
+        outs += [m.read_f32(r) for r in (2, 8, 9, 10, 11)]
+        return outs
+    return [winograd_conv2d_sim(m, x, w, pad=1, variant=v)
+            for v in ("indexed", "slideup")]
+
+
+def flavor_digest(machine_cls, tmp_path) -> str:
+    """sha256 over the outputs and ``save_trace`` of a flavor's run."""
+    m = machine_cls(512, memory=Memory(1 << 24), tracer=Tracer(capture=True))
+    sums, written = _every_operation(m)
+    outs = _kernels(m)
+    h = hashlib.sha256(np.asarray(sums, dtype=np.float64).tobytes())
+    h.update(written.tobytes())
+    for o in outs:
+        h.update(np.ascontiguousarray(o, dtype=np.float32).tobytes())
+    path = tmp_path / "flavor.trace"
+    save_trace(m.tracer, path)
+    h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+#: :func:`flavor_digest` of each flavor, as written when every primitive
+#: ran its semantics per call.
+FLAVOR_SHA256 = {
+    "rvv": "bd202c78c4693f134193f1bd141dc3e27aef19cb93586135207bf5875276af14",
+    "sve": "bbb18bb9bc632534c65aa373787f24298bc9bed277a48b2c423252c857715dce",
+    "rvv+": "5d33d0c3e36c1fa010c4982f35a4e0e30ea90fdbf049f4488caba36935db7747",
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(FLAVOR_SHA256))
+def test_outputs_and_trace_of_every_flavor_are_unchanged(flavor, tmp_path):
+    cls = {"rvv": RvvMachine, "sve": SveMachine, "rvv+": RvvPlusMachine}[flavor]
+    assert flavor_digest(cls, tmp_path) == FLAVOR_SHA256[flavor]
 
 
 # ----------------------------------------------------------------------
