@@ -21,6 +21,7 @@ which is how the paper's RVV-vs-SVE parity experiment is reproduced.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -167,7 +168,7 @@ class VectorEngine:
         d, view = self._f32(vd)[:vl], self.memory.view_f32
 
         def run(addr: int) -> None:
-            d[:] = view(addr, vl)
+            _copyto(d, view(addr, vl))
         return run
 
     @binds
@@ -176,7 +177,7 @@ class VectorEngine:
         s, view = self._f32(vs)[:vl], self.memory.view_f32
 
         def run(addr: int) -> None:
-            view(addr, vl)[:] = s
+            _copyto(view(addr, vl), s)
         return run
 
     @binds
@@ -185,7 +186,7 @@ class VectorEngine:
         d, view = self._f32(vd)[:vl], self.memory.strided_view_f32
 
         def run(addr: int) -> None:
-            d[:] = view(addr, vl, stride_bytes)
+            _copyto(d, view(addr, vl, stride_bytes))
         return run
 
     @binds
@@ -194,7 +195,7 @@ class VectorEngine:
         s, view = self._f32(vs)[:vl], self.memory.strided_view_f32
 
         def run(addr: int) -> None:
-            view(addr, vl, stride_bytes)[:] = s
+            _copyto(view(addr, vl, stride_bytes), s)
         return run
 
     @binds
@@ -274,10 +275,7 @@ class VectorEngine:
         vl = self._require_vl()
         fn = self._ARITH[op]
         d, a, b = self._f32(vd)[:vl], self._f32(vs1)[:vl], self._f32(vs2)[:vl]
-
-        def run() -> None:
-            fn(a, b, d)
-        return run
+        return partial(fn, a, b, d)
 
     @binds
     def _arith_f(self, op: str, vd: int, vs: int) -> Callable[[float], None]:
@@ -299,29 +297,17 @@ class VectorEngine:
     @binds
     def _mov(self, vd: int, vs: int) -> Callable[[], None]:
         vl = self._require_vl()
-        d, s = self._f32(vd)[:vl], self._f32(vs)[:vl]
-
-        def run() -> None:
-            _copyto(d, s)
-        return run
+        return partial(_copyto, self._f32(vd)[:vl], self._f32(vs)[:vl])
 
     @binds
     def _iota(self, vd: int) -> Callable[[], None]:
         vl = self._require_vl()
-        d, lanes = self._u32(vd)[:vl], np.arange(vl, dtype=np.uint32)
-
-        def run() -> None:
-            _copyto(d, lanes)
-        return run
+        return partial(_copyto, self._u32(vd)[:vl], np.arange(vl, dtype=np.uint32))
 
     def _bind_ix(self, fn: np.ufunc, vd: int, vs: int, x: int) -> Callable[[], None]:
         """``vd[i] = fn(vs[i], x)`` over uint32 lanes."""
         vl = self._require_vl()
-        d, s, xx = self._u32(vd)[:vl], self._u32(vs)[:vl], np.uint32(x)
-
-        def run() -> None:
-            fn(s, xx, d)
-        return run
+        return partial(fn, self._u32(vs)[:vl], np.uint32(x), self._u32(vd)[:vl])
 
     @binds
     def _iadd_x(self, vd: int, vs: int, x: int) -> Callable[[], None]:
@@ -372,9 +358,7 @@ class VectorEngine:
         if offset >= vl:
             return _nothing
         if not overlaps:
-            def run() -> None:
-                _copyto(d, s)
-            return run
+            return partial(_copyto, d, s)
         snap = np.empty(vl - offset, dtype=np.float32)
 
         def through_snapshot() -> None:

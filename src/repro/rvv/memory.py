@@ -193,7 +193,7 @@ class Memory:
         bounds-checked and 4-byte aligned."""
         self._check(int(addrs.min()), 1)
         self._check(int(addrs.max()), 4)
-        if (addrs & 3).any():
+        if int(np.bitwise_or.reduce(addrs)) & 3:  # some address is unaligned
             raise AlignmentError(f"{what} addresses must be 4-byte aligned for EEW=32")
         return (addrs - (self.base + self._f32_lead)) >> 2
 

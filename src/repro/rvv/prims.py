@@ -205,98 +205,58 @@ def binds(fn: Callable[..., Any]) -> Callable[..., Any]:
     one).  The wrapped method takes all the arguments plus ``mn``, like
     a :func:`retires` one.
 
-    Each call looks the instruction's :class:`~repro.rvv.tracer.Sig` up
-    first, under the same key as :meth:`Tracer.retire`.  The closure is
-    cached per signature in the machine's bindings for its active
-    configuration (``machine._binds``), so only the first occurrence of
-    a signature on a machine binds: a binder that raises caches
-    nothing, and an occurrence that raises records nothing.
+    Each call looks its instruction up under the key
+    :meth:`Tracer.retire` interns it by (primitive, mnemonic, signature
+    arguments, the tracer's active configuration signature), in the
+    machine's bindings for its own active configuration
+    (``machine._binds``).  A hit holds the closure and the
+    :class:`~repro.rvv.tracer.Sig`; a miss binds, runs and retires the
+    occurrence through :meth:`Tracer.retire`, then caches both.  A
+    binder that raises caches nothing, and an occurrence that raises
+    records nothing.  Configuration signatures are unique to a tracer
+    and outlive any reset, so a reset or a newly assigned tracer misses
+    and binds again; before a tracer's first configuration nothing is
+    cached.
     """
     prim = PRIMS[fn.__name__]
-    key = prim.key
-    nkey = sum(r in _KEY_ROLES for r in prim.roles)
     occ = [i for i, r in enumerate(prim.roles) if r not in _KEY_ROLES]
     if len(occ) > 1:
         raise TypeError(f"{prim}: a bound primitive takes at most one "
                         "per-occurrence argument")
     p = occ[0] if occ else None
+    # Without a per-occurrence argument the arguments are the key.
+    key = prim.key if p is not None else tuple
     kind = prim.kind
+    indexed = kind == "indexed"
 
-    def first(machine: Any, tr: Any, kv: Any, args: tuple,
-              mn: str | None) -> Any:
-        """Bind, run and retire the first occurrence of a signature."""
-        run = fn(machine, *(kv if nkey > 1 else (kv,) if nkey else ()))
+    def first(machine: Any, tr: Any, k: tuple, args: tuple) -> Any:
+        """Bind, run and retire an occurrence that missed."""
+        run = fn(machine, *(a for i, a in enumerate(args) if i != p))
         out = run() if p is None else run(args[p])
-        item = (None if kind is None else (args[p], out)
-                if kind == "indexed" else args[p])
-        machine._binds[tr.retire(prim, mn, kv, args, item)] = run
-        return None if kind is not None else out
+        item = (None if kind is None else (args[p], out) if indexed
+                else args[p])
+        sig = tr.retire(prim, k[1], k[2], args, item)
+        if k[3] is not None:
+            machine._binds[k] = (run, sig)
+        return out
 
-    # One fast path per payload shape.  Each inlines the occurrence
-    # bookkeeping of Tracer.retire (this runs once per instruction).
-    if kind is None and p is None:
-        @wraps(fn)
-        def call(machine: Any, *args: Any, mn: str | None = None) -> Any:
-            tr = machine.tracer
-            kv = key(args)
-            sig = tr._map.get((prim, mn, kv, tr._cfg))
-            run = machine._binds.get(sig)
-            if run is None:
-                return first(machine, tr, kv, args, mn)
-            out = run()
-            sig.count += 1
-            tr._n += 1
-            if tr.capture:
-                tr.sig_ids.append(sig.sid)
-            return out
-    elif kind is None:
-        @wraps(fn)
-        def call(machine: Any, *args: Any, mn: str | None = None) -> Any:
-            tr = machine.tracer
-            kv = key(args)
-            sig = tr._map.get((prim, mn, kv, tr._cfg))
-            run = machine._binds.get(sig)
-            if run is None:
-                return first(machine, tr, kv, args, mn)
-            out = run(args[p])
-            sig.count += 1
-            tr._n += 1
-            if tr.capture:
-                tr.sig_ids.append(sig.sid)
-            return out
-    elif kind == "indexed":
-        @wraps(fn)
-        def call(machine: Any, *args: Any, mn: str | None = None) -> None:
-            tr = machine.tracer
-            kv = key(args)
-            sig = tr._map.get((prim, mn, kv, tr._cfg))
-            run = machine._binds.get(sig)
-            if run is None:
-                return first(machine, tr, kv, args, mn)
-            base = args[p]
-            offsets = run(base)
-            sig.count += 1
-            tr._n += 1
-            if tr.capture:
-                tr.sig_ids.append(sig.sid)
-                if sig.payload is not None:
-                    sig.payload.append((base, offsets))
-    else:
-        @wraps(fn)
-        def call(machine: Any, *args: Any, mn: str | None = None) -> None:
-            tr = machine.tracer
-            kv = key(args)
-            sig = tr._map.get((prim, mn, kv, tr._cfg))
-            run = machine._binds.get(sig)
-            if run is None:
-                return first(machine, tr, kv, args, mn)
-            base = args[p]
-            run(base)
-            sig.count += 1
-            tr._n += 1
-            if tr.capture:
-                tr.sig_ids.append(sig.sid)
-                if sig.payload is not None:
-                    sig.payload.append(base)
+    @wraps(fn)
+    def call(machine: Any, *args: Any, mn: str | None = None) -> Any:
+        tr = machine.tracer
+        k = (prim, mn, key(args), tr._cfg)
+        hit = machine._binds.get(k)
+        if hit is None:
+            return first(machine, tr, k, args)
+        run, sig = hit
+        out = run() if p is None else run(args[p])
+        # Tracer.retire's occurrence bookkeeping, inlined: this runs
+        # once per instruction.
+        sig.count += 1
+        tr._n += 1
+        if tr.capture:
+            tr.sig_ids.append(sig.sid)
+            if sig.payload is not None:
+                sig.payload.append((args[p], out) if indexed else args[p])
+        return out
     call.binder = fn  # type: ignore[attr-defined]
     return call
