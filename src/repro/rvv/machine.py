@@ -78,7 +78,7 @@ class VectorEngine:
         self.vtype = VType(sew=32, lmul=1)
         self.vl = 0
         self._configured = False
-        self._binds_at: dict = {}
+        self._binds_for: dict | None = None
         self._select_binds()
         # Scratch backing for load_index_u32.  Allocated lazily (an
         # eager allocation here would shift every subsequent simulated
@@ -119,8 +119,13 @@ class VectorEngine:
 
         A binding (see :func:`~repro.rvv.prims.binds`) holds register
         slices of the configuration it was made under, so each
-        configuration keeps its own, keyed by signature.
+        configuration keeps its own, keyed by signature.  A new or
+        reset tracer interns new signatures, so the bindings of the old
+        ones are dropped.
         """
+        interned = self.tracer._map
+        if interned is not self._binds_for:
+            self._binds_at, self._binds_for = {}, interned
         state = (self.vl, self.vtype.sew, self.vtype.lmul) if self._configured else None
         binds = self._binds_at.get(state)
         if binds is None:

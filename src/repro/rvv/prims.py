@@ -213,10 +213,11 @@ def binds(fn: Callable[..., Any]) -> Callable[..., Any]:
     :class:`~repro.rvv.tracer.Sig`; a miss binds, runs and retires the
     occurrence through :meth:`Tracer.retire`, then caches both.  A
     binder that raises caches nothing, and an occurrence that raises
-    records nothing.  Configuration signatures are unique to a tracer
-    and outlive any reset, so a reset or a newly assigned tracer misses
-    and binds again; before a tracer's first configuration nothing is
-    cached.
+    records nothing.  A tracer's configuration signatures are its own
+    and a reset makes new ones, so after a reset or on a newly assigned
+    tracer every signature misses and binds again (the machine drops the
+    old bindings at its next configuration); before a tracer's first
+    configuration nothing is cached.
     """
     prim = PRIMS[fn.__name__]
     occ = [i for i, r in enumerate(prim.roles) if r not in _KEY_ROLES]

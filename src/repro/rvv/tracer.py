@@ -24,7 +24,9 @@ The concrete machines record integers; the abstract machines of
 :mod:`repro.analysis.symbolic` record into the same signatures with
 :class:`~repro.analysis.symbolic.core.SymInt` values where a quantity
 varies with VLEN.  The machines retire through the primitive table of
-:mod:`repro.rvv.prims` (:meth:`Tracer.retire`, :meth:`Tracer.configure`);
+:mod:`repro.rvv.prims` (:meth:`Tracer.retire`, :meth:`Tracer.configure`;
+the concrete machines' bound primitives inline the bookkeeping of
+``retire`` for every occurrence after a signature's first);
 hand-built and loaded instructions go through :meth:`Tracer.record`.
 
 Everything else is read off the signatures:

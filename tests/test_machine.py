@@ -527,6 +527,10 @@ class TestExecutionBySignature:
         assert len(m.tracer) == len(ref.tracer) - ref_before == 4
         assert self._summary(m.tracer) == self._summary(ref.tracer)[ref_before:]
         np.testing.assert_array_equal(_lanes(m), _lanes(ref))
+        m.setvl(16)
+        self._program(m, a)
+        held = [sig for binds in m._binds_at.values() for _, sig in binds.values()]
+        assert held and all(s in m.tracer.sigs for s in held)
 
     def test_assigning_a_fresh_tracer(self):
         m = RvvMachine(512, tracer=Tracer(capture=True))
