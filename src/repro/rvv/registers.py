@@ -42,7 +42,7 @@ class VRegFile:
         self.vlen_bytes = vlen_bits // 8
         self._data = np.zeros((NUM_VREGS, self.vlen_bytes), dtype=np.uint8)
         #: Typed views keyed by ``(dtype, idx, lmul)``; all alias ``_data``.
-        self.views: dict[tuple[type[np.generic], int, int], npt.NDArray[Any]] = {}
+        self._views: dict[tuple[type[np.generic], int, int], npt.NDArray[Any]] = {}
 
     def _check_reg(self, idx: int, lmul: int = 1) -> None:
         if not 0 <= idx < NUM_VREGS:
@@ -60,10 +60,10 @@ class VRegFile:
              lmul: int = 1) -> npt.NDArray[Any]:
         """A ``dtype`` view over register group ``idx`` (lmul registers)."""
         key = (dtype, idx, lmul)
-        v = self.views.get(key)
+        v = self._views.get(key)
         if v is None:
             self._check_reg(idx, lmul)
-            v = self.views[key] = self._data[idx : idx + lmul].reshape(-1).view(dtype)
+            v = self._views[key] = self._data[idx : idx + lmul].reshape(-1).view(dtype)
         return v
 
     def f32(self, idx: int, lmul: int = 1) -> npt.NDArray[Any]:
