@@ -209,9 +209,9 @@ class AbstractCore:
         self.ctx = ctx
         self.vlen_bits = ctx.symbol("VLEN")
         self.vlen_bytes = self.vlen_bits // 8
-        self.memory = memory if memory is not None else AbstractMemory(ctx)
+        self._memory = memory if memory is not None else AbstractMemory(ctx)
         self.tracer = Tracer(capture=True)
-        self.strict = False
+        self._strict = False
         self.alloc = RegAlloc()
         self.vtype = VType(sew=32, lmul=1)
         self.vl: IntLike = 0

@@ -58,6 +58,10 @@ class VectorEngine:
             computes through the overlap with a source snapshot so
             existing traces keep replaying — and the overlap pass of
             :mod:`repro.analysis` flags the violation statically.
+
+    ``memory`` and ``strict`` are fixed at construction, because bound
+    primitives hold the memory's access methods and the strict
+    decision; ``tracer`` may be replaced.
     """
 
     def __init__(
@@ -70,9 +74,9 @@ class VectorEngine:
         validate_vlen(vlen_bits)
         self.vlen_bits = vlen_bits
         self.vlen_bytes = vlen_bits // 8
-        self.memory = memory if memory is not None else Memory()
+        self._memory = memory if memory is not None else Memory()
         self.tracer = tracer if tracer is not None else Tracer(capture=False)
-        self.strict = strict
+        self._strict = strict
         self.regs = VRegFile(vlen_bits)
         self.alloc = RegAlloc()
         self.vtype = VType(sew=32, lmul=1)
@@ -86,6 +90,16 @@ class VectorEngine:
         # allocator — which cannot free — is asked exactly once.
         self._index_scratch = 0
         self._index_scratch_cap = 0
+
+    @property
+    def memory(self) -> Memory:
+        """The simulated memory."""
+        return self._memory
+
+    @property
+    def strict(self) -> bool:
+        """Whether reserved register-group overlap raises."""
+        return self._strict
 
     # ------------------------------------------------------------------
     # Configuration

@@ -557,6 +557,17 @@ class TestExecutionBySignature:
         assert [s.count for s in first.sigs] == [1, 2, 2, 2, 2]
         np.testing.assert_array_equal(_lanes(m), _lanes(ref))
 
+    def test_memory_and_strict_are_fixed_at_construction(self):
+        """Bindings hold the memory's methods and the strict decision,
+        so replacing either must fail loudly, not go unseen."""
+        m = RvvMachine(512, strict=True)
+        mem = m.memory
+        with pytest.raises(AttributeError):
+            m.memory = Memory(4096)
+        with pytest.raises(AttributeError):
+            m.strict = False
+        assert m.memory is mem and m.strict
+
     def test_counting_tracer_gives_the_same_counts(self):
         from repro.kernels import winograd_conv2d_sim
 
