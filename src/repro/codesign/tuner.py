@@ -229,9 +229,9 @@ def _model_cycles(layer: ConvLayerSpec, config: SystemConfig,
                           gemm_schedule=schedule)
     split = CondensedTraffic.from_phases(phases).l1_split(
         config.l1_kb * 1024, config.line_bytes)
-    (l2_misses,), (writebacks,) = split.smooth_l2([config.l2_mb * 1024 * 1024])
+    l2_misses, writebacks = split.column.smooth_l2([config.l2_mb * 1024 * 1024])
     l2_stall, dram_stall = config.memory_timings().stall_cycles(
-        split.misses, int(l2_misses), int(writebacks))
+        split.misses, int(l2_misses[0, 0]), int(writebacks[0, 0]))
     return model_counts(phases, config)[0] + l2_stall + dram_stall
 
 

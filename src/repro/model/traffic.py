@@ -31,18 +31,21 @@ outgrowing the L2 as VLEN grows (Table 1), transformed-tensor streaming
 for VGG16 and 256 MB for YOLOv3 (Figures 3/4).
 
 :func:`evaluate_hierarchy` is the scalar reference: it walks the
-column rows in order.  :class:`CondensedTraffic` is the record/replay
-path of the co-design sweep: it reproduces the reference's rounded
-counters in two halves (the L1 once, then the L2 across an axis of
-capacities).  A layer has hundreds of thousands of classes but at most
-a few dozen distinct effective distances and a few regions, so each
-append keeps only its validated pattern, condensation takes the
-distinct distances of all patterns at once instead of sorting the
-classes, and the counters are summed from per-(distance, store, region)
-group totals.  A rigorous
-floating-point error bound certifies that each rounded count equals
-``rint`` of the reference's class-by-class sum; a count the bound
-cannot settle falls back to that sum over the laid-out classes.
+column rows in order.  Condensation is the record/replay path of the
+co-design sweep: it reproduces the reference's rounded counters in two
+halves (the L1 once, then the L2 across an axis of capacities).  A
+layer has hundreds of thousands of classes but at most a few dozen
+distinct effective distances and a few regions, so each append keeps
+only its validated pattern, and the counters are summed from
+per-(distance, store, region) group totals.  :class:`CondensedTraffic`
+gathers one layer's appends; :class:`ColumnTraffic` condenses all the
+distinct layers of a VLEN column in one pass over their patterns,
+:class:`ColumnSplit` resolves them at the L1 and answers every layer
+at every L2 size at once, and :class:`L1Split` is one layer's row (a
+single layer is the one-layer column).  A rigorous floating-point
+error bound certifies that each rounded count equals ``rint`` of the
+reference's class-by-class sum of its layer; a count the bound cannot
+settle falls back to that sum over the layer's laid-out classes.
 """
 
 from __future__ import annotations
@@ -490,7 +493,7 @@ _M_FALLBACKS = METRICS.counter(
     "and were recomputed class by class")
 
 
-def _certified(estimates: FloatArray, factor: float) -> tuple[IntArray, BoolArray]:
+def _certified(estimates: FloatArray, factor: FloatArray) -> tuple[IntArray, BoolArray]:
     """``(rint(estimates - B), ok)`` with ``B = factor * estimates``:
     where ``ok``, ``rint`` of any float within ``B`` of the estimate is
     that count (see :attr:`CondensedTraffic.error_factor`)."""
@@ -499,10 +502,19 @@ def _certified(estimates: FloatArray, factor: float) -> tuple[IntArray, BoolArra
     return lo.astype(np.int64), lo == np.rint(estimates + bound)
 
 
+def _error_factor(terms: npt.ArrayLike) -> Any:
+    """:attr:`CondensedTraffic.error_factor` of sums whose every term
+    passes through at most ``terms`` roundings, elementwise."""
+    k = np.asarray(terms, dtype=np.float64)
+    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    return 2.0 * gamma / (1.0 - gamma) * _BOUND_SLACK
+
+
 @dataclass(frozen=True)
 class CondensedTraffic:
-    """A phase list's traffic, condensed into per-group access totals
-    that reproduce :func:`evaluate_hierarchy`'s rounded counters.
+    """One layer's traffic (a phase list's), condensed into per-group
+    access totals that reproduce :func:`evaluate_hierarchy`'s rounded
+    counters.
 
     A group is one ``(effective distance, is_store, region)`` triple:
     a network layer has hundreds of thousands of classes but at most 14
@@ -510,16 +522,14 @@ class CondensedTraffic:
     YOLOv3 and at most 6 regions, so at most a few hundred groups.
     ``totals[u, s, r]`` sums the accesses of the classes at distance
     ``eff_unique[u]``, store flag ``s`` and region ``region_unique[r]``.
-    :meth:`from_phases` forms it in one pass over the appends' patterns
-    (each class once, weighted by its append's ``repeat``): one
-    concatenation per field, one ``np.unique`` of the pattern distances
-    and one ``bincount``, so condensation costs O(patterns), not
-    O(classes).
+    :meth:`from_phases` only gathers the appends' runs (each validated
+    pattern once, with its ``repeat``); the condensation is the
+    one-layer case of :class:`ColumnTraffic`, run on first read here
+    and once per VLEN column by a recording.
 
     Every criterion is linear in the accesses and takes one scalar per
     distance (the hit probability, or the sharp threshold) and exact
     comparisons per region, so its sums are sums of group terms;
-    :meth:`l1_split` and :class:`L1Split` answer from the groups, and
     :attr:`error_factor` certifies that the rounded counts equal those
     of the reference's class-by-class sums.
 
@@ -532,31 +542,29 @@ class CondensedTraffic:
     """
 
     runs: tuple[_Run, ...]
-    eff_unique: FloatArray
-    region_unique: FloatArray
-    totals: FloatArray
 
     @classmethod
     def from_phases(cls, phases: list[PhaseModel]) -> CondensedTraffic:
-        runs = tuple(run for ph in phases for run in ph._all_runs())
-        if not runs:
-            empty = _frozen(np.empty(0, dtype=np.float64))
-            return cls(runs, empty, empty,
-                       _frozen(np.zeros((0, 2, 0), dtype=np.float64)))
-        eff_unique, eff_index = _pattern_eff(runs)
-        region = _patterns(runs, [r.fields[3] for r in runs], np.float64)
-        region_unique = np.unique(region)
-        shape = (eff_unique.size, 2, region_unique.size)
-        # The flat index of each pattern row's (distance, store, region).
-        group = ((eff_index * 2
-                  + _patterns(runs, [r.fields[2] for r in runs], np.intp))
-                 * region_unique.size + np.searchsorted(region_unique, region))
-        weights = _patterns(
-            runs, [r.fields[0] if r.repeat == 1 else r.fields[0] * r.repeat
-                   for r in runs], np.float64)
-        totals = np.bincount(group, weights=weights,
-                             minlength=math.prod(shape)).reshape(shape)
-        return cls(runs, eff_unique, _frozen(region_unique), _frozen(totals))
+        return cls(tuple(run for ph in phases for run in ph._all_runs()))
+
+    @cached_property
+    def _alone(self) -> ColumnTraffic:
+        return ColumnTraffic.condense((self,))
+
+    @property
+    def eff_unique(self) -> FloatArray:
+        return self._alone.eff_unique
+
+    @property
+    def region_unique(self) -> FloatArray:
+        return self._alone.region_unique
+
+    @cached_property
+    def totals(self) -> FloatArray:
+        col = self._alone
+        totals = np.zeros((col.eff_unique.size, 2, col.region_unique.size))
+        totals.reshape(-1)[col.bins] = col.bin_totals
+        return _frozen(totals)
 
     @property
     def n_classes(self) -> int:
@@ -588,7 +596,7 @@ class CondensedTraffic:
     def _eff_list(self) -> list[float]:
         return self.eff_unique.tolist()  # type: ignore[no-any-return]
 
-    @cached_property
+    @property
     def error_factor(self) -> float:
         """``c`` such that every sum this traffic's counters round lies
         within ``B = c * S`` of its grouped estimate ``S``.
@@ -615,120 +623,263 @@ class CondensedTraffic:
         ``rint(fl(S - B)) == rint(fl(S + B))`` that integer is
         ``rint(R)`` (:func:`_certified`).
         """
-        k = self.n_classes + len(self.runs) + self.totals.size + 4
-        gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-        return 2.0 * gamma / (1.0 - gamma) * _BOUND_SLACK
+        return float(self._alone.error_factors[0])
 
     def l1_split(self, l1_bytes: int, line_bytes: int = LINE) -> L1Split:
-        """The L1 half of :func:`evaluate_hierarchy` at ``l1_bytes``:
-        per-group L2 inputs and the certified rounded L1 counters."""
-        miss = _frozen(_miss_fractions(self._eff_list,
-                                       l1_bytes * CAPACITY_FACTOR))
-        to_l2 = _frozen(self.totals * miss[:, None, None])
-        counts, ok = _certified(np.array([self.totals.sum(), to_l2.sum()]),
-                                self.error_factor)
-        accesses, misses = counts.tolist()
-        if not ok.all():
-            _M_FALLBACKS.inc()
-            accesses = round(_ordered_sum(self.accesses))
-            misses = round(_ordered_sum(self.accesses * miss[self.eff_index]))
-        return L1Split(traffic=self, l1_miss=miss, group_to_l2=to_l2,
-                       accesses=accesses, misses=misses, line_bytes=line_bytes)
+        """The L1 half of :func:`evaluate_hierarchy` at ``l1_bytes``, as
+        the one layer of a one-layer column."""
+        return L1Split(self._alone.l1_split(l1_bytes, line_bytes), 0)
 
 
-@dataclass(frozen=True)
-class L1Split:
-    """Condensed traffic resolved at one L1 size: the L2's input,
-    answerable over an axis of L2 capacities under either L2 criterion.
+class _Groups(NamedTuple):
+    """A column's groups, layer-major: each one's layer, distance index,
+    store flag, region index and access total."""
 
-    ``l1_miss`` holds the L1 miss fraction of each distinct effective
-    distance and ``group_to_l2`` each group's line touches that miss
-    the L1 and go on to the L2 (shaped like ``traffic.totals``);
-    ``accesses`` and ``misses`` are the rounded L1 counters (the
-    reference's L2 access count equals its L1 miss count).
+    layer: IndexArray
+    eff: IndexArray
+    store: BoolArray
+    region: IndexArray
+    total: FloatArray
 
-    Both criteria take L2 byte sizes in any order and return the L2's
-    rounded ``(misses, writebacks)`` as ``int64`` arrays in that order,
-    equal to ``evaluate_hierarchy``'s (smooth) or the scalar sharp
-    rule's counters.  Per size they sum O(groups) terms
-    (:meth:`smooth_sums`, :meth:`sharp_sums`) and certify the rounding
-    (:attr:`CondensedTraffic.error_factor`); only a size whose
-    certificate fails runs the reference over the laid-out classes, and
-    bumps the ``model.replay_fallbacks`` counter.
+
+@dataclass(frozen=True, eq=False)
+class ColumnTraffic:
+    """The condensed traffic of several layers (a VLEN column's distinct
+    layers), formed in one pass.
+
+    ``eff_unique`` and ``region_unique`` are the distinct effective
+    distances and regions of all the layers.  A bin is one (layer,
+    distance, store, region) quadruple, flat-indexed in that order;
+    ``bins`` holds, ascending, the bins that receive accesses — the
+    column's groups, layer-major — and ``bin_totals`` their totals.
+    :meth:`condense` concatenates every layer's patterns, each row
+    tagged with its layer, and makes one ``np.unique`` of the
+    distances, one of the regions, one of the rows' bins and one
+    ``bincount``.  A bin sums only its own layer's rows, in that
+    layer's pattern order, so a layer's totals are bit for bit its
+    :attr:`CondensedTraffic.totals`, and every per-layer sum is a
+    segment sum over the layer's groups.
     """
 
-    traffic: CondensedTraffic
-    l1_miss: FloatArray
-    group_to_l2: FloatArray
-    accesses: int
-    misses: int
-    line_bytes: int
+    layers: tuple[CondensedTraffic, ...]
+    eff_unique: FloatArray
+    region_unique: FloatArray
+    bins: IndexArray
+    bin_totals: FloatArray
+
+    @classmethod
+    def condense(cls, layers: Sequence[CondensedTraffic]) -> ColumnTraffic:
+        layers = tuple(layers)
+        runs = [r for tr in layers for r in tr.runs]
+        eff_unique, eff_index = _pattern_eff(runs)
+        region = _patterns(runs, [r.fields[3] for r in runs], np.float64)
+        region_unique = np.unique(region)
+        layer = np.repeat(np.arange(len(layers)),
+                          [sum(r.size for r in tr.runs) for tr in layers])
+        flat = (((layer * eff_unique.size + eff_index) * 2
+                 + _patterns(runs, [r.fields[2] for r in runs], np.intp))
+                * region_unique.size + np.searchsorted(region_unique, region))
+        bins, row_bin = np.unique(flat, return_inverse=True)
+        weights = _patterns(
+            runs, [r.fields[0] if r.repeat == 1 else r.fields[0] * r.repeat
+                   for r in runs], np.float64)
+        return cls(layers, eff_unique, _frozen(region_unique), _frozen(bins),
+                   _frozen(np.bincount(row_bin, weights=weights,
+                                       minlength=bins.size)))
 
     @cached_property
-    def to_l2(self) -> FloatArray:
-        """Per laid-out class, the line touches that go on to the L2."""
+    def _groups(self) -> _Groups:
+        layer, eff, store, region = np.unravel_index(self.bins, (
+            len(self.layers), self.eff_unique.size, 2, self.region_unique.size))
+        return _Groups(layer, eff, store.astype(bool), region, self.bin_totals)
+
+    def _per_layer(self, values: FloatArray) -> FloatArray:
+        """Per layer, the sum of ``values``' rows (one per group) over
+        its groups, shaped ``(layers, *values.shape[1:])``."""
+        bounds = np.searchsorted(self._groups.layer,
+                                 np.arange(len(self.layers) + 1))
+        some = bounds[1:] > bounds[:-1]
+        out = np.zeros((len(self.layers), *values.shape[1:]))
+        if some.any():
+            out[some] = np.add.reduceat(values, bounds[:-1][some], axis=0)
+        return out
+
+    @cached_property
+    def error_factors(self) -> FloatArray:
+        """Each layer's :attr:`CondensedTraffic.error_factor`: ``K``
+        counts the layer's own classes, runs and groups (its distinct
+        distances x 2 x its distinct regions), since its sums run over
+        its own groups only."""
+        g = self._groups
+        distinct = []
+        for index, size in ((g.eff, self.eff_unique.size),
+                            (g.region, self.region_unique.size)):
+            seen = np.zeros((len(self.layers), size), dtype=bool)
+            seen[g.layer, index] = True
+            distinct.append(np.count_nonzero(seen, axis=1))
+        own = np.array([tr.n_classes + len(tr.runs) for tr in self.layers],
+                       dtype=np.int64)
+        return _frozen(_error_factor(own + distinct[0] * 2 * distinct[1] + 4))
+
+    def l1_split(self, l1_bytes: int, line_bytes: int = LINE) -> ColumnSplit:
+        """The L1 half of :func:`evaluate_hierarchy` at ``l1_bytes`` for
+        every layer, with the miss fraction computed once per distinct
+        distance of the column; a layer whose certificate fails takes
+        both counters from its laid-out classes."""
+        l1_eff = l1_bytes * CAPACITY_FACTOR
+        g = self._groups
+        to_l2 = g.total * _miss_fractions(self.eff_unique.tolist(), l1_eff)[g.eff]
+        counts, ok = _certified(
+            self._per_layer(np.stack([g.total, to_l2], axis=1)),
+            self.error_factors[:, None])
+        accesses, misses = np.ascontiguousarray(counts.T)
+        split = ColumnSplit(self, l1_eff, line_bytes, _frozen(to_l2),
+                            accesses, misses)
+        for k in np.flatnonzero(~ok.all(axis=1)).tolist():
+            _M_FALLBACKS.inc()
+            layer = L1Split(split, k)
+            accesses[k] = round(_ordered_sum(layer.traffic.accesses))
+            misses[k] = round(_ordered_sum(layer.to_l2))
+        _frozen(accesses)
+        _frozen(misses)
+        return split
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnSplit:
+    """A column's condensed traffic resolved at one L1 size, answerable
+    over an axis of L2 capacities under either L2 criterion.
+
+    ``l1_eff`` is the L1's effective capacity, ``to_l2`` each group's
+    line touches that miss the L1 and go on to the L2, and ``accesses``
+    and ``misses`` each layer's rounded L1 counters (the reference's L2
+    access count equals its L1 miss count).
+
+    Both criteria take L2 byte sizes in any order and return the L2's
+    rounded ``(misses, writebacks)`` as ``int64`` arrays shaped (layers,
+    sizes), each row equal to that layer's ``evaluate_hierarchy``
+    (smooth) or scalar sharp rule counters, size by size.  The
+    estimates of every layer and size come from one :meth:`l2_sums`;
+    each is certified with its layer's error factor, and only a (layer,
+    size) pair whose certificate fails runs that layer's reference over
+    its laid-out classes, bumping ``model.replay_fallbacks`` once.
+    """
+
+    traffic: ColumnTraffic
+    l1_eff: float
+    line_bytes: int
+    to_l2: FloatArray
+    accesses: IntArray
+    misses: IntArray
+
+    def l2_sums(
+        self, l2_bytes: Sequence[int], sharp: bool,
+    ) -> tuple[FloatArray, FloatArray]:
+        """Segment-summed estimates of every layer's unrounded L2
+        ``(misses, writebacks)`` at every size of ``l2_bytes``, shaped
+        (layers, sizes).  Smoothed, a group's miss fraction is the
+        reference's scalar per distance and size; ``sharp``, a group
+        misses iff its distance in lines reaches the capacity in lines.
+        A missing store group is written back if its region exceeds the
+        size."""
+        l2_eff = _effective(l2_bytes)
         tr = self.traffic
-        return _frozen(tr.accesses * self.l1_miss[tr.eff_index])
-
-    def _written(self, l2_eff: FloatArray, missed: FloatArray) -> FloatArray:
-        """Per size, the sum of the store groups of ``missed`` (shaped
-        ``(sizes, *totals.shape)``) whose region exceeds the size."""
-        written = self.traffic.region_unique > l2_eff[:, None]
-        return np.where(written[:, None, :], missed[:, :, 1, :], 0.0).sum(
-            axis=(1, 2))
-
-    def smooth_sums(self, l2_bytes: Sequence[int]) -> tuple[FloatArray, FloatArray]:
-        """Grouped estimates of the smoothed criterion's unrounded L2
-        ``(misses, writebacks)`` at every size of ``l2_bytes``; the
-        miss fraction is the reference's scalar per distance and size."""
-        l2_eff = _effective(l2_bytes)
-        eff = self.traffic._eff_list
-        miss = np.array([_miss_fractions(eff, c) for c in l2_eff.tolist()],
-                        dtype=np.float64).reshape(l2_eff.size, len(eff))
-        missed = self.group_to_l2 * miss[:, :, None, None]
-        return missed.sum(axis=(1, 2, 3)), self._written(l2_eff, missed)
-
-    def sharp_sums(self, l2_bytes: Sequence[int]) -> tuple[FloatArray, FloatArray]:
-        """Grouped estimates of the sharp criterion's unrounded L2
-        ``(misses, writebacks)`` at every size of ``l2_bytes``: a group
-        misses iff its distance in lines reaches the capacity in lines."""
-        l2_eff = _effective(l2_bytes)
-        reach = (self.traffic.eff_unique / self.line_bytes
-                 >= (l2_eff / self.line_bytes)[:, None])
-        missed = np.where(reach[:, :, None, None], self.group_to_l2, 0.0)
-        return missed.sum(axis=(1, 2, 3)), self._written(l2_eff, missed)
-
-    def _settle(
-        self, l2_bytes: Sequence[int], sums: tuple[FloatArray, FloatArray],
-        reference: Callable[[float], tuple[float, float]],
-    ) -> tuple[IntArray, IntArray]:
-        """Certified counts of ``sums``; a size whose certificate fails
-        takes both counts from ``reference`` at its effective capacity."""
-        factor = self.traffic.error_factor
-        (misses, m_ok), (writebacks, w_ok) = (_certified(s, factor) for s in sums)
-        doubtful = np.flatnonzero(~(m_ok & w_ok)).tolist()
-        if doubtful:
-            l2_eff = _effective(l2_bytes)
-            for i in doubtful:
-                _M_FALLBACKS.inc()
-                m, w = reference(float(l2_eff[i]))
-                misses[i], writebacks[i] = round(m), round(w)
-        return misses, writebacks
+        g = tr._groups
+        if sharp:
+            reach = ((tr.eff_unique / self.line_bytes)[g.eff][:, None]
+                     >= l2_eff / self.line_bytes)
+            missed = np.where(reach, self.to_l2[:, None], 0.0)
+        else:
+            eff = tr.eff_unique.tolist()
+            miss = np.array([_miss_fractions(eff, c) for c in l2_eff.tolist()],
+                            dtype=np.float64).reshape(l2_eff.size, len(eff))
+            missed = self.to_l2[:, None] * miss.T[g.eff]
+        written = g.store[:, None] & (tr.region_unique[g.region][:, None]
+                                      > l2_eff)
+        sums = tr._per_layer(
+            np.concatenate([missed, np.where(written, missed, 0.0)], axis=1))
+        return sums[:, :l2_eff.size], sums[:, l2_eff.size:]
 
     def smooth_l2(self, l2_bytes: Sequence[int]) -> tuple[IntArray, IntArray]:
         """The reference's smoothed criterion at every L2 size of
-        ``l2_bytes``: the counters of :func:`evaluate_hierarchy`, size
-        by size."""
-        return self._settle(l2_bytes, self.smooth_sums(l2_bytes),
-                            self._smooth_reference)
+        ``l2_bytes``: per layer, the counters of
+        :func:`evaluate_hierarchy`, size by size."""
+        return self._counts(l2_bytes, self.l2_sums(l2_bytes, sharp=False),
+                            L1Split._smooth_reference)
 
     def sharp_l2(self, l2_bytes: Sequence[int]) -> tuple[IntArray, IntArray]:
         """The sharp fully-associative Mattson criterion at every L2
         size of ``l2_bytes``: a touch misses iff its reuse distance is
         at least the capacity; a missing store is written back unless
         its region stays resident."""
-        return self._settle(l2_bytes, self.sharp_sums(l2_bytes),
-                            self._sharp_reference)
+        return self._counts(l2_bytes, self.l2_sums(l2_bytes, sharp=True),
+                            L1Split._sharp_reference)
+
+    def _counts(
+        self, l2_bytes: Sequence[int], sums: tuple[FloatArray, FloatArray],
+        reference: Callable[[L1Split, float], tuple[float, float]],
+    ) -> tuple[IntArray, IntArray]:
+        """Certified counts of ``sums``; a (layer, size) pair whose
+        certificate fails takes both counts from ``reference`` over the
+        layer's classes at the size's effective capacity."""
+        factor = self.traffic.error_factors[:, None]
+        (misses, m_ok), (writebacks, w_ok) = (_certified(s, factor) for s in sums)
+        doubtful = np.argwhere(~(m_ok & w_ok)).tolist()
+        if doubtful:
+            l2_eff = _effective(l2_bytes).tolist()
+            layers: dict[int, L1Split] = {}
+            for k, i in doubtful:
+                _M_FALLBACKS.inc()
+                m, w = reference(layers.setdefault(k, L1Split(self, k)), l2_eff[i])
+                misses[k, i], writebacks[k, i] = round(m), round(w)
+        return misses, writebacks
+
+
+@dataclass(frozen=True, eq=False)
+class L1Split:
+    """Layer ``row`` of a :class:`ColumnSplit`: its traffic resolved at
+    the column's L1, with its rounded L1 ``accesses`` and ``misses``.
+
+    ``l1_miss`` holds the L1 miss fraction of each of the layer's own
+    distinct distances, ``group_to_l2`` each of its groups' line
+    touches that go on to the L2 (shaped like ``traffic.totals``) and
+    ``to_l2`` the same per laid-out class.  They are formed on first
+    read, from the layer alone, for the fallbacks and the tests; the
+    column's criteria read none of them.
+    """
+
+    column: ColumnSplit
+    row: int
+
+    @property
+    def traffic(self) -> CondensedTraffic:
+        return self.column.traffic.layers[self.row]
+
+    @property
+    def accesses(self) -> int:
+        return int(self.column.accesses[self.row])
+
+    @property
+    def misses(self) -> int:
+        return int(self.column.misses[self.row])
+
+    @property
+    def line_bytes(self) -> int:
+        return self.column.line_bytes
+
+    @cached_property
+    def l1_miss(self) -> FloatArray:
+        return _frozen(_miss_fractions(self.traffic._eff_list,
+                                       self.column.l1_eff))
+
+    @cached_property
+    def group_to_l2(self) -> FloatArray:
+        return _frozen(self.traffic.totals * self.l1_miss[:, None, None])
+
+    @cached_property
+    def to_l2(self) -> FloatArray:
+        tr = self.traffic
+        return _frozen(tr.accesses * self.l1_miss[tr.eff_index])
 
     def _smooth_reference(self, l2_eff: float) -> tuple[float, float]:
         """The smoothed rule at one effective capacity, class by class

@@ -11,9 +11,12 @@ through the vector length.  :func:`record_inference` captures the
 L2-independent state of every layer once — counts, issue and L2-stall
 cycles, condensed traffic and the L1 split — and models each distinct
 layer geometry once per call: layers that differ only in their names
-share one L1 split, and the replay answers each distinct split once.
-The resulting :class:`NetworkRecording` then answers a whole L2 axis in
-one pass under either sweep backend's L2 criterion.  Under ``exact`` the
+share one row of the column.  The distinct layers' traffic is
+condensed and L1-split in one batched pass over the whole column
+(:class:`~repro.model.traffic.ColumnTraffic`), and the resulting
+:class:`NetworkRecording` answers a whole L2 axis for every distinct
+layer in one criterion call, under either sweep backend's L2
+criterion.  Under ``exact`` the
 results are bit-identical to a fresh :func:`simulate_inference` call;
 ``fast`` applies the sharp Mattson threshold.  Both sweep backends
 record one column and replay it across the L2 axis.
@@ -41,6 +44,8 @@ from repro.kernels.tuple_mult import SLIDEUP
 from repro.model.aux_model import maxpool_model, shortcut_model
 from repro.model.layer_model import NetworkResult, layer_phases
 from repro.model.traffic import (
+    ColumnSplit,
+    ColumnTraffic,
     CondensedTraffic,
     L1Split,
     PhaseModel,
@@ -48,7 +53,7 @@ from repro.model.traffic import (
     stats_from_model,
 )
 from repro.nets.layers import LayerSpec, MaxPoolSpec, ShortcutSpec
-from repro.obs import counters_from_stats, current_tracer, span
+from repro.obs import Span, counters_from_stats, current_tracer, span
 from repro.sim.cache import CacheStats, HierarchyStats
 from repro.sim.stats import SimStats
 from repro.sim.system import SystemConfig
@@ -142,8 +147,8 @@ class LayerRecording:
     ``template`` holds everything of the layer's :class:`SimStats` that
     the L2 size cannot change — label, instruction/element/flop counts,
     issue and L2-stall cycles, the L1 counters and the L2 access count.
-    ``split`` is the layer's condensed traffic resolved at the recorded
-    L1, answerable under either L2 criterion.
+    ``split`` is the layer's row of the recording's column: its
+    condensed traffic resolved at the recorded L1.
     """
 
     template: SimStats
@@ -342,8 +347,10 @@ class NetworkRecording:
     structure (with identical counters) as the live simulation, so
     traces of replayed and fresh runs are indistinguishable.
     ``total`` is the L2-independent part of the network total: the
-    layer templates merged in layer order.  Layers recorded from one
-    geometry share one :class:`L1Split` object.
+    layer templates merged in layer order.  ``column`` holds the
+    distinct layers' traffic, condensed and L1-split in one pass; each
+    layer's ``split`` is its row, and layers recorded from one geometry
+    share one :class:`L1Split` object.
     """
 
     name: str
@@ -352,6 +359,7 @@ class NetworkRecording:
     variant: str
     layers: tuple[LayerRecording, ...]
     total: SimStats
+    column: ColumnSplit
 
     def evaluate(
         self, l2_mbs: Sequence[int], mode: str = BACKEND_EXACT
@@ -362,13 +370,13 @@ class NetworkRecording:
         each point is bit-identical to ``simulate_inference(name,
         layers, config.with_(l2_mb=l2_mb), ...)``.
 
-        Each distinct split answers the whole axis in one criterion
-        call, and a layer sharing an earlier layer's split copies that
-        layer's rows.  The L2-independent part of the network total is
-        the recording's ``total``; per size only the L2 misses,
-        writebacks and DRAM stall cycles accumulate, in layer order, so
-        every total equals a per-point ``SimStats.merge`` chain exactly.
-        The result stays arrays (:class:`ColumnResult`); untraced, no
+        One criterion call answers every distinct layer at every size;
+        each layer takes its row.  The L2-independent part of the
+        network total is the recording's ``total``; per size only the
+        L2 misses, writebacks and DRAM stall cycles accumulate, in
+        layer order (the stall with a sequential ``cumsum``), so every
+        total equals a per-point ``SimStats.merge`` chain exactly.  The
+        result stays arrays (:class:`ColumnResult`); untraced, no
         per-point object is built here.
         """
         if mode not in BACKENDS:
@@ -376,31 +384,20 @@ class NetworkRecording:
                 f"unknown L2 criterion {mode!r} (expected one of {BACKENDS})"
             )
         axis = grid_axis(l2_mbs)
-        criterion = L1Split.sharp_l2 if mode == BACKEND_FAST else L1Split.smooth_l2
-        timings = self.config.memory_timings()
-        l2_bytes = [mb * 1024 * 1024 for mb in axis]
-        shape = (len(self.layers) + 1, len(axis))
-        misses = np.zeros(shape, dtype=np.int64)
-        writebacks = np.zeros(shape, dtype=np.int64)
-        dram = np.zeros(shape)
-        # The row of the first layer holding each split.
-        first_row: dict[int, int] = {}
-        for k, rec in enumerate(self.layers):
-            j = first_row.setdefault(id(rec.split), k)
-            if j == k:
-                misses[k], writebacks[k] = criterion(rec.split, l2_bytes)
-                dram[k] = timings.dram_stall_cycles(misses[k], writebacks[k])
-            else:
-                misses[k], writebacks[k], dram[k] = (
-                    misses[j], writebacks[j], dram[j])
-            misses[-1] += misses[k]
-            writebacks[-1] += writebacks[k]
-            dram[-1] += dram[k]
+        criterion = (ColumnSplit.sharp_l2 if mode == BACKEND_FAST
+                     else ColumnSplit.smooth_l2)
+        misses, writebacks = criterion(
+            self.column, [mb * 1024 * 1024 for mb in axis])
+        dram = self.config.memory_timings().dram_stall_cycles(misses, writebacks)
+        rows = [rec.split.row for rec in self.layers]
+        misses, writebacks, dram = misses[rows], writebacks[rows], dram[rows]
         column = ColumnResult(
             name=self.name, l2_mbs=tuple(axis),
             templates=tuple(rec.template for rec in self.layers)
             + (self.total,),
-            misses=misses, writebacks=writebacks, dram_stall=dram,
+            misses=np.vstack([misses, misses.sum(axis=0)]),
+            writebacks=np.vstack([writebacks, writebacks.sum(axis=0)]),
+            dram_stall=np.vstack([dram, dram.cumsum(axis=0)[-1]]),
         )
         if current_tracer() is not None:
             for i, l2_mb in enumerate(axis):
@@ -427,23 +424,23 @@ class NetworkRecording:
 
 def _template(
     label: str, counts: tuple[float, dict[str, int], dict[str, int], int],
-    split: L1Split, config: SystemConfig,
+    l1_accesses: int, l1_misses: int, config: SystemConfig,
 ) -> SimStats:
     """The L2-independent half of ``stats_from_model(phases, config,
-    label)`` from the phases' ``model_counts`` and their L1 split of
-    ``evaluate_hierarchy``: its counts, issue and L2-stall cycles and L1
-    counters, in fresh objects."""
+    label)`` from the phases' ``model_counts`` and the L1 counters of
+    their split of ``evaluate_hierarchy``: its counts, issue and
+    L2-stall cycles and L1 counters, in fresh objects."""
     issue, instrs, elems, flops = counts
     return SimStats(
         freq_ghz=config.freq_ghz,
         issue_cycles=issue,
-        l2_stall_cycles=config.memory_timings().l2_stall_cycles(split.misses),
+        l2_stall_cycles=config.memory_timings().l2_stall_cycles(l1_misses),
         instrs=dict(instrs),
         elems=dict(elems),
         flops=flops,
         hierarchy=HierarchyStats(
-            l1=CacheStats(accesses=split.accesses, misses=split.misses),
-            l2=CacheStats(accesses=split.misses),
+            l1=CacheStats(accesses=l1_accesses, misses=l1_misses),
+            l2=CacheStats(accesses=l1_misses),
             line_bytes=config.line_bytes,
         ),
         label=label,
@@ -471,19 +468,27 @@ def record_inference(
     convolutions, YOLOv3's residual blocks) are modelled once per call:
     a later such layer shares the first one's immutable
     :class:`~repro.model.traffic.L1Split` and gets its own template,
-    labelled with its own name.  Each layer opens a ``record_layer``
-    span with the same label and counters either way; the first of a
-    geometry has ``phase_models`` and ``condense`` children, a later
-    one the attribute ``reused_from`` (the first one's name) instead.
-    The network total's template is merged once here, in layer order.
+    labelled with its own name.  Each distinct layer's traffic is
+    gathered (:meth:`CondensedTraffic.from_phases`), and all of them
+    are condensed and L1-split together, in one
+    :class:`~repro.model.traffic.ColumnTraffic` pass.
+
+    Each layer opens a ``record_layer`` span with the same label and
+    counters either way; the first of a geometry has a
+    ``phase_models`` child, a later one the attribute ``reused_from``
+    (the first one's name) instead.  One ``condense`` span (attributes
+    ``layers``, ``distances``, ``regions``) follows the layers; their
+    counters, which need its L1 counts, are added when it closes.  The
+    network total's template is merged once here, in layer order.
     """
     if not layers:
         raise ConfigError("network has no layers")
-    recs: list[LayerRecording] = []
-    total = SimStats(freq_ghz=config.freq_ghz, label=f"{name} total")
     # Per label-free layer: the first such layer's name, the label's
-    # "[algorithm]" tag, the model counts and the L1 split.
-    seen: dict[LayerSpec, tuple[str, str, tuple, L1Split]] = {}
+    # "[algorithm]" tag, the model counts and the layer's column row.
+    seen: dict[LayerSpec, tuple[str, str, tuple, int]] = {}
+    gathered: list[CondensedTraffic] = []
+    # Per layer: its span, label, model counts and column row.
+    opened: list[tuple[Span, str, tuple, int]] = []
     with span("record_inference", network=name,
               vlen_bits=config.vlen_bits, hybrid=hybrid, variant=variant):
         for layer in layers:
@@ -497,30 +502,38 @@ def record_inference(
                         label, phases = layer_phase_models(
                             layer, config, hybrid=hybrid, variant=variant
                         )
-                    with span("condense"):
-                        traffic = CondensedTraffic.from_phases(phases)
                     first = seen[key] = (
                         layer.name, label[len(layer.name):],
-                        model_counts(phases, config),
-                        traffic.l1_split(config.l1_kb * 1024,
-                                         config.line_bytes))
+                        model_counts(phases, config), len(gathered))
+                    gathered.append(CondensedTraffic.from_phases(phases))
                 else:
                     layer_span.set_attrs(reused_from=first[0])
-                _, tag, counts, split = first
-                t = _template(layer.name + tag, counts, split, config)
-                layer_span.set_attrs(label=t.label)
-                layer_span.add_counters(
-                    instrs=t.total_instrs,
-                    flops=t.flops,
-                    issue_cycles=t.issue_cycles,
-                    l1_accesses=t.hierarchy.l1.accesses,
-                    l1_misses=t.hierarchy.l1.misses,
-                )
-            recs.append(LayerRecording(template=t, split=split))
+                _, tag, counts, row = first
+                layer_span.set_attrs(label=layer.name + tag)
+            opened.append((layer_span, layer.name + tag, counts, row))
+        with span("condense", layers=len(gathered)) as condense_span:
+            traffic = ColumnTraffic.condense(gathered)
+            column = traffic.l1_split(config.l1_kb * 1024, config.line_bytes)
+            condense_span.set_attrs(distances=traffic.eff_unique.size,
+                                    regions=traffic.region_unique.size)
+        splits = [L1Split(column, row) for row in range(len(gathered))]
+        accesses, misses = column.accesses.tolist(), column.misses.tolist()
+        recs: list[LayerRecording] = []
+        total = SimStats(freq_ghz=config.freq_ghz, label=f"{name} total")
+        for layer_span, label, counts, row in opened:
+            t = _template(label, counts, accesses[row], misses[row], config)
+            layer_span.add_counters(
+                instrs=t.total_instrs,
+                flops=t.flops,
+                issue_cycles=t.issue_cycles,
+                l1_accesses=t.hierarchy.l1.accesses,
+                l1_misses=t.hierarchy.l1.misses,
+            )
+            recs.append(LayerRecording(template=t, split=splits[row]))
             total.merge(t)
     return NetworkRecording(
         name=name, config=config, hybrid=hybrid, variant=variant,
-        layers=tuple(recs), total=total,
+        layers=tuple(recs), total=total, column=column,
     )
 
 

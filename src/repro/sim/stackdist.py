@@ -16,7 +16,7 @@ Two representations share that criterion:
 - :class:`SparseReuseProfile` — a weighted, sorted (distance, weight)
   form with O(log N) capacity queries via precomputed suffix sums.  The
   co-design sweep's fast backend
-  (:meth:`repro.model.traffic.L1Split.sharp_l2`) applies the same
+  (:meth:`repro.model.traffic.ColumnSplit.sharp_l2`) applies the same
   threshold to per-distance group totals and builds one from the
   recorded L2-bound traffic classes only as the per-class reference of
   a size whose rounding it cannot certify; the dense form converts

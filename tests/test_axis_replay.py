@@ -28,6 +28,8 @@ from repro.model.traffic import (
     CAPACITY_FACTOR,
     COLD,
     SHARPNESS,
+    ColumnSplit,
+    ColumnTraffic,
     CondensedTraffic,
     L1Split,
     PhaseModel,
@@ -226,8 +228,8 @@ class TestAxisReplay:
         def no_work(*args, **kwargs):
             raise AssertionError("criterion ran before the axis was checked")
 
-        monkeypatch.setattr(L1Split, "sharp_l2", no_work)
-        monkeypatch.setattr(L1Split, "smooth_l2", no_work)
+        monkeypatch.setattr(ColumnSplit, "sharp_l2", no_work)
+        monkeypatch.setattr(ColumnSplit, "smooth_l2", no_work)
         with pytest.raises(ConfigError):
             recordings[512].evaluate(bad, mode)
 
@@ -317,37 +319,49 @@ byte_axes = st.lists(
 )
 
 
-def _split(classes) -> L1Split:
+#: One to three layers' classes, condensed as one column.
+traffic_columns = st.lists(traffic_classes, min_size=1, max_size=3)
+
+
+def _layer(classes) -> CondensedTraffic:
     ph = PhaseModel("t")
     for i, (acc, dist, store, region, dil) in enumerate(classes):
         ph.add_traffic(f"c{i}", acc, dist, is_store=store, region=region,
                        dilution=dil)
-    return CondensedTraffic.from_phases([ph]).l1_split(L1_BYTES)
+    return CondensedTraffic.from_phases([ph])
 
 
-def _check_criterion(criterion, reference, split, axis) -> None:
-    """The criterion's counts are ``rint`` of the float oracle, size by
-    size (the criteria return rounded ``int64`` counts)."""
-    misses, writebacks = criterion(split, axis)
+def _column(layers) -> ColumnSplit:
+    return ColumnTraffic.condense(
+        [_layer(classes) for classes in layers]).l1_split(L1_BYTES)
+
+
+def _check_criterion(criterion, reference, column, axis) -> None:
+    """The criterion's counts are ``rint`` of the float oracle, layer by
+    layer and size by size (the criteria return rounded ``int64``
+    counts)."""
+    misses, writebacks = criterion(column, axis)
+    n = len(column.traffic.layers)
     assert misses.dtype == writebacks.dtype == np.int64
-    assert misses.shape == writebacks.shape == (len(axis),)
-    ref = [reference(split, b) for b in axis]
-    assert misses.tobytes() == np.rint([m for m, _ in ref]).astype(np.int64).tobytes()
-    assert writebacks.tobytes() == np.rint([w for _, w in ref]).astype(np.int64).tobytes()
+    assert misses.shape == writebacks.shape == (n, len(axis))
+    for k in range(n):
+        ref = [reference(L1Split(column, k), b) for b in axis]
+        assert misses[k].tobytes() == np.rint([m for m, _ in ref]).astype(np.int64).tobytes()
+        assert writebacks[k].tobytes() == np.rint([w for _, w in ref]).astype(np.int64).tobytes()
 
 
 class TestCriteriaOverAnAxis:
     @settings(max_examples=150, deadline=None)
-    @given(traffic_classes, byte_axes)
-    def test_sharp_matches_scalar_rule(self, classes, axis):
-        _check_criterion(L1Split.sharp_l2, sharp_reference,
-                         _split(classes), axis)
+    @given(traffic_columns, byte_axes)
+    def test_sharp_matches_scalar_rule(self, layers, axis):
+        _check_criterion(ColumnSplit.sharp_l2, sharp_reference,
+                         _column(layers), axis)
 
     @settings(max_examples=60, deadline=None)
-    @given(traffic_classes, byte_axes)
-    def test_smooth_matches_scalar_rule(self, classes, axis):
-        _check_criterion(L1Split.smooth_l2, smooth_reference,
-                         _split(classes), axis)
+    @given(traffic_columns, byte_axes)
+    def test_smooth_matches_scalar_rule(self, layers, axis):
+        _check_criterion(ColumnSplit.smooth_l2, smooth_reference,
+                         _column(layers), axis)
 
     def test_writeback_set_changes_at_every_step(self):
         """Store class ``i`` reaches ``i + 1`` MB and its region ends
@@ -356,16 +370,27 @@ class TestCriteriaOverAnAxis:
         classes = [(100.0 + i, float((i + 1) * MB), True,
                     float((i + 2) * MB) - (64 if i % 2 else 0), 1.0)
                    for i in range(10)]
-        split = _split(classes)
+        column = _column([classes])
         axis = [7 * MB, 1 * MB, 3 * MB, 10 * MB, 2 * MB, 3 * MB, 5 * MB]
-        _check_criterion(L1Split.sharp_l2, sharp_reference, split, axis)
-        _, writebacks = split.sharp_l2(sorted(set(axis)))
-        assert np.all(np.diff(writebacks) < 0)
+        _check_criterion(ColumnSplit.sharp_l2, sharp_reference, column, axis)
+        _, writebacks = column.sharp_l2(sorted(set(axis)))
+        assert np.all(np.diff(writebacks[0]) < 0)
 
     def test_no_store_classes_and_no_traffic(self):
-        loads = _split([(10.0, float(MB), False, math.inf, 1.0)])
-        _check_criterion(L1Split.sharp_l2, sharp_reference, loads, [MB, 2 * MB])
+        loads = [(10.0, float(MB), False, math.inf, 1.0)]
+        _check_criterion(ColumnSplit.sharp_l2, sharp_reference,
+                         _column([loads]), [MB, 2 * MB])
         empty = CondensedTraffic.from_phases([PhaseModel("e")]).l1_split(L1_BYTES)
-        for criterion in (L1Split.sharp_l2, L1Split.smooth_l2):
-            misses, writebacks = criterion(empty, [MB, 4 * MB])
-            assert misses.tolist() == writebacks.tolist() == [0.0, 0.0]
+        for criterion in (ColumnSplit.sharp_l2, ColumnSplit.smooth_l2):
+            misses, writebacks = criterion(empty.column, [MB, 4 * MB])
+            assert misses.tolist() == writebacks.tolist() == [[0.0, 0.0]]
+        # Layers without traffic between and around loaded ones.
+        column = ColumnTraffic.condense(
+            [_layer([]), _layer(loads), _layer([]), _layer(loads * 2),
+             _layer([])]).l1_split(L1_BYTES)
+        for criterion, reference in ((ColumnSplit.sharp_l2, sharp_reference),
+                                     (ColumnSplit.smooth_l2, smooth_reference)):
+            _check_criterion(criterion, reference, column, [MB, 2 * MB])
+            misses, _ = criterion(column, [MB, 2 * MB])
+            assert misses[[0, 2, 4]].tolist() == [[0, 0]] * 3
+        assert column.accesses.tolist() == [0, 10, 0, 20, 0]

@@ -139,13 +139,13 @@ class TestHits:
             rec = record_inference("vgg16", layers, SystemConfig())
         spans = tracer.root.find("record_layer")
         assert len(spans) == len(layers)
+        assert tracer.root.children == [*spans, *tracer.root.find("condense")]
         first: dict = {}
         hits = 0
         for sp, layer, lr in zip(spans, layers, rec.layers):
             name = first.setdefault(_key(layer), layer.name)
             if name == layer.name:
-                assert [c.name for c in sp.children] == ["phase_models",
-                                                         "condense"]
+                assert [c.name for c in sp.children] == ["phase_models"]
                 assert "reused_from" not in sp.attrs
             else:
                 hits += 1
@@ -164,6 +164,8 @@ class TestHits:
         # conv3_3, conv4_3, conv5_2 and conv5_3 repeat their predecessor.
         assert hits == 4
         assert len(tracer.root.find("phase_models")) == len(layers) - hits
+        (condense,) = tracer.root.find("condense")
+        assert condense.attrs["layers"] == len(layers) - hits
 
     def test_mutating_one_template_leaves_the_other_layers(self):
         layers = _vgg16_small()

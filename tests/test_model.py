@@ -472,8 +472,8 @@ class TestTrafficColumns:
         split = CondensedTraffic.from_phases(phases).l1_split(l1)
         assert split.traffic.n_classes == sum(p.traffic.accesses.size for p in phases)
         sizes = (1, 4, 64)
-        misses, writebacks = split.smooth_l2([mb << 20 for mb in sizes])
-        for mb, m, w in zip(sizes, misses.tolist(), writebacks.tolist()):
+        misses, writebacks = split.column.smooth_l2([mb << 20 for mb in sizes])
+        for mb, m, w in zip(sizes, misses[0].tolist(), writebacks[0].tolist()):
             h = evaluate_hierarchy(phases, l1, mb << 20)
             assert (h.l1.accesses, h.l1.misses, h.l2.accesses) == (
                 split.accesses, split.misses, split.misses)

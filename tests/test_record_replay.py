@@ -94,9 +94,13 @@ class TestRecordReplayIdentity:
                 == [s.attrs.get("label") for s in exact.find("layer")])
 
     def test_record_spans_break_down_each_layer(self, prefix):
-        """Recording opens one ``record_layer`` span per layer, split
-        into ``phase_models`` and ``condense``, carrying the layer's
-        L2-independent counters."""
+        """Recording opens one ``record_layer`` span per layer, the
+        first of each geometry with a ``phase_models`` child and a
+        repeat with ``reused_from`` instead, each carrying the layer's
+        L2-independent counters; one column-level ``condense`` span
+        follows the layers."""
+        from dataclasses import replace
+
         from repro.obs import Tracer, tracing
 
         cfg = SystemConfig()
@@ -105,13 +109,18 @@ class TestRecordReplayIdentity:
             rec = record_inference("n", prefix, cfg)
         root = tracer.root
         assert root.name == "record_inference"
-        layer_spans = root.find("record_layer")
-        assert len(layer_spans) == len(prefix)
-        for sp, layer in zip(layer_spans, rec.layers):
+        assert ([c.name for c in root.children]
+                == ["record_layer"] * len(prefix) + ["condense"])
+        first: dict = {}
+        for sp, spec, layer in zip(root.children, prefix, rec.layers):
             t = layer.template
-            assert [c.name for c in sp.children] == ["phase_models",
-                                                     "condense"]
-            assert sp.attrs["label"] == t.label
+            name = first.setdefault(replace(spec, name=""), spec.name)
+            if name == spec.name:
+                assert [c.name for c in sp.children] == ["phase_models"]
+                assert sp.attrs == {"label": t.label}
+            else:
+                assert sp.children == []
+                assert sp.attrs == {"label": t.label, "reused_from": name}
             assert sp.counters == {
                 "instrs": t.total_instrs,
                 "flops": t.flops,
@@ -119,6 +128,14 @@ class TestRecordReplayIdentity:
                 "l1_accesses": t.hierarchy.l1.accesses,
                 "l1_misses": t.hierarchy.l1.misses,
             }
+        condense = root.children[-1]
+        traffic = rec.column.traffic
+        assert condense.children == [] and condense.counters == {}
+        assert condense.attrs == {
+            "layers": len(first),
+            "distances": traffic.eff_unique.size,
+            "regions": traffic.region_unique.size,
+        }
 
 
 @pytest.mark.bench

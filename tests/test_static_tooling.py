@@ -35,6 +35,7 @@ COVERAGE_TESTS = [
     "tests/test_record_replay.py",
     "tests/test_axis_replay.py",
     "tests/test_replay_certificate.py",
+    "tests/test_column_traffic.py",
     "tests/test_column_result.py",
     "tests/test_layer_memo.py",
     "tests/test_codesign_executor.py",
@@ -256,3 +257,47 @@ def test_benchmark_span_targets_resolve(monkeypatch):
         if not callable(getattr(target, "__func__", target)):
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+#: Sweep-side wrapper targets (modules under ``repro.codesign``,
+#: ``repro.nets`` and ``repro.model``) a cold sweep column never calls,
+#: with the reason; their benchmark metrics read 0 by design.
+NOT_ON_THE_SWEEP = {
+    "codesign.profile_network": "a former name kept resolvable; the "
+                                "executor calls record_inference",
+    "model.stats_from_model": "the per-point path of simulate_inference",
+    "model.direct1x1_model": "the sweep's policies never pick direct 1x1",
+}
+
+
+def test_benchmark_sweep_wrappers_are_called(monkeypatch):
+    """One small cold column per network and backend, run with the
+    benchmark's own wrappers installed on every sweep-side ``TARGETS``
+    entry, calls each of them, and ``model.condense`` reads its class
+    count off the result: a sweep that stopped calling one would leave
+    its per-layer metric silently null or 0."""
+    from repro.codesign import codesign_sweep
+    from repro.nets import vgg16_layers, yolov3_layers
+
+    monkeypatch.syspath_prepend(str(REPO))
+    tracing = importlib.import_module("benchmarks.e2e.tracing")
+    targets = [t for t in tracing.TARGETS if t[0].startswith(
+        ("repro.codesign.", "repro.nets.", "repro.model."))]
+    recorder = tracing.SpanRecorder()
+    recorder.install(targets)
+    try:
+        for name, layers in (("vgg16", vgg16_layers(height=32, width=32)),
+                             ("yolov3", yolov3_layers(height=32, width=32))):
+            for mode in ("exact", "fast"):
+                codesign_sweep(name, layers, vlens=(2048,), l2_mbs=(1, 16),
+                               mode=mode)
+    finally:
+        recorder.uninstall()
+    assert recorder.missing == []
+    called = {sp.name for sp in recorder.spans}
+    expected = {name for _, _, name in targets} - set(NOT_ON_THE_SWEEP)
+    assert sorted(expected - called) == []
+    assert not called & set(NOT_ON_THE_SWEEP)
+    condensed = [sp.count for sp in recorder.spans
+                 if sp.name == "model.condense"]
+    assert condensed and min(condensed) > 0
