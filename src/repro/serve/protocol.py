@@ -43,7 +43,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import cache, cached_property, lru_cache
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.codesign.sweep import BACKEND_EXACT, BACKENDS
 from repro.conv.layer import ConvLayerSpec
@@ -66,6 +66,13 @@ NAMED_NETWORKS = {
 
 #: Config fields a query must not override — they are the grid axes.
 _AXIS_FIELDS = ("vlen_bits", "l2_mb")
+
+
+class JsonText(str):
+    """A value that is already JSON text: :func:`encode_event` splices
+    it verbatim instead of encoding it again."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -110,25 +117,37 @@ class Query:
     # The fields are frozen, so the content address is looked up once
     # per query, not once per point.
     @cached_property
-    def _address(self) -> tuple[dict[str, Any], str]:
+    def _address(self) -> _Address:
         return _content_address(self.layers, self.hybrid, self.variant,
                                 self.config)
 
     @property
     def identity(self) -> dict[str, Any]:
         """:func:`query_identity` (shared; do not mutate)."""
-        return self._address[0]
+        return self._address.identity
 
     @property
     def network_hash(self) -> str:
         """:func:`network_hash`."""
-        return self._address[1]
+        return self._address.digest
 
     @cached_property
     def config_dict(self) -> dict[str, Any]:
         """``dataclasses.asdict(self.config)``, computed once (do not
         mutate)."""
         return _flat_dict(self.config)
+
+    @property
+    def identity_json(self) -> JsonText:
+        """``json.dumps(self.identity)``, encoded once per content
+        address."""
+        return self._address.identity_json
+
+    @property
+    def config_json(self) -> JsonText:
+        """``json.dumps(self.config_dict)``, encoded once per content
+        address."""
+        return self._address.config_json
 
     @cached_property
     def json_labels(self) -> tuple[str, ...]:
@@ -326,13 +345,25 @@ def network_hash(query: Query) -> str:
     return query.network_hash
 
 
+class _Address(NamedTuple):
+    """A content address: the identity block and its digest, plus the
+    JSON text of the identity and of the full configuration as a
+    manifest holds them."""
+
+    identity: dict[str, Any]
+    digest: str
+    identity_json: JsonText
+    config_json: JsonText
+
+
 @lru_cache(maxsize=256)
 def _content_address(
     layers: tuple[LayerSpec, ...], hybrid: bool, variant: str,
     config: SystemConfig,
-) -> tuple[dict[str, Any], str]:
-    """:func:`query_identity` and :func:`network_hash`, computed once per
-    distinct network, policy and base configuration."""
+) -> _Address:
+    """:func:`query_identity` and :func:`network_hash`, with their
+    manifest texts, computed once per distinct network, policy and
+    base configuration."""
     identity = {
         "schema": PROTOCOL_VERSION,
         "layers": [_layer_dict(layer) for layer in layers],
@@ -342,7 +373,8 @@ def _content_address(
     }
     canonical = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
-    return identity, digest
+    return _Address(identity, digest, JsonText(json.dumps(identity)),
+                    JsonText(json.dumps(_flat_dict(config))))
 
 
 def point_key(query: Query, vlen: int, l2_mb: int) -> str:
@@ -353,11 +385,24 @@ def point_key(query: Query, vlen: int, l2_mb: int) -> str:
 # ----------------------------------------------------------------------
 # NDJSON framing and the blocking client.
 # ----------------------------------------------------------------------
-class JsonText(str):
-    """A value that is already JSON text: :func:`encode_event` splices
-    it verbatim instead of encoding it again."""
-
-    __slots__ = ()
+def splice_json(mapping: Mapping[str, Any]) -> JsonText:
+    """``json.dumps`` of ``mapping`` with every :class:`JsonText` value
+    spliced verbatim, as JSON text (so a spliced mapping nests in
+    another).  Each run of other items is encoded by one ``json.dumps``
+    of its own, whose braces are cut."""
+    parts: list[str] = []
+    plain: dict[str, Any] = {}
+    for k, v in mapping.items():
+        if type(v) is JsonText:
+            if plain:
+                parts.append(json.dumps(plain)[1:-1])
+                plain = {}
+            parts.append(f"{json.dumps(k)}: {v}")
+        else:
+            plain[k] = v
+    if plain:
+        parts.append(json.dumps(plain)[1:-1])
+    return JsonText("{" + ", ".join(parts) + "}")
 
 
 def encode_event(ev: Mapping[str, Any]) -> bytes:
@@ -368,10 +413,7 @@ def encode_event(ev: Mapping[str, Any]) -> bytes:
     """
     if JsonText not in map(type, ev.values()):
         return (json.dumps(dict(ev)) + "\n").encode("utf-8")
-    body = ", ".join(
-        f"{json.dumps(k)}: {v if type(v) is JsonText else json.dumps(v)}"
-        for k, v in ev.items())
-    return ("{" + body + "}\n").encode("utf-8")
+    return (splice_json(ev) + "\n").encode("utf-8")
 
 
 def iter_ndjson(stream: Iterable[bytes]) -> Iterator[dict[str, Any]]:

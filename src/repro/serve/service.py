@@ -80,6 +80,7 @@ from repro.serve.protocol import (
     encode_event,
     point_key,
     query_identity,
+    splice_json,
 )
 from repro.serve.store import (
     SOURCE_COALESCED,
@@ -173,7 +174,9 @@ class NdjsonSink(CallbackSink):
 
     The service hands this sink the ``query_result`` sweep as
     :class:`~repro.serve.protocol.JsonText`, spliced from the stored
-    points' bytes; every other sink gets the same sweep as a dict.
+    points' bytes, and the ``query_manifest`` manifest as JSON text
+    spliced from its content address's cached identity and
+    configuration text; every other sink gets both as dicts.
     """
 
     def __init__(self, write: Callable[[bytes], None]) -> None:
@@ -365,10 +368,15 @@ class CodesignService:
             backend=query.mode, network_hash=nh,
             vlens=list(query.vlens), l2_mbs=list(query.l2_mbs), points=total,
         ))
-        sink.emit(event("query_manifest", manifest=query_manifest(
+        manifest = query_manifest(
             qid, query_identity(query), config=query.config_dict,
             backend=query.mode,
-        )))
+        )
+        if spliced:
+            manifest.update(identity=query.identity_json,
+                            config=query.config_json)
+        sink.emit(event("query_manifest", manifest=(
+            splice_json(manifest) if spliced else manifest)))
 
         # Each point is its JSON text under this query's labels.
         labels = query.json_labels

@@ -36,8 +36,8 @@ from repro.serve import (
     ServeServer,
     iter_ndjson,
 )
-from repro.serve.protocol import JsonText, encode_event
-from repro.serve.service import MAX_BODY_BYTES
+from repro.serve.protocol import JsonText, encode_event, splice_json
+from repro.serve.service import MAX_BODY_BYTES, NdjsonSink
 from tests.metrics_delta import counter_delta
 
 pytestmark = pytest.mark.serve
@@ -55,6 +55,34 @@ class TestEncodeEvent:
         assert encode_event(ev) == (json.dumps(plain) + "\n").encode()
         assert encode_event(plain) == encode_event(ev)
         assert list(iter_ndjson([encode_event(ev)])) == [plain]
+
+    def test_nested_json_text_is_spliced_verbatim(self):
+        inner = {"identity": {"layers": [{"kind": "conv", "c_in": 3}]},
+                 "argv": ["repro", "serve"], "started_unix": 1.25}
+        spliced = {**inner, "identity": JsonText(json.dumps(inner["identity"]))}
+        ev = {"event": "query_manifest", "manifest": splice_json(spliced)}
+        assert encode_event(ev) == encode_event({**ev, "manifest": inner})
+        assert list(iter_ndjson([encode_event(ev)])) == [{**ev, "manifest": inner}]
+
+    def test_served_manifest_is_the_dict_manifest(self):
+        """The wire's spliced ``query_manifest`` line is the canonical
+        encoding of the manifest every other sink gets as a dict; only
+        the start time differs between two queries."""
+        service = CodesignService(ResultStore(max_bytes=1 << 22))
+        query = Query.from_payload(PAYLOAD)
+        lines: list[bytes] = []
+        memory = MemorySink()
+        for sink in (NdjsonSink(lines.append), memory):
+            asyncio.run(service.handle_query(query, sink, query_id="q"))
+        (line,) = (ln for ln in lines if b'"query_manifest"' in ln)
+        decoded = json.loads(line)
+        assert encode_event(decoded) == line
+        (want,) = (e["manifest"] for e in memory.events
+                   if e["event"] == "query_manifest")
+        got = decoded["manifest"]
+        assert got.pop("started_unix") <= want.pop("started_unix")
+        assert got == want
+        assert got["identity"] == query.identity
 
 
 class TestIterNdjson:
